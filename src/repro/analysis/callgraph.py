@@ -85,6 +85,7 @@ CALL_EFFECTS: dict[str, tuple[tuple[str, str], ...]] = {
     "max_vertex_overflow": (("global.demand", "read"),),
     "add_edge_demand": (("global.demand", "write"),),
     "add_vertex_demand": (("global.demand", "write"),),
+    "apply_path": (("global.demand", "write"),),
     "refresh_cost_cache": (("engine.cache", "write"),),
     "import_shared_state": (
         ("global.demand", "write"),

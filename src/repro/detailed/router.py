@@ -632,7 +632,8 @@ class DetailedRouter:
         trunk fragments (plan-preserving), then over a clean direct
         route; if both fail, the net may buy a path through other
         nets' wire at a penalty, and the victims it crosses are ripped
-        and queued for re-route in the same fashion.
+        and queued for re-route in the same fashion.  Returns the nets
+        still unrouted at the end, in queue order.
         """
         tracer = ensure(tracer)
         for round_index in range(design.config.max_ripup_iterations):
@@ -732,7 +733,9 @@ class DetailedRouter:
             if set(next_failed) == set(failed):
                 break
             failed = list(dict.fromkeys(next_failed))
-        return failed
+        # A victim ripped earlier in a round may be re-routed later in
+        # the same round; the queue keeps it, the result must not.
+        return [name for name in failed if not routed[name].routed]
 
     @staticmethod
     def _rip(grid: DetailedGrid, record: "RoutedNet") -> None:

@@ -8,13 +8,8 @@ from .cost import (
     vertex_cost,
     vertex_cost_if_used,
 )
-from .graph import GlobalGraph, Tile, TileSpan
-from .router import (
-    GlobalRoute,
-    GlobalRouter,
-    GlobalRoutingResult,
-    vertical_run_line_ends,
-)
+from .graph import GlobalGraph, Tile, TileSpan, vertical_run_line_ends
+from .router import GlobalRoute, GlobalRouter, GlobalRoutingResult
 
 __all__ = [
     "GlobalGraph",

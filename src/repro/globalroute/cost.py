@@ -44,23 +44,45 @@ def edge_cost(graph: GlobalGraph, key: tuple[str, int, int]) -> float:
     return congestion_cost(graph.edge_demand(key), graph.edge_capacity(key))
 
 
-def edge_cost_if_used(graph: GlobalGraph, key: tuple[str, int, int]) -> float:
-    """ψ_e after hypothetically adding one wire to edge ``key``.
+def edge_price(demand: int, capacity: int, history: float) -> float:
+    """ψ_e of Eq. (1) for one more wire on an edge, plus its history.
 
-    Pricing the *next* unit of demand (rather than the current one)
-    makes the first wire over capacity pay the marginal congestion it
-    creates, which is what sequential routing needs.
+    One of the two scalar step prices (with :func:`line_end_price`)
+    both engines call: :func:`edge_cost_if_used` feeds it the graph's
+    arrays, the array engine's cost caches feed it their flat mirrors
+    of the same values.  Pricing the *next* unit of demand (rather than
+    the current one) makes the first wire over capacity pay the
+    marginal congestion it creates, which is what sequential routing
+    needs.
     """
+    return congestion_cost(demand + 1, capacity) + history
+
+
+def line_end_price(demand: int, capacity: int, history: float) -> float:
+    """Full A* step price of one more line end on a tile.
+
+    The base Eq. (2) price of the next line end, kept mild by
+    ``VERTEX_WEIGHT`` so uncongested paths stay short, plus the
+    negotiated history term and the hard overflow step; the global
+    router charges it where a vertical run starts or ends.
+    """
+    price = VERTEX_WEIGHT * congestion_cost(demand + 1, capacity) + history
+    if demand + 1 > capacity:
+        price += VERTEX_OVERFLOW_PENALTY
+    return price
+
+
+def edge_cost_if_used(graph: GlobalGraph, key: tuple[str, int, int]) -> float:
+    """ψ_e after hypothetically adding one wire to edge ``key``, plus
+    the edge's history cost (:func:`edge_price` on the graph's state)."""
     kind, i, j = key
     history = (
         graph.h_history[i, j] if kind == "h" else graph.v_history[i, j]
     )
-    return (
-        congestion_cost(
-            graph.edge_demand(key) + 1,  # repro: allow-PAR004 array reads via price cache
-            graph.edge_capacity(key),  # repro: allow-PAR004 array reads via price cache
-        )
-        + history
+    return edge_price(
+        graph.edge_demand(key),  # repro: allow-PAR004 array reads via price cache
+        graph.edge_capacity(key),  # repro: allow-PAR004 array reads via price cache
+        float(history),
     )
 
 
@@ -82,19 +104,13 @@ def vertex_cost_if_used(graph: GlobalGraph, tile: Tile) -> float:
 
 
 def vertex_price(graph: GlobalGraph, tile: Tile) -> float:
-    """Full A* step price of a line end landing on ``tile``.
-
-    The base Eq. (2) price (kept mild so uncongested paths stay short)
-    plus the negotiated history term and the hard overflow step; the
-    global router charges it where a vertical run starts or ends.
-    """
+    """:func:`line_end_price` of ``tile`` on the graph's state."""
     i, j = tile
-    price = VERTEX_WEIGHT * vertex_cost_if_used(graph, tile) + float(
-        graph.vertex_history[i, j]
+    return line_end_price(
+        int(graph.vertex_demand[i, j]),
+        int(graph.vertex_capacity[i, j]),
+        float(graph.vertex_history[i, j]),
     )
-    if graph.vertex_demand[i, j] + 1 > graph.vertex_capacity[i, j]:
-        price += VERTEX_OVERFLOW_PENALTY
-    return price
 
 
 def congestion_cost_array(demand, capacity):
@@ -106,7 +122,7 @@ def congestion_cost_array(demand, capacity):
     elsewhere.  ``numpy.exp2`` may differ from the scalar kernel's
     CPython ``2.0 ** x`` in the last ulp, so this kernel serves bulk
     analysis (congestion maps, overflow summaries); the array engine's
-    cost *caches* call the scalar functions per entry precisely
+    cost *caches* call the scalar step prices per entry precisely
     because the engines must agree bit for bit (see
     ``docs/performance.md``).
     """

@@ -19,7 +19,8 @@ vertex (line ends lying in the tile).
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -241,6 +242,20 @@ class GlobalGraph:
         """Adjust the line-end demand of ``tile`` by ``delta``."""
         self.vertex_demand[tile[0], tile[1]] += delta
 
+    def apply_path(self, path: Sequence[Tile], delta: int) -> None:
+        """Adjust the demand a routed tile path holds by ``delta``.
+
+        Every edge the path crosses, then every line end of its
+        vertical runs (:func:`vertical_run_line_ends`), in path order,
+        through the demand mutators (which
+        :class:`~repro.engine.ArrayGlobalGraph` extends to keep its
+        cost caches fresh).
+        """
+        for a, b in zip(path, path[1:]):
+            self.add_edge_demand(self.edge_between(a, b), delta)
+        for tile in vertical_run_line_ends(path):
+            self.add_vertex_demand(tile, delta)
+
     # ------------------------------------------------------------------
     # Overflow metrics (Table IV)
     # ------------------------------------------------------------------
@@ -263,3 +278,25 @@ class GlobalGraph:
         return int(
             np.maximum(self.vertex_demand - self.vertex_capacity, 0).max()
         )
+
+
+def vertical_run_line_ends(path: Sequence[Tile]) -> list[Tile]:
+    """Tiles holding a line end of a vertical run of ``path``.
+
+    The global route's maximal vertical runs become vertical wire
+    segments after layer assignment; their two end tiles each receive a
+    line end (the quantity the vertex demand of Section III-A counts).
+    """
+    ends: list[Tile] = []
+    n = len(path)
+    run_start: Optional[int] = None
+    for idx in range(n - 1):
+        vertical = path[idx][0] == path[idx + 1][0]
+        if vertical and run_start is None:
+            run_start = idx
+        if not vertical and run_start is not None:
+            ends.extend([path[run_start], path[idx]])
+            run_start = None
+    if run_start is not None:
+        ends.extend([path[run_start], path[n - 1]])
+    return ends

@@ -19,6 +19,8 @@ import time
 from collections.abc import Sequence
 from typing import Optional, Union
 
+import numpy as np
+
 from ..algorithms import steiner_tree_edges
 from ..layout import Design, Net
 from ..observe import Span, Tracer, ensure
@@ -37,7 +39,7 @@ from .cost import (
 )
 from ..analysis.context import context
 from ..analysis.pairing import paired
-from .graph import GlobalGraph, Tile
+from .graph import GlobalGraph, Tile, vertical_run_line_ends
 from .overlay import windows_hit
 
 #: Weight of one tile hop in the A* cost; small so congestion dominates
@@ -227,6 +229,9 @@ class GlobalRouter:
         self._profiling = profile != "off"
         self._tracer: Optional[Tracer] = None
         self._proc_channel: Optional[SharedStateChannel] = None
+        #: Two-pin decompositions of the nets of the current ``route()``
+        #: call, computed once per net (they depend only on pin tiles).
+        self._subnets: dict[str, list[tuple[Tile, Tile]]] = {}
 
     # ------------------------------------------------------------------
     def route(
@@ -270,6 +275,9 @@ class GlobalRouter:
                     else:
                         graph = GlobalGraph(design)
                 order = self._bottom_up_order(design, graph)
+                self._subnets = {
+                    net.name: self.two_pin_subnets(net, graph) for net in order
+                }
 
                 routes: dict[str, GlobalRoute] = {}
                 failed: list[str] = []
@@ -345,6 +353,7 @@ class GlobalRouter:
                         )
         finally:
             self._tracer = None
+            self._subnets = {}
             if pool is not None:
                 pool.shutdown()
             if self._proc_channel is not None:
@@ -644,7 +653,9 @@ class GlobalRouter:
         """
         if stats is None:
             stats = {}
-        subnets = self.two_pin_subnets(net, graph)
+        subnets = self._subnets.get(net.name)
+        if subnets is None:
+            subnets = self.two_pin_subnets(net, graph)
         paths: list[list[Tile]] = []
         for src, dst in subnets:
             path = self._astar(graph, src, dst, stats, windows)
@@ -797,23 +808,14 @@ class GlobalRouter:
     # Demand bookkeeping
     # ------------------------------------------------------------------
     def _place_path(self, graph: GlobalGraph, path: Sequence[Tile]) -> None:
-        self._apply_path(graph, path, +1)
+        graph.apply_path(path, +1)
 
     def _unplace_path(self, graph: GlobalGraph, path: Sequence[Tile]) -> None:
-        self._apply_path(graph, path, -1)
+        graph.apply_path(path, -1)
 
     def _unplace(self, graph: GlobalGraph, route: GlobalRoute) -> None:
         for path in route.paths:
             self._unplace_path(graph, path)
-
-    @staticmethod
-    def _apply_path(
-        graph: GlobalGraph, path: Sequence[Tile], delta: int
-    ) -> None:
-        for a, b in zip(path, path[1:]):
-            graph.add_edge_demand(graph.edge_between(a, b), delta)
-        for tile in vertical_run_line_ends(path):
-            graph.add_vertex_demand(tile, delta)
 
     # ------------------------------------------------------------------
     # Negotiation
@@ -822,27 +824,34 @@ class GlobalRouter:
         self, graph: GlobalGraph, routes: dict[str, GlobalRoute]
     ) -> list[str]:
         """Nets crossing an overflowed edge or, in stitch-aware mode,
-        holding a line end on a vertex-overflowed tile."""
-        victims = []
+        holding a line end on a vertex-overflowed tile.
+
+        The overflowed resources are collected once per call (one per
+        negotiation round): each overflowed edge as the two tile steps
+        that cross it, each overflowed tile as itself.
+        """
+        over_steps: set[tuple[Tile, Tile]] = set()
+        for i, j in np.argwhere(graph.h_demand > graph.h_capacity).tolist():
+            over_steps.update((((i, j), (i + 1, j)), ((i + 1, j), (i, j))))
+        for i, j in np.argwhere(graph.v_demand > graph.v_capacity).tolist():
+            over_steps.update((((i, j), (i, j + 1)), ((i, j + 1), (i, j))))
+        over_tiles: set[Tile] = set()
+        if self.stitch_aware:
+            over_tiles = {
+                (i, j)
+                for i, j in np.argwhere(
+                    graph.vertex_demand > graph.vertex_capacity
+                ).tolist()
+            }
+        victims: list[str] = []
         for name, route in routes.items():
-            guilty = False
             for path in route.paths:
-                if any(
-                    graph.edge_demand(graph.edge_between(a, b))
-                    > graph.edge_capacity(graph.edge_between(a, b))
-                    for a, b in zip(path, path[1:])
+                if any(step in over_steps for step in zip(path, path[1:])) or (
+                    over_tiles
+                    and any(t in over_tiles for t in vertical_run_line_ends(path))
                 ):
-                    guilty = True
+                    victims.append(name)
                     break
-                if self.stitch_aware and any(
-                    graph.vertex_demand[t[0], t[1]]
-                    > graph.vertex_capacity[t[0], t[1]]
-                    for t in vertical_run_line_ends(path)
-                ):
-                    guilty = True
-                    break
-            if guilty:
-                victims.append(name)
         return victims
 
     def _bump_history(self, graph: GlobalGraph) -> None:
@@ -859,25 +868,3 @@ class GlobalRouter:
         refresh = getattr(graph, "refresh_cost_cache", None)
         if refresh is not None:
             refresh()
-
-
-def vertical_run_line_ends(path: Sequence[Tile]) -> list[Tile]:
-    """Tiles holding a line end of a vertical run of ``path``.
-
-    The global route's maximal vertical runs become vertical wire
-    segments after layer assignment; their two end tiles each receive a
-    line end (the quantity the vertex demand of Section III-A counts).
-    """
-    ends: list[Tile] = []
-    n = len(path)
-    run_start: Optional[int] = None
-    for idx in range(n - 1):
-        vertical = path[idx][0] == path[idx + 1][0]
-        if vertical and run_start is None:
-            run_start = idx
-        if not vertical and run_start is not None:
-            ends.extend([path[run_start], path[idx]])
-            run_start = None
-    if run_start is not None:
-        ends.extend([path[run_start], path[n - 1]])
-    return ends

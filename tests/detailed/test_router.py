@@ -8,7 +8,8 @@ from repro.assign import (
     assign_tracks,
     extract_panels,
 )
-from repro.benchmarks_gen import SyntheticSpec, generate_design
+from repro.api import RouterConfig, StitchAwareRouter
+from repro.benchmarks_gen import SyntheticSpec, generate_design, mcnc_design
 from repro.detailed import DetailedRouter
 from repro.eval import evaluate
 from repro.globalroute import GlobalRouter
@@ -128,3 +129,23 @@ class TestDetailedRouter:
         tracks.failed_nets.add(victim)
         result = DetailedRouter().route(design, gr.graph, tracks)
         assert result.nets[victim].routed
+
+
+def test_failed_lists_exactly_the_unrouted_nets():
+    """A rip-up victim re-routed later in the same round is not failed.
+
+    On S13207 at scale 0.1 one net is ripped as a victim and re-routed
+    in the same round; it must not stay on ``failed`` or in the
+    ``failed_nets`` counter.
+    """
+    flow = StitchAwareRouter(config=RouterConfig()).route(
+        mcnc_design("S13207", 0.1)
+    )
+    result = flow.detailed_result
+    unrouted = {n for n, rn in result.nets.items() if not rn.routed}
+    assert unrouted
+    assert set(result.failed) == unrouted
+    assert len(result.failed) == len(unrouted)
+    span = flow.trace.find("detailed-route")
+    assert span is not None
+    assert span.counters["failed_nets"] == len(unrouted)
