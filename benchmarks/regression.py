@@ -24,10 +24,6 @@ Exit status is non-zero on any regression, so CI can gate on it::
     PYTHONPATH=src python benchmarks/regression.py --only S9234    # one circuit
     PYTHONPATH=src python benchmarks/regression.py --no-wall       # counters only
     PYTHONPATH=src python benchmarks/regression.py --update        # refresh baselines
-    PYTHONPATH=src python benchmarks/regression.py --workers 4     # parallel gate
-    PYTHONPATH=src python benchmarks/regression.py --workers 4 --executor process
-    PYTHONPATH=src python benchmarks/regression.py --only S13207 --scale 10 \
-        --workers 4 --executor process --out-dir .  # workers speedup
     PYTHONPATH=src python benchmarks/regression.py --engine array  # array-core gate
     PYTHONPATH=src python benchmarks/regression.py --scale 10 --out-dir .  # engine speedup
     PYTHONPATH=src python benchmarks/regression.py --snapshot-dir .  # refresh BENCH_*.json
@@ -44,15 +40,6 @@ the object/array wall-clock speedup — the minimum over ``--repeat N``
 interleaved runs (``SPEEDUP_ENGINE_<circuit>.json`` with
 ``--out-dir``; the committed copies back the speedup claims in
 ``docs/performance.md``).
-
-``--workers N`` routes with the parallel net-batch engine and diffs
-the result against the *same serial baselines*: the engine's
-determinism contract means no routing counter may move (only its own
-``parallel_*`` scheduling counters are stripped — they have no serial
-counterpart).  It also runs serially and prints the per-circuit
-wall-clock speedup (on GIL-bound pure-Python workloads expect ~1.0x;
-see ``docs/parallelism.md``).  Combine with ``--no-wall`` when the
-committed wall times come from other hardware.
 
 ``--profile counters|full`` routes the gate with the engine profiling
 counters enabled and strips the ``perf_*`` / ``stream_*``
@@ -121,10 +108,8 @@ def baseline_path(circuit: str) -> pathlib.Path:
 
 def run_circuit(
     circuit: str,
-    workers: int = 1,
     engine: str = "object",
     profile: str = "off",
-    executor: str = "thread",
 ) -> Dict[str, FlowResult]:
     """Route one gate circuit with every router; flows keyed by label.
 
@@ -133,9 +118,7 @@ def run_circuit(
     audit the solutions.
     """
     scale = CIRCUITS[circuit]
-    config = RouterConfig(
-        workers=workers, engine=engine, profile=profile, executor=executor
-    )
+    config = RouterConfig(engine=engine, profile=profile)
     flows: Dict[str, FlowResult] = {}
     for label, router_cls in ROUTERS.items():
         design = mcnc_design(circuit, scale)
@@ -247,101 +230,6 @@ def engine_speedup(
                     "object_wall_seconds": round(s, 4),
                     "array_wall_seconds": round(a, 4),
                     "repeats": len(walls["object"]),
-                    "speedup": round(ratio, 3),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        print(f"wrote {out}")
-    return failures
-
-
-def workers_speedup(
-    circuit: str,
-    scale_multiplier: float,
-    workers: int,
-    executor: str,
-    engine: str,
-    out_dir: Optional[str],
-    repeat: int = 1,
-) -> List[str]:
-    """Serial-vs-parallel differential + speedup at a scaled workload.
-
-    Routes the circuit at ``gate scale x multiplier`` (stitch-aware
-    flow) serially and with ``workers`` pooled workers on the chosen
-    ``executor`` backend, interleaved ``repeat`` times each.  The
-    parallel traces must reproduce the serial deterministic counters
-    exactly (only the ``parallel_*`` scheduling counters are
-    stripped), and the recorded speedup is the ratio of per-mode
-    minimum walls.  With ``out_dir`` set, writes
-    ``SPEEDUP_<circuit>.json`` — or ``SPEEDUP_PROC_<circuit>.json``
-    for the process executor, so ``repro perf-history`` can tell the
-    backends apart.
-    """
-    scale = CIRCUITS[circuit] * scale_multiplier
-    failures: List[str] = []
-    walls: Dict[str, List[float]] = {"serial": [], "parallel": []}
-    traces: Dict[str, RunTrace] = {}
-    for run in range(max(1, repeat)):
-        for mode in ("serial", "parallel"):
-            design = mcnc_design(circuit, scale)
-            config = RouterConfig(
-                workers=workers if mode == "parallel" else 1,
-                engine=engine,
-                executor=executor,
-            )
-            flow = StitchAwareRouter(config=config).route(design)
-            assert flow.trace is not None
-            walls[mode].append(flow.trace.wall_seconds)
-            if run == 0:
-                traces[mode] = flow.trace
-
-    diff = diff_traces(
-        traces["serial"],
-        strip_parallel_counters(traces["parallel"]),
-        DiffThresholds(include_wall=False),
-    )
-    if diff.ok:
-        print(
-            f"{circuit}@{scale:g}: {executor} pool matches the serial "
-            f"counters exactly"
-        )
-    else:
-        print(render_diff(diff))
-        failures.extend(
-            f"{circuit}@{scale:g}: executor divergence {line}"
-            for line in diff.regressions()
-        )
-
-    s, p = min(walls["serial"]), min(walls["parallel"])
-    ratio = s / p if p > 0 else 0.0
-    print(
-        f"{circuit}@{scale:g}: serial {s:.3f}s, "
-        f"workers={workers} ({executor}) {p:.3f}s, speedup x{ratio:.2f} "
-        f"(min of {len(walls['serial'])} run(s))"
-    )
-    if out_dir:
-        stem = (
-            f"SPEEDUP_PROC_{circuit}"
-            if executor == "process"
-            else f"SPEEDUP_{circuit}"
-        )
-        out = pathlib.Path(out_dir) / f"{stem}.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(
-                {
-                    "circuit": circuit,
-                    "scale": scale,
-                    "scale_multiplier": scale_multiplier,
-                    "serial_wall_seconds": round(s, 4),
-                    "parallel_wall_seconds": round(p, 4),
-                    "workers": workers,
-                    "engine": engine,
-                    "executor": executor,
-                    "repeats": len(walls["serial"]),
                     "speedup": round(ratio, 3),
                 },
                 indent=2,
@@ -496,18 +384,6 @@ def _strip_prefixed(trace: RunTrace, prefixes: tuple) -> RunTrace:
     return RunTrace.from_dict(doc)
 
 
-def strip_parallel_counters(trace: RunTrace) -> RunTrace:
-    """A copy of ``trace`` without the ``parallel_*`` bookkeeping.
-
-    The parallel engine's determinism contract covers the *routing*
-    counters (they match the serial run exactly — that is what the
-    differential suite proves); its own scheduling counters (batches,
-    conflicts, pooled tasks) have no serial counterpart, so a parallel
-    gate run strips them before diffing against the serial baseline.
-    """
-    return _strip_prefixed(trace, schema.strip_prefixes("scheduling"))
-
-
 def strip_profile_counters(trace: RunTrace) -> RunTrace:
     """A copy of ``trace`` without ``perf_*`` / ``stream_*`` counters.
 
@@ -614,25 +490,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the independent solution audit of the fresh runs",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="route with N worker threads and verify the parallel runs "
-        "against the serial baselines (parallel_* scheduling counters "
-        "are stripped; everything else must match exactly).  Also runs "
-        "serially and reports the wall-clock speedup per circuit.",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker-pool backend for --workers runs (default: thread; "
-        "process ships state over shared memory and must reproduce "
-        "the same bytes — SPEEDUP artifacts gain a PROC_ prefix so "
-        "perf-history can tell the rows apart)",
-    )
-    parser.add_argument(
         "--engine",
         choices=("object", "array"),
         default="object",
@@ -650,10 +507,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "deterministic counters, audit the array solutions, and "
         "report object/array wall-clock speedups (baseline diffing "
         "is skipped — the committed baselines are 1x).  With "
-        "--out-dir, writes SPEEDUP_ENGINE_<circuit>.json artifacts.  "
-        "Combined with --workers N, switches to the workers-speedup "
-        "mode instead: serial vs pooled on the chosen --executor at "
-        "the scaled workload, writing SPEEDUP[_PROC]_<circuit>.json.",
+        "--out-dir, writes SPEEDUP_ENGINE_<circuit>.json artifacts.",
     )
     parser.add_argument(
         "--repeat",
@@ -684,10 +538,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "off by more than PCT%% (plus a 20 ms noise floor)",
     )
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
-    if args.update and args.workers > 1:
-        parser.error("baselines are serial; refusing --update with --workers")
     if args.update and args.profile != "off":
         parser.error(
             "baselines are profile-off; refusing --update with --profile"
@@ -715,26 +565,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures: List[str] = []
     if args.scale is not None:
-        if args.workers > 1:
-            for circuit in circuits:
-                failures.extend(
-                    workers_speedup(
-                        circuit,
-                        args.scale,
-                        args.workers,
-                        args.executor,
-                        args.engine,
-                        args.out_dir,
-                        args.repeat,
-                    )
-                )
-            if failures:
-                print(f"\nworkers speedup run FAILED ({len(failures)}):")
-                for line in failures:
-                    print(f"  {line}")
-                return 1
-            print("\nworkers speedup run passed")
-            return 0
         for circuit in circuits:
             failures.extend(
                 engine_speedup(
@@ -765,48 +595,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     for circuit in circuits:
-        flows = run_circuit(
-            circuit, args.workers, args.engine, args.profile, args.executor
-        )
+        flows = run_circuit(circuit, args.engine, args.profile)
         traces = traces_of(flows)
         if not args.no_audit:
             failures.extend(audit_flows(circuit, flows))
-        if args.workers > 1:
-            serial = traces_of(run_circuit(circuit, engine=args.engine))
-            speedups = {}
-            for label, parallel_trace in traces.items():
-                s = serial[label].wall_seconds
-                p = parallel_trace.wall_seconds
-                ratio = s / p if p > 0 else 0.0
-                speedups[label] = {
-                    "serial_wall_seconds": round(s, 4),
-                    "parallel_wall_seconds": round(p, 4),
-                    "workers": args.workers,
-                    "engine": args.engine,
-                    "executor": args.executor,
-                    "speedup": round(ratio, 3),
-                }
-                print(
-                    f"{circuit}/{label}: serial {s:.3f}s, "
-                    f"workers={args.workers} ({args.executor}) {p:.3f}s, "
-                    f"speedup x{ratio:.2f}"
-                )
-            if args.out_dir:
-                stem = (
-                    f"SPEEDUP_PROC_{circuit}"
-                    if args.executor == "process"
-                    else f"SPEEDUP_{circuit}"
-                )
-                out = pathlib.Path(args.out_dir) / f"{stem}.json"
-                out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(
-                    json.dumps(speedups, indent=2, sort_keys=True) + "\n"
-                )
-                print(f"wrote {out}")
-            traces = {
-                label: strip_parallel_counters(trace)
-                for label, trace in traces.items()
-            }
         if args.profile != "off":
             traces = {
                 label: strip_profile_counters(trace)

@@ -1,22 +1,17 @@
 """Static and dynamic analysis for the correctness contracts.
 
-Six enforcement layers (see ``docs/static_analysis.md``):
+Five enforcement layers (see ``docs/static_analysis.md``):
 
 * :mod:`~repro.analysis.lint` — an AST-based determinism linter
   (rules DET001–DET005, ``repro lint`` on the CLI) guarding the
   serial-equivalence guarantee of :mod:`repro.parallel`;
-* :mod:`~repro.analysis.concurrency` — a static concurrency-effect
-  analyzer (rules CONC001–CONC006, ``repro races`` on the CLI) that
-  proves speculative and process-worker code touches shared state
-  only through the declared channels, seeded by
-  :func:`~repro.analysis.context.context` markers;
 * :mod:`~repro.analysis.parity` — a static cross-backend parity
   analyzer (rules PAR001–PAR006, ``repro parity`` on the CLI) that
   diffs the effect signatures of callables declared equivalent with
   :func:`~repro.analysis.pairing.paired` markers and checks every
   emitted metric name against :mod:`repro.observe.schema`;
 * :mod:`~repro.analysis.baseline` — committed grandfathering of
-  pre-existing lint/races/parity findings;
+  pre-existing lint/parity findings;
 * :mod:`~repro.analysis.sanitize` — a dynamic speculation-footprint
   sanitizer (``RouterConfig(sanitize=True)`` / ``--sanitize``);
 * :mod:`~repro.analysis.audit` — an independent DRC-style solution
@@ -27,8 +22,8 @@ Six enforcement layers (see ``docs/static_analysis.md``):
 
 The sanitizer names are re-exported lazily (PEP 562): eager import
 would pull the router/grid modules in, and the routing layers
-themselves import :mod:`~repro.analysis.context` for their execution-
-context markers — the lazy hop keeps that edge acyclic.
+themselves import :mod:`~repro.analysis.pairing` for their parity
+markers — the lazy hop keeps that edge acyclic.
 """
 
 from typing import TYPE_CHECKING, Any
@@ -43,18 +38,9 @@ from .audit import (
 from .baseline import (
     DEFAULT_BASELINE_NAME,
     DEFAULT_PARITY_BASELINE_NAME,
-    DEFAULT_RACES_BASELINE_NAME,
     Baseline,
     save_baseline,
 )
-from .concurrency import (
-    RaceReport,
-    analyze_paths,
-    analyze_source,
-    render_races,
-    resolve_races_rule_filter,
-)
-from .context import SHARED_STRUCTURES, context
 from .findings import DeadSuppression, fix_hint_for
 from .lint import (
     Finding,
@@ -75,7 +61,6 @@ from .parity import (
 )
 from .rules import (
     AUDIT_RULES,
-    CONC_RULES,
     PAR_RULES,
     RULES,
     Rule,
@@ -110,29 +95,22 @@ __all__ = [
     "AuditReport",
     "BACKEND_KINDS",
     "Baseline",
-    "CONC_RULES",
     "CounterDrift",
     "DEFAULT_BASELINE_NAME",
     "DEFAULT_PARITY_BASELINE_NAME",
-    "DEFAULT_RACES_BASELINE_NAME",
     "DeadSuppression",
     "Finding",
     "LintReport",
     "PAR_RULES",
     "ParityReport",
     "RULES",
-    "RaceReport",
     "Rule",
-    "SHARED_STRUCTURES",
     "SanitizedGraphSnapshot",
     "SanitizedGridOverlay",
     "SanitizerViolation",
     "analyze_parity_paths",
     "analyze_parity_source",
-    "analyze_paths",
-    "analyze_source",
     "audit_solution",
-    "context",
     "fix_hint_for",
     "iter_python_files",
     "lint_paths",
@@ -141,9 +119,7 @@ __all__ = [
     "render_audit",
     "render_findings",
     "render_parity",
-    "render_races",
     "resolve_parity_rule_filter",
-    "resolve_races_rule_filter",
     "resolve_rule_filter",
     "rule_catalog",
     "save_baseline",

@@ -6,13 +6,11 @@ grandfathered findings are reported but do not fail the run, while any
 *new* finding does.  Fingerprints are ``(path, rule, stripped line
 text)`` — stable across unrelated edits that only shift line numbers.
 
-Three gates share this machinery, distinguished by the ``format``
+Two gates share this machinery, distinguished by the ``format``
 field in the file header:
 
 * the determinism linter — ``lint-baseline.json`` at the repo root,
   rewritten by ``repro lint --update-baseline``;
-* the concurrency analyzer — ``races-baseline.json``, rewritten by
-  ``repro races --update-baseline``;
 * the cross-backend parity analyzer — ``parity-baseline.json``,
   rewritten by ``repro parity --update-baseline``.
 """
@@ -28,18 +26,12 @@ from .findings import Finding
 BASELINE_FORMAT = "repro-lint-baseline"
 BASELINE_VERSION = 1
 
-#: ``format`` header and default file name of the races baseline.
-RACES_BASELINE_FORMAT = "repro-races-baseline"
-
 #: ``format`` header of the cross-backend parity baseline.
 PARITY_BASELINE_FORMAT = "repro-parity-baseline"
 
 #: File name probed in the working directory when ``--baseline`` is
 #: not given.
 DEFAULT_BASELINE_NAME = "lint-baseline.json"
-
-#: Same, for ``repro races``.
-DEFAULT_RACES_BASELINE_NAME = "races-baseline.json"
 
 #: Same, for ``repro parity``.
 DEFAULT_PARITY_BASELINE_NAME = "parity-baseline.json"
@@ -75,7 +67,7 @@ class Baseline:
         """Read a baseline file written by :func:`save_baseline`.
 
         ``format`` must match the file's header — loading a lint
-        baseline as a races baseline (or vice versa) is an error.
+        baseline as a parity baseline (or vice versa) is an error.
         """
         data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         if data.get("format") != format:

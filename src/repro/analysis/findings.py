@@ -1,15 +1,15 @@
 """Shared finding/fix-hint/rule-filter plumbing for the analysis tools.
 
 The determinism linter (:mod:`~repro.analysis.lint`), the solution
-auditor (:mod:`~repro.analysis.audit`), and the concurrency-effect
-analyzer (:mod:`~repro.analysis.concurrency`) all report rule breaches
-the same way: a stable rule code, a message, a location, a canonical
-fix hint, ``# repro: allow-<CODE>`` suppression comments, and
+auditor (:mod:`~repro.analysis.audit`), and the cross-backend parity
+analyzer (:mod:`~repro.analysis.parity`) all report rule breaches the
+same way: a stable rule code, a message, a location, a canonical fix
+hint, ``# repro: allow-<CODE>`` suppression comments, and
 ``--select`` / ``--ignore`` rule filtering.  This module is the one
 implementation all three share:
 
 * :class:`Finding` — a source-location finding (used by the linter and
-  the concurrency analyzer; the auditor's :class:`~repro.analysis.
+  the parity analyzer; the auditor's :class:`~repro.analysis.
   audit.AuditFinding` shares the hint/serialization surface);
 * :func:`fix_hint_for` — rule-code -> canonical fix lookup over the
   merged catalogs;
@@ -44,8 +44,8 @@ def fix_hint_for(code: str) -> str:
 class Finding:
     """One rule violation at one source location.
 
-    Shared by the linter (DET rules) and the concurrency analyzer
-    (CONC rules); the rule code picks the catalog implicitly.
+    Shared by the linter (DET rules) and the parity analyzer (PAR
+    rules); the rule code picks the catalog implicitly.
     """
 
     path: str
@@ -113,7 +113,7 @@ def suppression_pattern(family: str) -> re.Pattern[str]:
 def suppressed_rules(line: str, family: str = "DET") -> frozenset[str]:
     """Rule codes silenced by a ``# repro: allow-...`` comment.
 
-    ``family`` is the rule-code prefix (``DET``, ``CONC``); several
+    ``family`` is the rule-code prefix (``DET``, ``PAR``); several
     codes may be listed comma separated, with or without repeating the
     ``allow-`` prefix.
     """

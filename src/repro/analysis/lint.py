@@ -1,11 +1,12 @@
 """AST-based determinism linter (the DET rule catalog).
 
-The parallel engine's serial-equivalence guarantee assumes routing
-decisions never observe hash order, wall clocks, RNGs, or object
-identity.  This linter enforces those conventions statically over the
-routing-decision packages (:data:`~repro.analysis.rules.ROUTING_PACKAGES`);
-files outside a ``repro`` package tree (fixture snippets, scripts) are
-checked against every rule.
+The committed baselines assume a routing result is a pure function of
+the design and the config: routing decisions never observe hash order,
+wall clocks, RNGs, or object identity.  This linter enforces those
+conventions statically over the routing-decision packages
+(:data:`~repro.analysis.rules.ROUTING_PACKAGES`); files outside a
+``repro`` package tree (fixture snippets, scripts) are checked against
+every rule.
 
 Findings can be silenced in two ways:
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import pathlib
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from typing import Optional
 
 from .findings import (
@@ -531,14 +532,23 @@ def lint_source(source: str, path: str) -> list[Finding]:
     return _lint_source(source, path)[0]
 
 
-def iter_python_files(paths: Iterable[str]) -> Iterator[pathlib.Path]:
-    """Every ``.py`` file under ``paths`` in deterministic order."""
+def iter_python_files(paths: Iterable[str]) -> list[pathlib.Path]:
+    """Every ``.py`` file under ``paths`` in deterministic order.
+
+    Raises :class:`ValueError` naming the first path that is neither a
+    directory nor a ``.py`` file, so a misspelt path fails the run
+    instead of passing it with nothing analyzed.
+    """
+    files: list[pathlib.Path] = []
     for raw in paths:
         path = pathlib.Path(raw)
         if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            yield path
+            files.extend(sorted(path.rglob("*.py")))
+        elif path.suffix == ".py" and path.is_file():
+            files.append(path)
+        else:
+            raise ValueError(f"no such path: {raw}")
+    return files
 
 
 def resolve_rule_filter(

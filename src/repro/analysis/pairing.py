@@ -1,10 +1,9 @@
 """Backend-pair markers for the cross-backend parity analyzer.
 
-Every performance arc in this codebase — the array engine behind
-``RouterConfig(engine=...)``, the thread pool, the shared-memory
-process pool — is only safe because each fast path is *provably
-equivalent* to the reference implementation it shadows.  The dynamic
-half of that proof is the differential suites; the static half is
+The array engine behind ``RouterConfig(engine=...)`` is only safe
+because each fast path is *provably equivalent* to the reference
+implementation it shadows.  The dynamic half of that proof is the
+differential suite; the static half is
 :mod:`~repro.analysis.parity`, which needs to know which callables
 claim to be two implementations of the same contract.
 
@@ -26,12 +25,9 @@ at run time — it only attaches attributes — and the analyzer reads it
 syntactically, so it works on methods, free functions, and functions
 the interpreter never imports.
 
-Backend tags name the axis the pair varies over: ``object`` / ``array``
-for the engine axis, ``serial`` / ``thread`` / ``process`` for the
-executor axis.  A pair may have more than two members (e.g. one
-reference and two accelerated forms), but tags within a pair must be
-unique — two members claiming the same tag is a declaration bug and
-the analyzer rejects it.
+Backend tags name the engine the member implements: ``object`` or
+``array``.  Tags within a pair must be unique — two members claiming
+the same tag is a declaration bug and the analyzer rejects it.
 
 This module is a dependency leaf: the routers import it, so it must
 import nothing from :mod:`repro` itself.
@@ -41,10 +37,8 @@ from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-#: The recognized backend tags, spanning both pairing axes.
-BACKEND_KINDS = frozenset(
-    {"object", "array", "serial", "thread", "process"}
-)
+#: The recognized backend tags.
+BACKEND_KINDS = frozenset({"object", "array"})
 
 _F = TypeVar("_F", bound=Callable[..., object])
 

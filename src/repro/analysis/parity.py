@@ -1,14 +1,13 @@
 """Static cross-backend parity analyzer (the PAR rule catalog).
 
 Every fast path in this codebase shadows a reference implementation:
-the array engine shadows the object engine per stage, the process
-executor shadows the thread executor, the sanitized wrappers shadow
-the plain ones.  Their equivalence is proven dynamically by the
-differential suites — but only over the circuits those suites route.
-This module is the static complement: it extracts a per-function
+the array engine shadows the object engine per stage.  Their
+equivalence is proven dynamically by the differential suite — but
+only over the circuits that suite routes.  This module is the static
+complement: it extracts a per-function
 *effect signature* — counters incremented, trace spans / gauges /
 progress events emitted, :class:`~repro.config.RouterConfig` fields
-read, overlay/delta operations applied, exceptions raised — from each
+read, shared-state operations applied, exceptions raised — from each
 member of a declared backend pair and diffs the signatures, so drift
 on a code path no gate circuit exercises still fails at lint time.
 
@@ -41,13 +40,7 @@ from typing import Optional, Union
 
 from ..config import RouterConfig
 from ..observe import schema
-from .callgraph import (
-    CALL_EFFECTS,
-    OVERLAY_FACTORY_METHODS,
-    CallGraph,
-    FunctionInfo,
-    tokens,
-)
+from .callgraph import SHARED_STATE_OPS, CallGraph, FunctionInfo, tokens
 from .findings import (
     DeadSuppression,
     Finding,
@@ -75,8 +68,6 @@ CONFIG_FIELDS = frozenset(
     field.name for field in dataclasses.fields(RouterConfig)
 )
 
-#: Shared-state operation vocabulary (PAR004's op surface).
-_OP_METHODS = frozenset(CALL_EFFECTS) | OVERLAY_FACTORY_METHODS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,7 +212,7 @@ class _SurfaceScanner(ast.NodeVisitor):
                             self.sig.events.setdefault(
                                 ("gauge", keyword.arg), self._site(node)
                             )
-            if func.attr in _OP_METHODS:
+            if func.attr in SHARED_STATE_OPS:
                 self.sig.ops.setdefault(func.attr, self._site(node))
         self.generic_visit(node)
 
@@ -532,15 +523,9 @@ class _ParityAnalyzer(CallGraph):
         known = [m for m in members if surfaces[id(m)] is not None]
         if len(known) < 2:
             return []
-        reference = known[0]
-        for preferred in ("object", "serial"):
-            for member in known:
-                if self._tag(member) == preferred:
-                    reference = member
-                    break
-            else:
-                continue
-            break
+        reference = next(
+            (m for m in known if self._tag(m) == "object"), known[0]
+        )
 
         def fmt(params: tuple[tuple[str, str], ...]) -> str:
             return "(" + ", ".join(

@@ -1,25 +1,19 @@
-"""The analysis rule catalogs (DET, AUD, CONC, PAR).
+"""The analysis rule catalogs (DET, AUD, PAR).
 
-Four catalogs share the :class:`Rule` record:
+Three catalogs share the :class:`Rule` record:
 
-* the **DET** rules state the code-level conventions the serial-
-  equivalence contract of the parallel engine rests on (see
-  ``docs/parallelism.md``): the routing result must be a pure function
-  of the design and the config, byte-for-byte reproducible across
-  processes, machines, and worker counts.  The linter in
-  :mod:`~repro.analysis.lint` enforces them statically.
+* the **DET** rules state the code-level conventions the committed
+  baselines and the serial-equivalence contract of the parallel
+  engine rest on (see ``docs/parallelism.md``): the routing result
+  must be a pure function of the design and the config, byte-for-byte
+  reproducible across processes, machines, and worker counts.  The
+  linter in :mod:`~repro.analysis.lint` enforces them statically.
 * the **AUD** rules state the solution-level constraints a finished
   routing must satisfy (the paper's Problem 1 plus basic routing
   legality).  The independent auditor in
   :mod:`~repro.analysis.audit` re-derives each one from the raw
   geometry — DRC-style, sharing no counting code with the evaluator —
   and cross-checks the router's self-reported numbers.
-* the **CONC** rules state the shared-state discipline of the
-  parallel engine: speculative code may only touch shared routing
-  state through the declared overlay / snapshot / shared-memory
-  channels.  The static concurrency-effect analyzer in
-  :mod:`~repro.analysis.concurrency` enforces them over the call
-  graph, seeded by ``@repro.analysis.context(...)`` markers.
 * the **PAR** rules state the cross-backend equivalence discipline:
   implementations declared as backend pairs
   (``@repro.analysis.paired(...)``) must agree on every externally
@@ -44,7 +38,7 @@ class Rule:
         code: stable identifier (``DET001`` ...), used in output and in
             ``# repro: allow-DETnnn`` suppression comments.
         title: one-line description shown next to every finding.
-        rationale: why violating the rule can break serial equivalence.
+        rationale: why violating the rule can break reproducibility.
         fix_hint: the canonical way to fix (or legitimately suppress) a
             finding; printed with every finding.
         routing_only: whether the rule applies only inside the
@@ -262,128 +256,6 @@ AUDIT_RULES: dict[str, Rule] = {
 }
 
 
-CONC001 = Rule(
-    code="CONC001",
-    title="base-state write from a speculative context bypasses the "
-    "overlay/delta APIs",
-    rationale=(
-        "A worker routing a speculative net must buffer every shared-"
-        "state write in its overlay (GridOverlay / GraphSnapshot / "
-        "OverlayDelta) so the merge loop can replay it in canonical "
-        "order; a direct write to the live graph or grid is visible to "
-        "batch-mates mid-flight and breaks the serial-equivalence "
-        "proof — the exact shape of the PR-8 tombstone bug."
-    ),
-    fix_hint=(
-        "route the write through the overlay (occupy/release on the "
-        "speculative view, not the base), or declare the channel in the "
-        "@context(..., writes=(...)) marker if the write is a sanctioned "
-        "sync step (journal replay, shared-state import)"
-    ),
-    routing_only=False,
-)
-
-CONC002 = Rule(
-    code="CONC002",
-    title="base-state read bypasses the snapshot in a speculative context",
-    rationale=(
-        "A speculative search must read demand/ownership through its "
-        "snapshot or overlay — the declared read footprint the merge "
-        "loop validates.  A read that reaches around to the live "
-        "structure observes batch-mate writes the serial router never "
-        "saw; the runtime sanitizer catches this dynamically, this "
-        "rule catches it before any workload runs."
-    ),
-    fix_hint=(
-        "read through the worker's snapshot/overlay view; if the read "
-        "is a sanctioned sync step, declare it in the "
-        "@context(..., reads=(...)) marker"
-    ),
-    routing_only=False,
-)
-
-CONC003 = Rule(
-    code="CONC003",
-    title="closure or non-module-level callable crosses the process-pool "
-    "boundary",
-    rationale=(
-        "ProcessBatchExecutor ships tasks to worker processes by "
-        "pickling references: a lambda, a nested function, or a bound "
-        "method capturing live routing state either fails to pickle or "
-        "silently ships a stale copy of the state it closed over — the "
-        "worker then routes against a frozen world."
-    ),
-    fix_hint=(
-        "register a module-level task function via configure(task=...) "
-        "and ship picklable payloads (net names); state flows through "
-        "the SharedStateChannel, never through captures"
-    ),
-    routing_only=False,
-)
-
-CONC004 = Rule(
-    code="CONC004",
-    title="declared read/write footprint narrower than the statically "
-    "reachable effects",
-    rationale=(
-        "A @context marker with an explicit reads=/writes= footprint is "
-        "a contract the merge loop and the sanitizer trust; if the "
-        "function (or anything it calls) can statically reach a shared "
-        "structure outside that footprint, the contract under-reports "
-        "and every downstream equivalence argument is unsound."
-    ),
-    fix_hint=(
-        "widen the marker's reads=/writes= tuples to cover the "
-        "reachable shared structures, or restructure the callee so the "
-        "undeclared access goes through an overlay"
-    ),
-    routing_only=False,
-)
-
-CONC005 = Rule(
-    code="CONC005",
-    title="merge/fan-in code consumes speculative results in "
-    "non-submission order",
-    rationale=(
-        "Serial equivalence is proven net by net in canonical "
-        "(submission) order; fan-in that iterates a set of results, "
-        "pops whichever future completes first (as_completed), or "
-        "otherwise commits by availability re-orders the merge — the "
-        "exact shape of the PR-8 batch-backfill bug."
-    ),
-    fix_hint=(
-        "iterate results in submission order (zip(batch, pool.run(...)) "
-        "or an explicit index sort); never as_completed() or set "
-        "iteration in a merge loop"
-    ),
-    routing_only=False,
-)
-
-CONC006 = Rule(
-    code="CONC006",
-    title="shared_memory segment created without close/unlink on all paths",
-    rationale=(
-        "A shared-memory segment created and then orphaned by an "
-        "exception path outlives the process and leaks kernel "
-        "resources on every crashed run; creation must be paired with "
-        "close/unlink on success and failure paths alike (the "
-        "active_segments() ledger asserts this dynamically, this rule "
-        "statically)."
-    ),
-    fix_hint=(
-        "wrap the create in try/except (or try/finally) that calls "
-        "close()/unlink(), return the segment to a caller that does, "
-        "or store it on self for an owner whose teardown unlinks"
-    ),
-    routing_only=False,
-)
-
-#: All concurrency-effect rules, keyed by code, in catalog order.
-CONC_RULES: dict[str, Rule] = {
-    r.code: r
-    for r in (CONC001, CONC002, CONC003, CONC004, CONC005, CONC006)
-}
-
 PAR001 = Rule(
     code="PAR001",
     title="counter bumped in one backend of a pair only",
@@ -451,14 +323,14 @@ PAR004 = Rule(
     rationale=(
         "Callers of a paired contract handle the reference "
         "implementation's failure modes and rely on both members "
-        "driving the same overlay/journal/channel vocabulary; an "
+        "driving the same grid/graph/overlay vocabulary; an "
         "exception type or shared-state operation only one member "
         "uses turns an equivalent-but-faster path into one with new "
         "crash modes or a different mutation footprint."
     ),
     fix_hint=(
         "raise the same exception types and apply the same "
-        "overlay/delta operations from both members (wrap "
+        "shared-state and overlay operations from both members (wrap "
         "backend-internal errors at the boundary); suppress with "
         "# repro: allow-PAR004 <why> for genuinely "
         "backend-impossible conditions"
@@ -516,6 +388,6 @@ def rule_catalog() -> dict[str, Rule]:
 
     The merged lookup table behind
     :func:`~repro.analysis.findings.fix_hint_for` — rule codes are
-    globally unique across the DET/AUD/CONC/PAR families.
+    globally unique across the DET/AUD/PAR families.
     """
-    return {**RULES, **AUDIT_RULES, **CONC_RULES, **PAR_RULES}
+    return {**RULES, **AUDIT_RULES, **PAR_RULES}

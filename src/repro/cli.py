@@ -16,16 +16,17 @@ Commands:
   progress, nets/s and expansions/s rates, heartbeat gauges, hotspot
   deltas, and the final hotspot ranking when the run finishes.
 * ``perf-history`` — roll the committed ``BENCH_*.json`` /
-  ``SPEEDUP_ENGINE_*.json`` / ``SPEEDUP_*.json`` artifacts into one
-  perf-trajectory report.
+  ``SPEEDUP_ENGINE_*.json`` artifacts into one perf-trajectory report.
 * ``lint`` — run the determinism linter (rules DET001–DET005, see
   ``docs/static_analysis.md``) over source paths; exits nonzero on
   findings not grandfathered by the committed baseline.
   ``--select`` / ``--ignore`` restrict the active rule set.
-* ``races`` — run the static concurrency-effect analyzer (rules
-  CONC001–CONC006, see ``docs/static_analysis.md``) over source
-  paths; exits nonzero on findings not grandfathered by the committed
-  ``races-baseline.json``.
+* ``parity`` — run the cross-backend parity analyzer (rules
+  PAR001–PAR006) over source paths; exits nonzero on findings not
+  grandfathered by the committed ``parity-baseline.json``.
+* ``check`` — the umbrella static gate: ``lint`` + ``parity`` with one
+  exit code.  The analyzer commands exit 2 on a path that is neither a
+  directory nor a ``.py`` file.
 * ``audit`` — route one circuit and run the independent solution
   auditor (rules AUD001–AUD007) over the result: every stitching
   constraint is re-derived from the raw geometry and the report's
@@ -33,11 +34,13 @@ Commands:
   drift.
 * ``circuits`` — list the available benchmark circuits.
 
-``route``, ``compare``, and ``diag`` accept ``--sanitize`` to route
-with the speculation-footprint sanitizer enabled, and ``--perf`` to
-enable the engine profiling counters (``counters``) or full live
-progress events (``full``); ``route --stream FILE`` streams the run's
-events to an NDJSON file that ``repro watch FILE`` can tail.
+``route``, ``compare``, ``diag`` and ``audit`` accept ``--engine`` to
+pick the routing engine, ``--workers N`` to route conflict-free net
+batches on a thread pool, ``--sanitize`` to route with the
+speculation-footprint sanitizer enabled, and ``--perf`` to enable the
+engine profiling counters (``counters``) or full live progress events
+(``full``); ``--scale`` must lie in (0, 100].  ``route --stream FILE`` streams the
+run's events to an NDJSON file that ``repro watch FILE`` can tail.
 
 ``-v`` / ``-vv`` (before the command) stream live span/round progress
 from the run through the :mod:`repro.observe.log` bridge.
@@ -66,6 +69,7 @@ from .observe import schema as observe_schema
 from .observe import (
     DiffThresholds,
     LoggingTracer,
+    RunTrace,
     StreamingTracer,
     TraceSummary,
     Tracer,
@@ -81,6 +85,17 @@ from .observe import (
 )
 from .reporting import format_table
 from .viz import render_routing_svg
+
+
+def _scale(text: str) -> float:
+    """The ``--scale`` argparse type: a size factor in (0, 100]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value <= 100.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 100], got {text}")
+    return value
 
 
 def _get_design(name: str, scale: float):
@@ -124,14 +139,14 @@ def _cmd_circuits(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_config(args: argparse.Namespace) -> RouterConfig:
+def _run_config(args: argparse.Namespace, audit: bool = False) -> RouterConfig:
     """The flow config for a run subcommand."""
     return RouterConfig(
         workers=args.workers,
-        sanitize=getattr(args, "sanitize", False),
-        engine=getattr(args, "engine", "auto"),
-        profile=getattr(args, "perf", "off"),
-        executor=getattr(args, "executor", "auto"),
+        sanitize=args.sanitize,
+        engine=args.engine,
+        profile=args.perf,
+        audit=audit,
     )
 
 
@@ -259,8 +274,29 @@ def _cmd_diag(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_trace(path: str, key: Optional[str]) -> RunTrace:
+    """:func:`load_trace_file`; bad input raises a ValueError naming ``path``."""
+    try:
+        return load_trace_file(path, key=key)
+    except OSError as error:
+        raise ValueError(
+            f"cannot read {path}: {error.strerror or error}"
+        ) from error
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path} is not valid JSON: {error}") from error
+
+
+def _trace_error(error: ValueError) -> int:
+    """Report a ``trace`` subcommand's bad input: one line, exit 2."""
+    print(f"repro trace: {error}", file=sys.stderr)
+    return 2
+
+
 def _cmd_trace_show(args: argparse.Namespace) -> int:
-    trace = load_trace_file(args.trace, key=args.key)
+    try:
+        trace = _load_trace(args.trace, args.key)
+    except ValueError as error:
+        return _trace_error(error)
     fmt = "markdown" if args.markdown else "plain"
     print(render_summary(TraceSummary.from_trace(trace), fmt=fmt))
     unregistered = sorted(
@@ -277,8 +313,11 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
-    old = load_trace_file(args.old, key=args.key_old or args.key)
-    new = load_trace_file(args.new, key=args.key_new or args.key)
+    try:
+        old = _load_trace(args.old, args.key_old or args.key)
+        new = _load_trace(args.new, args.key_new or args.key)
+    except ValueError as error:
+        return _trace_error(error)
     thresholds = DiffThresholds(
         wall_pct=args.wall_tolerance,
         min_wall_seconds=args.min_wall,
@@ -364,7 +403,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             select=select,
             ignore=ignore,
         )
-    except ValueError as error:  # unknown rule codes -> usage error
+    except ValueError as error:  # unknown rule codes or paths -> usage error
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
     if args.format == "json":
@@ -388,66 +427,6 @@ def _dead_suppression_warnings(report) -> list:
     from .analysis.findings import dead_suppression_lines
 
     return dead_suppression_lines(report.dead_suppressions)
-
-
-def _cmd_races(args: argparse.Namespace) -> int:
-    # Imported here for the same reason as the linter.
-    from .analysis import (
-        Baseline,
-        analyze_paths,
-        render_races,
-    )
-    from .analysis.baseline import (
-        DEFAULT_RACES_BASELINE_NAME,
-        RACES_BASELINE_FORMAT,
-    )
-
-    paths = args.paths or ["src"]
-    select = _rule_codes(args.select)
-    ignore = _rule_codes(args.ignore)
-    baseline_path = pathlib.Path(
-        args.baseline or DEFAULT_RACES_BASELINE_NAME
-    )
-    try:
-        if args.update_baseline:
-            report = analyze_paths(paths, select=select, ignore=ignore)
-            status = _update_baseline(
-                baseline_path,
-                report.findings,
-                format=RACES_BASELINE_FORMAT,
-            )
-            for line in _dead_suppression_warnings(report):
-                print(line, file=sys.stderr)
-            return status
-        fingerprints: frozenset = frozenset()
-        if baseline_path.exists():
-            fingerprints = Baseline.load(
-                baseline_path, format=RACES_BASELINE_FORMAT
-            ).fingerprints
-        report = analyze_paths(
-            paths,
-            baseline_fingerprints=fingerprints,
-            select=select,
-            ignore=ignore,
-        )
-    except ValueError as error:  # unknown rule codes -> usage error
-        print(f"repro races: {error}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        document = {
-            "findings": [f.to_dict() for f in report.findings],
-            "grandfathered": [f.to_dict() for f in report.grandfathered],
-            "suppressed": report.suppressed,
-            "dead_suppressions": [
-                d.to_dict() for d in report.dead_suppressions
-            ],
-            "files": report.files,
-            "ok": report.ok,
-        }
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(render_races(report))
-    return 0 if report.ok else 1
 
 
 def _cmd_parity(args: argparse.Namespace) -> int:
@@ -492,7 +471,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
             select=select,
             ignore=ignore,
         )
-    except ValueError as error:  # unknown rule codes -> usage error
+    except ValueError as error:  # unknown rule codes or paths -> usage error
         print(f"repro parity: {error}", file=sys.stderr)
         return 2
     if args.format == "json":
@@ -514,7 +493,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Umbrella static gate: lint + races + parity in one run.
+    """Umbrella static gate: lint + parity in one run.
 
     Each analyzer loads its own default committed baseline, exactly as
     the standalone commands do; ``--mypy`` / ``--ruff`` additionally
@@ -527,19 +506,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis import (
         Baseline,
         analyze_parity_paths,
-        analyze_paths,
         lint_paths,
         render_findings,
         render_parity,
-        render_races,
     )
     from .analysis.baseline import (
         BASELINE_FORMAT,
         DEFAULT_BASELINE_NAME,
         DEFAULT_PARITY_BASELINE_NAME,
-        DEFAULT_RACES_BASELINE_NAME,
         PARITY_BASELINE_FORMAT,
-        RACES_BASELINE_FORMAT,
     )
 
     paths = args.paths or ["src"]
@@ -550,29 +525,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
             return Baseline.load(path, format=format).fingerprints
         return frozenset()
 
-    reports = {
-        "lint": lint_paths(
-            paths,
-            baseline_fingerprints=baseline(
-                DEFAULT_BASELINE_NAME, BASELINE_FORMAT
+    try:
+        reports = {
+            "lint": lint_paths(
+                paths,
+                baseline_fingerprints=baseline(
+                    DEFAULT_BASELINE_NAME, BASELINE_FORMAT
+                ),
             ),
-        ),
-        "races": analyze_paths(
-            paths,
-            baseline_fingerprints=baseline(
-                DEFAULT_RACES_BASELINE_NAME, RACES_BASELINE_FORMAT
+            "parity": analyze_parity_paths(
+                paths,
+                baseline_fingerprints=baseline(
+                    DEFAULT_PARITY_BASELINE_NAME, PARITY_BASELINE_FORMAT
+                ),
             ),
-        ),
-        "parity": analyze_parity_paths(
-            paths,
-            baseline_fingerprints=baseline(
-                DEFAULT_PARITY_BASELINE_NAME, PARITY_BASELINE_FORMAT
-            ),
-        ),
-    }
+        }
+    except ValueError as error:  # no such path -> usage error
+        print(f"repro check: {error}", file=sys.stderr)
+        return 2
     renderers = {
         "lint": render_findings,
-        "races": render_races,
         "parity": render_parity,
     }
 
@@ -643,13 +615,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from .analysis import render_audit
 
     design = _get_design(args.circuit, args.scale)
-    config = RouterConfig(
-        workers=args.workers,
-        sanitize=getattr(args, "sanitize", False),
-        engine=getattr(args, "engine", "auto"),
-        profile=getattr(args, "perf", "off"),
-        audit=True,
-    )
+    config = _run_config(args, audit=True)
     router = (
         BaselineRouter(config=config)
         if args.baseline
@@ -669,7 +635,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_top(args: argparse.Namespace) -> int:
-    trace = load_trace_file(args.trace, key=args.key)
+    try:
+        trace = _load_trace(args.trace, args.key)
+    except ValueError as error:
+        return _trace_error(error)
     fmt = "markdown" if args.markdown else "plain"
     print(render_hotspots(hotspots(trace, n=args.n), fmt=fmt))
     return 0
@@ -720,7 +689,13 @@ def build_parser() -> argparse.ArgumentParser:
     circuits = sub.add_parser("circuits", help="list benchmark circuits")
     circuits.set_defaults(func=_cmd_circuits)
 
-    def _workers_flag(p: argparse.ArgumentParser) -> None:
+    def _run_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--scale",
+            type=_scale,
+            default=0.05,
+            help="instance size factor in (0, 100] (default: 0.05)",
+        )
         p.add_argument(
             "--workers",
             type=int,
@@ -747,16 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
             "docs/performance.md)",
         )
         p.add_argument(
-            "--executor",
-            choices=("auto", "thread", "process"),
-            default="auto",
-            help="parallel pool backend for --workers N: 'thread' "
-            "shares routing state in-process, 'process' ships net "
-            "batches to a multiprocessing pool over shared memory, "
-            "'auto' picks process only on multi-core hosts; reports "
-            "are byte-identical either way (see docs/parallelism.md)",
-        )
-        p.add_argument(
             "--perf",
             choices=("off", "counters", "full"),
             default="off",
@@ -769,9 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     route = sub.add_parser("route", help="route one circuit")
     route.add_argument("circuit")
-    route.add_argument("--scale", type=float, default=0.05)
     route.add_argument("--baseline", action="store_true")
-    _workers_flag(route)
+    _run_flags(route)
     route.add_argument("--svg", help="write the routing plot")
     route.add_argument("--report", help="write the JSON violation report")
     route.add_argument("--save-design", help="write the design snapshot")
@@ -792,8 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="baseline vs stitch-aware")
     compare.add_argument("circuit")
-    compare.add_argument("--scale", type=float, default=0.05)
-    _workers_flag(compare)
+    _run_flags(compare)
     compare.add_argument(
         "--profile",
         nargs="?",
@@ -809,9 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-stitch-line violation diagnosis of one circuit",
     )
     diag.add_argument("circuit")
-    diag.add_argument("--scale", type=float, default=0.05)
     diag.add_argument("--baseline", action="store_true")
-    _workers_flag(diag)
+    _run_flags(diag)
     diag.add_argument(
         "--report", help="also write the JSON report (with attributions)"
     )
@@ -855,45 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(func=_cmd_lint)
 
-    races = sub.add_parser(
-        "races",
-        help="static concurrency-effect analyzer "
-        "(CONC rules, docs/static_analysis.md)",
-    )
-    races.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (default: src)",
-    )
-    races.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    races.add_argument(
-        "--baseline",
-        metavar="JSON",
-        help="baseline file of grandfathered findings "
-        "(default: ./races-baseline.json when present)",
-    )
-    races.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings",
-    )
-    races.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated CONC codes to check (default: all rules)",
-    )
-    races.add_argument(
-        "--ignore",
-        metavar="CODES",
-        help="comma-separated CONC codes to skip",
-    )
-    races.set_defaults(func=_cmd_races)
-
     parity = sub.add_parser(
         "parity",
         help="static cross-backend parity analyzer "
@@ -935,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="umbrella static gate: lint + races + parity "
+        help="umbrella static gate: lint + parity "
         "(one exit code; --mypy/--ruff add the external tools)",
     )
     check.add_argument(
@@ -967,9 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(AUD rules, docs/static_analysis.md)",
     )
     audit.add_argument("circuit")
-    audit.add_argument("--scale", type=float, default=0.05)
     audit.add_argument("--baseline", action="store_true")
-    _workers_flag(audit)
+    _run_flags(audit)
     audit.add_argument(
         "--format",
         choices=("text", "json"),
@@ -1066,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_history = sub.add_parser(
         "perf-history",
         help="perf-trajectory report from committed BENCH_*.json / "
-        "SPEEDUP_*.json artifacts",
+        "SPEEDUP_ENGINE_*.json artifacts",
     )
     perf_history.add_argument(
         "--dir",

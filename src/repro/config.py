@@ -60,52 +60,6 @@ def resolve_engine(engine: Union[Engine, str] = Engine.AUTO) -> Engine:
     return Engine.OBJECT
 
 
-class ExecutorKind(enum.Enum):
-    """Which worker-pool backend ``workers > 1`` runs on.
-
-    Both backends route the same conflict-free net batches and merge
-    them in canonical order, so reports, counters and stitch-line
-    histograms are byte-identical across executors (and to serial):
-
-    * ``THREAD`` — in-process thread pool; shares routing state for
-      free but contends on the GIL for pure-Python search loops.
-    * ``PROCESS`` — ``multiprocessing`` pool; the mutable stage state
-      travels through ``multiprocessing.shared_memory`` so workers
-      read it zero-copy (see ``docs/parallelism.md``).
-    * ``AUTO`` — ``PROCESS`` when more than one CPU is usable, else
-      ``THREAD`` (a process pool on one core pays IPC for nothing).
-    """
-
-    THREAD = "thread"
-    PROCESS = "process"
-    AUTO = "auto"
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def resolve_executor(
-    executor: Union[ExecutorKind, str] = ExecutorKind.AUTO,
-) -> ExecutorKind:
-    """Concrete executor backend for a requested value.
-
-    ``AUTO`` resolves to :attr:`ExecutorKind.PROCESS` when the CPU
-    affinity mask offers more than one core, else
-    :attr:`ExecutorKind.THREAD`.
-    """
-    if isinstance(executor, str):
-        executor = ExecutorKind(executor)
-    if executor is not ExecutorKind.AUTO:
-        return executor
-    if _usable_cpus() > 1:
-        return ExecutorKind.PROCESS
-    return ExecutorKind.THREAD
-
-
 class ColoringMethod(enum.Enum):
     """Which max-cut k-coloring heuristic layer assignment uses."""
 
@@ -155,15 +109,6 @@ class RouterConfig:
             net batches concurrently and merges them deterministically,
             so the report is byte-identical to the serial one (see
             ``docs/parallelism.md``).
-        executor: worker-pool backend for ``workers > 1``
-            (:class:`ExecutorKind` or its string form).  ``"thread"``
-            shares state in-process, ``"process"`` ships net batches
-            to a ``multiprocessing`` pool with the stage state in
-            shared memory, and ``"auto"`` (the default) picks the
-            process pool only when more than one CPU is usable.  The
-            backend is a pure performance knob: reports stay
-            byte-identical across executors.  Ignored at ``workers=1``
-            (serial routing builds no pool).
         sanitize: enable the speculation-footprint sanitizer: workers
             route against instrumented overlays that record every
             shared-state access and raise
@@ -218,7 +163,6 @@ class RouterConfig:
     detail_expansion_limit: int = 200_000
     engine: Engine = Engine.AUTO
     workers: int = 1
-    executor: ExecutorKind = ExecutorKind.AUTO
     sanitize: bool = False
     audit: bool = False
     profile: str = "off"
@@ -262,13 +206,6 @@ class RouterConfig:
             raise ValueError(f"workers must be an int, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if isinstance(self.executor, str):
-            object.__setattr__(self, "executor", ExecutorKind(self.executor))
-        if not isinstance(self.executor, ExecutorKind):
-            raise ValueError(
-                f"executor must be an ExecutorKind or one of "
-                f"{[e.value for e in ExecutorKind]}, got {self.executor!r}"
-            )
         if not isinstance(self.sanitize, bool):
             raise ValueError(f"sanitize must be a bool, got {self.sanitize!r}")
         if not isinstance(self.audit, bool):

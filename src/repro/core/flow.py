@@ -40,7 +40,6 @@ from ..config import (
     RouterConfig,
     TrackMethod,
     resolve_engine,
-    resolve_executor,
 )
 from ..detailed import DetailedResult, DetailedRouter
 from ..eval import RoutingReport, evaluate
@@ -171,7 +170,6 @@ class StitchAwareRouter:
         # Resolve "auto" once so both stages run the same engine and
         # the trace meta records the concrete choice.
         engine = resolve_engine(config.engine).value
-        executor = resolve_executor(config.executor).value
 
         def global_stage(d: Design, ordered) -> GlobalRoutingResult:
             # Pass 1: bottom-up global routing of local nets first; the
@@ -182,7 +180,6 @@ class StitchAwareRouter:
                 sanitize=config.sanitize,
                 engine=engine,
                 profile=config.profile,
-                executor=executor,
             ).route(d, tracer=tracer)
 
         def assign_stage(d: Design, global_result: GlobalRoutingResult):
@@ -211,7 +208,6 @@ class StitchAwareRouter:
                 sanitize=config.sanitize,
                 engine=engine,
                 profile=config.profile,
-                executor=executor,
             ).route(
                 d,
                 global_result.graph,
@@ -255,11 +251,6 @@ class StitchAwareRouter:
             "sanitize": config.sanitize,
             "engine": engine,
         }
-        if config.workers > 1:
-            # Pool-kind stamp for parallel runs only: serial traces
-            # build no pool, and stamping them would break
-            # byte-compatibility with the committed baselines.
-            meta["executor"] = executor
         if config.audit:
             # Only stamped when enabled so default-config traces stay
             # byte-compatible with the committed baselines.

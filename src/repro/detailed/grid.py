@@ -34,12 +34,6 @@ Node = tuple[int, int, int]  # (x, y, layer)
 class DetailedGrid:
     """Occupancy-tracked 3-D routing grid for one design."""
 
-    #: Ownership-change journal (``None`` = off).  A class attribute on
-    #: purpose: :class:`~repro.detailed.overlay.GridOverlay` skips
-    #: ``__init__`` when borrowing a live grid, and overlays must never
-    #: journal — their writes are buffered, not committed.
-    _journal: Optional[list[tuple[Node, Optional[str]]]] = None
-
     def __init__(self, design: Design, stitch_aware: bool = True) -> None:
         self.design = design
         self.config: RouterConfig = design.config
@@ -123,8 +117,6 @@ class DetailedGrid:
                 f"node {node} already owned by {current!r}, not {net!r}"
             )
         self._owner[node] = net
-        if self._journal is not None and current != net:
-            self._journal.append((node, net))
 
     def force_occupy(self, node: Node, net: str) -> Optional[str]:
         """Claim ``node`` for ``net``, evicting any previous owner.
@@ -136,8 +128,6 @@ class DetailedGrid:
             raise ValueError(f"pin node {node} cannot change owner")
         previous = self._owner.get(node)
         self._owner[node] = net
-        if self._journal is not None and previous != net:
-            self._journal.append((node, net))
         return previous if previous not in (None, net) else None
 
     def release(self, node: Node, net: str) -> None:
@@ -150,32 +140,6 @@ class DetailedGrid:
             return
         if self._owner.get(node) == net:
             del self._owner[node]
-            if self._journal is not None:
-                self._journal.append((node, None))
-
-    # ------------------------------------------------------------------
-    # Ownership journal (process-pool state sync)
-    # ------------------------------------------------------------------
-    def start_journal(self) -> None:
-        """Begin recording committed ownership changes.
-
-        Each entry is an absolute assignment ``(node, owner-or-None)``
-        — replaying any already-applied prefix in order is idempotent,
-        which is what lets late-forked pool workers catch up from a
-        mid-stage snapshot (see ``docs/parallelism.md``).
-        """
-        self._journal = []
-
-    def drain_journal(self) -> list[tuple[Node, Optional[str]]]:
-        """Return and clear the entries recorded since the last drain."""
-        entries = self._journal if self._journal is not None else []
-        if self._journal is not None:
-            self._journal = []
-        return entries
-
-    def stop_journal(self) -> None:
-        """Stop recording ownership changes (drops pending entries)."""
-        self._journal = None
 
     def is_free_for(self, node: Node, net: str) -> bool:
         """Usable by ``net``: in bounds, not blocked, not foreign-owned."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.context import context
 from .grid import DetailedGrid, Node
 
 
@@ -98,7 +97,6 @@ class GridOverlay(DetailedGrid):
         """Nodes this overlay wrote (claimed or released)."""
         return self._owner.writes
 
-    @context("canonical", reads=("grid.owner",), writes=("grid.owner",))
     def apply_to(self, base: DetailedGrid, net: str) -> None:
         """Replay the buffered ownership delta onto ``base``.
 

@@ -20,23 +20,15 @@ net ordering.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import time
 from collections.abc import Sequence
-from typing import Optional, Union
+from typing import Optional
 
-from ..analysis.context import context
 from ..assign import DesignTrackAssignment
-from ..engine.deltas import OverlayDelta
 from ..globalroute import GlobalGraph
 from ..layout import Design, Net
 from ..observe import Span, Tracer, ensure
-from ..parallel import (
-    BatchExecutor,
-    ProcessBatchExecutor,
-    SharedStateChannel,
-    plan_batches,
-)
+from ..parallel import BatchExecutor, plan_batches
 from .grid import DetailedGrid, Node
 from .overlay import GridOverlay
 from .search import astar_connect, connection_window
@@ -56,77 +48,6 @@ WINDOW_MARGINS = (6, 16, 48)
 #: several tiles, so the smallest window is rarely sufficient and only
 #: wastes a full failed search.
 DIRECT_WINDOW_MARGINS = (16, 48)
-
-#: Either batch-executor backend (``RouterConfig(executor=...)``).
-AnyPool = Union[BatchExecutor, ProcessBatchExecutor]
-
-#: Per-process worker state installed by :func:`_process_worker_init`
-#: (a module global because pool tasks must be picklable by reference).
-_PROC_CONTEXT: Optional[dict] = None
-
-
-@context("worker-process", reads=("channel",), writes=("grid.journal",))
-def _process_worker_init(
-    params: dict,
-    design: Design,
-    grid: DetailedGrid,
-    trunk_pieces: dict,
-    handle: tuple,
-) -> None:
-    """Pool initializer: adopt the detailed-routing stage in a worker.
-
-    ``grid`` arrives by fork inheritance (or pickle under spawn) at
-    whatever state the parent had last published; the channel's
-    journal frames keep it current from there.
-    """
-    global _PROC_CONTEXT
-    # The inherited grid carries the parent's journal hook; workers
-    # replay journals, they never record them.
-    grid.stop_journal()
-    _PROC_CONTEXT = {
-        "router": DetailedRouter(**params),
-        "design": design,
-        "grid": grid,
-        "trunks": trunk_pieces,
-        "channel": SharedStateChannel.attach(handle),
-    }
-
-
-@context("worker-process", reads=("grid.owner",), writes=("grid.owner",))
-def _replay_journal(grid: DetailedGrid, frames: list) -> None:
-    """Apply published ownership journals to a worker's grid.
-
-    Entries are absolute assignments, so replaying a prefix the
-    fork-inherited state already contains is idempotent: each node
-    ends at its last assignment, which is the published state.
-    """
-    for frame in frames:
-        for node, owner in pickle.loads(frame):
-            if owner is None:
-                current = grid.owner(node)
-                if current is not None:
-                    grid.release(node, current)
-            else:
-                grid.force_occupy(node, owner)
-
-
-@context("worker-process", reads=("channel", "grid.owner"), writes=("grid.owner",))
-def _process_worker_task(
-    net_name: str,
-) -> tuple[tuple, OverlayDelta, dict]:
-    """Pool task: speculatively connect one net in a worker process."""
-    ctx = _PROC_CONTEXT
-    assert ctx is not None, "worker used before _process_worker_init"
-    synced = ctx["channel"].sync()
-    if synced is not None:
-        _arrays, frames = synced
-        _replay_journal(ctx["grid"], frames)
-    net = ctx["design"].netlist[net_name]
-    result, overlay, stats = ctx["router"]._connect_speculative(
-        ctx["design"], ctx["grid"], net, ctx["trunks"]
-    )
-    return result, OverlayDelta.from_overlay(overlay), stats
-
 
 @dataclasses.dataclass
 class RoutedNet:
@@ -193,14 +114,6 @@ class DetailedRouter:
             overlay node churn, rip-up net visits) at stage boundaries;
             ``"full"`` additionally reports per-net commits through
             :meth:`Tracer.progress` (see ``docs/observability.md``).
-        executor: pool backend for ``workers > 1`` — ``"thread"``
-            (in-process) or ``"process"`` (multiprocessing pool; the
-            grid's committed ownership changes stream to workers as
-            shared-memory journal frames and workers ship back
-            :class:`~repro.engine.OverlayDelta` wire forms).
-            Byte-identical output either way; resolve ``"auto"`` with
-            :func:`repro.config.resolve_executor` before constructing
-            the router.
     """
 
     def __init__(
@@ -210,7 +123,6 @@ class DetailedRouter:
         sanitize: bool = False,
         engine: str = "object",
         profile: str = "off",
-        executor: str = "thread",
     ) -> None:
         if engine not in ("object", "array"):
             raise ValueError(
@@ -220,20 +132,14 @@ class DetailedRouter:
             raise ValueError(
                 f"profile must be 'off', 'counters' or 'full', got {profile!r}"
             )
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         self.stitch_aware = stitch_aware
         self.workers = workers
         self.sanitize = sanitize
         self.engine = engine
         self.profile = profile
-        self.executor = executor
         self._profiling = profile != "off"
         #: A* search counters flushed into the tracer at stage end.
         self._search_stats: dict[str, float] = {}
-        self._proc_channel: Optional[SharedStateChannel] = None
 
     def route(
         self,
@@ -256,7 +162,7 @@ class DetailedRouter:
         tracer = ensure(tracer)
         start = time.perf_counter()
         self._search_stats = {}
-        pool: Optional[AnyPool] = None
+        pool: Optional[BatchExecutor] = None
         if self.workers > 1:
             on_task = None
             if self.profile == "full":
@@ -271,10 +177,7 @@ class DetailedRouter:
                         busy_seconds=round(busy, 6),
                     )
 
-            if self.executor == "process":
-                pool = ProcessBatchExecutor(self.workers, on_task=on_task)
-            else:
-                pool = BatchExecutor(self.workers, on_task=on_task)
+            pool = BatchExecutor(self.workers, on_task=on_task)
         try:
             return self._route(
                 design, graph, assignment, order_hint, tracer, pool, start
@@ -282,10 +185,6 @@ class DetailedRouter:
         finally:
             if pool is not None:
                 pool.shutdown()
-            if self._proc_channel is not None:
-                # After shutdown: no worker still maps the segments.
-                self._proc_channel.unlink()
-                self._proc_channel = None
 
     def _route(
         self,
@@ -294,7 +193,7 @@ class DetailedRouter:
         assignment: DesignTrackAssignment,
         order_hint: Optional[Sequence[Net]],
         tracer: Tracer,
-        pool: Optional[AnyPool],
+        pool: Optional[BatchExecutor],
         start: float,
     ) -> DetailedResult:
         with tracer.span(
@@ -358,14 +257,6 @@ class DetailedRouter:
                 stage.gauge(
                     "worker_utilization", round(pool.utilization(), 4)
                 )
-            if self._proc_channel is not None:
-                stage.count(
-                    "parallel_ipc_publishes", self._proc_channel.publishes
-                )
-                stage.count(
-                    "parallel_ipc_publish_bytes",
-                    self._proc_channel.published_bytes,
-                )
 
         return DetailedResult(
             design=design,
@@ -377,7 +268,6 @@ class DetailedRouter:
     # ------------------------------------------------------------------
     # Net-batch scheduling (workers > 1)
     # ------------------------------------------------------------------
-    @context("canonical")
     def _first_pass(
         self,
         design: Design,
@@ -387,7 +277,7 @@ class DetailedRouter:
         routed: dict[str, "RoutedNet"],
         failed: list[str],
         tracer: Tracer,
-        pool: Optional[AnyPool],
+        pool: Optional[BatchExecutor],
         span: Span,
     ) -> None:
         """First connection pass, batched onto the pool when given.
@@ -422,8 +312,11 @@ class DetailedRouter:
                     grid, net, result, routed, failed, tracer
                 )
                 continue
-            results = self._speculate_batch(
-                design, grid, batch, trunk_pieces, pool
+            results = pool.run(
+                lambda net: self._connect_speculative(
+                    design, grid, net, trunk_pieces
+                ),
+                batch,
             )
             written: set[Node] = set()
             for net, (result, overlay, stats) in zip(batch, results):
@@ -457,83 +350,8 @@ class DetailedRouter:
         span.count("parallel_conflicts", conflicts)
         span.gauge("parallel_max_batch_width", plan.max_width)
         span.gauge("parallel_mean_batch_width", round(plan.mean_width, 3))
-        if isinstance(pool, ProcessBatchExecutor):
-            # The first pass is the only pooled phase; the rip-up loop
-            # routes on shared live state and needs no journal.
-            grid.stop_journal()
 
-    @context("canonical")
-    def _speculate_batch(
-        self,
-        design: Design,
-        grid: DetailedGrid,
-        batch: Sequence[Net],
-        trunk_pieces: dict[str, list[TrunkPiece]],
-        pool: AnyPool,
-    ) -> list[
-        tuple[
-            tuple[bool, set[Node], set[Edge], set[str]],
-            Union[GridOverlay, OverlayDelta],
-            dict[str, float],
-        ]
-    ]:
-        """Run one conflict-free batch on whichever pool backend is up.
-
-        The thread pool closes over the live grid and returns
-        :class:`GridOverlay` objects; the process pool first publishes
-        the ownership changes committed since the previous batch (as a
-        journal frame — the grid is frozen while the batch is in
-        flight) and gets back :class:`OverlayDelta` wire forms.  Both
-        expose the same read/write/apply surface, so the merge loop
-        above is backend-blind.
-        """
-        if isinstance(pool, ProcessBatchExecutor):
-            channel = self._ensure_process_backend(
-                design, grid, trunk_pieces, pool
-            )
-            channel.publish({}, pickle.dumps(grid.drain_journal()))
-            return pool.run([net.name for net in batch])
-        return pool.run(
-            lambda net: self._connect_speculative(
-                design, grid, net, trunk_pieces
-            ),
-            batch,
-        )
-
-    def _ensure_process_backend(
-        self,
-        design: Design,
-        grid: DetailedGrid,
-        trunk_pieces: dict[str, list[TrunkPiece]],
-        pool: ProcessBatchExecutor,
-    ) -> SharedStateChannel:
-        """Lazily create the journal channel and configure the pool."""
-        if self._proc_channel is None:
-            grid.start_journal()
-            self._proc_channel = SharedStateChannel.create("detail", [])
-            params = dict(
-                stitch_aware=self.stitch_aware,
-                workers=1,
-                sanitize=self.sanitize,
-                engine=self.engine,
-                profile=self.profile,
-            )
-            pool.configure(
-                task=_process_worker_task,
-                initializer=_process_worker_init,
-                initargs=(
-                    params,
-                    design,
-                    grid,
-                    trunk_pieces,
-                    self._proc_channel.handle,
-                ),
-            )
-        return self._proc_channel
-
-    def _count_overlay(
-        self, overlay: Union[GridOverlay, OverlayDelta]
-    ) -> None:
+    def _count_overlay(self, overlay: GridOverlay) -> None:
         """Accumulate ``perf_*`` node-churn counters for one overlay."""
         stats = self._search_stats
         for name, delta in (
@@ -543,7 +361,6 @@ class DetailedRouter:
         ):
             stats[name] = stats.get(name, 0) + delta
 
-    @context("speculative")
     def _connect_speculative(
         self,
         design: Design,

@@ -23,7 +23,6 @@ auditor enforce.  ``docs/performance.md`` documents the design and the
 bit-identity obligations.
 """
 
-from .deltas import OverlayDelta
 from .detailed import ArrayDetailedGrid, ArrayGridOverlay
 from .globalroute import ArrayGlobalGraph, ArrayGraphSnapshot
 
@@ -32,5 +31,4 @@ __all__ = [
     "ArrayGlobalGraph",
     "ArrayGraphSnapshot",
     "ArrayGridOverlay",
-    "OverlayDelta",
 ]

@@ -25,9 +25,8 @@ Caches and the demand and history mirrors follow the incremental
 obstacle-cache idiom: rebuilt wholesale by
 :meth:`~_CostCacheMixin.refresh_cost_cache` (at construction and after
 the serial history bump), updated entry-wise by the demand mutators,
-*cloned* per worker snapshot and re-read from the shipped arrays by a
-process worker, never recomputed there.  Capacities never change, so
-their mirrors are built once, with the graph.  Every
+and *cloned* per worker snapshot, never recomputed there.  Capacities
+never change, so their mirrors are built once, with the graph.  Every
 entry comes from the scalar step prices the object engine also calls
 (:func:`~repro.globalroute.cost.edge_price`,
 :func:`~repro.globalroute.cost.line_end_price`) — not the vectorized
@@ -145,9 +144,8 @@ class _CostCacheMixin:
     def _mirror_mutable_state(self) -> None:
         """Re-read the demand and history mirrors from the numpy arrays.
 
-        Capacities are construction-time constants (they never travel
-        to process workers either), so :class:`ArrayGlobalGraph`
-        mirrors them once, in its constructor.
+        Capacities are construction-time constants, so
+        :class:`ArrayGlobalGraph` mirrors them once, in its constructor.
         """
         ny = self.ny
         self._h_dem = _flat(self.h_demand, ny)
@@ -371,26 +369,6 @@ class ArrayGlobalGraph(_CostCacheMixin, GlobalGraph):
     def snapshot(self) -> GraphSnapshot:
         """Snapshot carrying cloned cost caches (array fast path)."""
         return ArrayGraphSnapshot(self)
-
-    def shared_state_arrays(self) -> dict[str, "np.ndarray"]:
-        """Base state plus the cost caches, as packed float64 arrays.
-
-        Shipping the caches spares every worker a per-epoch
-        ``refresh_cost_cache`` re-pricing; ``float64 -> list``
-        round-trips are exact, so workers see bit-identical entries.
-        """
-        arrays = super().shared_state_arrays()
-        arrays["h_cost"] = np.asarray(self._h_cost, dtype=np.float64)
-        arrays["v_cost"] = np.asarray(self._v_cost, dtype=np.float64)
-        arrays["v_price"] = np.asarray(self._v_price, dtype=np.float64)
-        return arrays
-
-    def import_shared_state(self, arrays: dict[str, "np.ndarray"]) -> None:
-        super().import_shared_state(arrays)
-        self._mirror_mutable_state()
-        self._h_cost = arrays["h_cost"].tolist()
-        self._v_cost = arrays["v_cost"].tolist()
-        self._v_price = arrays["v_price"].tolist()
 
 
 class ArrayGraphSnapshot(_CostCacheMixin, GraphSnapshot):

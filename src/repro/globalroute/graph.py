@@ -118,39 +118,6 @@ class GlobalGraph:
         return GraphSnapshot(self)
 
     # ------------------------------------------------------------------
-    # Shared-memory state transport (the process-pool backend)
-    # ------------------------------------------------------------------
-    #: The per-stage *mutable* arrays a process-pool worker must track.
-    #: Capacities are construction-time constants every worker already
-    #: holds, so they never travel.
-    _SHARED_STATE_KEYS = (
-        "h_demand",
-        "v_demand",
-        "vertex_demand",
-        "h_history",
-        "v_history",
-        "vertex_history",
-    )
-
-    def shared_state_arrays(self) -> dict[str, "np.ndarray"]:
-        """The mutable routing state, keyed for shared-memory export.
-
-        The engine seam's second factory-style hook:
-        :class:`~repro.engine.ArrayGlobalGraph` extends the dict with
-        its cost caches so workers skip the full cache rebuild.
-        """
-        return {key: getattr(self, key) for key in self._SHARED_STATE_KEYS}
-
-    def import_shared_state(self, arrays: dict[str, "np.ndarray"]) -> None:
-        """Overwrite the mutable state from exported views, in place.
-
-        In-place copies keep any outstanding snapshot references (which
-        borrow the history arrays) aimed at the live data.
-        """
-        for key in self._SHARED_STATE_KEYS:
-            np.copyto(getattr(self, key), arrays[key])
-
-    # ------------------------------------------------------------------
     # Tile geometry
     # ------------------------------------------------------------------
     @classmethod

@@ -17,27 +17,20 @@ import dataclasses
 import heapq
 import time
 from collections.abc import Sequence
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..algorithms import steiner_tree_edges
 from ..layout import Design, Net
 from ..observe import Span, Tracer, ensure
-from ..parallel import (
-    BatchExecutor,
-    ProcessBatchExecutor,
-    SharedArraySpec,
-    SharedStateChannel,
-    plan_batches,
-)
+from ..parallel import BatchExecutor, plan_batches
 from .cost import (
     VERTEX_OVERFLOW_PENALTY,  # noqa: F401  (re-export: moved to .cost)
     VERTEX_WEIGHT,  # noqa: F401  (re-export: moved to .cost)
     edge_cost_if_used,
     vertex_price,
 )
-from ..analysis.context import context
 from ..analysis.pairing import paired
 from .graph import GlobalGraph, Tile, vertical_run_line_ends
 from .overlay import windows_hit
@@ -50,65 +43,6 @@ WL_WEIGHT = 0.1
 #: endpoints; doubles as the batch planner's expansion: two nets whose
 #: bboxes stay this far apart cannot read each other's demand.
 ASTAR_WINDOW_MARGIN = 4
-
-#: Either batch-executor backend (``RouterConfig(executor=...)``).
-AnyPool = Union[BatchExecutor, ProcessBatchExecutor]
-
-#: Per-process worker state installed by :func:`_process_worker_init`
-#: (a module global because pool tasks must be picklable by reference).
-_PROC_CONTEXT: Optional[dict] = None
-
-
-@context("worker-process")
-def _process_worker_init(
-    params: dict, graph: GlobalGraph, handle: tuple
-) -> None:
-    """Pool initializer: adopt the global-routing stage in a worker.
-
-    ``graph`` arrives by fork inheritance (or pickle under spawn) at
-    whatever stage state the parent had last published; the shared-
-    state channel then keeps it current — the first ``sync`` of a
-    late-forked worker simply re-imports the full arrays, which is
-    idempotent over the inherited state.
-    """
-    global _PROC_CONTEXT
-    _PROC_CONTEXT = {
-        "router": GlobalRouter(**params),
-        "graph": graph,
-        "channel": SharedStateChannel.attach(handle),
-    }
-
-
-@context(
-    "worker-process",
-    reads=("channel",),
-    writes=("global.demand", "global.history", "engine.cache"),
-)
-def _process_worker_task(
-    net_name: str,
-) -> tuple[
-    Optional[list[list[Tile]]],
-    dict[str, float],
-    list[tuple[int, int, int, int]],
-]:
-    """Pool task: speculatively route one net in a worker process.
-
-    Returns the route's tile paths rather than a :class:`GlobalRoute`
-    — the parent re-wraps them around its own :class:`Net` object, so
-    net identity on the submitting side is untouched by pickling.
-    """
-    ctx = _PROC_CONTEXT
-    assert ctx is not None, "worker used before _process_worker_init"
-    synced = ctx["channel"].sync()
-    if synced is not None:
-        arrays, _frames = synced
-        ctx["graph"].import_shared_state(arrays)
-    graph = ctx["graph"]
-    net = graph.design.netlist[net_name]
-    route, stats, windows = ctx["router"]._route_speculative(graph, net)
-    paths = None if route is None else route.paths
-    return paths, stats, windows
-
 
 @dataclasses.dataclass
 class GlobalRoute:
@@ -185,14 +119,6 @@ class GlobalRouter:
             incremental updates) per pass and negotiation round;
             ``"full"`` additionally reports per-net commits through
             :meth:`Tracer.progress` (see ``docs/observability.md``).
-        executor: pool backend for ``workers > 1`` — ``"thread"``
-            (in-process, state shared for free) or ``"process"``
-            (multiprocessing pool; the graph's mutable arrays are
-            published to shared memory before each batch and workers
-            ship back the same speculative results).  Byte-identical
-            output either way; resolve ``"auto"`` with
-            :func:`repro.config.resolve_executor` before constructing
-            the router.
     """
 
     def __init__(
@@ -204,7 +130,6 @@ class GlobalRouter:
         sanitize: bool = False,
         engine: str = "object",
         profile: str = "off",
-        executor: str = "thread",
     ) -> None:
         if engine not in ("object", "array"):
             raise ValueError(
@@ -214,10 +139,6 @@ class GlobalRouter:
             raise ValueError(
                 f"profile must be 'off', 'counters' or 'full', got {profile!r}"
             )
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         self.stitch_aware = stitch_aware
         self.ripup_rounds = ripup_rounds
         self.steiner = steiner
@@ -225,10 +146,8 @@ class GlobalRouter:
         self.sanitize = sanitize
         self.engine = engine
         self.profile = profile
-        self.executor = executor
         self._profiling = profile != "off"
         self._tracer: Optional[Tracer] = None
-        self._proc_channel: Optional[SharedStateChannel] = None
         #: Two-pin decompositions of the nets of the current ``route()``
         #: call, computed once per net (they depend only on pin tiles).
         self._subnets: dict[str, list[tuple[Tile, Tile]]] = {}
@@ -246,7 +165,7 @@ class GlobalRouter:
         tracer = ensure(tracer)
         self._tracer = tracer if self.profile == "full" else None
         start = time.perf_counter()
-        pool: Optional[AnyPool] = None
+        pool: Optional[BatchExecutor] = None
         if self.workers > 1:
             on_task = None
             if self.profile == "full":
@@ -261,10 +180,7 @@ class GlobalRouter:
                         busy_seconds=round(busy, 6),
                     )
 
-            if self.executor == "process":
-                pool = ProcessBatchExecutor(self.workers, on_task=on_task)
-            else:
-                pool = BatchExecutor(self.workers, on_task=on_task)
+            pool = BatchExecutor(self.workers, on_task=on_task)
         try:
             with tracer.span("global-route") as stage:
                 with tracer.span("graph-build"):
@@ -333,14 +249,6 @@ class GlobalRouter:
                     stage.gauge(
                         "worker_utilization", round(pool.utilization(), 4)
                     )
-                if self._proc_channel is not None:
-                    stage.count(
-                        "parallel_ipc_publishes", self._proc_channel.publishes
-                    )
-                    stage.count(
-                        "parallel_ipc_publish_bytes",
-                        self._proc_channel.published_bytes,
-                    )
                 if self._profiling:
                     # Cost-cache churn lives on the array graph (the
                     # object engine has no caches — counters absent).
@@ -356,10 +264,6 @@ class GlobalRouter:
             self._subnets = {}
             if pool is not None:
                 pool.shutdown()
-            if self._proc_channel is not None:
-                # After shutdown: no worker still maps the segments.
-                self._proc_channel.unlink()
-                self._proc_channel = None
 
         return GlobalRoutingResult(
             design=design,
@@ -384,7 +288,6 @@ class GlobalRouter:
     # ------------------------------------------------------------------
     # Net-batch scheduling (workers > 1)
     # ------------------------------------------------------------------
-    @context("canonical")
     def _route_many(
         self,
         graph: GlobalGraph,
@@ -392,7 +295,7 @@ class GlobalRouter:
         routes: dict[str, GlobalRoute],
         failed: list[str],
         stats: dict[str, float],
-        pool: Optional[AnyPool],
+        pool: Optional[BatchExecutor],
         span: Span,
     ) -> None:
         """Route ``nets`` in order, batching onto the pool when given.
@@ -431,7 +334,9 @@ class GlobalRouter:
                     routes, failed, net, self._route_net(graph, net, stats)
                 )
                 continue
-            results = self._speculate_batch(graph, batch, pool)
+            results = pool.run(
+                lambda net: self._route_speculative(graph, net), batch
+            )
             if self._profiling:
                 # One demand snapshot per speculative net (counted on
                 # the main thread; workers never touch shared stats).
@@ -466,70 +371,6 @@ class GlobalRouter:
         span.gauge("parallel_max_batch_width", plan.max_width)
         span.gauge("parallel_mean_batch_width", round(plan.mean_width, 3))
 
-    @context("canonical")
-    def _speculate_batch(
-        self,
-        graph: GlobalGraph,
-        batch: Sequence[Net],
-        pool: AnyPool,
-    ) -> list[
-        tuple[
-            Optional[GlobalRoute],
-            dict[str, float],
-            list[tuple[int, int, int, int]],
-        ]
-    ]:
-        """Run one conflict-free batch on whichever pool backend is up.
-
-        The thread pool closes over the live graph; the process pool
-        first publishes the graph's mutable arrays to shared memory
-        (the live graph is frozen while the batch is in flight, so one
-        publish per batch is exact), then ships net names only.
-        """
-        if isinstance(pool, ProcessBatchExecutor):
-            channel = self._ensure_process_backend(graph, pool)
-            channel.publish(graph.shared_state_arrays())
-            raw = pool.run([net.name for net in batch])
-            results = []
-            for net, (paths, net_stats, windows) in zip(batch, raw):
-                route = (
-                    None
-                    if paths is None
-                    else GlobalRoute(net=net, paths=paths)
-                )
-                results.append((route, net_stats, windows))
-            return results
-        return pool.run(
-            lambda net: self._route_speculative(graph, net), batch
-        )
-
-    def _ensure_process_backend(
-        self, graph: GlobalGraph, pool: ProcessBatchExecutor
-    ) -> SharedStateChannel:
-        """Lazily create the shared-state channel and configure the pool."""
-        if self._proc_channel is None:
-            specs = [
-                SharedArraySpec(key, array.shape, array.dtype.str)
-                for key, array in graph.shared_state_arrays().items()
-            ]
-            self._proc_channel = SharedStateChannel.create("global", specs)
-            params = dict(
-                stitch_aware=self.stitch_aware,
-                ripup_rounds=self.ripup_rounds,
-                steiner=self.steiner,
-                workers=1,
-                sanitize=self.sanitize,
-                engine=self.engine,
-                profile=self.profile,
-            )
-            pool.configure(
-                task=_process_worker_task,
-                initializer=_process_worker_init,
-                initargs=(params, graph, self._proc_channel.handle),
-            )
-        return self._proc_channel
-
-    @context("speculative")
     def _route_speculative(
         self, graph: GlobalGraph, net: Net
     ) -> tuple[Optional[GlobalRoute], dict[str, float], list[tuple[int, int, int, int]]]:

@@ -471,7 +471,8 @@ def load_trace_file(path: PathLike, key: Optional[str] = None) -> RunTrace:
                 key = next(iter(data))
             else:
                 raise ValueError(
-                    f"{path} holds {sorted(data)}; pick one with key="
+                    f"{path} holds {sorted(data)}; pick one with --key "
+                    "(key= in Python)"
                 )
         if key not in data:
             raise ValueError(f"no trace {key!r} in {path} ({sorted(data)})")
@@ -487,30 +488,24 @@ class PerfHistory:
     """Perf-trajectory rollup of a directory of benchmark artifacts.
 
     Built by :func:`collect_perf_history` from the committed
-    ``BENCH_<circuit>.json`` snapshots (per-router traces),
-    ``SPEEDUP_ENGINE_<circuit>.json`` (object vs. array engine walls)
-    and ``SPEEDUP_<circuit>.json`` / ``SPEEDUP_PROC_<circuit>.json``
-    (serial vs. workers walls — the ``PROC_`` prefix marks
-    process-executor runs, and every row records its executor).
+    ``BENCH_<circuit>.json`` snapshots (per-router traces) and
+    ``SPEEDUP_ENGINE_<circuit>.json`` (object vs. array engine walls).
 
     Attributes:
         directory: where the artifacts were collected from.
         bench_rows: one row per circuit x router label with wall/CPU
             seconds, stage walls and the deterministic work counters.
         engine_rows: one row per engine-speedup artifact.
-        workers_rows: one row per circuit x router label of a
-            workers-speedup artifact.
     """
 
     directory: str
     bench_rows: list[dict]
     engine_rows: list[dict]
-    workers_rows: list[dict]
 
     @property
     def empty(self) -> bool:
-        """Whether no artifact of any kind was found."""
-        return not (self.bench_rows or self.engine_rows or self.workers_rows)
+        """Whether no artifact of either kind was found."""
+        return not (self.bench_rows or self.engine_rows)
 
 
 #: Deterministic whole-run counters worth tracking over time — the
@@ -529,7 +524,6 @@ def collect_perf_history(directory: PathLike) -> PerfHistory:
     root = pathlib.Path(directory)
     bench_rows: list[dict] = []
     engine_rows: list[dict] = []
-    workers_rows: list[dict] = []
 
     for path in sorted(root.glob("BENCH_*.json")):
         circuit = path.stem[len("BENCH_"):]
@@ -578,44 +572,10 @@ def collect_perf_history(directory: PathLike) -> PerfHistory:
         except (ValueError, KeyError, TypeError):
             continue
 
-    for path in sorted(root.glob("SPEEDUP_*.json")):
-        if path.name.startswith("SPEEDUP_ENGINE_"):
-            continue
-        circuit = path.stem[len("SPEEDUP_"):]
-        if circuit.startswith("PROC_"):
-            # Process-executor artifacts carry a PROC_ filename prefix
-            # so thread and process rows of the same circuit coexist.
-            circuit = circuit[len("PROC_"):]
-        try:
-            data = json.loads(path.read_text())
-            if "serial_wall_seconds" in data:
-                # Flat schema: one scaled workers-speedup run
-                # (regression.py --scale --workers N).
-                entries = {"stitch-aware": data}
-                circuit = data.get("circuit", circuit)
-            else:
-                entries = data
-            for label, entry in sorted(entries.items()):
-                workers_rows.append(
-                    {
-                        "circuit": circuit,
-                        "router": label,
-                        "serial_s": entry["serial_wall_seconds"],
-                        "parallel_s": entry["parallel_wall_seconds"],
-                        "workers": entry["workers"],
-                        "engine": entry.get("engine", ""),
-                        "executor": entry.get("executor", "thread"),
-                        "speedup": entry["speedup"],
-                    }
-                )
-        except (ValueError, KeyError, TypeError, AttributeError):
-            continue
-
     return PerfHistory(
         directory=str(root),
         bench_rows=bench_rows,
         engine_rows=engine_rows,
-        workers_rows=workers_rows,
     )
 
 
@@ -640,15 +600,6 @@ def render_perf_history(history: PerfHistory, fmt: str = "plain") -> str:
             _render_rows(
                 history.engine_rows, columns,
                 "engine speedups (object vs array)", fmt, decimals=3,
-            )
-        )
-    if history.workers_rows:
-        columns = ["circuit", "router", "serial_s", "parallel_s", "workers",
-                   "engine", "executor", "speedup"]
-        sections.append(
-            _render_rows(
-                history.workers_rows, columns,
-                "workers speedups (serial vs parallel)", fmt, decimals=3,
             )
         )
     return "\n\n".join(sections)

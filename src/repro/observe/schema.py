@@ -13,13 +13,12 @@ Identity is ``(kind, name)`` — names may repeat across kinds (the
 multilevel scheme emits a ``level`` *span* carrying a ``level``
 *gauge*) but never within one.  Backend coverage is a set of tags
 over two axes, engine (``object`` / ``array``) and executor
-(``serial`` / ``thread`` / ``process``): a metric tagged with a
-backend *may* appear under it, and a metric missing one *never* does
-(``parallel_ipc_publishes`` carries no ``serial`` or ``thread`` tag —
-only the process pool publishes over IPC).  The live-run completeness
-test (``tests/observe/test_schema.py``) routes a real circuit under
-five configurations and holds every emitted name to its declared
-coverage.
+(``serial`` / ``thread``): a metric tagged with a backend *may* appear
+under it, and a metric missing one *never* does (``parallel_tasks``
+carries no ``serial`` tag — only the worker pool runs tasks).  The
+live-run completeness test (``tests/observe/test_schema.py``) routes a
+real circuit under four configurations and holds every emitted name to
+its declared coverage.
 
 Categories partition the vocabulary by contract: ``routing`` metrics
 are the deterministic ones every backend must reproduce exactly,
@@ -42,14 +41,15 @@ KINDS = ("counter", "gauge", "span", "progress")
 #: Engine-axis backend tags (``RouterConfig.engine``).
 ENGINE_BACKENDS = frozenset({"object", "array"})
 
-#: Executor-axis backend tags (``RouterConfig.workers`` / ``executor``).
-EXECUTOR_BACKENDS = frozenset({"serial", "thread", "process"})
+#: Executor-axis backend tags (``RouterConfig.workers``: ``1`` runs
+#: serially, more runs on the thread pool).
+EXECUTOR_BACKENDS = frozenset({"serial", "thread"})
 
 #: Full coverage: emitted under every engine and executor.
 ALL_BACKENDS = ENGINE_BACKENDS | EXECUTOR_BACKENDS
 
 #: Coverage of workers>1 bookkeeping: both engines, no serial runs.
-PARALLEL_BACKENDS = ENGINE_BACKENDS | frozenset({"thread", "process"})
+PARALLEL_BACKENDS = ENGINE_BACKENDS | frozenset({"thread"})
 
 #: Strippable categories and the name prefix each one owns.  The
 #: regression gate scrubs by prefix; the registry enforces at import
@@ -277,16 +277,6 @@ _register(
     "parallel_conflicts", "counter", _BOTH_ROUTE, PARALLEL_BACKENDS,
     "scheduling",
     "Speculative results discarded and redone serially.",
-)
-_register(
-    "parallel_ipc_publishes", "counter", _BOTH_ROUTE,
-    ENGINE_BACKENDS | frozenset({"process"}), "scheduling",
-    "Shared-memory state publications by the process pool.",
-)
-_register(
-    "parallel_ipc_publish_bytes", "counter", _BOTH_ROUTE,
-    ENGINE_BACKENDS | frozenset({"process"}), "scheduling",
-    "Bytes shipped over shared memory by the process pool.",
 )
 _register(
     "worker_utilization", "gauge", _BOTH_ROUTE, PARALLEL_BACKENDS,

@@ -2,13 +2,9 @@
 
 The scheduling half of ``RouterConfig(workers=N)``: nets are grouped
 into conflict-free batches (:mod:`~repro.parallel.batching`) and run by
-an order-preserving worker pool — thread-based
-(:mod:`~repro.parallel.executor`) or process-based with shared-memory
-state transport (:mod:`~repro.parallel.process`,
-:mod:`~repro.parallel.shared_state`), selected by
-``RouterConfig(executor=...)``.  The
-routing passes speculate each batched net against copy-on-write state
-(:class:`repro.globalroute.overlay.GraphSnapshot`,
+an order-preserving thread pool (:mod:`~repro.parallel.executor`).
+The routing passes speculate each batched net against copy-on-write
+state (:class:`repro.globalroute.overlay.GraphSnapshot`,
 :class:`repro.detailed.overlay.GridOverlay`) and merge results back in
 canonical serial order with read/write-footprint validation — so the
 final routing result is byte-identical to the serial router's,
@@ -25,21 +21,11 @@ from .batching import (
     rects_overlap,
 )
 from .executor import BatchExecutor, validate_workers
-from .process import ProcessBatchExecutor
-from .shared_state import (
-    SharedArraySpec,
-    SharedStateChannel,
-    active_segments,
-)
 
 __all__ = [
     "BatchExecutor",
     "BatchPlan",
-    "ProcessBatchExecutor",
     "Rect",
-    "SharedArraySpec",
-    "SharedStateChannel",
-    "active_segments",
     "expand_rect",
     "net_rect",
     "plan_batches",

@@ -7,8 +7,8 @@ routing stages can report worker utilization
 (:meth:`BatchExecutor.utilization`).
 
 The pool is thread-based: workers only *read* shared routing state
-(their writes go to per-net overlays, see :mod:`repro.parallel.overlay`),
-which process pools would have to pickle wholesale.  Pure-Python search
+(their writes go to per-net overlays, see :mod:`repro.detailed.overlay`
+and :mod:`repro.globalroute.overlay`).  Pure-Python search
 loops contend on the GIL, so the wall-clock win grows with the share of
 time spent in C extensions (numpy) and shrinks toward parity on
 interpreter-bound workloads — ``docs/parallelism.md`` discusses when to
@@ -22,20 +22,15 @@ from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable, Sequence
 from typing import Optional, TypeVar
 
-from ..analysis.context import context
-from ..analysis.pairing import paired
-
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def validate_workers(workers: int) -> None:
-    """Reject pool widths below 2 with the shared diagnostic.
+    """Reject pool widths below 2.
 
-    Both batch executors (:class:`BatchExecutor` and
-    :class:`~repro.parallel.process.ProcessBatchExecutor`) raise the
-    same :class:`ValueError` message: ``workers=1`` callers must keep
-    the serial code path and never build a pool.
+    ``workers=1`` callers must keep the serial code path and never
+    build a pool.
     """
     if workers < 2:
         raise ValueError(f"batch executor needs workers >= 2, got {workers}")
@@ -57,9 +52,6 @@ class BatchExecutor:
             Inline single-item batches bypass the hook, exactly as they
             bypass the pool's task accounting.
     """
-
-    #: Backend discriminator (``"process"`` on the multiprocessing twin).
-    kind = "thread"
 
     def __init__(
         self,
@@ -93,8 +85,6 @@ class BatchExecutor:
             self._pool = None
 
     # ------------------------------------------------------------------
-    @context("canonical")
-    @paired("batch-executor", backend="thread")
     def run(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Apply ``fn`` to every item concurrently; results in item order.
 

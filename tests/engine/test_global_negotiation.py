@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.benchmarks_gen import mcnc_stress_design
-from repro.globalroute import GlobalGraph, GlobalRouter
+from repro.globalroute import GlobalRouter
 from repro.observe import Tracer
 
 CASES = {
@@ -50,6 +50,13 @@ def test_negotiation_rounds_identical_across_engines(case):
     }
     assert list(obj.routes) == list(arr.routes)
     assert obj.failed == arr.failed
-    for key in GlobalGraph._SHARED_STATE_KEYS:
+    for key in (
+        "h_demand",
+        "v_demand",
+        "vertex_demand",
+        "h_history",
+        "v_history",
+        "vertex_history",
+    ):
         assert np.array_equal(getattr(obj.graph, key), getattr(arr.graph, key)), key
     assert span_records(obj_trace) == span_records(arr_trace)

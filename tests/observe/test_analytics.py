@@ -321,23 +321,10 @@ def write_artifacts(root, make_trace_fn=None):
             }
         )
     )
-    (root / "SPEEDUP_S9234.json").write_text(
-        json.dumps(
-            {
-                "stitch-aware": {
-                    "serial_wall_seconds": 1.0,
-                    "parallel_wall_seconds": 0.5,
-                    "workers": 4,
-                    "engine": "object",
-                    "speedup": 2.0,
-                }
-            }
-        )
-    )
 
 
 class TestPerfHistory:
-    def test_collects_all_three_artifact_kinds(self, tmp_path):
+    def test_collects_both_artifact_kinds(self, tmp_path):
         write_artifacts(tmp_path)
         history = collect_perf_history(tmp_path)
         assert not history.empty
@@ -351,19 +338,15 @@ class TestPerfHistory:
         assert aware["detail_s"] == 1.0
         (engine_row,) = history.engine_rows
         assert engine_row["speedup"] == 2.0
-        (workers_row,) = history.workers_rows
-        assert workers_row["workers"] == 4
 
     def test_unparseable_and_unrelated_json_skipped(self, tmp_path):
         write_artifacts(tmp_path)
         (tmp_path / "BENCH_garbage.json").write_text('{"x": 1}')
         (tmp_path / "SPEEDUP_ENGINE_bad.json").write_text("[]")
-        (tmp_path / "SPEEDUP_bad.json").write_text('{"label": {}}')
         (tmp_path / "unrelated.json").write_text("{}")
         history = collect_perf_history(tmp_path)
         assert {r["circuit"] for r in history.bench_rows} == {"S9234"}
         assert len(history.engine_rows) == 1
-        assert len(history.workers_rows) == 1
 
     def test_empty_directory_reports_empty(self, tmp_path):
         history = collect_perf_history(tmp_path)
@@ -376,7 +359,6 @@ class TestPerfHistory:
         plain = render_perf_history(history)
         assert "benchmark snapshots" in plain
         assert "engine speedups" in plain
-        assert "workers speedups" in plain
         md = render_perf_history(history, fmt="markdown")
         assert md.count("|") > 20
 

@@ -6,10 +6,10 @@ Two halves:
   (history ordering for analytics, strip-prefix queries for the
   regression gate, prefix discipline at import time);
 * live completeness — S9234 at the regression-gate scale is routed
-  under five configurations (serial, thread pool, process pool,
-  sanitizer, counter profiling) and **every** counter, gauge, span,
-  and progress kind the run emits must be registered with backend
-  coverage that includes the run's own engine/executor tags.  A new
+  under four configurations (serial, thread pool, sanitizer, counter
+  profiling) and **every** counter, gauge, span, and progress kind the
+  run emits must be registered with backend coverage that includes the
+  run's own engine/executor tags.  A new
   metric emitted anywhere in the engine fails here until it is
   declared in :mod:`repro.observe.schema`.
 """
@@ -20,19 +20,18 @@ import json
 import pytest
 
 from repro.benchmarks_gen import mcnc_design
-from repro.config import RouterConfig, resolve_engine, resolve_executor
+from repro.config import RouterConfig, resolve_engine
 from repro.api import StitchAwareRouter
 from repro.observe import StreamingTracer, schema
 
 CIRCUIT, SCALE = "S9234", 0.02
 
-#: The five live configurations the completeness gate covers.
+#: The four live configurations the completeness gate covers.
 CONFIGS = {
     "serial": {},
-    # profile="full" turns on progress events, so the parallel runs
-    # also prove the "net"/"task" progress kinds are registered.
-    "thread4": {"workers": 4, "executor": "thread", "profile": "full"},
-    "process4": {"workers": 4, "executor": "process", "profile": "full"},
+    # profile="full" turns on progress events, so the parallel run
+    # also proves the "net"/"task" progress kinds are registered.
+    "thread4": {"workers": 4, "profile": "full"},
     "sanitize": {"sanitize": True},
     "profile": {"profile": "counters"},
 }
@@ -94,12 +93,16 @@ class TestRegistryInvariants:
     def test_metric_names_filters(self):
         scheduling = schema.metric_names("counter", category="scheduling")
         assert all(n.startswith("parallel_") for n in scheduling)
-        process = schema.metric_names("counter", backend="process")
-        assert "parallel_ipc_publishes" in process
+        assert "parallel_tasks" in schema.metric_names(
+            "counter", backend="thread"
+        )
+        assert "parallel_tasks" not in schema.metric_names(
+            "counter", backend="serial"
+        )
 
 
 # ----------------------------------------------------------------------
-# Live completeness across the five configurations
+# Live completeness across the four configurations
 # ----------------------------------------------------------------------
 _RUNS: dict = {}
 
@@ -128,7 +131,7 @@ def backend_tags(config):
     engine = resolve_engine(config.engine).value
     if config.workers == 1:
         return {engine, "serial"}
-    return {engine, resolve_executor(config.executor).value}
+    return {engine, "thread"}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -177,6 +180,6 @@ class TestLiveCompleteness:
             assert any(c.startswith("perf_") for c in counters)
         if name == "sanitize":
             assert any(c.startswith("sanitize_") for c in counters)
-        if name in ("thread4", "process4"):
+        if name == "thread4":
             assert any(c.startswith("parallel_") for c in counters)
             assert "task" in progress_kinds

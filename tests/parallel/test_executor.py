@@ -1,16 +1,11 @@
-"""Tests for the order-preserving worker pools (thread and process)."""
+"""Tests for the order-preserving thread pool."""
 
-import os
 import threading
 import time
 
 import pytest
 
-from repro.parallel import (
-    BatchExecutor,
-    ProcessBatchExecutor,
-    validate_workers,
-)
+from repro.parallel import BatchExecutor, validate_workers
 
 
 class TestConstruction:
@@ -20,22 +15,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BatchExecutor(0)
 
-    @pytest.mark.parametrize("pool_cls", [BatchExecutor, ProcessBatchExecutor])
+    @pytest.mark.parametrize("pool_cls", [BatchExecutor])
     @pytest.mark.parametrize("workers", [1, 0, -3])
     def test_both_executors_share_the_rejection_message(
         self, pool_cls, workers
     ):
-        # One validator, one message: whichever backend the user picked,
-        # the diagnostic reads the same.
+        # One validator, one message: the pool and the standalone
+        # check read the same.
         expected = f"batch executor needs workers >= 2, got {workers}"
         with pytest.raises(ValueError, match=expected):
             pool_cls(workers)
         with pytest.raises(ValueError, match=expected):
             validate_workers(workers)
-
-    def test_kind_discriminators(self):
-        assert BatchExecutor.kind == "thread"
-        assert ProcessBatchExecutor.kind == "process"
 
     def test_context_manager_shutdown_idempotent(self):
         with BatchExecutor(2) as pool:
@@ -142,98 +133,3 @@ class TestAccounting:
         assert pool.capacity_seconds > first_capacity
         assert pool.tasks == 4
         assert pool.batches == 2
-
-
-# ----------------------------------------------------------------------
-# Process pool.  Task functions live at module level: they cross the
-# process boundary by reference, never by value.
-# ----------------------------------------------------------------------
-def _triple(x):
-    return x * 3
-
-
-def _worker_pid(_x):
-    return os.getpid()
-
-
-def _boom(x):
-    if x == 2:
-        raise RuntimeError("net exploded")
-    return x
-
-
-def _nap(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
-class TestProcessConfigure:
-    def test_run_before_configure_is_rejected(self):
-        with ProcessBatchExecutor(2) as pool, pytest.raises(
-            RuntimeError, match="before configure"
-        ):
-            pool.run([1, 2])
-
-    def test_reconfigure_after_start_is_rejected(self):
-        with ProcessBatchExecutor(2) as pool:
-            pool.configure(task=_triple)
-            pool.run([1, 2])
-            with pytest.raises(RuntimeError, match="reconfigure"):
-                pool.configure(task=_worker_pid)
-
-    def test_shutdown_idempotent(self):
-        with ProcessBatchExecutor(2) as pool:
-            pool.configure(task=_triple)
-            pool.run([1, 2])
-        pool.shutdown()  # second shutdown is a no-op
-        assert pool.tasks == 2
-
-
-class TestProcessRun:
-    def test_results_in_submission_order(self):
-        with ProcessBatchExecutor(2) as pool:
-            pool.configure(task=_triple)
-            assert pool.run([3, 1, 4, 1, 5]) == [9, 3, 12, 3, 15]
-
-    def test_tasks_run_in_other_processes(self):
-        with ProcessBatchExecutor(2) as pool:
-            pool.configure(task=_worker_pid)
-            pids = pool.run([1, 2, 3, 4])
-        assert os.getpid() not in pids
-
-    def test_worker_exception_propagates(self):
-        with ProcessBatchExecutor(2) as pool, pytest.raises(
-            RuntimeError, match="net exploded"
-        ):
-            pool.configure(task=_boom)
-            pool.run([1, 2, 3])
-
-
-class TestProcessOnTask:
-    def test_called_on_calling_process_in_submission_order(self):
-        calls = []
-        pool = ProcessBatchExecutor(
-            2, on_task=lambda i, busy: calls.append((i, busy, os.getpid()))
-        )
-        with pool:
-            pool.configure(task=_nap)
-            pool.run([0.01, 0.0])
-            pool.run([0.0])
-        caller = os.getpid()
-        assert [c[0] for c in calls] == [0, 1, 2]
-        assert all(c[2] == caller for c in calls)
-        assert all(c[1] >= 0.0 for c in calls)
-
-
-class TestProcessAccounting:
-    def test_utilization_bounds_and_counts(self):
-        pool = ProcessBatchExecutor(2)
-        assert pool.utilization() == 0.0  # nothing pooled yet
-        with pool:
-            pool.configure(task=_nap)
-            pool.run([0.01, 0.01, 0.01])
-        assert 0.0 < pool.utilization() <= 1.0
-        assert pool.tasks == 3
-        assert pool.batches == 1
-        assert pool.busy_seconds > 0.0
-        assert pool.capacity_seconds > pool.busy_seconds / 2

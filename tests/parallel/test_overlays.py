@@ -131,20 +131,6 @@ class TestGridOverlay:
         ov.apply_to(grid, "n0")
         assert grid.owner(node) is None
 
-    def test_evict_then_release_frees_foreign_node_via_delta(self):
-        # The process backend's wire form must replay identically.
-        from repro.engine import OverlayDelta
-
-        grid = DetailedGrid(make_design())
-        node = (7, 7, 1)
-        grid.occupy(node, "victim")
-        ov = GridOverlay(grid)
-        ov.force_occupy(node, "n0")
-        ov.release(node, "n0")
-        delta = OverlayDelta.from_overlay(ov)
-        delta.apply_to(grid, "n0")
-        assert grid.owner(node) is None
-
     def test_force_occupy_reports_base_owner(self):
         grid = DetailedGrid(make_design())
         node = (8, 8, 1)

@@ -252,3 +252,92 @@ class TestStreamingCommands:
     def test_perf_history_empty_dir_exits_1(self, capsys, tmp_path):
         assert main(["perf-history", "--dir", str(tmp_path)]) == 1
         assert "no benchmark artifacts" in capsys.readouterr().out
+
+
+class TestScaleValidation:
+    """``--scale`` outside (0, 100] is a one-line usage error."""
+
+    @pytest.mark.parametrize("command", ["route", "compare", "diag", "audit"])
+    @pytest.mark.parametrize("scale", ["0", "-1", "1000", "nan", "big"])
+    def test_out_of_range_exits_2(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "S9234", "--scale", scale])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", ["100", "1e-3"])
+    def test_range_is_inclusive_of_100(self, scale):
+        args = build_parser().parse_args(["route", "S9234", "--scale", scale])
+        assert args.scale == float(scale)
+
+
+class TestTraceBadInput:
+    """``repro trace show|diff|top`` report bad input in one line."""
+
+    @pytest.fixture()
+    def bench(self, tmp_path, capsys):
+        prefix = tmp_path / "t.json"
+        main(["compare", "S9234", "--scale", "0.02", "--profile", str(prefix)])
+        capsys.readouterr()
+        doc = {
+            label: json.loads((tmp_path / f"t_{label}.json").read_text())
+            for label in ("baseline", "stitch-aware")
+        }
+        path = tmp_path / "BENCH_S9234.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @staticmethod
+    def _one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("repro trace: ")
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["show", "top"])
+    def test_missing_file(self, command, capsys, tmp_path):
+        missing = tmp_path / "nope.json"
+        assert main(["trace", command, str(missing)]) == 2
+        assert str(missing) in self._one_line_error(capsys)
+
+    def test_missing_file_in_diff(self, capsys, tmp_path):
+        missing = tmp_path / "nope.json"
+        assert main(["trace", "diff", str(missing), str(missing)]) == 2
+        assert str(missing) in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["show", "top"])
+    def test_malformed_json(self, command, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["trace", command, str(bad)]) == 2
+        assert "not valid JSON" in self._one_line_error(capsys)
+
+    def test_multi_label_bench_without_key_names_the_flag(
+        self, bench, capsys
+    ):
+        assert main(["trace", "show", str(bench)]) == 2
+        err = self._one_line_error(capsys)
+        assert "--key" in err and "baseline" in err
+        assert main(["trace", "diff", str(bench), str(bench)]) == 2
+        assert "--key" in self._one_line_error(capsys)
+        assert main(["trace", "show", str(bench), "--key", "baseline"]) == 0
+
+
+class TestAnalyzerPaths:
+    """A path that is neither a directory nor a .py file is a usage error."""
+
+    @pytest.mark.parametrize("command", ["lint", "parity", "check"])
+    def test_missing_path_exits_2(self, command, capsys, tmp_path):
+        missing = tmp_path / "scr"
+        assert main([command, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"repro {command}: no such path: {missing}"
+
+    @pytest.mark.parametrize("command", ["lint", "parity", "check"])
+    def test_non_python_file_exits_2(self, command, capsys, tmp_path):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("x = 1\n")
+        assert main([command, str(notes)]) == 2
+        assert "no such path" in capsys.readouterr().err
