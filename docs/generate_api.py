@@ -66,13 +66,10 @@ def main() -> None:
         "Guides: [model](model.md) · [algorithms](algorithms.md) · "
         "[benchmarks](benchmarks.md) · [observability](observability.md) "
         "(tracing, trace analytics & diffing, violation attribution, the "
-        "benchmark regression gate) · [parallelism](parallelism.md) "
-        "(the net-batch engine, its determinism guarantee, and choosing "
-        "`workers`) · [performance](performance.md) (the `engine=` seam, "
-        "the array core, reading SPEEDUP snapshots) · "
-        "[static analysis](static_analysis.md) (the "
-        "determinism linter, the parity analyzer, the speculation-"
-        "footprint sanitizer, the typing gate, and the solution audit).",
+        "benchmark regression gate) · [performance](performance.md) (the "
+        "`engine=` seam, the array core, reading SPEEDUP snapshots) · "
+        "[static analysis](static_analysis.md) (the determinism linter, "
+        "the parity analyzer, the typing gate, and the solution audit).",
         "",
         "**Import-stability policy.** `repro.api` (plus the `repro` "
         "package root) is the stable surface: names exported there keep "

@@ -1,10 +1,10 @@
 """Static and dynamic analysis for the correctness contracts.
 
-Five enforcement layers (see ``docs/static_analysis.md``):
+Four enforcement layers (see ``docs/static_analysis.md``):
 
 * :mod:`~repro.analysis.lint` — an AST-based determinism linter
   (rules DET001–DET005, ``repro lint`` on the CLI) guarding the
-  serial-equivalence guarantee of :mod:`repro.parallel`;
+  byte-identical reproducibility the committed baselines rest on;
 * :mod:`~repro.analysis.parity` — a static cross-backend parity
   analyzer (rules PAR001–PAR006, ``repro parity`` on the CLI) that
   diffs the effect signatures of callables declared equivalent with
@@ -12,21 +12,12 @@ Five enforcement layers (see ``docs/static_analysis.md``):
   emitted metric name against :mod:`repro.observe.schema`;
 * :mod:`~repro.analysis.baseline` — committed grandfathering of
   pre-existing lint/parity findings;
-* :mod:`~repro.analysis.sanitize` — a dynamic speculation-footprint
-  sanitizer (``RouterConfig(sanitize=True)`` / ``--sanitize``);
 * :mod:`~repro.analysis.audit` — an independent DRC-style solution
   auditor (rules AUD001–AUD007, ``repro audit`` on the CLI /
   ``RouterConfig(audit=True)``) that re-derives every stitching
   constraint from the raw geometry and cross-checks the evaluator's
   counters.
-
-The sanitizer names are re-exported lazily (PEP 562): eager import
-would pull the router/grid modules in, and the routing layers
-themselves import :mod:`~repro.analysis.pairing` for their parity
-markers — the lazy hop keeps that edge acyclic.
 """
-
-from typing import TYPE_CHECKING, Any
 
 from .audit import (
     AuditFinding,
@@ -67,28 +58,6 @@ from .rules import (
     rule_catalog,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import-time types only
-    from .sanitize import (
-        SanitizedGraphSnapshot,
-        SanitizedGridOverlay,
-        SanitizerViolation,
-    )
-
-_LAZY_SANITIZE = frozenset(
-    {"SanitizedGraphSnapshot", "SanitizedGridOverlay", "SanitizerViolation"}
-)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _LAZY_SANITIZE:
-        from . import sanitize
-
-        return getattr(sanitize, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 __all__ = [
     "AUDIT_RULES",
     "AuditFinding",
@@ -105,9 +74,6 @@ __all__ = [
     "ParityReport",
     "RULES",
     "Rule",
-    "SanitizedGraphSnapshot",
-    "SanitizedGridOverlay",
-    "SanitizerViolation",
     "analyze_parity_paths",
     "analyze_parity_source",
     "audit_solution",

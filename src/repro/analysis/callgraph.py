@@ -13,9 +13,9 @@ builds what that needs:
    callees.
 
 Calls to the shared-state operation vocabulary (:data:`SHARED_STATE_OPS`
-— grid ownership, graph demand and speculative-view factory methods)
-are intrinsics: the parity analyzer records them as ops on the caller,
-and no call edge is added into the method body.
+— grid ownership and graph demand methods) are intrinsics: the parity
+analyzer records them as ops on the caller, and no call edge is added
+into the method body.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ SHARED_STATE_OPS = frozenset(
         "force_occupy",
         "release",
         "mark_pin",
-        # speculative views (net-batch routing, workers > 1)
-        "snapshot",
-        "speculative_overlay",
     }
 )
 

@@ -3,11 +3,10 @@
 Three catalogs share the :class:`Rule` record:
 
 * the **DET** rules state the code-level conventions the committed
-  baselines and the serial-equivalence contract of the parallel
-  engine rest on (see ``docs/parallelism.md``): the routing result
-  must be a pure function of the design and the config, byte-for-byte
-  reproducible across processes, machines, and worker counts.  The
-  linter in :mod:`~repro.analysis.lint` enforces them statically.
+  baselines rest on: the routing result must be a pure function of
+  the design and the config, byte-for-byte reproducible across
+  processes and machines.  The linter in :mod:`~repro.analysis.lint`
+  enforces them statically.
 * the **AUD** rules state the solution-level constraints a finished
   routing must satisfy (the paper's Problem 1 plus basic routing
   legality).  The independent auditor in
@@ -57,7 +56,7 @@ class Rule:
 #: tie-breaking, and ambient inputs inside these packages directly
 #: shape the routing result, so the routing-scoped rules apply here.
 ROUTING_PACKAGES = frozenset(
-    {"globalroute", "detailed", "assign", "parallel", "multilevel"}
+    {"globalroute", "detailed", "assign", "engine", "multilevel"}
 )
 
 DET001 = Rule(
@@ -211,7 +210,7 @@ AUD005 = Rule(
     ),
     fix_hint=(
         "check the occupancy grid's owner bookkeeping, especially "
-        "rip-up releases and speculative overlay merges"
+        "rip-up releases and negotiated force-claims"
     ),
     routing_only=False,
 )
@@ -244,7 +243,7 @@ AUD007 = Rule(
     ),
     fix_hint=(
         "check that every _place_path has a matching _unplace_path "
-        "(rip-up, failed subnets, speculative merges)"
+        "(rip-up, failed subnets)"
     ),
     routing_only=False,
 )
@@ -271,7 +270,7 @@ PAR001 = Rule(
         "bump the counter in both backends (or hoist it into the "
         "shared caller so neither backend owns it); if the divergence "
         "is genuinely backend-local bookkeeping, give it a strippable "
-        "prefix (perf_/parallel_) or suppress with "
+        "prefix (perf_) or suppress with "
         "# repro: allow-PAR001 <why>"
     ),
     routing_only=False,
@@ -323,14 +322,14 @@ PAR004 = Rule(
     rationale=(
         "Callers of a paired contract handle the reference "
         "implementation's failure modes and rely on both members "
-        "driving the same grid/graph/overlay vocabulary; an "
+        "driving the same grid/graph vocabulary; an "
         "exception type or shared-state operation only one member "
         "uses turns an equivalent-but-faster path into one with new "
         "crash modes or a different mutation footprint."
     ),
     fix_hint=(
         "raise the same exception types and apply the same "
-        "shared-state and overlay operations from both members (wrap "
+        "shared-state operations from both members (wrap "
         "backend-internal errors at the boundary); suppress with "
         "# repro: allow-PAR004 <why> for genuinely "
         "backend-impossible conditions"

@@ -35,12 +35,15 @@ Commands:
 * ``circuits`` — list the available benchmark circuits.
 
 ``route``, ``compare``, ``diag`` and ``audit`` accept ``--engine`` to
-pick the routing engine, ``--workers N`` to route conflict-free net
-batches on a thread pool, ``--sanitize`` to route with the
-speculation-footprint sanitizer enabled, and ``--perf`` to enable the
-engine profiling counters (``counters``) or full live progress events
-(``full``); ``--scale`` must lie in (0, 100].  ``route --stream FILE`` streams the
+pick the routing engine and ``--perf`` to enable the engine profiling
+counters (``counters``) or full live progress events (``full``);
+``--scale`` must lie in (0, 100].  ``route --stream FILE`` streams the
 run's events to an NDJSON file that ``repro watch FILE`` can tail.
+Every output path (``--svg``, ``--report``, ``--save-design``,
+``--profile``, ``--stream``) is checked before the design is
+generated: a missing parent directory exits 2 with
+``repro <cmd>: no such directory: DIR`` instead of failing after the
+run.
 
 ``-v`` / ``-vv`` (before the command) stream live span/round progress
 from the run through the :mod:`repro.observe.log` bridge.
@@ -142,8 +145,6 @@ def _cmd_circuits(_args: argparse.Namespace) -> int:
 def _run_config(args: argparse.Namespace, audit: bool = False) -> RouterConfig:
     """The flow config for a run subcommand."""
     return RouterConfig(
-        workers=args.workers,
-        sanitize=args.sanitize,
         engine=args.engine,
         profile=args.perf,
         audit=audit,
@@ -697,22 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="instance size factor in (0, 100] (default: 0.05)",
         )
         p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="routing worker threads (1 = serial; N > 1 routes "
-            "conflict-free net batches concurrently with identical "
-            "results, see docs/parallelism.md)",
-        )
-        p.add_argument(
-            "--sanitize",
-            action="store_true",
-            help="audit every speculative shared-state access against "
-            "the declared overlay footprints and fail loudly on any "
-            "undeclared access (see docs/static_analysis.md)",
-        )
-        p.add_argument(
             "--engine",
             choices=("object", "array", "auto"),
             default="auto",
@@ -726,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("off", "counters", "full"),
             default="off",
             help="engine profiling: 'counters' records perf_* engine "
-            "counters (heap traffic, overlay churn, cache refreshes) "
-            "in the trace, 'full' additionally emits per-net/per-task "
+            "counters (heap traffic, rip-up visits, cache refreshes) "
+            "in the trace, 'full' additionally emits per-net "
             "progress events; 'off' is zero-cost and byte-identical "
             "to the committed baselines (see docs/observability.md)",
         )
@@ -752,7 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="append live trace events to this NDJSON file while the "
         "run executes (.gz writes gzip); tail it with `repro watch`",
     )
-    route.set_defaults(func=_cmd_route)
+    route.set_defaults(
+        func=_cmd_route,
+        outputs=("svg", "report", "save_design", "profile", "stream"),
+    )
 
     compare = sub.add_parser("compare", help="baseline vs stitch-aware")
     compare.add_argument("circuit")
@@ -765,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one trace per router as PREFIX_<label>.json "
         "(default prefix: trace)",
     )
-    compare.set_defaults(func=_cmd_compare)
+    compare.set_defaults(func=_cmd_compare, outputs=("profile",))
 
     diag = sub.add_parser(
         "diag",
@@ -777,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument(
         "--report", help="also write the JSON report (with attributions)"
     )
-    diag.set_defaults(func=_cmd_diag)
+    diag.set_defaults(func=_cmd_diag, outputs=("report",))
 
     lint = sub.add_parser(
         "lint",
@@ -901,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--report", help="also write the JSON violation report"
     )
-    audit.set_defaults(func=_cmd_audit)
+    audit.set_defaults(func=_cmd_audit, outputs=("report",))
 
     trace = sub.add_parser("trace", help="inspect saved trace JSONs")
     tsub = trace.add_subparsers(dest="trace_command", required=True)
@@ -1007,6 +995,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Entry point (also used by ``python -m repro``)."""
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose)
+    # Output paths are checked before the command runs, so a missing
+    # directory fails at once instead of after the whole routing run.
+    for name in getattr(args, "outputs", ()):
+        path = getattr(args, name)
+        if path is None:
+            continue
+        parent = pathlib.Path(path).parent
+        if not parent.is_dir():
+            print(
+                f"repro {args.command}: no such directory: {parent}",
+                file=sys.stderr,
+            )
+            return 2
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -104,19 +104,6 @@ class RouterConfig:
             whenever numpy is importable.  Both engines produce
             byte-identical reports — the engine is a pure performance
             knob (see ``docs/performance.md``).
-        workers: routing worker threads.  ``1`` (the default) runs the
-            unchanged serial code path; ``N > 1`` routes conflict-free
-            net batches concurrently and merges them deterministically,
-            so the report is byte-identical to the serial one (see
-            ``docs/parallelism.md``).
-        sanitize: enable the speculation-footprint sanitizer: workers
-            route against instrumented overlays that record every
-            shared-state access and raise
-            :class:`~repro.analysis.SanitizerViolation` on any access
-            outside the declared read/write footprints (see
-            ``docs/static_analysis.md``).  Adds overhead; only
-            meaningful with ``workers > 1`` (serial routing does not
-            speculate).
         audit: run the independent solution auditor
             (:func:`repro.analysis.audit_solution`) on the final
             result and attach its :class:`~repro.analysis.AuditReport`
@@ -129,11 +116,11 @@ class RouterConfig:
         profile: engine profiling level.  ``"off"`` (the default) keeps
             the hot loops byte-identical to the committed baselines;
             ``"counters"`` flushes low-overhead engine counters (heap
-            pushes/pops, overlay reads/writes, rip-up net visits,
-            cost-cache refreshes) into ``perf_*`` trace counters at
-            stage boundaries; ``"full"`` additionally emits per-net
-            ``progress`` events through the tracer (visible when the
-            tracer is a :class:`~repro.observe.StreamingTracer`).
+            pushes/pops, rip-up net visits, cost-cache refreshes) into
+            ``perf_*`` trace counters at stage boundaries; ``"full"``
+            additionally emits per-net ``progress`` events through the
+            tracer (visible when the tracer is a
+            :class:`~repro.observe.StreamingTracer`).
             ``perf_*`` counters are namespaced so identity gates strip
             them (see ``docs/observability.md``).
 
@@ -162,8 +149,6 @@ class RouterConfig:
     max_ripup_iterations: int = 5
     detail_expansion_limit: int = 200_000
     engine: Engine = Engine.AUTO
-    workers: int = 1
-    sanitize: bool = False
     audit: bool = False
     profile: str = "off"
     track_method: TrackMethod = TrackMethod.GRAPH
@@ -202,12 +187,6 @@ class RouterConfig:
             raise ValueError("tile_size must be at least 2 pitches")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("cost weights must be non-negative")
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool):
-            raise ValueError(f"workers must be an int, got {self.workers!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if not isinstance(self.sanitize, bool):
-            raise ValueError(f"sanitize must be a bool, got {self.sanitize!r}")
         if not isinstance(self.audit, bool):
             raise ValueError(f"audit must be a bool, got {self.audit!r}")
         if self.profile not in ("off", "counters", "full"):

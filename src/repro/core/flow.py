@@ -176,8 +176,6 @@ class StitchAwareRouter:
             # router re-derives the same bottom-up order internally.
             return GlobalRouter(
                 stitch_aware=config.stitch_aware_global,
-                workers=config.workers,
-                sanitize=config.sanitize,
                 engine=engine,
                 profile=config.profile,
             ).route(d, tracer=tracer)
@@ -204,8 +202,6 @@ class StitchAwareRouter:
             _layers, tracks = assigned
             return DetailedRouter(
                 stitch_aware=config.stitch_aware_detail,
-                workers=config.workers,
-                sanitize=config.sanitize,
                 engine=engine,
                 profile=config.profile,
             ).route(
@@ -220,9 +216,7 @@ class StitchAwareRouter:
         # the global graph defines.
         nx, ny = GlobalGraph.grid_shape(design)
         scheme = MultilevelScheme(design, nx, ny)
-        framework = TwoPassFramework(
-            global_stage, assign_stage, detail_stage, workers=config.workers
-        )
+        framework = TwoPassFramework(global_stage, assign_stage, detail_stage)
         outcome = framework.run(design, scheme, tracer=tracer)
 
         layers, tracks = outcome.assign_result
@@ -247,8 +241,6 @@ class StitchAwareRouter:
             "coloring": config.coloring.value,
             "stitch_aware_global": config.stitch_aware_global,
             "stitch_aware_detail": config.stitch_aware_detail,
-            "workers": config.workers,
-            "sanitize": config.sanitize,
             "engine": engine,
         }
         if config.audit:

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..config import RouterConfig
 from ..geometry import GridPoint
 from ..layout import Design
-
-if TYPE_CHECKING:
-    from .overlay import GridOverlay
 
 Node = tuple[int, int, int]  # (x, y, layer)
 
@@ -223,17 +220,6 @@ class DetailedGrid:
         if foreign_penalty is not None and node not in self._pins:
             return True, foreign_penalty
         return False, 0.0
-
-    def speculative_overlay(self) -> "GridOverlay":
-        """Fresh buffered-write overlay of this grid.
-
-        Factory hook for the engine seam: :class:`ArrayDetailedGrid`
-        overrides it to hand out array-core overlays, so the parallel
-        router never needs to know which engine built the grid.
-        """
-        from .overlay import GridOverlay  # local: overlay imports grid
-
-        return GridOverlay(self)
 
     def _node_cost(self, node: Node) -> float:
         """Escape-region cost of entering ``node`` (gamma term)."""

@@ -27,10 +27,8 @@ from typing import Optional
 from ..assign import DesignTrackAssignment
 from ..globalroute import GlobalGraph
 from ..layout import Design, Net
-from ..observe import Span, Tracer, ensure
-from ..parallel import BatchExecutor, plan_batches
+from ..observe import Tracer, ensure
 from .grid import DetailedGrid, Node
-from .overlay import GridOverlay
 from .search import astar_connect, connection_window
 from .trunks import TrunkPiece, materialize_trunks
 from .wiring import (
@@ -91,18 +89,6 @@ class DetailedRouter:
     Args:
         stitch_aware: include the beta/gamma costs of Eq. (10) and the
             stitch-aware net ordering.
-        workers: worker threads for the first connection pass.  ``1``
-            keeps the serial loop; ``N > 1`` connects bbox-disjoint net
-            batches speculatively against :class:`GridOverlay` views
-            and merges them in canonical order, which is provably
-            result-identical to the serial loop (see
-            ``docs/parallelism.md``).  The rip-up loop and short-
-            polygon repair negotiate over shared state and stay serial.
-        sanitize: connect speculative nets against instrumented
-            overlays that audit every ownership access and verify the
-            declared read/write footprints, raising
-            :class:`~repro.analysis.SanitizerViolation` on any
-            undeclared access (see ``docs/static_analysis.md``).
         engine: concrete engine name — ``"object"`` routes on the
             reference :class:`DetailedGrid`, ``"array"`` on the
             :class:`~repro.engine.ArrayDetailedGrid` array core.  The
@@ -111,16 +97,14 @@ class DetailedRouter:
             before constructing the router.
         profile: ``"off"`` / ``"counters"`` / ``"full"``.  ``"counters"``
             flushes engine-level ``perf_*`` counters (heap pushes/pops,
-            overlay node churn, rip-up net visits) at stage boundaries;
-            ``"full"`` additionally reports per-net commits through
+            rip-up net visits) at stage boundaries; ``"full"``
+            additionally reports per-net commits through
             :meth:`Tracer.progress` (see ``docs/observability.md``).
     """
 
     def __init__(
         self,
         stitch_aware: bool = True,
-        workers: int = 1,
-        sanitize: bool = False,
         engine: str = "object",
         profile: str = "off",
     ) -> None:
@@ -133,8 +117,6 @@ class DetailedRouter:
                 f"profile must be 'off', 'counters' or 'full', got {profile!r}"
             )
         self.stitch_aware = stitch_aware
-        self.workers = workers
-        self.sanitize = sanitize
         self.engine = engine
         self.profile = profile
         self._profiling = profile != "off"
@@ -162,43 +144,7 @@ class DetailedRouter:
         tracer = ensure(tracer)
         start = time.perf_counter()
         self._search_stats = {}
-        pool: Optional[BatchExecutor] = None
-        if self.workers > 1:
-            on_task = None
-            if self.profile == "full":
-                # Per-task fan-in: the executor reports completions on
-                # the calling (main) thread in submission order, so the
-                # stream stays canonically ordered.
-                def on_task(index: int, busy: float) -> None:
-                    tracer.progress(
-                        "task",
-                        stage="detailed",
-                        index=index,
-                        busy_seconds=round(busy, 6),
-                    )
-
-            pool = BatchExecutor(self.workers, on_task=on_task)
-        try:
-            return self._route(
-                design, graph, assignment, order_hint, tracer, pool, start
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-    def _route(
-        self,
-        design: Design,
-        graph: GlobalGraph,
-        assignment: DesignTrackAssignment,
-        order_hint: Optional[Sequence[Net]],
-        tracer: Tracer,
-        pool: Optional[BatchExecutor],
-        start: float,
-    ) -> DetailedResult:
-        with tracer.span(
-            "detailed-route", nets=len(design.netlist)
-        ) as stage:
+        with tracer.span("detailed-route", nets=len(design.netlist)):
             with tracer.span("grid-build"):
                 if self.engine == "array":
                     from ..engine import ArrayDetailedGrid
@@ -227,10 +173,9 @@ class DetailedRouter:
 
             routed: dict[str, RoutedNet] = {}
             failed: list[str] = []
-            with tracer.span("first-pass") as span:
+            with tracer.span("first-pass"):
                 self._first_pass(
-                    design, grid, order, trunk_pieces, routed, failed,
-                    tracer, pool, span,
+                    design, grid, order, trunk_pieces, routed, failed, tracer
                 )
                 tracer.count("first_pass_failed", len(failed))
 
@@ -248,15 +193,6 @@ class DetailedRouter:
                 tracer.count(name, value)
             tracer.count("stitch_cost_evaluations", grid.cost_evaluations)
             tracer.count("failed_nets", len(failed))
-            if self.sanitize:
-                # Explicit zero: a clean sanitized run reports the
-                # counter so rollups can assert on its presence.
-                tracer.count("sanitize_violations", 0)
-            if pool is not None:
-                stage.count("parallel_tasks", pool.tasks)
-                stage.gauge(
-                    "worker_utilization", round(pool.utilization(), 4)
-                )
 
         return DetailedResult(
             design=design,
@@ -265,9 +201,6 @@ class DetailedRouter:
             cpu_seconds=time.perf_counter() - start,
         )
 
-    # ------------------------------------------------------------------
-    # Net-batch scheduling (workers > 1)
-    # ------------------------------------------------------------------
     def _first_pass(
         self,
         design: Design,
@@ -277,161 +210,33 @@ class DetailedRouter:
         routed: dict[str, "RoutedNet"],
         failed: list[str],
         tracer: Tracer,
-        pool: Optional[BatchExecutor],
-        span: Span,
     ) -> None:
-        """First connection pass, batched onto the pool when given.
+        """Connect every net once, in ``order``.
 
-        The serial loop and the batched loop commit identical state:
-        batches hold bbox-disjoint nets connected speculatively against
-        a :class:`GridOverlay`, then merged in canonical net order — a
-        net whose ownership reads touch a node an earlier batch-mate
-        wrote is discarded and re-connected on the live grid, so every
-        committed route (and every committed counter) is the one the
-        serial loop would have produced.
+        A net that fails is queued for rip-up; so is every already
+        routed net whose wire it force-claimed (a boxed pin negotiates
+        through foreign wire).
         """
-        if pool is None or len(order) < 2:
-            for net in order:
-                result = self._connect_net(design, grid, net, trunk_pieces)
-                self._commit_first_pass(
-                    grid, net, result, routed, failed, tracer
-                )
-            return
-
-        plan = plan_batches(
-            order,
-            rect_of=lambda n: self._net_pitch_rect(n, trunk_pieces),
-            expand=WINDOW_MARGINS[0] + 1,
-        )
-        conflicts = 0
-        for batch in plan:
-            if len(batch) == 1:
-                net = batch[0]
-                result = self._connect_net(design, grid, net, trunk_pieces)
-                self._commit_first_pass(
-                    grid, net, result, routed, failed, tracer
-                )
-                continue
-            results = pool.run(
-                lambda net: self._connect_speculative(
-                    design, grid, net, trunk_pieces
-                ),
-                batch,
+        for net in order:
+            ok, nodes, edges, victims = self._connect_net(
+                design, grid, net, trunk_pieces
             )
-            written: set[Node] = set()
-            for net, (result, overlay, stats) in zip(batch, results):
-                if overlay.read_nodes & written:
-                    # The speculative search read a node an earlier
-                    # batch-mate has since written; redo it serially
-                    # (through a write-through overlay so the exact
-                    # write set feeds later conflict checks).
-                    conflicts += 1
-                    live = grid.speculative_overlay()
-                    result = self._connect_net(
-                        design, live, net, trunk_pieces
-                    )
-                    live.apply_to(grid, net.name)
-                    written |= live.write_nodes
-                    if self._profiling:
-                        self._count_overlay(live)
-                else:
-                    overlay.apply_to(grid, net.name)
-                    written |= overlay.write_nodes
-                    for name, value in stats.items():
-                        self._search_stats[name] = (
-                            self._search_stats.get(name, 0) + value
-                        )
-                    if self._profiling:
-                        self._count_overlay(overlay)
-                self._commit_first_pass(
-                    grid, net, result, routed, failed, tracer
+            routed[net.name] = RoutedNet(
+                net=net, nodes=nodes, edges=edges, routed=ok
+            )
+            tracer.count("nets_attempted")
+            if self.profile == "full":
+                tracer.progress(
+                    "net", stage="detailed", net=net.name, routed=ok
                 )
-        span.count("parallel_batches", len(plan))
-        span.count("parallel_conflicts", conflicts)
-        span.gauge("parallel_max_batch_width", plan.max_width)
-        span.gauge("parallel_mean_batch_width", round(plan.mean_width, 3))
-
-    def _count_overlay(self, overlay: GridOverlay) -> None:
-        """Accumulate ``perf_*`` node-churn counters for one overlay."""
-        stats = self._search_stats
-        for name, delta in (
-            ("perf_overlay_commits", 1),
-            ("perf_overlay_read_nodes", len(overlay.read_nodes)),
-            ("perf_overlay_write_nodes", len(overlay.write_nodes)),
-        ):
-            stats[name] = stats.get(name, 0) + delta
-
-    def _connect_speculative(
-        self,
-        design: Design,
-        grid: DetailedGrid,
-        net: Net,
-        trunk_pieces: dict[str, list[TrunkPiece]],
-    ) -> tuple[
-        tuple[bool, set[Node], set[Edge], set[str]],
-        GridOverlay,
-        dict[str, float],
-    ]:
-        """Worker body: connect one net against an ownership overlay.
-
-        Returns the connection result (buffered, not yet on the live
-        grid), the overlay holding the write delta and the exact
-        read/write node sets, and the net's local search counters.
-        """
-        stats: dict[str, float] = {}
-        if self.sanitize:
-            # Imported lazily: repro.analysis is a downstream tool
-            # layer; the routers must not depend on it by default.
-            from ..analysis.sanitize import SanitizedGridOverlay
-
-            overlay: GridOverlay = SanitizedGridOverlay(grid)
-        else:
-            overlay = grid.speculative_overlay()
-        result = self._connect_net(
-            design, overlay, net, trunk_pieces, stats=stats
-        )
-        if self.sanitize:
-            overlay.verify(stats)
-        return result, overlay, stats
-
-    @staticmethod
-    def _net_pitch_rect(
-        net: Net, trunk_pieces: dict[str, list[TrunkPiece]]
-    ) -> tuple[int, int, int, int]:
-        """Inclusive pitch-space bbox of the net's pins and trunks."""
-        xs = [pin.location.x for pin in net.pins]
-        ys = [pin.location.y for pin in net.pins]
-        for piece in trunk_pieces.get(net.name, []):
-            for x, y, _layer in piece.nodes:
-                xs.append(x)
-                ys.append(y)
-        return (min(xs), min(ys), max(xs), max(ys))
-
-    def _commit_first_pass(
-        self,
-        grid: DetailedGrid,
-        net: Net,
-        result: tuple[bool, set[Node], set[Edge], set[str]],
-        routed: dict[str, "RoutedNet"],
-        failed: list[str],
-        tracer: Tracer,
-    ) -> None:
-        """Record one first-pass outcome exactly as the serial loop does."""
-        ok, nodes, edges, victims = result
-        routed[net.name] = RoutedNet(
-            net=net, nodes=nodes, edges=edges, routed=ok
-        )
-        tracer.count("nets_attempted")
-        if self.profile == "full":
-            tracer.progress("net", stage="detailed", net=net.name, routed=ok)
-        if not ok:
-            failed.append(net.name)
-        for victim in sorted(victims):
-            if victim in routed and routed[victim].routed:
-                routed[victim] = _strip_stolen(grid, routed[victim])
-                failed.append(victim)
-            # Not-yet-routed victims lost trunk nodes only; their own
-            # connection phase routes around the gaps.
+            if not ok:
+                failed.append(net.name)
+            for victim in sorted(victims):
+                if victim in routed and routed[victim].routed:
+                    routed[victim] = _strip_stolen(grid, routed[victim])
+                    failed.append(victim)
+                # Not-yet-routed victims lost trunk nodes only; their
+                # own connection phase routes around the gaps.
 
     # ------------------------------------------------------------------
     def _ripup_loop(
@@ -690,18 +495,13 @@ class DetailedRouter:
         foreign_penalty: Optional[float] = None,
         allow_negotiation: bool = True,
         salvage: Optional[tuple[list[set[Node]], set[Edge]]] = None,
-        stats: Optional[dict[str, float]] = None,
     ) -> tuple[bool, set[Node], set[Edge], set[str]]:
         """Merge the net's pins and trunks into one component.
 
         Returns ``(ok, nodes, edges, victims)``; ``victims`` is the set
         of nets whose wire the path force-claimed (only non-empty when
-        ``foreign_penalty`` is given).  ``stats`` overrides the search
-        counter sink (speculative workers keep local counters that are
-        merged only if their result is accepted).
+        ``foreign_penalty`` is given).
         """
-        if stats is None:
-            stats = self._search_stats
         pin_components: list[set[Node]] = []
         edges: set[Edge] = set()
         victims: set[str] = set()
@@ -801,7 +601,7 @@ class DetailedRouter:
                         limit,
                         blocked=blocked,
                         foreign_penalty=penalty,
-                        stats=stats,
+                        stats=self._search_stats,
                         profile=self._profiling,
                     )
                     if path is not None:

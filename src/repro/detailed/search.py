@@ -68,9 +68,7 @@ def astar_connect(
     indexed = getattr(grid, "indexed_search", None)
     if indexed is not None:
         # Array-core fast path (repro.engine): same loop over flat
-        # node ids, byte-identical result and counters.  Sanitized
-        # overlays expose no indexed_search, so instrumented runs fall
-        # through to the reference loop below.
+        # node ids, byte-identical result and counters.
         return indexed(
             net,
             sources,

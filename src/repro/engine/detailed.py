@@ -19,12 +19,12 @@ with a negative sentinel for structurally blocked nodes), the per-x
 via surcharge, the ownership-id array and the pin mask are built once
 per stage — numpy assembles them, plain lists serve them, because the
 search reads single entries where list indexing beats ndarray scalar
-access — and overlays borrow them by reference instead of rebuilding.
+access.
 
 :class:`ArrayDetailedGrid` keeps the inherited ``_owner`` dict
-authoritative (every overlay, the sanitizer, and the auditor keep
-working on the object surface unchanged) and mirrors each ownership
-write into the id array via the public mutators.  The indexed search
+authoritative (the auditor keeps working on the object surface
+unchanged) and mirrors each ownership write into the id array via the
+public mutators.  The indexed search
 replicates the object engine's control flow *exactly* — candidate
 order, ownership-read points, ``cost_evaluations`` increments, the
 expansion-counter position and the ``1e-12`` relaxation slack — so
@@ -35,14 +35,12 @@ the differential suite that enforces this.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..analysis.pairing import paired
-from ..config import RouterConfig
 from ..detailed.grid import DetailedGrid, Node
-from ..detailed.overlay import GridOverlay, _OwnerOverlay
 from ..layout import Design
 
 _INF = float("inf")
@@ -59,42 +57,95 @@ _BLOCKED_STEP = -1.0
 _OWNED_STEP = -2.0
 
 
-def _never_called(_: int) -> None:  # pragma: no cover - typing placeholder
-    raise AssertionError("read logger invoked on a non-overlay grid")
+class ArrayDetailedGrid(DetailedGrid):
+    """:class:`DetailedGrid` plus flat arrays and the indexed A* path.
 
-
-class _IndexedSearchMixin:
-    """Indexed A* over the flat arrays shared by grid and overlays.
-
-    Concrete classes (:class:`ArrayDetailedGrid`,
-    :class:`ArrayGridOverlay`) provide the attributes below; the mixin
-    provides node-id encoding and :meth:`indexed_search`, the fast
-    path that :func:`repro.detailed.search.astar_connect` dispatches
-    to when present.
+    The inherited ``_owner`` dict stays authoritative — the auditor
+    keeps reading the object surface — and every public ownership
+    mutator mirrors its effect into the flat id array, so the two
+    views never diverge.  :meth:`indexed_search` is the fast path that
+    :func:`repro.detailed.search.astar_connect` dispatches to when
+    present.
     """
 
-    config: RouterConfig
-    cost_evaluations: int
-    _width: int
-    _height: int
-    _num_layers: int
-    _hl: int
-    _step: list[float]
-    #: Base-grid only: ``_step`` with ``_OWNED_STEP`` folded in wherever
-    #: the owner id is nonzero, so the specialized loop resolves the
-    #: common free-node candidate with a single load and compare.  The
-    #: ownership mutators keep it in sync; overlays never read it.
-    _free_step: list[float]
-    _via_extra: list[float]
-    _owner_ids: list[int]
-    _pin_mask: bytearray
-    _on_line: list[bool]
-    _vertical: list[bool]
-    #: Overlay-only (``None`` on the base grid): buffered ownership ids
-    #: and the indexed read log backing the speculative footprint.
-    _local_ids: Optional[dict[int, int]] = None
-    _reads_idx: Optional[set[int]] = None
+    def __init__(self, design: Design, stitch_aware: bool = True) -> None:
+        super().__init__(design, stitch_aware)
+        width, height, layers_n = self._width, self._height, self._num_layers
+        self._hl = height * layers_n
+        config = self.config
+        # Base step cost of entering each node: Eq. (10) alpha plus the
+        # gamma escape term, blocked sentinel where the structural MEBL
+        # constraint applies.  float64 arithmetic is bit-identical to
+        # the scalar reference (single additions, same operands), and
+        # C-order flattening matches the id encoding.
+        base = np.full((width, height, layers_n), config.alpha, dtype=np.float64)
+        vert_layers = np.array(self._vertical[1:], dtype=bool)
+        all_rows = np.ones(height, dtype=bool)
+        if stitch_aware:
+            escape_cols = np.array(self._escape, dtype=bool)
+            base[np.ix_(escape_cols, all_rows, vert_layers)] += config.gamma
+        line_cols = np.array(self._on_line, dtype=bool)
+        base[np.ix_(line_cols, all_rows, vert_layers)] = _BLOCKED_STEP
+        self._step = base.reshape(-1).tolist()
+        #: Per-x via surcharge (Eq. (10) beta inside unfriendly regions).
+        self._via_extra = [
+            config.beta if (stitch_aware and unfriendly) else 0.0
+            for unfriendly in self._unfriendly
+        ]
+        size = width * self._hl
+        self._owner_ids = [0] * size
+        # ``_step`` with ``_OWNED_STEP`` folded in wherever the owner id
+        # is nonzero, so the specialized search loop resolves the common
+        # free-node candidate with a single load and compare.  Every
+        # node starts free, so it begins as a plain copy.
+        self._free_step = list(self._step)
+        self._pin_mask = bytearray(size)
+        #: net name -> positive integer id (0 means free), filled for
+        #: the whole netlist up front.
+        self._net_ids: dict[str, int] = {}
+        for net in design.netlist:
+            self._net_id(net.name)
 
+    # -- id registry ---------------------------------------------------
+    def _net_id(self, net: str) -> int:
+        nid = self._net_ids.get(net)
+        if nid is None:
+            nid = len(self._net_ids) + 1
+            self._net_ids[net] = nid
+        return nid
+
+    # -- ownership mutators mirror into the id array --------------------
+    def occupy(self, node: Node, net: str) -> None:
+        super().occupy(node, net)
+        idx = self._encode(node)
+        self._owner_ids[idx] = self._net_id(net)
+        self._free_step[idx] = _OWNED_STEP
+
+    def force_occupy(self, node: Node, net: str) -> Optional[str]:
+        evicted = super().force_occupy(node, net)
+        idx = self._encode(node)
+        self._owner_ids[idx] = self._net_id(net)
+        self._free_step[idx] = _OWNED_STEP
+        return evicted
+
+    def release(self, node: Node, net: str) -> None:
+        super().release(node, net)
+        # Resync from the authoritative dict: release is a no-op for
+        # pins and foreign owners, so read back what actually holds.
+        owner = self._owner.get(node)
+        idx = self._encode(node)
+        if owner is None:
+            self._owner_ids[idx] = 0
+            self._free_step[idx] = self._step[idx]
+        else:
+            self._owner_ids[idx] = self._net_id(owner)
+            self._free_step[idx] = _OWNED_STEP
+
+    def mark_pin(self, node: Node) -> None:
+        super().mark_pin(node)
+        self._pin_mask[self._encode(node)] = 1
+
+    # -- indexed A* ----------------------------------------------------
     def _encode(self, node: Node) -> int:
         """Flat id of a node; monotonic in ``(x, y, layer)``."""
         x, y, layer = node
@@ -105,10 +156,6 @@ class _IndexedSearchMixin:
         x, rem = divmod(idx, self._hl)
         y, lm = divmod(rem, self._num_layers)
         return (x, y, lm + 1)
-
-    def _net_id(self, net: str) -> int:
-        """Integer id of ``net`` in the ownership array (never 0)."""
-        raise NotImplementedError  # repro: allow-PAR004 abstract hook; concrete engines override
 
     @paired("detailed-astar", backend="array")
     def indexed_search(  # repro: allow-PAR006 the grid argument is the receiver on this side
@@ -132,14 +179,13 @@ class _IndexedSearchMixin:
 
         Byte-identity notes: candidates are generated in the object
         engine's order (planar minus, planar plus, via down, via up);
-        ownership is consulted — and read-logged on overlays — exactly
-        when ``_passable`` would consult it (after bounds and the
-        structural-block test, *before* the on-line via filter);
-        ``cost_evaluations`` counts passable candidates before the
-        window/blocked filters; the expansion counter increments after
-        the target test; relaxation keeps the ``1e-12`` slack.  All
-        step costs replicate the reference association order, so every
-        float compares equal bit for bit.
+        ownership is consulted exactly when ``_passable`` would consult
+        it (after bounds and the structural-block test, *before* the
+        on-line via filter); ``cost_evaluations`` counts passable
+        candidates before the window/blocked filters; the expansion
+        counter increments after the target test; relaxation keeps the
+        ``1e-12`` slack.  All step costs replicate the reference
+        association order, so every float compares equal bit for bit.
 
         ``profile=True`` flushes ``perf_heap_pops`` / ``perf_heap_pushes``
         into ``stats``.  Only pops are counted in the loop (one add per
@@ -164,7 +210,7 @@ class _IndexedSearchMixin:
         # both branches produce identical values.
         if len(targets) >= 16:
             tarr = np.array(
-                list(targets), dtype=np.int64
+                list(targets), dtype=np.int64  # repro: allow-DET001 feeds only min/max and a frozenset
             )
             txs, tys = tarr[:, 0], tarr[:, 1]
             t_lo_x = int(txs.min())
@@ -191,15 +237,6 @@ class _IndexedSearchMixin:
         net_id = self._net_id(net)
         fp = foreign_penalty
 
-        local_ids = self._local_ids
-        reads_idx = self._reads_idx
-        if local_ids is not None and reads_idx is not None:
-            local_get: Optional[Callable[[int], Optional[int]]] = local_ids.get
-            reads_add: Callable[[int], None] = reads_idx.add
-        else:
-            local_get = None
-            reads_add = _never_called
-
         blk: Optional[frozenset] = None
         if blocked is not None:
             blk = frozenset(encode(b) for b in blocked)
@@ -224,7 +261,7 @@ class _IndexedSearchMixin:
         heap: list[tuple[float, float, int, int, int]]
         if len(sources) >= 16:
             sarr = np.array(
-                list(sources), dtype=np.int64
+                list(sources), dtype=np.int64  # repro: allow-DET001 seeds a pure mapping and a heapified list
             )
             sxs, sys_ = sarr[:, 0], sarr[:, 1]
             sdx = np.maximum(np.maximum(t_lo_x - sxs, sxs - t_hi_x), 0)
@@ -245,7 +282,7 @@ class _IndexedSearchMixin:
             best_g = {}
             src_idx = set()
             heap = []
-            for s in sources:
+            for s in sources:  # repro: allow-DET001 seeds a pure mapping and a heapified list
                 x, y, _layer = s
                 dx = (t_lo_x - x) if x < t_lo_x else (x - t_hi_x) if x > t_hi_x else 0
                 dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
@@ -263,21 +300,21 @@ class _IndexedSearchMixin:
         evals = 0
         pops = 0
         try:
-            if local_get is None and fp is None and blk is None:
+            if fp is None and blk is None:
                 # Specialized loop for the dominant case (~85% of the
-                # searches on the gate circuits): base grid, no foreign
-                # penalty, no blocked set.  Identical candidate order,
-                # counter increments, and float association order as
-                # the general loop below — only the branches that are
-                # statically dead here (overlay read logging, the
-                # penalty rewrite, the blocked filter) are removed, so
-                # every produced value is bit-identical.  The via
-                # blocks hoist the on-line filter above the ownership
-                # read, and candidates consult the ownership-folded
-                # step array first: on the base grid ownership reads
-                # have no logging side effect, so both reorders are
-                # unobservable and the owner id array is only touched
-                # for owned nodes (to recheck against ``net_id``).
+                # searches on the gate circuits): no foreign penalty,
+                # no blocked set.  Identical candidate order, counter
+                # increments, and float association order as the
+                # general loop below — only the branches that are
+                # statically dead here (the penalty rewrite, the
+                # blocked filter) are removed, so every produced value
+                # is bit-identical.  The via blocks hoist the on-line
+                # filter above the ownership read, and candidates
+                # consult the ownership-folded step array first:
+                # ownership reads have no side effect, so both
+                # reorders are unobservable and the owner id array is
+                # only touched for owned nodes (to recheck against
+                # ``net_id``).
                 free_step = self._free_step
                 while heap:
                     _f, g, si, hdx, hdy = heappop(heap)
@@ -531,15 +568,7 @@ class _IndexedSearchMixin:
                         ci = si - layers_n
                         sc = step[ci]
                         if sc >= 0.0:
-                            if local_get is None:
-                                o = owner_ids[ci]
-                            else:
-                                reads_add(ci)
-                                v = local_get(ci)
-                                if v is None:
-                                    o = owner_ids[ci]
-                                else:
-                                    o = 0 if v == -1 else v
+                            o = owner_ids[ci]
                             if o == 0 or o == net_id:
                                 ok = True
                             elif fp is not None and not pins[ci]:
@@ -578,15 +607,7 @@ class _IndexedSearchMixin:
                         ci = si + layers_n
                         sc = step[ci]
                         if sc >= 0.0:
-                            if local_get is None:
-                                o = owner_ids[ci]
-                            else:
-                                reads_add(ci)
-                                v = local_get(ci)
-                                if v is None:
-                                    o = owner_ids[ci]
-                                else:
-                                    o = 0 if v == -1 else v
+                            o = owner_ids[ci]
                             if o == 0 or o == net_id:
                                 ok = True
                             elif fp is not None and not pins[ci]:
@@ -626,15 +647,7 @@ class _IndexedSearchMixin:
                         ci = si - hl
                         sc = step[ci]
                         if sc >= 0.0:
-                            if local_get is None:
-                                o = owner_ids[ci]
-                            else:
-                                reads_add(ci)
-                                v = local_get(ci)
-                                if v is None:
-                                    o = owner_ids[ci]
-                                else:
-                                    o = 0 if v == -1 else v
+                            o = owner_ids[ci]
                             if o == 0 or o == net_id:
                                 ok = True
                             elif fp is not None and not pins[ci]:
@@ -673,15 +686,7 @@ class _IndexedSearchMixin:
                         ci = si + hl
                         sc = step[ci]
                         if sc >= 0.0:
-                            if local_get is None:
-                                o = owner_ids[ci]
-                            else:
-                                reads_add(ci)
-                                v = local_get(ci)
-                                if v is None:
-                                    o = owner_ids[ci]
-                                else:
-                                    o = 0 if v == -1 else v
+                            o = owner_ids[ci]
                             if o == 0 or o == net_id:
                                 ok = True
                             elif fp is not None and not pins[ci]:
@@ -718,23 +723,14 @@ class _IndexedSearchMixin:
                                         )
 
                 # --- z moves (vias) ----------------------------------
-                # The ownership read happens before the on-line via
+                # The ownership test happens before the on-line via
                 # filter, exactly like _passable-then-filter in the
-                # object engine — overlays must log these reads even
-                # when the via is then forbidden.
+                # object engine.
                 if lm > 0:
                     ci = si - 1
                     sc = step[ci]
                     if sc >= 0.0:
-                        if local_get is None:
-                            o = owner_ids[ci]
-                        else:
-                            reads_add(ci)
-                            v = local_get(ci)
-                            if v is None:
-                                o = owner_ids[ci]
-                            else:
-                                o = 0 if v == -1 else v
+                        o = owner_ids[ci]
                         if o == 0 or o == net_id:
                             ok = True
                         elif fp is not None and not pins[ci]:
@@ -764,15 +760,7 @@ class _IndexedSearchMixin:
                     ci = si + 1
                     sc = step[ci]
                     if sc >= 0.0:
-                        if local_get is None:
-                            o = owner_ids[ci]
-                        else:
-                            reads_add(ci)
-                            v = local_get(ci)
-                            if v is None:
-                                o = owner_ids[ci]
-                            else:
-                                o = 0 if v == -1 else v
+                        o = owner_ids[ci]
                         if o == 0 or o == net_id:
                             ok = True
                         elif fp is not None and not pins[ci]:
@@ -817,175 +805,3 @@ class _IndexedSearchMixin:
                     stats["perf_heap_pops"] = (
                         stats.get("perf_heap_pops", 0) + pops
                     )
-
-
-class ArrayDetailedGrid(_IndexedSearchMixin, DetailedGrid):
-    """:class:`DetailedGrid` plus flat arrays and the indexed A* path.
-
-    The inherited ``_owner`` dict stays authoritative — overlays, the
-    sanitizer, and the auditor keep reading the object surface — and
-    every public ownership mutator mirrors its effect into the flat
-    id array, so the two views never diverge.
-    """
-
-    def __init__(self, design: Design, stitch_aware: bool = True) -> None:
-        super().__init__(design, stitch_aware)
-        width, height, layers_n = self._width, self._height, self._num_layers
-        self._hl = height * layers_n
-        config = self.config
-        # Base step cost of entering each node: Eq. (10) alpha plus the
-        # gamma escape term, blocked sentinel where the structural MEBL
-        # constraint applies.  float64 arithmetic is bit-identical to
-        # the scalar reference (single additions, same operands), and
-        # C-order flattening matches the id encoding.
-        base = np.full((width, height, layers_n), config.alpha, dtype=np.float64)
-        vert_layers = np.array(self._vertical[1:], dtype=bool)
-        all_rows = np.ones(height, dtype=bool)
-        if stitch_aware:
-            escape_cols = np.array(self._escape, dtype=bool)
-            base[np.ix_(escape_cols, all_rows, vert_layers)] += config.gamma
-        line_cols = np.array(self._on_line, dtype=bool)
-        base[np.ix_(line_cols, all_rows, vert_layers)] = _BLOCKED_STEP
-        self._step = base.reshape(-1).tolist()
-        #: Per-x via surcharge (Eq. (10) beta inside unfriendly regions).
-        self._via_extra = [
-            config.beta if (stitch_aware and unfriendly) else 0.0
-            for unfriendly in self._unfriendly
-        ]
-        size = width * self._hl
-        self._owner_ids = [0] * size
-        # Every node starts free, so the ownership-folded view begins
-        # as a plain copy of the step array.
-        self._free_step = list(self._step)
-        self._pin_mask = bytearray(size)
-        #: net name -> positive integer id (0 means free).  Filled for
-        #: the whole netlist up front so worker threads never mutate it.
-        self._net_ids: dict[str, int] = {}
-        for net in design.netlist:
-            self._net_id(net.name)
-
-    # -- id registry ---------------------------------------------------
-    def _net_id(self, net: str) -> int:
-        nid = self._net_ids.get(net)
-        if nid is None:
-            nid = len(self._net_ids) + 1
-            self._net_ids[net] = nid
-        return nid
-
-    # -- ownership mutators mirror into the id array --------------------
-    def occupy(self, node: Node, net: str) -> None:
-        super().occupy(node, net)
-        idx = self._encode(node)
-        self._owner_ids[idx] = self._net_id(net)
-        self._free_step[idx] = _OWNED_STEP
-
-    def force_occupy(self, node: Node, net: str) -> Optional[str]:
-        evicted = super().force_occupy(node, net)
-        idx = self._encode(node)
-        self._owner_ids[idx] = self._net_id(net)
-        self._free_step[idx] = _OWNED_STEP
-        return evicted
-
-    def release(self, node: Node, net: str) -> None:
-        super().release(node, net)
-        # Resync from the authoritative dict: release is a no-op for
-        # pins and foreign owners, so read back what actually holds.
-        owner = self._owner.get(node)
-        idx = self._encode(node)
-        if owner is None:
-            self._owner_ids[idx] = 0
-            self._free_step[idx] = self._step[idx]
-        else:
-            self._owner_ids[idx] = self._net_id(owner)
-            self._free_step[idx] = _OWNED_STEP
-
-    def mark_pin(self, node: Node) -> None:
-        super().mark_pin(node)
-        self._pin_mask[self._encode(node)] = 1
-
-    # -- factories ------------------------------------------------------
-    def speculative_overlay(self) -> GridOverlay:
-        """Overlay for speculative routing (array-core fast path)."""
-        return ArrayGridOverlay(self)
-
-
-class _IndexedOwnerOverlay(_OwnerOverlay):
-    """:class:`_OwnerOverlay` that mirrors buffered writes as net ids.
-
-    The indexed search consults ``local_ids`` first (``RELEASED``
-    tombstones a base-owned node the overlay released) and falls back
-    to the base grid's id array, giving the exact view the dict-based
-    overlay presents — while the dict surface keeps serving the
-    sanitizer, the merge loop, and :meth:`GridOverlay.apply_to`.
-    """
-
-    __slots__ = ("local_ids", "_grid_ids", "_extra_ids", "_encode_node")
-
-    #: Integer twin of :attr:`_OwnerOverlay.TOMBSTONE`.
-    RELEASED = -1
-
-    def __init__(self, base: ArrayDetailedGrid) -> None:
-        super().__init__(base._owner)
-        self._encode_node = base._encode
-        self._grid_ids = base._net_ids
-        #: Ids minted locally for names outside the preregistered
-        #: netlist (defensive; searches only route netlist nets).
-        #: Negative below the tombstone so they collide with nothing,
-        #: and local so worker threads never grow the shared registry.
-        self._extra_ids: dict[str, int] = {}
-        self.local_ids: dict[int, int] = {}
-
-    def id_of(self, net: str) -> int:
-        nid = self._grid_ids.get(net)
-        if nid is not None:
-            return nid
-        extra = self._extra_ids.get(net)
-        if extra is None:
-            extra = -2 - len(self._extra_ids)
-            self._extra_ids[net] = extra
-        return extra
-
-    def __setitem__(self, node: Node, net: str) -> None:
-        super().__setitem__(node, net)
-        self.local_ids[self._encode_node(node)] = self.id_of(net)
-
-    def __delitem__(self, node: Node) -> None:
-        super().__delitem__(node)
-        self.local_ids[self._encode_node(node)] = _IndexedOwnerOverlay.RELEASED
-
-
-class ArrayGridOverlay(_IndexedSearchMixin, GridOverlay):
-    """:class:`GridOverlay` whose searches run on the flat arrays.
-
-    Borrows the base grid's step/via/pin/id arrays by reference (all
-    frozen while a batch is in flight except the id array, which the
-    buffered ``local_ids`` shadows) and records every indexed
-    ownership consult in ``_reads_idx`` so :attr:`read_nodes` reports
-    the same footprint the object engine's overlay would — the merge
-    loop's conflict decisions are identical under either engine.
-    """
-
-    def __init__(self, base: ArrayDetailedGrid) -> None:
-        super().__init__(base)
-        self._hl = base._hl
-        self._step = base._step
-        self._via_extra = base._via_extra
-        self._owner_ids = base._owner_ids
-        self._pin_mask = base._pin_mask
-        indexed = _IndexedOwnerOverlay(base)
-        self._owner = indexed
-        self._indexed_owner = indexed
-        self._local_ids = indexed.local_ids
-        self._reads_idx = set()
-
-    def _net_id(self, net: str) -> int:
-        return self._indexed_owner.id_of(net)
-
-    @property
-    def read_nodes(self) -> set[Node]:
-        """Nodes whose ownership this overlay observed (both surfaces)."""
-        decode = self._decode
-        reads_idx = self._reads_idx
-        assert reads_idx is not None
-        indexed = {decode(i) for i in reads_idx}
-        return self._indexed_owner.reads | indexed

@@ -23,12 +23,11 @@ arithmetic, and a numpy element read costs several list reads
 
 Caches and the demand and history mirrors follow the incremental
 obstacle-cache idiom: rebuilt wholesale by
-:meth:`~_CostCacheMixin.refresh_cost_cache` (at construction and after
-the serial history bump), updated entry-wise by the demand mutators,
-and *cloned* per worker snapshot, never recomputed there.  Capacities
-never change, so their mirrors are built once, with the graph.  Every
-entry comes from the scalar step prices the object engine also calls
-(:func:`~repro.globalroute.cost.edge_price`,
+:meth:`~ArrayGlobalGraph.refresh_cost_cache` (at construction and
+after the history bump) and updated entry-wise by the demand mutators.
+Capacities never change, so their mirrors are built once, with the
+graph.  Every entry comes from the scalar step prices the object
+engine also calls (:func:`~repro.globalroute.cost.edge_price`,
 :func:`~repro.globalroute.cost.line_end_price`) — not the vectorized
 :func:`~repro.globalroute.cost.congestion_cost_array`, whose
 ``numpy.exp2`` may differ from CPython ``2.0 ** x`` in the last ulp —
@@ -51,7 +50,6 @@ import numpy as np
 from ..analysis.pairing import paired
 from ..globalroute.cost import edge_price, line_end_price
 from ..globalroute.graph import GlobalGraph, Tile
-from ..globalroute.overlay import GraphSnapshot
 from ..globalroute.router import WL_WEIGHT
 from ..layout import Design
 
@@ -72,27 +70,14 @@ def _flat(array: "np.ndarray", ny: int) -> list:
     return values
 
 
-class _CostCacheMixin:
-    """Cost caches, state mirrors and the indexed A* of graph and snapshot.
+class ArrayGlobalGraph(GlobalGraph):
+    """:class:`GlobalGraph` plus cost caches and the indexed A* path.
 
-    Concrete classes (:class:`ArrayGlobalGraph`,
-    :class:`ArrayGraphSnapshot`) initialize the caches and mirrors; the
-    mixin maintains them through the demand mutators and provides
-    :meth:`astar_in_window`, the fast path
+    The demand mutators keep the caches and mirrors fresh, and
+    :meth:`astar_in_window` is the fast path
     ``GlobalRouter._astar_in_window`` dispatches to when present.
     """
 
-    nx: int
-    ny: int
-    h_demand: "np.ndarray"
-    v_demand: "np.ndarray"
-    vertex_demand: "np.ndarray"
-    h_capacity: "np.ndarray"
-    v_capacity: "np.ndarray"
-    vertex_capacity: "np.ndarray"
-    h_history: "np.ndarray"
-    v_history: "np.ndarray"
-    vertex_history: "np.ndarray"
     # Cost caches, by tile code.
     _h_cost: list[float]
     _v_cost: list[float]
@@ -111,11 +96,17 @@ class _CostCacheMixin:
 
     #: Profiling counters (``RouterConfig(profile=...)``): wholesale
     #: cache rebuilds and entry-wise incremental updates.  Class-level
-    #: zeros; the first increment creates the instance attribute, so
-    #: snapshots (thread-local clones) count separately and the live
-    #: graph's totals are what the router reports at stage end.
+    #: zeros; the first increment creates the instance attribute.
     perf_cache_refreshes = 0
     perf_cache_updates = 0
+
+    def __init__(self, design: Design) -> None:
+        super().__init__(design)
+        ny = self.ny
+        self._h_cap = _flat(self.h_capacity, ny)
+        self._v_cap = _flat(self.v_capacity, ny)
+        self._t_cap = _flat(self.vertex_capacity, ny)
+        self.refresh_cost_cache()
 
     def refresh_cost_cache(self) -> None:
         """Rebuild the demand and history mirrors from the numpy state
@@ -144,8 +135,8 @@ class _CostCacheMixin:
     def _mirror_mutable_state(self) -> None:
         """Re-read the demand and history mirrors from the numpy arrays.
 
-        Capacities are construction-time constants, so
-        :class:`ArrayGlobalGraph` mirrors them once, in its constructor.
+        Capacities are construction-time constants, so the constructor
+        mirrors them once.
         """
         ny = self.ny
         self._h_dem = _flat(self.h_demand, ny)
@@ -354,45 +345,3 @@ class _CostCacheMixin:
         states.reverse()
         return [divmod(s // 3, ny) for s in states]
 
-
-class ArrayGlobalGraph(_CostCacheMixin, GlobalGraph):
-    """:class:`GlobalGraph` plus cost caches and the indexed A* path."""
-
-    def __init__(self, design: Design) -> None:
-        super().__init__(design)
-        ny = self.ny
-        self._h_cap = _flat(self.h_capacity, ny)
-        self._v_cap = _flat(self.v_capacity, ny)
-        self._t_cap = _flat(self.vertex_capacity, ny)
-        self.refresh_cost_cache()
-
-    def snapshot(self) -> GraphSnapshot:
-        """Snapshot carrying cloned cost caches (array fast path)."""
-        return ArrayGraphSnapshot(self)
-
-
-class ArrayGraphSnapshot(_CostCacheMixin, GraphSnapshot):
-    """:class:`GraphSnapshot` whose searches run on cloned caches.
-
-    Demand arrays are private copies (as in the base snapshot), and so
-    are the demand mirrors and the caches; the capacity and history
-    mirrors are shared like the arrays they mirror.  The live graph
-    keeps its entries fresh through the demand mutators, so the clones
-    are exactly the per-batch state a rebuild would produce, at
-    list-copy cost.
-    """
-
-    def __init__(self, base: ArrayGlobalGraph) -> None:
-        super().__init__(base)
-        self._h_dem = base._h_dem[:]
-        self._v_dem = base._v_dem[:]
-        self._t_dem = base._t_dem[:]
-        self._h_cap, self._v_cap, self._t_cap = (
-            base._h_cap, base._v_cap, base._t_cap
-        )
-        self._h_hist, self._v_hist, self._t_hist = (
-            base._h_hist, base._v_hist, base._t_hist
-        )
-        self._h_cost = base._h_cost[:]
-        self._v_cost = base._v_cost[:]
-        self._v_price = base._v_price[:]

@@ -103,21 +103,6 @@ class GlobalGraph:
         )
 
     # ------------------------------------------------------------------
-    # Factories
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "GlobalGraph":
-        """Private-demand snapshot for speculative routing.
-
-        Factory hook for the engine seam:
-        :class:`~repro.engine.ArrayGlobalGraph` overrides it to hand
-        out snapshots carrying cloned cost caches, so the parallel
-        router never needs to know which engine built the graph.
-        """
-        from .overlay import GraphSnapshot  # local: overlay imports graph
-
-        return GraphSnapshot(self)
-
-    # ------------------------------------------------------------------
     # Tile geometry
     # ------------------------------------------------------------------
     @classmethod

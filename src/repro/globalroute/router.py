@@ -24,7 +24,6 @@ import numpy as np
 from ..algorithms import steiner_tree_edges
 from ..layout import Design, Net
 from ..observe import Span, Tracer, ensure
-from ..parallel import BatchExecutor, plan_batches
 from .cost import (
     VERTEX_OVERFLOW_PENALTY,  # noqa: F401  (re-export: moved to .cost)
     VERTEX_WEIGHT,  # noqa: F401  (re-export: moved to .cost)
@@ -33,15 +32,14 @@ from .cost import (
 )
 from ..analysis.pairing import paired
 from .graph import GlobalGraph, Tile, vertical_run_line_ends
-from .overlay import windows_hit
 
 #: Weight of one tile hop in the A* cost; small so congestion dominates
 #: but paths stay short when congestion is zero.
 WL_WEIGHT = 0.1
 
 #: Tile margin of the first (windowed) A* attempt around a subnet's
-#: endpoints; doubles as the batch planner's expansion: two nets whose
-#: bboxes stay this far apart cannot read each other's demand.
+#: endpoints; a subnet that finds no path inside it retries on the
+#: whole grid.
 ASTAR_WINDOW_MARGIN = 4
 
 @dataclasses.dataclass
@@ -96,16 +94,6 @@ class GlobalRouter:
             instead of the plain spanning tree (optional wirelength
             improvement; the paper's experiments use the spanning
             tree, so this defaults to off).
-        workers: worker threads for net-batch routing.  ``1`` keeps
-            the serial loop; ``N > 1`` routes bbox-disjoint net batches
-            speculatively and merges them in canonical order, which is
-            provably result-identical to the serial loop (see
-            ``docs/parallelism.md``).
-        sanitize: route speculative nets against instrumented
-            snapshots that audit every demand-array access and verify
-            it against the declared A* windows, raising
-            :class:`~repro.analysis.SanitizerViolation` on any
-            undeclared access (see ``docs/static_analysis.md``).
         engine: concrete engine name — ``"object"`` routes on the
             reference :class:`GlobalGraph`, ``"array"`` on the
             :class:`~repro.engine.ArrayGlobalGraph` with incrementally
@@ -115,10 +103,10 @@ class GlobalRouter:
             the router.
         profile: ``"off"`` / ``"counters"`` / ``"full"``.  ``"counters"``
             flushes engine-level ``perf_*`` counters (maze heap
-            pushes/pops, snapshot clones, cost-cache refreshes and
-            incremental updates) per pass and negotiation round;
-            ``"full"`` additionally reports per-net commits through
-            :meth:`Tracer.progress` (see ``docs/observability.md``).
+            pushes/pops, cost-cache refreshes and incremental updates)
+            per pass and negotiation round; ``"full"`` additionally
+            reports per-net commits through :meth:`Tracer.progress`
+            (see ``docs/observability.md``).
     """
 
     def __init__(
@@ -126,8 +114,6 @@ class GlobalRouter:
         stitch_aware: bool = True,
         ripup_rounds: int = 8,
         steiner: bool = False,
-        workers: int = 1,
-        sanitize: bool = False,
         engine: str = "object",
         profile: str = "off",
     ) -> None:
@@ -142,8 +128,6 @@ class GlobalRouter:
         self.stitch_aware = stitch_aware
         self.ripup_rounds = ripup_rounds
         self.steiner = steiner
-        self.workers = workers
-        self.sanitize = sanitize
         self.engine = engine
         self.profile = profile
         self._profiling = profile != "off"
@@ -165,22 +149,6 @@ class GlobalRouter:
         tracer = ensure(tracer)
         self._tracer = tracer if self.profile == "full" else None
         start = time.perf_counter()
-        pool: Optional[BatchExecutor] = None
-        if self.workers > 1:
-            on_task = None
-            if self.profile == "full":
-                # Per-task fan-in: the executor reports completions on
-                # the calling (main) thread in submission order, so the
-                # stream stays canonically ordered.
-                def on_task(index: int, busy: float) -> None:
-                    tracer.progress(
-                        "task",
-                        stage="global",
-                        index=index,
-                        busy_seconds=round(busy, 6),
-                    )
-
-            pool = BatchExecutor(self.workers, on_task=on_task)
         try:
             with tracer.span("global-route") as stage:
                 with tracer.span("graph-build"):
@@ -199,9 +167,7 @@ class GlobalRouter:
                 failed: list[str] = []
                 with tracer.span("initial-pass") as span:
                     stats: dict[str, float] = {}
-                    self._route_many(
-                        graph, order, routes, failed, stats, pool, span
-                    )
+                    self._route_many(graph, order, routes, failed, stats)
                     span.count(
                         "maze_expansions", stats.get("maze_expansions", 0)
                     )
@@ -227,8 +193,7 @@ class GlobalRouter:
                             design.netlist[name] for name in victims
                         ]
                         self._route_many(
-                            graph, victim_nets, routes, failed, stats,
-                            pool, span,
+                            graph, victim_nets, routes, failed, stats
                         )
                         span.count(
                             "maze_expansions", stats.get("maze_expansions", 0)
@@ -240,15 +205,6 @@ class GlobalRouter:
                             "vertex_overflow", graph.total_vertex_overflow()
                         )
                 stage.count("failed_nets", len(failed))
-                if self.sanitize:
-                    # Explicit zero: a clean sanitized run reports the
-                    # counter so rollups can assert on its presence.
-                    stage.count("sanitize_violations", 0)
-                if pool is not None:
-                    stage.count("parallel_tasks", pool.tasks)
-                    stage.gauge(
-                        "worker_utilization", round(pool.utilization(), 4)
-                    )
                 if self._profiling:
                     # Cost-cache churn lives on the array graph (the
                     # object engine has no caches — counters absent).
@@ -262,8 +218,6 @@ class GlobalRouter:
         finally:
             self._tracer = None
             self._subnets = {}
-            if pool is not None:
-                pool.shutdown()
 
         return GlobalRoutingResult(
             design=design,
@@ -275,19 +229,16 @@ class GlobalRouter:
 
     @staticmethod
     def _flush_stage_counters(span: Span, stats: dict[str, float]) -> None:
-        """Report accumulated sanitizer/profiling counters on ``span``.
+        """Report accumulated profiling counters on ``span``.
 
         Flushed (and zeroed) per pass and per negotiation round, so the
         ``perf_*`` engine counters land on the round that incurred them.
         """
         for name in sorted(stats):
-            if name.startswith(("sanitize_", "perf_")):
+            if name.startswith("perf_"):
                 span.count(name, stats[name])
                 stats[name] = 0
 
-    # ------------------------------------------------------------------
-    # Net-batch scheduling (workers > 1)
-    # ------------------------------------------------------------------
     def _route_many(
         self,
         graph: GlobalGraph,
@@ -295,127 +246,21 @@ class GlobalRouter:
         routes: dict[str, GlobalRoute],
         failed: list[str],
         stats: dict[str, float],
-        pool: Optional[BatchExecutor],
-        span: Span,
     ) -> None:
-        """Route ``nets`` in order, batching onto the pool when given.
-
-        The serial loop and the batched loop commit identical state:
-        batches hold bbox-disjoint nets routed speculatively against a
-        :class:`GraphSnapshot`, then merged in canonical net order —
-        a net whose search windows touch an earlier batch-mate's
-        placed tiles is discarded and re-routed on the live graph, so
-        every committed route (and every committed counter) is the one
-        the serial loop would have produced.
-        """
-        if pool is None or len(nets) < 2:
-            for net in nets:
-                route = self._route_net(graph, net, stats)
-                self._commit(routes, failed, net, route)
-                if self._tracer is not None:
-                    self._tracer.progress(
-                        "net",
-                        stage="global",
-                        net=net.name,
-                        routed=route is not None,
-                    )
-            return
-
-        plan = plan_batches(
-            nets,
-            rect_of=lambda n: self._net_tile_rect(graph, n),
-            expand=ASTAR_WINDOW_MARGIN,
-        )
-        conflicts = 0
-        for batch in plan:
-            if len(batch) == 1:
-                net = batch[0]
-                self._commit(
-                    routes, failed, net, self._route_net(graph, net, stats)
+        """Route ``nets`` in order; each sees what earlier ones placed."""
+        for net in nets:
+            route = self._route_net(graph, net, stats)
+            if route is None:
+                failed.append(net.name)
+            else:
+                routes[net.name] = route
+            if self._tracer is not None:
+                self._tracer.progress(
+                    "net",
+                    stage="global",
+                    net=net.name,
+                    routed=route is not None,
                 )
-                continue
-            results = pool.run(
-                lambda net: self._route_speculative(graph, net), batch
-            )
-            if self._profiling:
-                # One demand snapshot per speculative net (counted on
-                # the main thread; workers never touch shared stats).
-                stats["perf_snapshot_clones"] = (
-                    stats.get("perf_snapshot_clones", 0) + len(batch)
-                )
-            written: set = set()
-            for net, (route, net_stats, windows) in zip(batch, results):
-                if windows_hit(windows, written):
-                    # The speculative search read state an earlier
-                    # batch-mate has since changed; redo it serially.
-                    conflicts += 1
-                    route = self._route_net(graph, net, stats)
-                else:
-                    for name, value in net_stats.items():
-                        stats[name] = stats.get(name, 0) + value
-                    if route is not None:
-                        for path in route.paths:
-                            self._place_path(graph, path)
-                if route is not None:
-                    written.update(t for p in route.paths for t in p)
-                self._commit(routes, failed, net, route)
-                if self._tracer is not None:
-                    self._tracer.progress(
-                        "net",
-                        stage="global",
-                        net=net.name,
-                        routed=route is not None,
-                    )
-        span.count("parallel_batches", len(plan))
-        span.count("parallel_conflicts", conflicts)
-        span.gauge("parallel_max_batch_width", plan.max_width)
-        span.gauge("parallel_mean_batch_width", round(plan.mean_width, 3))
-
-    def _route_speculative(
-        self, graph: GlobalGraph, net: Net
-    ) -> tuple[Optional[GlobalRoute], dict[str, float], list[tuple[int, int, int, int]]]:
-        """Worker body: route one net against a demand snapshot.
-
-        Returns the route (not yet placed on the live graph), the
-        net's local search counters, and every A* window searched —
-        the declared read region the merge loop validates.
-        """
-        stats: dict[str, float] = {}
-        windows: list[tuple[int, int, int, int]] = []
-        if self.sanitize:
-            # Imported lazily: repro.analysis is a downstream tool
-            # layer; the routers must not depend on it by default.
-            from ..analysis.sanitize import SanitizedGraphSnapshot
-
-            snapshot = SanitizedGraphSnapshot(graph)
-            route = self._route_net(snapshot, net, stats, windows)
-            snapshot.verify(windows, stats)
-        else:
-            snapshot = graph.snapshot()
-            route = self._route_net(snapshot, net, stats, windows)
-        return route, stats, windows
-
-    def _net_tile_rect(
-        self, graph: GlobalGraph, net: Net
-    ) -> tuple[int, int, int, int]:
-        """Inclusive tile-space bbox of the net's pins."""
-        box = net.bbox
-        lo = graph.tile_of(box.lo_x, box.lo_y)
-        hi = graph.tile_of(box.hi_x, box.hi_y)
-        return (lo[0], lo[1], hi[0], hi[1])
-
-    @staticmethod
-    def _commit(
-        routes: dict[str, GlobalRoute],
-        failed: list[str],
-        net: Net,
-        route: Optional[GlobalRoute],
-    ) -> None:
-        """Record one routing outcome exactly as the serial loop does."""
-        if route is None:
-            failed.append(net.name)
-        else:
-            routes[net.name] = route
 
     # ------------------------------------------------------------------
     # Net ordering and decomposition
@@ -484,13 +329,11 @@ class GlobalRouter:
         graph: GlobalGraph,
         net: Net,
         stats: Optional[dict[str, float]] = None,
-        windows: Optional[list[tuple[int, int, int, int]]] = None,
     ) -> Optional[GlobalRoute]:
-        """Route one net on ``graph`` (live graph or worker snapshot).
+        """Route one net on ``graph``, placing its demand.
 
-        ``stats`` accumulates the net's maze expansions; ``windows``,
-        when given, collects every searched window — speculative
-        callers use it as the net's read footprint.
+        ``stats`` accumulates the net's maze expansions.  A net with an
+        unroutable subnet leaves no demand behind.
         """
         if stats is None:
             stats = {}
@@ -499,7 +342,7 @@ class GlobalRouter:
             subnets = self.two_pin_subnets(net, graph)
         paths: list[list[Tile]] = []
         for src, dst in subnets:
-            path = self._astar(graph, src, dst, stats, windows)
+            path = self._astar(graph, src, dst, stats)
             if path is None:
                 for placed in paths:
                     self._unplace_path(graph, placed)
@@ -514,7 +357,6 @@ class GlobalRouter:
         src: Tile,
         dst: Tile,
         stats: Optional[dict[str, float]] = None,
-        windows: Optional[list[tuple[int, int, int, int]]] = None,
     ) -> Optional[list[Tile]]:
         if stats is None:
             stats = {}
@@ -524,13 +366,9 @@ class GlobalRouter:
         lo_y = max(0, min(src[1], dst[1]) - margin)
         hi_y = min(graph.ny - 1, max(src[1], dst[1]) + margin)
         window = (lo_x, lo_y, hi_x, hi_y)
-        if windows is not None:
-            windows.append(window)
         path = self._astar_in_window(graph, src, dst, window, stats)
         if path is None:
             full = (0, 0, graph.nx - 1, graph.ny - 1)
-            if windows is not None:
-                windows.append(full)
             path = self._astar_in_window(graph, src, dst, full, stats)
         return path
 
@@ -557,9 +395,7 @@ class GlobalRouter:
         if fast is not None:
             # Array-core fast path (repro.engine): same direction-aware
             # loop over integer state ids against the graph's cost
-            # caches, byte-identical result and counters.  Sanitized
-            # snapshots expose no astar_in_window, so instrumented runs
-            # fall through to the reference loop below.
+            # caches, byte-identical result and counters.
             return fast(
                 src, dst, window, self.stitch_aware, stats, self._profiling
             )

@@ -21,7 +21,6 @@ from typing import Generic, Optional, TypeVar
 
 from ..layout import Design, Net
 from ..observe import Tracer, ensure
-from ..parallel import net_rect, plan_batches
 from .scheme import MultilevelScheme
 
 GlobalResultT = TypeVar("GlobalResultT")
@@ -50,12 +49,6 @@ class TwoPassFramework(Generic[GlobalResultT, AssignResultT, DetailResultT]):
             layer/track assignment on the global routing solution.
         detail_stage: callable ``(design, G, A, ordered_nets) -> D``
             performing detailed routing in bottom-up order.
-        workers: worker-thread count the stages will route with (the
-            ``RouterConfig.workers`` knob).  The driver itself never
-            spawns threads; with ``workers > 1`` it annotates each
-            hierarchy level's span with the level's net-batch profile
-            (batch count and widths), so a trace shows how much
-            concurrency each level offers before the stages run.
     """
 
     def __init__(
@@ -65,12 +58,10 @@ class TwoPassFramework(Generic[GlobalResultT, AssignResultT, DetailResultT]):
         detail_stage: Callable[
             [Design, GlobalResultT, AssignResultT, list[Net]], DetailResultT
         ],
-        workers: int = 1,
     ) -> None:
         self._global_stage = global_stage
         self._assign_stage = assign_stage
         self._detail_stage = detail_stage
-        self._workers = workers
 
     def run(
         self,
@@ -99,15 +90,9 @@ class TwoPassFramework(Generic[GlobalResultT, AssignResultT, DetailResultT]):
             ]
             ordered = [net for level in level_order for net in level]
             for level, nets in enumerate(level_order):
-                with tracer.span("level", level=level, nets=len(nets)) as span:
-                    if self._workers > 1 and nets:
-                        plan = plan_batches(nets, rect_of=net_rect)
-                        span.gauge("parallel_batches_planned", len(plan))
-                        span.gauge("parallel_max_batch_width", plan.max_width)
-                        span.gauge(
-                            "parallel_mean_batch_width",
-                            round(plan.mean_width, 3),
-                        )
+                # One marker span per level records its net count.
+                with tracer.span("level", level=level, nets=len(nets)):
+                    pass
 
         with tracer.span("pass1"):
             global_result = self._global_stage(design, ordered)

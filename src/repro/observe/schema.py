@@ -3,27 +3,26 @@
 Every counter, gauge, span, and progress kind the router can emit is
 declared here, once, with its owner stage, backend coverage, and
 category.  The registry is the single source of truth that used to be
-scattered across ad-hoc lists: the regression gate's ``parallel_*`` /
-``perf_*`` / ``stream_*`` strip tuples, the perf-history counter
-columns, and the watch monitor's notable-counter picks all derive
-from it now, and the static parity analyzer's PAR005 rule fails any
-``src`` emission whose name is missing here.
+scattered across ad-hoc lists: the regression gate's ``perf_*`` /
+``stream_*`` strip tuples, the perf-history counter columns, and the
+watch monitor's notable-counter picks all derive from it now, and the
+static parity analyzer's PAR005 rule fails any ``src`` emission whose
+name is missing here.
 
 Identity is ``(kind, name)`` — names may repeat across kinds (the
 multilevel scheme emits a ``level`` *span* carrying a ``level``
-*gauge*) but never within one.  Backend coverage is a set of tags
-over two axes, engine (``object`` / ``array``) and executor
-(``serial`` / ``thread``): a metric tagged with a backend *may* appear
-under it, and a metric missing one *never* does (``parallel_tasks``
-carries no ``serial`` tag — only the worker pool runs tasks).  The
-live-run completeness test (``tests/observe/test_schema.py``) routes a
-real circuit under four configurations and holds every emitted name to
-its declared coverage.
+*gauge*) but never within one.  Backend coverage is a set of engine
+tags (``object`` / ``array``): a metric tagged with a backend *may*
+appear under it, and a metric missing one *never* does
+(``perf_cache_refreshes`` carries no ``object`` tag — only the array
+graph keeps cost caches).  The live-run completeness test
+(``tests/observe/test_schema.py``) routes a real circuit under three
+configurations and holds every emitted name to its declared coverage.
 
 Categories partition the vocabulary by contract: ``routing`` metrics
 are the deterministic ones every backend must reproduce exactly,
-while ``scheduling`` / ``profiling`` / ``streaming`` bookkeeping is
-backend- or mode-specific and strippable (see
+while ``profiling`` / ``streaming`` bookkeeping is mode-specific and
+strippable (see
 :func:`strip_prefixes`).  Each strippable category owns a name prefix
 and the module refuses to import if any registration strays across
 that line — the prefix-based scrub in ``benchmarks/regression.py``
@@ -41,24 +40,15 @@ KINDS = ("counter", "gauge", "span", "progress")
 #: Engine-axis backend tags (``RouterConfig.engine``).
 ENGINE_BACKENDS = frozenset({"object", "array"})
 
-#: Executor-axis backend tags (``RouterConfig.workers``: ``1`` runs
-#: serially, more runs on the thread pool).
-EXECUTOR_BACKENDS = frozenset({"serial", "thread"})
-
-#: Full coverage: emitted under every engine and executor.
-ALL_BACKENDS = ENGINE_BACKENDS | EXECUTOR_BACKENDS
-
-#: Coverage of workers>1 bookkeeping: both engines, no serial runs.
-PARALLEL_BACKENDS = ENGINE_BACKENDS | frozenset({"thread"})
+#: Full coverage: emitted under every engine.
+ALL_BACKENDS = ENGINE_BACKENDS
 
 #: Strippable categories and the name prefix each one owns.  The
 #: regression gate scrubs by prefix; the registry enforces at import
 #: time that prefix membership and category membership coincide.
 CATEGORY_PREFIXES: dict[str, tuple[str, ...]] = {
-    "scheduling": ("parallel_",),
     "profiling": ("perf_",),
     "streaming": ("stream_",),
-    "sanitize": ("sanitize_",),
 }
 
 
@@ -240,65 +230,6 @@ _register(
     "Reported counters that disagreed with audit recomputation.",
 )
 
-# -- sanitize counters (RouterConfig.sanitize) ------------------------
-_register(
-    "sanitize_violations", "counter", _BOTH_ROUTE, ALL_BACKENDS,
-    "sanitize",
-    "Shared-state footprint violations the sanitizer flagged.",
-)
-_register(
-    "sanitize_cells_checked", "counter", _DETAILED, ALL_BACKENDS,
-    "sanitize",
-    "Grid cells swept by the detailed-stage sanitizer.",
-)
-_register(
-    "sanitize_nets_checked", "counter", _BOTH_ROUTE, ALL_BACKENDS,
-    "sanitize",
-    "Nets swept by the overlay sanitizer.",
-)
-_register(
-    "sanitize_nodes_checked", "counter", _GLOBAL, ALL_BACKENDS,
-    "sanitize",
-    "Graph nodes swept by the global-stage sanitizer.",
-)
-
-# -- scheduling bookkeeping (workers > 1; no serial counterpart) ------
-_register(
-    "parallel_tasks", "counter", _BOTH_ROUTE, PARALLEL_BACKENDS,
-    "scheduling",
-    "Speculative tasks submitted to the worker pool.",
-)
-_register(
-    "parallel_batches", "counter", _BOTH_ROUTE, PARALLEL_BACKENDS,
-    "scheduling",
-    "Conflict-free batches executed by the pool.",
-)
-_register(
-    "parallel_conflicts", "counter", _BOTH_ROUTE, PARALLEL_BACKENDS,
-    "scheduling",
-    "Speculative results discarded and redone serially.",
-)
-_register(
-    "worker_utilization", "gauge", _BOTH_ROUTE, PARALLEL_BACKENDS,
-    "scheduling",
-    "Busy fraction of the worker pool over a stage.",
-)
-_register(
-    "parallel_batches_planned", "gauge",
-    _BOTH_ROUTE | _MULTILEVEL, PARALLEL_BACKENDS, "scheduling",
-    "Batches the conflict-aware planner scheduled.",
-)
-_register(
-    "parallel_max_batch_width", "gauge",
-    _BOTH_ROUTE | _MULTILEVEL, PARALLEL_BACKENDS, "scheduling",
-    "Widest planned batch (peak speculative parallelism).",
-)
-_register(
-    "parallel_mean_batch_width", "gauge",
-    _BOTH_ROUTE | _MULTILEVEL, PARALLEL_BACKENDS, "scheduling",
-    "Mean planned batch width.",
-)
-
 # -- profiling counters (RouterConfig.profile) ------------------------
 _register(
     "perf_maze_heap_pushes", "counter", _GLOBAL, ALL_BACKENDS,
@@ -311,19 +242,14 @@ _register(
     "Heap pops by the global maze search (profile mode).",
 )
 _register(
-    "perf_cache_refreshes", "counter", _GLOBAL,
-    frozenset({"array"}) | EXECUTOR_BACKENDS, "profiling",
+    "perf_cache_refreshes", "counter", _GLOBAL, frozenset({"array"}),
+    "profiling",
     "Full cost-cache rebuilds by the array global graph.",
 )
 _register(
-    "perf_cache_updates", "counter", _GLOBAL,
-    frozenset({"array"}) | EXECUTOR_BACKENDS, "profiling",
-    "Incremental cost-cache updates by the array global graph.",
-)
-_register(
-    "perf_snapshot_clones", "counter", _GLOBAL, PARALLEL_BACKENDS,
+    "perf_cache_updates", "counter", _GLOBAL, frozenset({"array"}),
     "profiling",
-    "Demand snapshots cloned for speculative batches.",
+    "Incremental cost-cache updates by the array global graph.",
 )
 _register(
     "perf_heap_pushes", "counter", _DETAILED, ALL_BACKENDS,
@@ -333,21 +259,6 @@ _register(
 _register(
     "perf_heap_pops", "counter", _DETAILED, ALL_BACKENDS, "profiling",
     "Heap pops by detailed A* (profile mode).",
-)
-_register(
-    "perf_overlay_commits", "counter", _DETAILED, ALL_BACKENDS,
-    "profiling",
-    "Overlay deltas committed back to the base grid.",
-)
-_register(
-    "perf_overlay_read_nodes", "counter", _DETAILED, ALL_BACKENDS,
-    "profiling",
-    "Nodes read through overlay views.",
-)
-_register(
-    "perf_overlay_write_nodes", "counter", _DETAILED, ALL_BACKENDS,
-    "profiling",
-    "Nodes written into overlay deltas.",
 )
 _register(
     "perf_ripup_net_visits", "counter", _DETAILED, ALL_BACKENDS,
@@ -454,11 +365,6 @@ _register(
     "net", "progress", _BOTH_ROUTE, ALL_BACKENDS, "routing",
     "Per-net completion event (fields: stage, net, routed).",
 )
-_register(
-    "task", "progress", _BOTH_ROUTE, PARALLEL_BACKENDS, "scheduling",
-    "Per-task pool fan-in event under profile=full "
-    "(fields: stage, index, busy_seconds).",
-)
 
 
 def _check_prefix_discipline() -> None:
@@ -469,11 +375,6 @@ def _check_prefix_discipline() -> None:
         for category, prefixes in CATEGORY_PREFIXES.items():
             owns_name = spec.name.startswith(prefixes)
             in_category = spec.category == category
-            # worker_utilization is scheduling bookkeeping without the
-            # parallel_ prefix; it predates the registry and renaming
-            # would break committed trace baselines.  It is the single
-            # allowed exception: category without prefix is tolerated,
-            # prefix without category never is.
             if owns_name and not in_category:
                 raise ValueError(
                     f"{spec.kind} {spec.name!r} carries the "
@@ -537,8 +438,7 @@ def strip_prefixes(*categories: str) -> tuple[str, ...]:
     """The name prefixes owned by strippable ``categories``.
 
     This is what the regression gate feeds to its trace scrubber:
-    ``strip_prefixes("scheduling")`` for parallel runs,
-    ``strip_prefixes("profiling", "streaming")`` for profiled ones.
+    ``strip_prefixes("profiling", "streaming")`` for profiled runs.
     Unknown categories raise so a typo cannot silently strip nothing.
     """
     out: list[str] = []
@@ -572,10 +472,8 @@ __all__ = [
     "ALL_BACKENDS",
     "CATEGORY_PREFIXES",
     "ENGINE_BACKENDS",
-    "EXECUTOR_BACKENDS",
     "KINDS",
     "MetricSpec",
-    "PARALLEL_BACKENDS",
     "history_counters",
     "is_registered",
     "lookup",

@@ -30,7 +30,7 @@ Event vocabulary (the ``ev`` field):
 * ``count`` — a counter *flush* (``delta != 1``; unit increments are
   too hot to stream, the span-close totals cover them).
 * ``gauge`` — a point-in-time value on the innermost span.
-* ``progress`` — free-form per-net / per-task progress
+* ``progress`` — free-form per-net progress
   (:meth:`StreamingTracer.progress`; emitted by the routers under
   ``RouterConfig(profile="full")``).
 * ``heartbeat`` — periodic liveness: wall offset, peak RSS (KiB),
@@ -39,12 +39,8 @@ Event vocabulary (the ``ev`` field):
   CPU, orphan counters, meta); terminates the stream.
 
 Thread safety: all emission funnels through one lock.  The routing
-stages call the tracer from the main thread only (workers accumulate
-local stats that are merged in canonical net order — see
-``docs/parallelism.md``), and the :class:`~repro.parallel.BatchExecutor`
-fans per-task progress events in on the calling thread in submission
-order, so streams are canonically ordered; the lock makes stray
-worker-side ``progress()`` calls safe as well.
+stages call the tracer from one thread, so streams are canonically
+ordered; the lock keeps concurrent callers from interleaving events.
 """
 
 from __future__ import annotations

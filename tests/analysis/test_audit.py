@@ -15,7 +15,6 @@ from repro.analysis import (
     render_audit,
 )
 from repro.benchmarks_gen import mcnc_design
-from repro.config import RouterConfig
 from repro.api import BaselineRouter, StitchAwareRouter
 from repro.detailed import DetailedResult
 from repro.detailed.router import RoutedNet
@@ -60,13 +59,6 @@ class TestCleanSolutions:
         report = audit_solution(flow.detailed_result, flow.report)
         assert "AUD007" not in report.rules_checked
         assert report.ok
-
-    def test_parallel_solution_verifies_clean(self):
-        config = RouterConfig(workers=4)
-        flow = StitchAwareRouter(config=config).route(
-            mcnc_design("S9234", 0.02)
-        )
-        assert _audit(flow).ok
 
 
 def _tiny_design():

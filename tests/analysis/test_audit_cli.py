@@ -18,15 +18,7 @@ class TestParser:
         assert args.circuit == "S9234"
         assert args.scale == 0.05
         assert args.format == "text"
-        assert args.workers == 1
         assert not args.baseline
-
-    def test_audit_accepts_workers_and_json(self):
-        args = build_parser().parse_args(
-            ["audit", "S9234", "--workers", "4", "--format", "json"]
-        )
-        assert args.workers == 4
-        assert args.format == "json"
 
 
 class TestCleanRuns:

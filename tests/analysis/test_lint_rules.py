@@ -238,7 +238,7 @@ class TestSuppressionParsing:
 class TestScoping:
     def test_routing_packages_in_scope(self):
         assert routing_rules_apply("src/repro/detailed/router.py")
-        assert routing_rules_apply("src/repro/parallel/batching.py")
+        assert routing_rules_apply("src/repro/engine/detailed.py")
 
     def test_non_routing_repro_packages_out_of_scope(self):
         assert not routing_rules_apply("src/repro/observe/tracer.py")

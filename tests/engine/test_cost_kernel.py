@@ -182,12 +182,6 @@ def test_cache_entries_are_floats_equal_to_reference(ops, probe):
         assert_cache_exact(graph)
         assert_same_state(graph, reference)
 
-    # A snapshot carries the mirrors: the next placement on it prices
-    # from the current state, and a snapshot's placement leaves the
-    # live graph's mirrors alone.
-    snapshot = graph.snapshot()
-    router._place_path(snapshot, probe)
-    assert_cache_exact(snapshot)
     for g in (graph, reference):
         router._place_path(g, probe)
     assert_cache_exact(graph)

@@ -1,11 +1,10 @@
 """Differential harness: the array engine must equal the object engine.
 
 The byte-identity contract of ``RouterConfig(engine=...)`` (see
-``docs/performance.md``): for every circuit, worker count and
-sanitizer setting, the array core produces a serialized
-:class:`~repro.eval.RoutingReport` byte-identical to the object
-engine's (after stripping wall-time fields) and every deterministic
-trace counter matches exactly.  The array solutions must additionally
+``docs/performance.md``): for every circuit, the array core produces a
+serialized :class:`~repro.eval.RoutingReport` byte-identical to the
+object engine's (after stripping wall-time fields) and every
+deterministic trace counter matches exactly.  The array solutions must additionally
 survive the independent geometry audit — identical counters from two
 engines sharing a bug would otherwise go unnoticed.
 """
@@ -53,19 +52,6 @@ class TestEngineEquivalence:
         assert obj.trace.meta["engine"] == "object"
         assert arr.trace.meta["engine"] == "array"
 
-    def test_parallel_array_equals_serial_object(self, circuit):
-        """workers=4 on the array core still equals the serial object run."""
-        scale = CIRCUITS[circuit]
-        obj = route_flow(circuit, scale, engine="object")
-        arr = route_flow(circuit, scale, engine="array", workers=4)
-        assert canonical_report(obj) == canonical_report(arr)
-        routing = {
-            k: v
-            for k, v in arr.trace.aggregate_counters().items()
-            if not k.startswith("parallel_")
-        }
-        assert routing == obj.trace.aggregate_counters()
-
     def test_array_solution_survives_independent_audit(self, circuit):
         scale = CIRCUITS[circuit]
         arr = route_flow(circuit, scale, engine="array")
@@ -73,21 +59,6 @@ class TestEngineEquivalence:
             arr.detailed_result, arr.report, arr.global_result
         )
         assert report.ok, [f.message for f in report.findings]
-
-
-def test_sanitized_parallel_run_matches_across_engines():
-    """sanitize=True falls back to object search paths yet stays identical.
-
-    The sanitized overlays deliberately lack the indexed fast-path
-    hooks, so this exercises the mixed regime: array base state, object
-    search under the sanitizer — reports must still match byte for
-    byte.
-    """
-    obj = route_flow("S5378", 0.02, engine="object")
-    arr = route_flow(
-        "S5378", 0.02, engine="array", workers=4, sanitize=True
-    )
-    assert canonical_report(obj) == canonical_report(arr)
 
 
 def test_auto_engine_resolves_to_array_when_numpy_present():
@@ -101,8 +72,8 @@ class TestProfiledEquivalence:
 
     ``RouterConfig(profile="counters")`` instruments both engines; the
     differential promise extends to it in two parts — the routing
-    counters still match exactly (strip ``perf_*``, mirroring the
-    ``parallel_*`` stripping above), and the ``perf_*`` counters the
+    counters still match exactly (strip ``perf_*``), and the ``perf_*``
+    counters the
     engines share (heap traffic is step-identical by construction)
     must agree with each other too.
     """
@@ -137,7 +108,5 @@ class TestProfiledEquivalence:
 
     def test_full_profile_keeps_byte_identity(self):
         obj = route_flow("S5378", 0.02, engine="object", profile="full")
-        arr = route_flow(
-            "S5378", 0.02, engine="array", workers=4, profile="full"
-        )
+        arr = route_flow("S5378", 0.02, engine="array", profile="full")
         assert canonical_report(obj) == canonical_report(arr)

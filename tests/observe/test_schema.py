@@ -6,12 +6,11 @@ Two halves:
   (history ordering for analytics, strip-prefix queries for the
   regression gate, prefix discipline at import time);
 * live completeness — S9234 at the regression-gate scale is routed
-  under four configurations (serial, thread pool, sanitizer, counter
+  under three configurations (default, counter profiling, full
   profiling) and **every** counter, gauge, span, and progress kind the
   run emits must be registered with backend coverage that includes the
-  run's own engine/executor tags.  A new
-  metric emitted anywhere in the engine fails here until it is
-  declared in :mod:`repro.observe.schema`.
+  run's own engine tag.  A new metric emitted anywhere in the engine
+  fails here until it is declared in :mod:`repro.observe.schema`.
 """
 
 import io
@@ -26,14 +25,13 @@ from repro.observe import StreamingTracer, schema
 
 CIRCUIT, SCALE = "S9234", 0.02
 
-#: The four live configurations the completeness gate covers.
+#: The live configurations the completeness gate covers.
 CONFIGS = {
     "serial": {},
-    # profile="full" turns on progress events, so the parallel run
-    # also proves the "net"/"task" progress kinds are registered.
-    "thread4": {"workers": 4, "profile": "full"},
-    "sanitize": {"sanitize": True},
     "profile": {"profile": "counters"},
+    # profile="full" turns on progress events, so this run proves the
+    # "net" progress kind is registered.
+    "full": {"profile": "full"},
 }
 
 
@@ -72,7 +70,7 @@ class TestRegistryInvariants:
         )
 
     def test_strip_prefixes(self):
-        assert schema.strip_prefixes("scheduling") == ("parallel_",)
+        assert schema.strip_prefixes("profiling") == ("perf_",)
         assert set(schema.strip_prefixes("profiling", "streaming")) == {
             "perf_",
             "stream_",
@@ -91,18 +89,18 @@ class TestRegistryInvariants:
                     assert spec.category == category, spec.name
 
     def test_metric_names_filters(self):
-        scheduling = schema.metric_names("counter", category="scheduling")
-        assert all(n.startswith("parallel_") for n in scheduling)
-        assert "parallel_tasks" in schema.metric_names(
-            "counter", backend="thread"
+        profiling = schema.metric_names("counter", category="profiling")
+        assert profiling and all(n.startswith("perf_") for n in profiling)
+        assert "perf_cache_refreshes" in schema.metric_names(
+            "counter", backend="array"
         )
-        assert "parallel_tasks" not in schema.metric_names(
-            "counter", backend="serial"
+        assert "perf_cache_refreshes" not in schema.metric_names(
+            "counter", backend="object"
         )
 
 
 # ----------------------------------------------------------------------
-# Live completeness across the four configurations
+# Live completeness across the configurations
 # ----------------------------------------------------------------------
 _RUNS: dict = {}
 
@@ -127,11 +125,8 @@ def run(name):
 
 
 def backend_tags(config):
-    """The engine/executor tags this configuration runs under."""
-    engine = resolve_engine(config.engine).value
-    if config.workers == 1:
-        return {engine, "serial"}
-    return {engine, "thread"}
+    """The engine tag this configuration runs under."""
+    return {resolve_engine(config.engine).value}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -178,8 +173,5 @@ class TestLiveCompleteness:
         counters = trace.aggregate_counters()
         if name == "profile":
             assert any(c.startswith("perf_") for c in counters)
-        if name == "sanitize":
-            assert any(c.startswith("sanitize_") for c in counters)
-        if name == "thread4":
-            assert any(c.startswith("parallel_") for c in counters)
-            assert "task" in progress_kinds
+        if name == "full":
+            assert "net" in progress_kinds

@@ -4,9 +4,7 @@ Three promises from ``docs/observability.md`` are proven on a real
 gate circuit (S9234 at the regression-gate scale):
 
 * a streamed run's NDJSON events replay into a :class:`RunTrace`
-  byte-identical to the trace the run itself froze — serial and under
-  ``workers=4`` (the executor fans progress events in on the calling
-  thread, so the stream stays canonically ordered);
+  byte-identical to the trace the run itself froze;
 * ``profile="off"`` leaves the trace byte-compatible with the
   committed (pre-profiling) baselines — zero-cost means *invisible*;
 * ``profile="counters"`` adds only ``perf_*`` counters: stripping
@@ -33,9 +31,9 @@ BASELINE = (
 )
 
 
-def route(workers=1, profile="off", engine="auto", tracer=None):
+def route(profile="off", engine="auto", tracer=None):
     design = mcnc_design(CIRCUIT, SCALE)
-    config = RouterConfig(workers=workers, profile=profile, engine=engine)
+    config = RouterConfig(profile=profile, engine=engine)
     return StitchAwareRouter(config=config).route(design, tracer=tracer)
 
 
@@ -48,37 +46,11 @@ def strip_instrumentation(counters):
 
 
 class TestReplayIdentity:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_streamed_run_replays_byte_identical(self, tmp_path, workers):
+    def test_streamed_run_replays_byte_identical(self, tmp_path):
         path = tmp_path / "run.ndjson"
-        flow = route(
-            workers=workers,
-            profile="full",
-            tracer=StreamingTracer(path),
-        )
+        flow = route(profile="full", tracer=StreamingTracer(path))
         assert flow.trace is not None
         assert read_stream(path).to_json() == flow.trace.to_json()
-
-    def test_parallel_stream_carries_task_progress(self, tmp_path):
-        path = tmp_path / "run.ndjson"
-        route(workers=4, profile="full", tracer=StreamingTracer(path))
-        events = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        tasks = [
-            e for e in events
-            if e["ev"] == "progress" and e["kind"] == "task"
-        ]
-        nets = [
-            e for e in events
-            if e["ev"] == "progress" and e["kind"] == "net"
-        ]
-        assert tasks and nets
-        # Canonical fan-in: per-stage task indices are strictly
-        # increasing — worker scheduling never reorders the stream.
-        for stage in {t["stage"] for t in tasks}:
-            indices = [t["index"] for t in tasks if t["stage"] == stage]
-            assert indices == sorted(indices)
 
 
 class TestProfileOffIsInvisible:
@@ -119,10 +91,9 @@ class TestProfileOffIsInvisible:
 
 
 class TestCountersModeIsPure:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_stripping_recovers_off_mode(self, workers):
-        off = route(workers=workers, profile="off")
-        counters = route(workers=workers, profile="counters")
+    def test_stripping_recovers_off_mode(self):
+        off = route(profile="off")
+        counters = route(profile="counters")
         assert off.trace is not None and counters.trace is not None
         assert strip_instrumentation(
             counters.trace.aggregate_counters()
@@ -136,14 +107,6 @@ class TestCountersModeIsPure:
         assert agg.get("perf_heap_pops", 0) > 0
         assert agg.get("perf_maze_heap_pops", 0) > 0
         assert flow.trace.meta["profile"] == "counters"
-
-    def test_overlay_counters_in_parallel_runs(self):
-        # Overlay commits only exist where overlays do: pooled batches.
-        flow = route(workers=4, profile="counters")
-        assert flow.trace is not None
-        agg = flow.trace.aggregate_counters()
-        assert agg.get("perf_overlay_commits", 0) > 0
-        assert agg.get("perf_overlay_read_nodes", 0) > 0
 
     def test_engines_agree_on_perf_counters(self):
         pytest.importorskip("numpy")

@@ -341,3 +341,33 @@ class TestAnalyzerPaths:
         notes.write_text("x = 1\n")
         assert main([command, str(notes)]) == 2
         assert "no such path" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    """A missing output directory fails before the design is generated."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("route", "--svg"),
+            ("route", "--report"),
+            ("route", "--save-design"),
+            ("route", "--profile"),
+            ("route", "--stream"),
+            ("compare", "--profile"),
+            ("diag", "--report"),
+            ("audit", "--report"),
+        ],
+    )
+    def test_missing_directory_exits_2_before_routing(
+        self, command, flag, capsys, monkeypatch, tmp_path
+    ):
+        def no_routing(name, scale):
+            raise AssertionError("the design was generated")
+
+        monkeypatch.setattr("repro.cli._get_design", no_routing)
+        missing = tmp_path / "missing"
+        argv = [command, "S9234", flag, str(missing / "out.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"repro {command}: no such directory: {missing}"

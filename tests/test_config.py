@@ -84,28 +84,6 @@ class TestBenchmarkScale:
                 benchmark_scale()
 
 
-class TestWorkersValidation:
-    def test_default_is_serial(self):
-        assert DEFAULT_CONFIG.workers == 1
-
-    def test_accepts_positive_counts(self):
-        assert RouterConfig(workers=4).workers == 4
-
-    def test_rejects_zero_and_negative(self):
-        with pytest.raises(ValueError):
-            RouterConfig(workers=0)
-        with pytest.raises(ValueError):
-            RouterConfig(workers=-2)
-
-    def test_rejects_non_integers(self):
-        with pytest.raises(ValueError):
-            RouterConfig(workers=2.5)
-        with pytest.raises(ValueError):
-            RouterConfig(workers=True)
-        with pytest.raises(ValueError):
-            RouterConfig(workers="4")
-
-
 class TestAuditFlag:
     def test_default_is_off(self):
         assert DEFAULT_CONFIG.audit is False

@@ -57,12 +57,3 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "route" in proc.stdout and "compare" in proc.stdout
-
-    def test_workers_flag_advertised(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "route", "--help"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "--workers" in proc.stdout
