@@ -24,24 +24,11 @@ Exit status is non-zero on any regression, so CI can gate on it::
     PYTHONPATH=src python benchmarks/regression.py --only S9234    # one circuit
     PYTHONPATH=src python benchmarks/regression.py --no-wall       # counters only
     PYTHONPATH=src python benchmarks/regression.py --update        # refresh baselines
-    PYTHONPATH=src python benchmarks/regression.py --engine array  # array-core gate
-    PYTHONPATH=src python benchmarks/regression.py --scale 10 --out-dir .  # engine speedup
     PYTHONPATH=src python benchmarks/regression.py --snapshot-dir .  # refresh BENCH_*.json
     PYTHONPATH=src python benchmarks/regression.py --profile counters  # profiled gate
     PYTHONPATH=src python benchmarks/regression.py --overhead-budget 2 --repeat 5  # profiling cost
 
-``--engine array`` runs the whole gate on the numpy array core
-(:mod:`repro.engine`) and diffs against the *same committed
-baselines* — the engines' byte-identity contract means no counter may
-move.  ``--scale MULT`` instead routes every circuit at ``MULT x`` its
-gate scale with *both* engines, requires identical counters,
-cross-checks both solutions under the independent audit, and records
-the object/array wall-clock speedup — the minimum over ``--repeat N``
-interleaved runs (``SPEEDUP_ENGINE_<circuit>.json`` with
-``--out-dir``; the committed copies back the speedup claims in
-``docs/performance.md``).
-
-``--profile counters|full`` routes the gate with the engine profiling
+``--profile counters|full`` routes the gate with the profiling
 counters enabled and strips the ``perf_*`` / ``stream_*``
 instrumentation before diffing — the profiled runs must still match
 the profile-off baselines exactly (profiling never perturbs routing).
@@ -106,11 +93,7 @@ def baseline_path(circuit: str) -> pathlib.Path:
     return BASELINE_DIR / f"BENCH_{circuit}.json"
 
 
-def run_circuit(
-    circuit: str,
-    engine: str = "object",
-    profile: str = "off",
-) -> Dict[str, FlowResult]:
+def run_circuit(circuit: str, profile: str = "off") -> Dict[str, FlowResult]:
     """Route one gate circuit with every router; flows keyed by label.
 
     Returns the full :class:`~repro.core.FlowResult` (not just the
@@ -118,127 +101,12 @@ def run_circuit(
     audit the solutions.
     """
     scale = CIRCUITS[circuit]
-    config = RouterConfig(engine=engine, profile=profile)
+    config = RouterConfig(profile=profile)
     flows: Dict[str, FlowResult] = {}
     for label, router_cls in ROUTERS.items():
         design = mcnc_design(circuit, scale)
         flows[label] = router_cls(config=config).route(design)
     return flows
-
-
-def engine_speedup(
-    circuit: str,
-    scale_multiplier: float,
-    out_dir: Optional[str],
-    repeat: int = 1,
-) -> List[str]:
-    """Object-vs-array differential + speedup run at a scaled workload.
-
-    Routes the circuit at ``gate scale x multiplier`` with both
-    engines (stitch-aware flow, serial), asserts their traces carry
-    **identical deterministic counters** (the byte-identity contract),
-    cross-checks both solutions under the independent audit (oversized
-    instances may carry genuine findings — but only the *same* ones
-    from both engines), and reports the wall-clock speedup, the
-    minimum over ``repeat`` interleaved runs per engine.  With
-    ``out_dir`` set, writes ``SPEEDUP_ENGINE_<circuit>.json``
-    recording per-engine walls — the committed artifacts behind
-    ``docs/performance.md``.
-    """
-    scale = CIRCUITS[circuit] * scale_multiplier
-    failures: List[str] = []
-    flows: Dict[str, FlowResult] = {}
-    walls: Dict[str, List[float]] = {"object": [], "array": []}
-    # Repeats interleave the engines (fairer under drifting machine
-    # load) and the recorded wall is the minimum — the standard
-    # benchmarking estimator for "how fast can this code run".
-    # Counters must agree across every run, engines and repeats alike.
-    for run in range(max(1, repeat)):
-        for engine in ("object", "array"):
-            design = mcnc_design(circuit, scale)
-            config = RouterConfig(engine=engine)
-            flow = StitchAwareRouter(config=config).route(design)
-            assert flow.trace is not None
-            walls[engine].append(flow.trace.wall_seconds)
-            if run == 0:
-                flows[engine] = flow
-            else:
-                rediff = diff_traces(
-                    flows[engine].trace,
-                    flow.trace,
-                    DiffThresholds(include_wall=False),
-                )
-                if not rediff.ok:
-                    failures.extend(
-                        f"{circuit}@{scale:g}: {engine} repeat {run} "
-                        f"nondeterminism {line}"
-                        for line in rediff.regressions()
-                    )
-
-    obj_trace, arr_trace = flows["object"].trace, flows["array"].trace
-    assert obj_trace is not None and arr_trace is not None
-    diff = diff_traces(
-        obj_trace, arr_trace, DiffThresholds(include_wall=False)
-    )
-    if diff.ok:
-        print(f"{circuit}@{scale:g}: engines agree on every counter")
-    else:
-        print(render_diff(diff))
-        failures.extend(
-            f"{circuit}@{scale:g}: engine divergence {line}"
-            for line in diff.regressions()
-        )
-    # The audit serves as an engine cross-check here: oversized
-    # instances may carry genuine findings (they are well past the
-    # paper's congestion envelope), but both engines must produce the
-    # *same* findings — a clean array run over a dirty object run (or
-    # vice versa) would mean the engines routed different solutions.
-    audits = {}
-    for engine, flow in flows.items():
-        report = audit_solution(
-            flow.detailed_result, flow.report, flow.global_result
-        )
-        audits[engine] = sorted(
-            (f.rule, f.net or "", f.message) for f in report.findings
-        ) + sorted((d.counter, d.reported, d.recomputed) for d in report.drift)
-        status = (
-            "clean" if report.ok else f"{len(report.findings)} finding(s)"
-        )
-        print(f"{circuit}@{scale:g}: {engine} audit {status}")
-    if audits["object"] != audits["array"]:
-        failures.append(
-            f"{circuit}@{scale:g}: engines disagree under audit "
-            f"(object {len(audits['object'])} vs "
-            f"array {len(audits['array'])} findings)"
-        )
-
-    s, a = min(walls["object"]), min(walls["array"])
-    ratio = s / a if a > 0 else 0.0
-    print(
-        f"{circuit}@{scale:g}: object {s:.3f}s, array {a:.3f}s, "
-        f"speedup x{ratio:.2f} (min of {len(walls['object'])} run(s))"
-    )
-    if out_dir:
-        out = pathlib.Path(out_dir) / f"SPEEDUP_ENGINE_{circuit}.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(
-                {
-                    "circuit": circuit,
-                    "scale": scale,
-                    "scale_multiplier": scale_multiplier,
-                    "object_wall_seconds": round(s, 4),
-                    "array_wall_seconds": round(a, 4),
-                    "repeats": len(walls["object"]),
-                    "speedup": round(ratio, 3),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        print(f"wrote {out}")
-    return failures
 
 
 #: Absolute slack added to the overhead budget: the gate circuits
@@ -249,10 +117,7 @@ OVERHEAD_NOISE_FLOOR_SECONDS = 0.02
 
 
 def overhead_budget(
-    circuit: str,
-    engine: str,
-    budget_pct: float,
-    repeat: int = 3,
+    circuit: str, budget_pct: float, repeat: int = 3
 ) -> List[str]:
     """Profiling overhead gate: ``profile="counters"`` must be ~free.
 
@@ -272,7 +137,7 @@ def overhead_budget(
     for run in range(max(1, repeat)):
         for mode in ("off", "counters"):
             design = mcnc_design(circuit, scale)
-            config = RouterConfig(engine=engine, profile=mode)
+            config = RouterConfig(profile=mode)
             flow = StitchAwareRouter(config=config).route(design)
             assert flow.trace is not None
             walls[mode].append(flow.trace.wall_seconds)
@@ -303,7 +168,7 @@ def overhead_budget(
         f"{circuit}: off {off_wall:.4f}s, counters {counters_wall:.4f}s "
         f"({overhead_pct:+.1f}%, budget {budget_pct:g}% "
         f"+ {OVERHEAD_NOISE_FLOOR_SECONDS:g}s noise floor, "
-        f"min of {len(walls['off'])} run(s), engine={engine})"
+        f"min of {len(walls['off'])} run(s))"
     )
     if counters_wall > limit:
         failures.append(
@@ -490,33 +355,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the independent solution audit of the fresh runs",
     )
     parser.add_argument(
-        "--engine",
-        choices=("object", "array"),
-        default="object",
-        help="routing engine for the gate runs (default: object, the "
-        "reference the baselines were recorded with; array must "
-        "reproduce the same counters — that equality is the point "
-        "of running the gate with both)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        metavar="MULT",
-        help="switch to the engine-speedup mode: route each circuit at "
-        "MULT x its gate scale with BOTH engines, require identical "
-        "deterministic counters, audit the array solutions, and "
-        "report object/array wall-clock speedups (baseline diffing "
-        "is skipped — the committed baselines are 1x).  With "
-        "--out-dir, writes SPEEDUP_ENGINE_<circuit>.json artifacts.",
-    )
-    parser.add_argument(
         "--repeat",
         type=int,
         default=1,
         metavar="N",
-        help="with --scale / --overhead-budget: route each mode N times "
-        "(interleaved) and record the minimum wall per mode; counters "
-        "must agree across every run",
+        help="with --overhead-budget: route each mode N times "
+        "(interleaved) and record the minimum wall per mode",
     )
     parser.add_argument(
         "--profile",
@@ -542,12 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             "baselines are profile-off; refusing --update with --profile"
         )
-    if args.scale is not None and args.scale <= 0:
-        parser.error("--scale must be positive")
     if args.overhead_budget is not None and args.overhead_budget <= 0:
         parser.error("--overhead-budget must be positive")
-    if args.scale is not None and args.overhead_budget is not None:
-        parser.error("--scale and --overhead-budget are separate modes")
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
@@ -564,27 +404,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     failures: List[str] = []
-    if args.scale is not None:
-        for circuit in circuits:
-            failures.extend(
-                engine_speedup(
-                    circuit, args.scale, args.out_dir, args.repeat
-                )
-            )
-        if failures:
-            print(f"\nengine speedup run FAILED ({len(failures)}):")
-            for line in failures:
-                print(f"  {line}")
-            return 1
-        print("\nengine speedup run passed")
-        return 0
-
     if args.overhead_budget is not None:
         for circuit in circuits:
             failures.extend(
-                overhead_budget(
-                    circuit, args.engine, args.overhead_budget, args.repeat
-                )
+                overhead_budget(circuit, args.overhead_budget, args.repeat)
             )
         if failures:
             print(f"\noverhead budget run FAILED ({len(failures)}):")
@@ -595,7 +418,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     for circuit in circuits:
-        flows = run_circuit(circuit, args.engine, args.profile)
+        flows = run_circuit(circuit, args.profile)
         traces = traces_of(flows)
         if not args.no_audit:
             failures.extend(audit_flows(circuit, flows))

@@ -67,9 +67,9 @@ def main() -> None:
         "[benchmarks](benchmarks.md) · [observability](observability.md) "
         "(tracing, trace analytics & diffing, violation attribution, the "
         "benchmark regression gate) · [performance](performance.md) (the "
-        "`engine=` seam, the array core, reading SPEEDUP snapshots) · "
-        "[static analysis](static_analysis.md) (the determinism linter, "
-        "the parity analyzer, the typing gate, and the solution audit).",
+        "search kernels, their cost caches and reference twins) · "
+        "[static analysis](static_analysis.md) (the linter, the typing "
+        "gate, and the solution audit).",
         "",
         "**Import-stability policy.** `repro.api` (plus the `repro` "
         "package root) is the stable surface: names exported there keep "

@@ -6,13 +6,8 @@ grandfathered findings are reported but do not fail the run, while any
 *new* finding does.  Fingerprints are ``(path, rule, stripped line
 text)`` — stable across unrelated edits that only shift line numbers.
 
-Two gates share this machinery, distinguished by the ``format``
-field in the file header:
-
-* the determinism linter — ``lint-baseline.json`` at the repo root,
-  rewritten by ``repro lint --update-baseline``;
-* the cross-backend parity analyzer — ``parity-baseline.json``,
-  rewritten by ``repro parity --update-baseline``.
+The linter's baseline is ``lint-baseline.json`` at the repo root,
+rewritten by ``repro lint --update-baseline``.
 """
 
 from __future__ import annotations
@@ -26,15 +21,9 @@ from .findings import Finding
 BASELINE_FORMAT = "repro-lint-baseline"
 BASELINE_VERSION = 1
 
-#: ``format`` header of the cross-backend parity baseline.
-PARITY_BASELINE_FORMAT = "repro-parity-baseline"
-
 #: File name probed in the working directory when ``--baseline`` is
 #: not given.
 DEFAULT_BASELINE_NAME = "lint-baseline.json"
-
-#: Same, for ``repro parity``.
-DEFAULT_PARITY_BASELINE_NAME = "parity-baseline.json"
 
 
 class Baseline:
@@ -58,20 +47,11 @@ class Baseline:
 
     # ------------------------------------------------------------------
     @classmethod
-    def load(
-        cls,
-        path: str | pathlib.Path,
-        *,
-        format: str = BASELINE_FORMAT,
-    ) -> Baseline:
-        """Read a baseline file written by :func:`save_baseline`.
-
-        ``format`` must match the file's header — loading a lint
-        baseline as a parity baseline (or vice versa) is an error.
-        """
+    def load(cls, path: str | pathlib.Path) -> Baseline:
+        """Read a baseline file written by :func:`save_baseline`."""
         data = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-        if data.get("format") != format:
-            raise ValueError(f"{path}: not a {format} file")
+        if data.get("format") != BASELINE_FORMAT:
+            raise ValueError(f"{path}: not a {BASELINE_FORMAT} file")
         if data.get("version") != BASELINE_VERSION:
             raise ValueError(
                 f"{path}: unsupported baseline version {data.get('version')}"
@@ -83,10 +63,7 @@ class Baseline:
 
 
 def save_baseline(
-    path: str | pathlib.Path,
-    findings: Iterable[Finding],
-    *,
-    format: str = BASELINE_FORMAT,
+    path: str | pathlib.Path, findings: Iterable[Finding]
 ) -> int:
     """Write the baseline file grandfathering ``findings``.
 
@@ -97,7 +74,7 @@ def save_baseline(
         {finding.fingerprint for finding in findings}
     )
     document = {
-        "format": format,
+        "format": BASELINE_FORMAT,
         "version": BASELINE_VERSION,
         "findings": [
             {"path": p, "rule": rule, "text": text}

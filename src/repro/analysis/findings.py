@@ -1,16 +1,15 @@
 """Shared finding/fix-hint/rule-filter plumbing for the analysis tools.
 
-The determinism linter (:mod:`~repro.analysis.lint`), the solution
-auditor (:mod:`~repro.analysis.audit`), and the cross-backend parity
-analyzer (:mod:`~repro.analysis.parity`) all report rule breaches the
-same way: a stable rule code, a message, a location, a canonical fix
-hint, ``# repro: allow-<CODE>`` suppression comments, and
+The linter (:mod:`~repro.analysis.lint`) and the solution auditor
+(:mod:`~repro.analysis.audit`) report rule breaches the same way: a
+stable rule code, a message, a location and a canonical fix hint; the
+linter adds ``# repro: allow-<CODE>`` suppression comments and
 ``--select`` / ``--ignore`` rule filtering.  This module is the one
-implementation all three share:
+implementation both share:
 
-* :class:`Finding` — a source-location finding (used by the linter and
-  the parity analyzer; the auditor's :class:`~repro.analysis.
-  audit.AuditFinding` shares the hint/serialization surface);
+* :class:`Finding` — a source-location finding (the linter's; the
+  auditor's :class:`~repro.analysis.audit.AuditFinding` shares the
+  hint/serialization surface);
 * :func:`fix_hint_for` — rule-code -> canonical fix lookup over the
   merged catalogs;
 * :func:`resolve_rule_filter` — ``--select`` / ``--ignore`` resolution
@@ -44,8 +43,7 @@ def fix_hint_for(code: str) -> str:
 class Finding:
     """One rule violation at one source location.
 
-    Shared by the linter (DET rules) and the parity analyzer (PAR
-    rules); the rule code picks the catalog implicitly.
+    The rule code picks the catalog implicitly.
     """
 
     path: str
@@ -113,9 +111,10 @@ def suppression_pattern(family: str) -> re.Pattern[str]:
 def suppressed_rules(line: str, family: str = "DET") -> frozenset[str]:
     """Rule codes silenced by a ``# repro: allow-...`` comment.
 
-    ``family`` is the rule-code prefix (``DET``, ``PAR``); several
-    codes may be listed comma separated, with or without repeating the
-    ``allow-`` prefix.
+    ``family`` is the rule-code prefix (``DET``, ``OBS``) or a regex
+    alternation of prefixes (``(?:DET|OBS)``); several codes may be
+    listed comma separated, with or without repeating the ``allow-``
+    prefix.
     """
     match = suppression_pattern(family).search(line)
     if match is None:

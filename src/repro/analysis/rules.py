@@ -1,25 +1,20 @@
-"""The analysis rule catalogs (DET, AUD, PAR).
+"""The analysis rule catalogs (lint: DET and OBS; AUD).
 
-Three catalogs share the :class:`Rule` record:
+Two catalogs share the :class:`Rule` record:
 
-* the **DET** rules state the code-level conventions the committed
-  baselines rest on: the routing result must be a pure function of
-  the design and the config, byte-for-byte reproducible across
-  processes and machines.  The linter in :mod:`~repro.analysis.lint`
-  enforces them statically.
+* the **lint** rules, enforced statically by the linter in
+  :mod:`~repro.analysis.lint`.  The DET rules state the code-level
+  conventions the committed baselines rest on: the routing result
+  must be a pure function of the design and the config,
+  byte-for-byte reproducible across processes and machines.  OBS001
+  keeps the observability vocabulary in one place: every metric name
+  the code emits must be declared in :mod:`repro.observe.schema`.
 * the **AUD** rules state the solution-level constraints a finished
   routing must satisfy (the paper's Problem 1 plus basic routing
   legality).  The independent auditor in
   :mod:`~repro.analysis.audit` re-derives each one from the raw
   geometry — DRC-style, sharing no counting code with the evaluator —
   and cross-checks the router's self-reported numbers.
-* the **PAR** rules state the cross-backend equivalence discipline:
-  implementations declared as backend pairs
-  (``@repro.analysis.paired(...)``) must agree on every externally
-  observable effect — counters, trace events, config consumption,
-  exceptions, and call signatures — and every observability name must
-  be declared in the :mod:`~repro.observe.schema` registry.  The
-  parity analyzer in :mod:`~repro.analysis.parity` enforces them.
 
 ``docs/static_analysis.md`` discusses every rule with examples.
 """
@@ -31,13 +26,13 @@ import dataclasses
 
 @dataclasses.dataclass(frozen=True)
 class Rule:
-    """One determinism rule.
+    """One analysis rule.
 
     Attributes:
         code: stable identifier (``DET001`` ...), used in output and in
             ``# repro: allow-DETnnn`` suppression comments.
         title: one-line description shown next to every finding.
-        rationale: why violating the rule can break reproducibility.
+        rationale: why violating the rule is a defect.
         fix_hint: the canonical way to fix (or legitimately suppress) a
             finding; printed with every finding.
         routing_only: whether the rule applies only inside the
@@ -56,7 +51,7 @@ class Rule:
 #: tie-breaking, and ambient inputs inside these packages directly
 #: shape the routing result, so the routing-scoped rules apply here.
 ROUTING_PACKAGES = frozenset(
-    {"globalroute", "detailed", "assign", "engine", "multilevel"}
+    {"globalroute", "detailed", "assign", "multilevel"}
 )
 
 DET001 = Rule(
@@ -129,9 +124,30 @@ DET005 = Rule(
     ),
 )
 
-#: All determinism rules, keyed by code, in catalog order.
+OBS001 = Rule(
+    code="OBS001",
+    title="counter/gauge/span/progress name missing from the observe "
+    "schema registry",
+    rationale=(
+        "repro.observe.schema is the single source of truth for every "
+        "observability name — the regression gate's strip lists, the "
+        "perf-history columns and the live completeness tests all "
+        "derive from it.  An unregistered name is invisible to all of "
+        "them: it cannot be stripped, tracked or checked."
+    ),
+    fix_hint=(
+        "register the name in repro/observe/schema.py with its owner "
+        "stage and category (or fix the typo — unregistered names are "
+        "usually misspellings of registered ones); suppress with "
+        "# repro: allow-OBS001 <why> for a name that never reaches a "
+        "trace"
+    ),
+    routing_only=False,
+)
+
+#: All lint rules, keyed by code, in catalog order.
 RULES: dict[str, Rule] = {
-    r.code: r for r in (DET001, DET002, DET003, DET004, DET005)
+    r.code: r for r in (DET001, DET002, DET003, DET004, DET005, OBS001)
 }
 
 
@@ -225,8 +241,9 @@ AUD006 = Rule(
         "left the legal grid."
     ),
     fix_hint=(
-        "check DetailedGrid.neighbors (planar moves must follow the "
-        "preferred direction) and the trunk materialization"
+        "check the detailed A* in repro/detailed/search.py (planar "
+        "moves must follow the preferred direction) and the trunk "
+        "materialization in repro/detailed/trunks.py"
     ),
     routing_only=False,
 )
@@ -255,138 +272,11 @@ AUDIT_RULES: dict[str, Rule] = {
 }
 
 
-PAR001 = Rule(
-    code="PAR001",
-    title="counter bumped in one backend of a pair only",
-    rationale=(
-        "Paired backends must reproduce the committed trace baselines "
-        "byte for byte — the counters ARE the quality metrics (#VV, "
-        "stitch evaluations, expansion totals) the paper reports.  A "
-        "counter one member bumps and the other never mentions "
-        "guarantees a diff on the first workload that reaches it, "
-        "found at lint time instead of by the differential suite."
-    ),
-    fix_hint=(
-        "bump the counter in both backends (or hoist it into the "
-        "shared caller so neither backend owns it); if the divergence "
-        "is genuinely backend-local bookkeeping, give it a strippable "
-        "prefix (perf_) or suppress with "
-        "# repro: allow-PAR001 <why>"
-    ),
-    routing_only=False,
-)
-
-PAR002 = Rule(
-    code="PAR002",
-    title="trace span/gauge/progress event emitted in one backend only",
-    rationale=(
-        "Spans, gauges, and progress events form the observable shape "
-        "of a run; trace diffing, the watch monitor, and the committed "
-        "BENCH baselines all assume that shape is backend-invariant. "
-        "A span or gauge only one pair member emits makes traces "
-        "structurally incomparable across backends."
-    ),
-    fix_hint=(
-        "emit the event in both backends or move it to the shared "
-        "orchestration layer above the pair; suppress with "
-        "# repro: allow-PAR002 <why> if the event is intentionally "
-        "backend-specific"
-    ),
-    routing_only=False,
-)
-
-PAR003 = Rule(
-    code="PAR003",
-    title="RouterConfig field consumed by one backend of a pair only",
-    rationale=(
-        "A config knob only one backend reads is a semantic fork: the "
-        "same RouterConfig routes differently depending on which "
-        "member runs, and no differential circuit that leaves the "
-        "knob at its default will ever notice.  Every field a pair "
-        "member consults must be consulted (or provably irrelevant) "
-        "in its twin."
-    ),
-    fix_hint=(
-        "thread the config field through both implementations, or "
-        "resolve it in the shared caller and pass the resolved value "
-        "down; suppress with # repro: allow-PAR003 <why> when the "
-        "field selects between the backends themselves"
-    ),
-    routing_only=False,
-)
-
-PAR004 = Rule(
-    code="PAR004",
-    title="divergent exception or shared-state op surface between "
-    "paired backends",
-    rationale=(
-        "Callers of a paired contract handle the reference "
-        "implementation's failure modes and rely on both members "
-        "driving the same grid/graph vocabulary; an "
-        "exception type or shared-state operation only one member "
-        "uses turns an equivalent-but-faster path into one with new "
-        "crash modes or a different mutation footprint."
-    ),
-    fix_hint=(
-        "raise the same exception types and apply the same "
-        "shared-state operations from both members (wrap "
-        "backend-internal errors at the boundary); suppress with "
-        "# repro: allow-PAR004 <why> for genuinely "
-        "backend-impossible conditions"
-    ),
-    routing_only=False,
-)
-
-PAR005 = Rule(
-    code="PAR005",
-    title="counter/gauge name missing from the observe schema registry",
-    rationale=(
-        "repro.observe.schema is the single source of truth for every "
-        "observability name — the regression gate's strip lists, the "
-        "perf-history columns, and backend-coverage checks all derive "
-        "from it.  An unregistered name is invisible to all of them: "
-        "it cannot be stripped, tracked, or parity-checked."
-    ),
-    fix_hint=(
-        "register the name in repro/observe/schema.py with its owner "
-        "stage, backend coverage, and category (or fix the typo — "
-        "unregistered names are usually misspellings of registered "
-        "ones)"
-    ),
-    routing_only=False,
-)
-
-PAR006 = Rule(
-    code="PAR006",
-    title="paired callables with drifting signatures or defaults",
-    rationale=(
-        "Backend pairs are dispatched by a shared caller that builds "
-        "one argument list; members whose parameter names, order, or "
-        "defaults drift can only be called through backend-specific "
-        "glue, and a default that differs between members silently "
-        "changes behavior when the caller omits the argument."
-    ),
-    fix_hint=(
-        "align parameter names, order, and default values across the "
-        "pair (the self/receiver parameter is exempt); suppress with "
-        "# repro: allow-PAR006 <why> where the extra parameter is the "
-        "backend's own state handle"
-    ),
-    routing_only=False,
-)
-
-#: All cross-backend parity rules, keyed by code, in catalog order.
-PAR_RULES: dict[str, Rule] = {
-    r.code: r
-    for r in (PAR001, PAR002, PAR003, PAR004, PAR005, PAR006)
-}
-
-
 def rule_catalog() -> dict[str, Rule]:
     """Every known rule across all catalogs, keyed by code.
 
     The merged lookup table behind
     :func:`~repro.analysis.findings.fix_hint_for` — rule codes are
-    globally unique across the DET/AUD/PAR families.
+    globally unique across the catalogs.
     """
-    return {**RULES, **AUDIT_RULES, **PAR_RULES}
+    return {**RULES, **AUDIT_RULES}

@@ -4,7 +4,7 @@ Everything a downstream user needs lives here under one import path::
 
     from repro.api import RouterConfig, StitchAwareRouter, route
 
-    result = route(design, RouterConfig(engine="array"))
+    result = route(design, RouterConfig(profile="counters"))
     print(result.report.stitch_line_histogram())
 
 The facade is the *compatibility contract*: names exported here keep
@@ -27,11 +27,9 @@ from typing import TYPE_CHECKING, Any, Optional
 from .config import (
     DEFAULT_CONFIG,
     ColoringMethod,
-    Engine,
     RouterConfig,
     TrackMethod,
     benchmark_scale,
-    resolve_engine,
 )
 from .core.flow import BaselineRouter, FlowResult, StitchAwareRouter
 from .eval import RoutingReport
@@ -47,7 +45,6 @@ __all__ = [
     "ColoringMethod",
     "DEFAULT_CONFIG",
     "Design",
-    "Engine",
     "FlowResult",
     "RouterConfig",
     "RoutingReport",
@@ -58,7 +55,6 @@ __all__ = [
     "audit_solution",
     "benchmark_scale",
     "lint_paths",
-    "resolve_engine",
     "route",
 ]
 
@@ -85,7 +81,6 @@ def route(
     Convenience wrapper over
     ``StitchAwareRouter(config=config).route(design)`` — the flow all
     of the paper's result tables use.  ``config`` defaults to
-    :data:`DEFAULT_CONFIG`; pass ``RouterConfig(engine=...)`` to pick
-    the routing engine explicitly.
+    :data:`DEFAULT_CONFIG`.
     """
     return StitchAwareRouter(config=config).route(design, tracer=tracer)

@@ -106,8 +106,8 @@ def generate_design(
             Factors above 1 (up to 100) *grow* the instance past the
             published statistics — density is still preserved, so
             oversized instances stress the routers without changing
-            congestion character (used by engine-speedup benchmarks;
-            see ``docs/performance.md``).
+            congestion character (used by timing benchmarks; see
+            ``docs/performance.md``).
         config: framework parameters (stitch spacing etc.).
         seed: RNG seed; defaults to a hash of the circuit name so each
             circuit is deterministic yet distinct.

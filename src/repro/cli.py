@@ -15,18 +15,14 @@ Commands:
 * ``watch`` — tail a live ``--stream`` NDJSON file: per-stage
   progress, nets/s and expansions/s rates, heartbeat gauges, hotspot
   deltas, and the final hotspot ranking when the run finishes.
-* ``perf-history`` — roll the committed ``BENCH_*.json`` /
-  ``SPEEDUP_ENGINE_*.json`` artifacts into one perf-trajectory report.
-* ``lint`` — run the determinism linter (rules DET001–DET005, see
-  ``docs/static_analysis.md``) over source paths; exits nonzero on
-  findings not grandfathered by the committed baseline.
-  ``--select`` / ``--ignore`` restrict the active rule set.
-* ``parity`` — run the cross-backend parity analyzer (rules
-  PAR001–PAR006) over source paths; exits nonzero on findings not
-  grandfathered by the committed ``parity-baseline.json``.
-* ``check`` — the umbrella static gate: ``lint`` + ``parity`` with one
-  exit code.  The analyzer commands exit 2 on a path that is neither a
-  directory nor a ``.py`` file.
+* ``perf-history`` — roll the committed ``BENCH_*.json`` artifacts
+  into one perf-trajectory report.
+* ``lint`` — run the linter (determinism rules DET001–DET005 and the
+  schema-registry rule OBS001, see ``docs/static_analysis.md``) over
+  source paths; exits nonzero on findings not grandfathered by the
+  committed baseline and 2 on a path that is neither a directory nor
+  a ``.py`` file.  ``--select`` / ``--ignore`` restrict the active
+  rule set.
 * ``audit`` — route one circuit and run the independent solution
   auditor (rules AUD001–AUD007) over the result: every stitching
   constraint is re-derived from the raw geometry and the report's
@@ -34,9 +30,9 @@ Commands:
   drift.
 * ``circuits`` — list the available benchmark circuits.
 
-``route``, ``compare``, ``diag`` and ``audit`` accept ``--engine`` to
-pick the routing engine and ``--perf`` to enable the engine profiling
-counters (``counters``) or full live progress events (``full``);
+``route``, ``compare``, ``diag`` and ``audit`` accept ``--perf`` to
+enable the profiling counters (``counters``) or full live progress
+events (``full``);
 ``--scale`` must lie in (0, 100].  ``route --stream FILE`` streams the
 run's events to an NDJSON file that ``repro watch FILE`` can tail.
 Every output path (``--svg``, ``--report``, ``--save-design``,
@@ -144,11 +140,7 @@ def _cmd_circuits(_args: argparse.Namespace) -> int:
 
 def _run_config(args: argparse.Namespace, audit: bool = False) -> RouterConfig:
     """The flow config for a run subcommand."""
-    return RouterConfig(
-        engine=args.engine,
-        profile=args.perf,
-        audit=audit,
-    )
+    return RouterConfig(profile=args.perf, audit=audit)
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
@@ -343,12 +335,7 @@ def _rule_codes(raw: Optional[str]) -> Optional[list[str]]:
     return [code.strip() for code in raw.split(",") if code.strip()]
 
 
-def _update_baseline(
-    baseline_path: pathlib.Path,
-    findings: list,
-    *,
-    format: str,
-) -> int:
+def _update_baseline(baseline_path: pathlib.Path, findings: list) -> int:
     """Rewrite ``baseline_path`` from ``findings``, reporting the churn.
 
     Stale fingerprints (grandfathered findings that no longer exist)
@@ -359,9 +346,9 @@ def _update_baseline(
 
     old: frozenset = frozenset()
     if baseline_path.exists():
-        old = Baseline.load(baseline_path, format=format).fingerprints
+        old = Baseline.load(baseline_path).fingerprints
     new = {finding.fingerprint for finding in findings}
-    count = save_baseline(baseline_path, findings, format=format)
+    count = save_baseline(baseline_path, findings)
     print(
         f"wrote {baseline_path} ({count} grandfathered finding(s), "
         f"{len(new - old)} added, {len(old - new)} pruned)"
@@ -378,7 +365,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         lint_paths,
         render_findings,
     )
-    from .analysis.baseline import BASELINE_FORMAT
+    from .analysis.findings import dead_suppression_lines
 
     paths = args.paths or ["src"]
     select = _rule_codes(args.select)
@@ -387,12 +374,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     try:
         if args.update_baseline:
             report = lint_paths(paths, select=select, ignore=ignore)
-            status = _update_baseline(
-                baseline_path,
-                report.findings,
-                format=BASELINE_FORMAT,
-            )
-            for line in _dead_suppression_warnings(report):
+            status = _update_baseline(baseline_path, report.findings)
+            for line in dead_suppression_lines(report.dead_suppressions):
                 print(line, file=sys.stderr)
             return status
         fingerprints: frozenset = frozenset()
@@ -422,192 +405,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         print(render_findings(report))
     return 0 if report.ok else 1
-
-
-def _dead_suppression_warnings(report) -> list:
-    from .analysis.findings import dead_suppression_lines
-
-    return dead_suppression_lines(report.dead_suppressions)
-
-
-def _cmd_parity(args: argparse.Namespace) -> int:
-    # Imported here for the same reason as the linter.
-    from .analysis import (
-        Baseline,
-        analyze_parity_paths,
-        render_parity,
-    )
-    from .analysis.baseline import (
-        DEFAULT_PARITY_BASELINE_NAME,
-        PARITY_BASELINE_FORMAT,
-    )
-
-    paths = args.paths or ["src"]
-    select = _rule_codes(args.select)
-    ignore = _rule_codes(args.ignore)
-    baseline_path = pathlib.Path(
-        args.baseline or DEFAULT_PARITY_BASELINE_NAME
-    )
-    try:
-        if args.update_baseline:
-            report = analyze_parity_paths(
-                paths, select=select, ignore=ignore
-            )
-            status = _update_baseline(
-                baseline_path,
-                report.findings,
-                format=PARITY_BASELINE_FORMAT,
-            )
-            for line in _dead_suppression_warnings(report):
-                print(line, file=sys.stderr)
-            return status
-        fingerprints: frozenset = frozenset()
-        if baseline_path.exists():
-            fingerprints = Baseline.load(
-                baseline_path, format=PARITY_BASELINE_FORMAT
-            ).fingerprints
-        report = analyze_parity_paths(
-            paths,
-            baseline_fingerprints=fingerprints,
-            select=select,
-            ignore=ignore,
-        )
-    except ValueError as error:  # unknown rule codes or paths -> usage error
-        print(f"repro parity: {error}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        document = {
-            "findings": [f.to_dict() for f in report.findings],
-            "grandfathered": [f.to_dict() for f in report.grandfathered],
-            "suppressed": report.suppressed,
-            "dead_suppressions": [
-                d.to_dict() for d in report.dead_suppressions
-            ],
-            "files": report.files,
-            "pairs": report.pairs,
-            "ok": report.ok,
-        }
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(render_parity(report))
-    return 0 if report.ok else 1
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    """Umbrella static gate: lint + parity in one run.
-
-    Each analyzer loads its own default committed baseline, exactly as
-    the standalone commands do; ``--mypy`` / ``--ruff`` additionally
-    shell out to those tools when installed.  The exit code is the
-    conjunction of every gate.
-    """
-    import importlib.util
-    import subprocess
-
-    from .analysis import (
-        Baseline,
-        analyze_parity_paths,
-        lint_paths,
-        render_findings,
-        render_parity,
-    )
-    from .analysis.baseline import (
-        BASELINE_FORMAT,
-        DEFAULT_BASELINE_NAME,
-        DEFAULT_PARITY_BASELINE_NAME,
-        PARITY_BASELINE_FORMAT,
-    )
-
-    paths = args.paths or ["src"]
-
-    def baseline(name: str, format: str) -> frozenset:
-        path = pathlib.Path(name)
-        if path.exists():
-            return Baseline.load(path, format=format).fingerprints
-        return frozenset()
-
-    try:
-        reports = {
-            "lint": lint_paths(
-                paths,
-                baseline_fingerprints=baseline(
-                    DEFAULT_BASELINE_NAME, BASELINE_FORMAT
-                ),
-            ),
-            "parity": analyze_parity_paths(
-                paths,
-                baseline_fingerprints=baseline(
-                    DEFAULT_PARITY_BASELINE_NAME, PARITY_BASELINE_FORMAT
-                ),
-            ),
-        }
-    except ValueError as error:  # no such path -> usage error
-        print(f"repro check: {error}", file=sys.stderr)
-        return 2
-    renderers = {
-        "lint": render_findings,
-        "parity": render_parity,
-    }
-
-    external: dict[str, dict] = {}
-    for tool, wanted in (("mypy", args.mypy), ("ruff", args.ruff)):
-        if not wanted:
-            continue
-        if importlib.util.find_spec(tool) is None:
-            print(
-                f"repro check: --{tool} requested but {tool} is not "
-                f"installed",
-                file=sys.stderr,
-            )
-            return 2
-        command = [sys.executable, "-m", tool]
-        if tool == "ruff":
-            command.append("check")
-        command.extend(paths)
-        proc = subprocess.run(command, capture_output=True, text=True)
-        external[tool] = {
-            "ok": proc.returncode == 0,
-            "exit_code": proc.returncode,
-            "output": (proc.stdout + proc.stderr).strip(),
-        }
-
-    ok = all(report.ok for report in reports.values()) and all(
-        entry["ok"] for entry in external.values()
-    )
-    if args.format == "json":
-        document: dict = {"ok": ok}
-        for name, report in reports.items():
-            section = {
-                "findings": [f.to_dict() for f in report.findings],
-                "grandfathered": [
-                    f.to_dict() for f in report.grandfathered
-                ],
-                "suppressed": report.suppressed,
-                "dead_suppressions": [
-                    d.to_dict() for d in report.dead_suppressions
-                ],
-                "files": report.files,
-                "ok": report.ok,
-            }
-            if name == "parity":
-                section["pairs"] = report.pairs
-            document[name] = section
-        document.update(external)
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        for name, report in reports.items():
-            print(f"== {name} ==")
-            print(renderers[name](report))
-        for tool, entry in external.items():
-            print(f"== {tool} ==")
-            if entry["output"]:
-                print(entry["output"])
-            print(
-                f"{tool}: "
-                f"{'ok' if entry['ok'] else 'exit ' + str(entry['exit_code'])}"
-            )
-        print(f"check: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -698,19 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="instance size factor in (0, 100] (default: 0.05)",
         )
         p.add_argument(
-            "--engine",
-            choices=("object", "array", "auto"),
-            default="auto",
-            help="routing engine: the object-graph reference, the "
-            "numpy-backed array core, or auto (array when numpy is "
-            "available; both produce byte-identical reports, see "
-            "docs/performance.md)",
-        )
-        p.add_argument(
             "--perf",
             choices=("off", "counters", "full"),
             default="off",
-            help="engine profiling: 'counters' records perf_* engine "
+            help="profiling: 'counters' records perf_* search "
             "counters (heap traffic, rip-up visits, cache refreshes) "
             "in the trace, 'full' additionally emits per-net "
             "progress events; 'off' is zero-cost and byte-identical "
@@ -769,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="determinism linter (DET rules, docs/static_analysis.md)",
+        help="linter (DET and OBS rules, docs/static_analysis.md)",
     )
     lint.add_argument(
         "paths",
@@ -796,81 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated DET codes to check (default: all rules)",
+        help="comma-separated rule codes to check (default: all rules)",
     )
     lint.add_argument(
         "--ignore",
         metavar="CODES",
-        help="comma-separated DET codes to skip",
+        help="comma-separated rule codes to skip",
     )
     lint.set_defaults(func=_cmd_lint)
-
-    parity = sub.add_parser(
-        "parity",
-        help="static cross-backend parity analyzer "
-        "(PAR rules, docs/static_analysis.md)",
-    )
-    parity.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (default: src)",
-    )
-    parity.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    parity.add_argument(
-        "--baseline",
-        metavar="JSON",
-        help="baseline file of grandfathered findings "
-        "(default: ./parity-baseline.json when present)",
-    )
-    parity.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings",
-    )
-    parity.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated PAR codes to check (default: all rules)",
-    )
-    parity.add_argument(
-        "--ignore",
-        metavar="CODES",
-        help="comma-separated PAR codes to skip",
-    )
-    parity.set_defaults(func=_cmd_parity)
-
-    check = sub.add_parser(
-        "check",
-        help="umbrella static gate: lint + parity "
-        "(one exit code; --mypy/--ruff add the external tools)",
-    )
-    check.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (default: src)",
-    )
-    check.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    check.add_argument(
-        "--mypy",
-        action="store_true",
-        help="also run mypy on the paths (error if not installed)",
-    )
-    check.add_argument(
-        "--ruff",
-        action="store_true",
-        help="also run ruff check on the paths (error if not installed)",
-    )
-    check.set_defaults(func=_cmd_check)
 
     audit = sub.add_parser(
         "audit",
@@ -975,8 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_history = sub.add_parser(
         "perf-history",
-        help="perf-trajectory report from committed BENCH_*.json / "
-        "SPEEDUP_ENGINE_*.json artifacts",
+        help="perf-trajectory report from committed BENCH_*.json "
+        "artifacts",
     )
     perf_history.add_argument(
         "--dir",

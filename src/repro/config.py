@@ -19,45 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import importlib.util
 import os
-from typing import Union
-
-
-class Engine(enum.Enum):
-    """Which routing-engine implementation the flow runs on.
-
-    Both engines execute the *same algorithms* and produce byte-identical
-    :class:`~repro.eval.RoutingReport` documents (counters, histograms,
-    traces modulo wall times); they differ only in their data layout:
-
-    * ``OBJECT`` — the reference implementation: dict/tuple object
-      graphs, one Python object per grid node.
-    * ``ARRAY`` — the :mod:`repro.engine` array core: flat node-indexed
-      base-cost/ownership arrays built once per stage and an indexed A*
-      that works on integer node ids (see ``docs/performance.md``).
-    * ``AUTO`` — ``ARRAY`` when numpy is importable, else ``OBJECT``.
-    """
-
-    OBJECT = "object"
-    ARRAY = "array"
-    AUTO = "auto"
-
-
-def resolve_engine(engine: Union[Engine, str] = Engine.AUTO) -> Engine:
-    """Concrete engine for a requested value.
-
-    ``AUTO`` resolves to :attr:`Engine.ARRAY` when numpy is importable
-    (it is a project dependency, so effectively always) and falls back
-    to :attr:`Engine.OBJECT` on minimal installs.
-    """
-    if isinstance(engine, str):
-        engine = Engine(engine)
-    if engine is not Engine.AUTO:
-        return engine
-    if importlib.util.find_spec("numpy") is not None:
-        return Engine.ARRAY
-    return Engine.OBJECT
 
 
 class ColoringMethod(enum.Enum):
@@ -97,13 +59,6 @@ class RouterConfig:
         max_ripup_iterations: rip-up and re-route rounds for failed nets.
         detail_expansion_limit: A* node-expansion budget per net and
             attempt; keeps worst-case detailed routing bounded.
-        engine: routing-engine implementation (:class:`Engine` or its
-            string form).  ``"object"`` is the reference object-graph
-            implementation, ``"array"`` the :mod:`repro.engine` array
-            core, and ``"auto"`` (the default) picks the array core
-            whenever numpy is importable.  Both engines produce
-            byte-identical reports — the engine is a pure performance
-            knob (see ``docs/performance.md``).
         audit: run the independent solution auditor
             (:func:`repro.analysis.audit_solution`) on the final
             result and attach its :class:`~repro.analysis.AuditReport`
@@ -113,9 +68,9 @@ class RouterConfig:
             cross-checks the report's counters; it observes and
             reports but never alters the routing (see
             ``docs/static_analysis.md``).
-        profile: engine profiling level.  ``"off"`` (the default) keeps
+        profile: profiling level.  ``"off"`` (the default) keeps
             the hot loops byte-identical to the committed baselines;
-            ``"counters"`` flushes low-overhead engine counters (heap
+            ``"counters"`` flushes low-overhead search counters (heap
             pushes/pops, rip-up net visits, cost-cache refreshes) into
             ``perf_*`` trace counters at stage boundaries; ``"full"``
             additionally emits per-net ``progress`` events through the
@@ -148,7 +103,6 @@ class RouterConfig:
     gamma: float = 5.0
     max_ripup_iterations: int = 5
     detail_expansion_limit: int = 200_000
-    engine: Engine = Engine.AUTO
     audit: bool = False
     profile: str = "off"
     track_method: TrackMethod = TrackMethod.GRAPH
@@ -166,13 +120,6 @@ class RouterConfig:
         if isinstance(self.coloring, str):
             object.__setattr__(
                 self, "coloring", ColoringMethod(self.coloring)
-            )
-        if isinstance(self.engine, str):
-            object.__setattr__(self, "engine", Engine(self.engine))
-        if not isinstance(self.engine, Engine):
-            raise ValueError(
-                f"engine must be an Engine or one of "
-                f"{[e.value for e in Engine]}, got {self.engine!r}"
             )
         if self.stitch_spacing < 3:
             raise ValueError("stitch_spacing must be at least 3 pitches")
@@ -208,9 +155,9 @@ def benchmark_scale(default: float = 0.1) -> float:
     the net count, so congestion ratios are preserved).  Set the
     environment variable ``REPRO_FULL=1`` for full-size instances, or
     ``REPRO_SCALE=<float>`` for an explicit factor.  Factors above 1
-    (up to 100) grow the instance beyond the paper's statistics —
-    engine-speedup measurements use them to build workloads large
-    enough that wall-clock ratios are meaningful.
+    (up to 100) grow the instance beyond the paper's statistics, for
+    workloads large enough that wall-clock measurements are
+    meaningful.
     """
     if os.environ.get("REPRO_FULL") == "1":
         return 1.0

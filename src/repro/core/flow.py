@@ -35,12 +35,7 @@ from ..assign import (
     assign_tracks,
     extract_panels,
 )
-from ..config import (
-    ColoringMethod,
-    RouterConfig,
-    TrackMethod,
-    resolve_engine,
-)
+from ..config import ColoringMethod, RouterConfig, TrackMethod
 from ..detailed import DetailedResult, DetailedRouter
 from ..eval import RoutingReport, evaluate
 from ..globalroute import GlobalGraph, GlobalRouter, GlobalRoutingResult
@@ -167,16 +162,12 @@ class StitchAwareRouter:
         tracer = ensure(tracer)
         start = time.perf_counter()
         config = self.config
-        # Resolve "auto" once so both stages run the same engine and
-        # the trace meta records the concrete choice.
-        engine = resolve_engine(config.engine).value
 
         def global_stage(d: Design, ordered) -> GlobalRoutingResult:
             # Pass 1: bottom-up global routing of local nets first; the
             # router re-derives the same bottom-up order internally.
             return GlobalRouter(
                 stitch_aware=config.stitch_aware_global,
-                engine=engine,
                 profile=config.profile,
             ).route(d, tracer=tracer)
 
@@ -202,7 +193,6 @@ class StitchAwareRouter:
             _layers, tracks = assigned
             return DetailedRouter(
                 stitch_aware=config.stitch_aware_detail,
-                engine=engine,
                 profile=config.profile,
             ).route(
                 d,
@@ -241,7 +231,6 @@ class StitchAwareRouter:
             "coloring": config.coloring.value,
             "stitch_aware_global": config.stitch_aware_global,
             "stitch_aware_detail": config.stitch_aware_detail,
-            "engine": engine,
         }
         if config.audit:
             # Only stamped when enabled so default-config traces stay

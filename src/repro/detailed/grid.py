@@ -13,13 +13,28 @@ hard MEBL constraints of Section II-A are enforced structurally:
 The soft costs of Eq. (10) live here too: ``beta`` for a z move inside
 a stitch unfriendly region and ``gamma`` for occupying a vertical-layer
 grid in the escape region (Section III-D1).
+
+The grid is flat: every node has an integer id
+
+    ``idx = (x * height + y) * num_layers + (layer - 1)``
+
+so a planar x move is ``idx +- height * num_layers``, a planar y move
+is ``idx +- num_layers`` and a via is ``idx +- 1``.  The encoding is
+monotonic in ``(x, y, layer)``, so ordering ids compares exactly like
+ordering node tuples.  Per-node state lives in flat lists indexed by
+id — the Eq. (10) step table, the owner ids and the pin mask — which
+the A* of :mod:`~repro.detailed.search` reads directly.  numpy
+assembles the step table once; plain lists serve it, because the
+search reads single entries, where list indexing beats ndarray scalar
+access.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-
 from typing import Optional
+
+import numpy as np
 
 from ..config import RouterConfig
 from ..geometry import GridPoint
@@ -27,9 +42,31 @@ from ..layout import Design
 
 Node = tuple[int, int, int]  # (x, y, layer)
 
+#: Step-cost sentinel for structurally blocked nodes (vertical layer on
+#: a stitching-line track).  Negative so the hot loop can test
+#: ``step >= 0.0`` instead of comparing against infinity.
+BLOCKED_STEP = -1.0
+
+#: Sentinel in the ownership-folded step list (``_free_step``) for
+#: nodes whose owner id is nonzero.  Distinct from ``BLOCKED_STEP`` so
+#: the search can tell "owned — maybe by me" (recheck the owner id)
+#: from "structurally blocked" (reject outright) with one comparison.
+OWNED_STEP = -2.0
+
 
 class DetailedGrid:
-    """Occupancy-tracked 3-D routing grid for one design."""
+    """Occupancy-tracked 3-D routing grid for one design.
+
+    Ownership is stored once, by node id: ``_owner_ids`` holds the
+    owning net's integer id (0 for free) and ``_pin_mask`` flags fixed
+    pins.  ``_step`` is the Eq. (10) cost of entering each node —
+    ``alpha`` plus the ``gamma`` escape term, :data:`BLOCKED_STEP`
+    where the vertical routing constraint applies — and ``_via_extra``
+    the per-x ``beta`` surcharge of a z move.  ``_free_step`` is
+    ``_step`` with :data:`OWNED_STEP` folded in wherever a node is
+    owned, so the search resolves the common free-node candidate with
+    a single load and compare; the ownership mutators keep it in step.
+    """
 
     def __init__(self, design: Design, stitch_aware: bool = True) -> None:
         self.design = design
@@ -38,10 +75,6 @@ class DetailedGrid:
         self.stitches = design.stitches
         assert self.stitches is not None
         self.stitch_aware = stitch_aware
-        #: node -> owning net name
-        self._owner: dict[Node, str] = {}
-        #: fixed pin nodes (inviolable even during negotiated rip-up)
-        self._pins: set[Node] = set()
         # Precomputed per-x flags (columns are few; lookups are hot).
         self._on_line = [self.stitches.is_on_line(x) for x in range(design.width)]
         self._unfriendly = [
@@ -54,13 +87,67 @@ class DetailedGrid:
         self._vertical = [False] + [
             self.tech.is_vertical(m) for m in self.tech.layers
         ]
-        self._num_layers = self.tech.num_layers
-        self._width = design.width
-        self._height = design.height
+        self._num_layers = layers_n = self.tech.num_layers
+        self._width = width = design.width
+        self._height = height = design.height
+        self._hl = height * layers_n
         #: Eq. (10) step costs computed so far (one per legal successor
-        #: returned by :meth:`neighbors`); read by the detailed router's
-        #: tracer flush.
+        #: the search considers); read by the detailed router's tracer
+        #: flush.
         self.cost_evaluations = 0
+
+        config = self.config
+        # C-order flattening of the (x, y, layer) array matches the id
+        # encoding; every entry is a single float64 addition of the
+        # Eq. (10) weights.
+        base = np.full((width, height, layers_n), config.alpha, dtype=np.float64)
+        vert_layers = np.array(self._vertical[1:], dtype=bool)
+        all_rows = np.ones(height, dtype=bool)
+        if stitch_aware:
+            escape_cols = np.array(self._escape, dtype=bool)
+            base[np.ix_(escape_cols, all_rows, vert_layers)] += config.gamma
+        line_cols = np.array(self._on_line, dtype=bool)
+        base[np.ix_(line_cols, all_rows, vert_layers)] = BLOCKED_STEP
+        self._step: list[float] = base.reshape(-1).tolist()
+        #: Per-x via surcharge (Eq. (10) beta inside unfriendly regions).
+        self._via_extra = [
+            config.beta if (stitch_aware and unfriendly) else 0.0
+            for unfriendly in self._unfriendly
+        ]
+        size = width * self._hl
+        self._owner_ids = [0] * size
+        # Every node starts free, so the folded list begins as a copy.
+        self._free_step = list(self._step)
+        self._pin_mask = bytearray(size)
+        #: net name -> positive integer id, and the inverse (index 0,
+        #: the free id, maps to None); filled for the whole netlist up
+        #: front, extended for any other name a caller claims with.
+        self._net_ids: dict[str, int] = {}
+        self._net_names: list[Optional[str]] = [None]
+        for net in design.netlist:
+            self._net_id(net.name)
+
+    # ------------------------------------------------------------------
+    # Node ids
+    # ------------------------------------------------------------------
+    def _net_id(self, net: str) -> int:
+        nid = self._net_ids.get(net)
+        if nid is None:
+            nid = len(self._net_names)
+            self._net_ids[net] = nid
+            self._net_names.append(net)
+        return nid
+
+    def _encode(self, node: Node) -> int:
+        """Flat id of a node; monotonic in ``(x, y, layer)``."""
+        x, y, layer = node
+        return (x * self._height + y) * self._num_layers + layer - 1
+
+    def _decode(self, idx: int) -> Node:
+        """Node tuple of a flat id (inverse of :meth:`_encode`)."""
+        x, rem = divmod(idx, self._hl)
+        y, lm = divmod(rem, self._num_layers)
+        return (x, y, lm + 1)
 
     # ------------------------------------------------------------------
     # Geometry / legality
@@ -69,9 +156,9 @@ class DetailedGrid:
         """Whether the node lies inside the die and layer stack."""
         x, y, layer = node
         return (
-            0 <= x < self.design.width
-            and 0 <= y < self.design.height
-            and 1 <= layer <= self.tech.num_layers
+            0 <= x < self._width
+            and 0 <= y < self._height
+            and 1 <= layer <= self._num_layers
         )
 
     def is_blocked(self, node: Node) -> bool:
@@ -95,25 +182,38 @@ class DetailedGrid:
     # Occupancy
     # ------------------------------------------------------------------
     def owner(self, node: Node) -> Optional[str]:
-        """Net owning ``node``, if any."""
-        return self._owner.get(node)
+        """Net owning ``node``, if any (``None`` off the grid too)."""
+        x, y, layer = node
+        # Bounds first: an off-grid node can encode to the id of an
+        # on-grid one ((x, height, l) is (x + 1, 0, l)).  Inlined:
+        # the detailed router calls this in its bookkeeping loops.
+        if 0 <= x < self._width and 0 <= y < self._height and (
+            1 <= layer <= self._num_layers
+        ):
+            idx = (x * self._height + y) * self._num_layers + layer - 1
+            return self._net_names[self._owner_ids[idx]]
+        return None
 
     def mark_pin(self, node: Node) -> None:
         """Register a fixed pin node (never rippable by other nets)."""
-        self._pins.add(node)
+        self._pin_mask[self._encode(node)] = 1
 
     def is_pin(self, node: Node) -> bool:
         """Whether ``node`` is a fixed pin."""
-        return node in self._pins
+        return self.in_bounds(node) and bool(self._pin_mask[self._encode(node)])
 
     def occupy(self, node: Node, net: str) -> None:
         """Claim ``node`` for ``net`` (idempotent for the same net)."""
-        current = self._owner.get(node)
-        if current is not None and current != net:
+        idx = self._encode(node)
+        nid = self._net_id(net)
+        current = self._owner_ids[idx]
+        if current and current != nid:
             raise ValueError(
-                f"node {node} already owned by {current!r}, not {net!r}"
+                f"node {node} already owned by {self._net_names[current]!r}, "
+                f"not {net!r}"
             )
-        self._owner[node] = net
+        self._owner_ids[idx] = nid
+        self._free_step[idx] = OWNED_STEP
 
     def force_occupy(self, node: Node, net: str) -> Optional[str]:
         """Claim ``node`` for ``net``, evicting any previous owner.
@@ -121,11 +221,14 @@ class DetailedGrid:
         Returns the evicted net's name (None if the node was free or
         already owned by ``net``).  Used by negotiated rip-up.
         """
-        if node in self._pins and self._owner.get(node) != net:
+        idx = self._encode(node)
+        nid = self._net_id(net)
+        current = self._owner_ids[idx]
+        if self._pin_mask[idx] and current != nid:
             raise ValueError(f"pin node {node} cannot change owner")
-        previous = self._owner.get(node)
-        self._owner[node] = net
-        return previous if previous not in (None, net) else None
+        self._owner_ids[idx] = nid
+        self._free_step[idx] = OWNED_STEP
+        return self._net_names[current] if current != nid else None
 
     def release(self, node: Node, net: str) -> None:
         """Release ``node`` previously claimed by ``net``.
@@ -133,102 +236,28 @@ class DetailedGrid:
         Pin nodes are never released: a transiently free pin could be
         claimed by another net's search, making its net unroutable.
         """
-        if node in self._pins:
+        idx = self._encode(node)
+        if self._pin_mask[idx]:
             return
-        if self._owner.get(node) == net:
-            del self._owner[node]
+        if self._owner_ids[idx] == self._net_ids.get(net):
+            self._owner_ids[idx] = 0
+            self._free_step[idx] = self._step[idx]
 
     def is_free_for(self, node: Node, net: str) -> bool:
         """Usable by ``net``: in bounds, not blocked, not foreign-owned."""
         if not self.in_bounds(node) or self.is_blocked(node):
             return False
-        current = self._owner.get(node)
-        return current is None or current == net
+        current = self._owner_ids[self._encode(node)]
+        return current == 0 or current == self._net_ids.get(net)
 
     def occupied_by(self, net: str) -> set[Node]:
         """All nodes currently owned by ``net`` (linear scan; tests only)."""
-        return {n for n, owner in self._owner.items() if owner == net}
-
-    # ------------------------------------------------------------------
-    # Moves and costs (Eq. 10)
-    # ------------------------------------------------------------------
-    def neighbors(
-        self,
-        node: Node,
-        net: str,
-        foreign_penalty: Optional[float] = None,
-    ) -> list[tuple[Node, float]]:
-        """Legal successor nodes with their Eq. (10) step costs.
-
-        Routed vias are never allowed on a stitching line (via
-        constraint).  The via violations Problem 1 permits on fixed
-        pins are the implicit cell contacts *below* layer 1, which the
-        evaluator counts per routed on-line pin — they involve no grid
-        move here.
-
-        When ``foreign_penalty`` is given, nodes owned by other nets
-        become passable at that extra cost — negotiated rip-up: the
-        router later rips the victims the chosen path runs through.
-        Foreign *pin* nodes stay hard obstacles.
-        """
-        x, y, layer = node
-        out: list[tuple[Node, float]] = []
-        config = self.config
-        planar = (
-            ((x, y - 1, layer), (x, y + 1, layer))
-            if self._vertical[layer]
-            else ((x - 1, y, layer), (x + 1, y, layer))
-        )
-        for succ in planar:
-            passable, extra = self._passable(succ, net, foreign_penalty)
-            if passable:
-                out.append(
-                    (
-                        succ,
-                        config.alpha  # repro: allow-PAR003 array core bakes alpha in
-                        + self._node_cost(succ)
-                        + extra,
-                    )
-                )
-        for succ in ((x, y, layer - 1), (x, y, layer + 1)):
-            passable, extra = self._passable(succ, net, foreign_penalty)
-            if not passable:
-                continue
-            if self._on_line[x]:
-                continue  # via constraint (hard)
-            cost = config.alpha + self._node_cost(succ) + extra
-            if self.stitch_aware and self._unfriendly[x]:
-                # via in stitch unfriendly region
-                cost += config.beta  # repro: allow-PAR003 array core bakes beta into its cost tables
-            out.append((succ, cost))
-        self.cost_evaluations += len(out)
-        return out
-
-    def _passable(
-        self, node: Node, net: str, foreign_penalty: Optional[float]
-    ) -> tuple[bool, float]:
-        x, y, layer = node
-        if not (0 <= x < self._width and 0 <= y < self._height):
-            return False, 0.0
-        if not 1 <= layer <= self._num_layers:
-            return False, 0.0
-        if self._vertical[layer] and self._on_line[x]:
-            return False, 0.0
-        owner = self._owner.get(node)
-        if owner is None or owner == net:
-            return True, 0.0
-        if foreign_penalty is not None and node not in self._pins:
-            return True, foreign_penalty
-        return False, 0.0
-
-    def _node_cost(self, node: Node) -> float:
-        """Escape-region cost of entering ``node`` (gamma term)."""
-        if not self.stitch_aware:
-            return 0.0
-        x, _y, layer = node
-        if self._vertical[layer] and self._escape[x]:
-            return self.config.gamma  # repro: allow-PAR003 array core bakes gamma into its cost tables
-        return 0.0
+        nid = self._net_ids.get(net)
+        return {
+            self._decode(idx)
+            for idx, owner in enumerate(self._owner_ids)
+            if owner == nid
+        }
 
 
 def nodes_of_points(points: Iterable[GridPoint]) -> set[Node]:

@@ -89,14 +89,8 @@ class DetailedRouter:
     Args:
         stitch_aware: include the beta/gamma costs of Eq. (10) and the
             stitch-aware net ordering.
-        engine: concrete engine name — ``"object"`` routes on the
-            reference :class:`DetailedGrid`, ``"array"`` on the
-            :class:`~repro.engine.ArrayDetailedGrid` array core.  The
-            two produce byte-identical results (``docs/performance.md``);
-            resolve ``"auto"`` with :func:`repro.config.resolve_engine`
-            before constructing the router.
         profile: ``"off"`` / ``"counters"`` / ``"full"``.  ``"counters"``
-            flushes engine-level ``perf_*`` counters (heap pushes/pops,
+            flushes search-level ``perf_*`` counters (heap pushes/pops,
             rip-up net visits) at stage boundaries; ``"full"``
             additionally reports per-net commits through
             :meth:`Tracer.progress` (see ``docs/observability.md``).
@@ -105,19 +99,13 @@ class DetailedRouter:
     def __init__(
         self,
         stitch_aware: bool = True,
-        engine: str = "object",
         profile: str = "off",
     ) -> None:
-        if engine not in ("object", "array"):
-            raise ValueError(
-                f"engine must be 'object' or 'array', got {engine!r}"
-            )
         if profile not in ("off", "counters", "full"):
             raise ValueError(
                 f"profile must be 'off', 'counters' or 'full', got {profile!r}"
             )
         self.stitch_aware = stitch_aware
-        self.engine = engine
         self.profile = profile
         self._profiling = profile != "off"
         #: A* search counters flushed into the tracer at stage end.
@@ -146,14 +134,7 @@ class DetailedRouter:
         self._search_stats = {}
         with tracer.span("detailed-route", nets=len(design.netlist)):
             with tracer.span("grid-build"):
-                if self.engine == "array":
-                    from ..engine import ArrayDetailedGrid
-
-                    grid: DetailedGrid = ArrayDetailedGrid(
-                        design, stitch_aware=self.stitch_aware
-                    )
-                else:
-                    grid = DetailedGrid(design, stitch_aware=self.stitch_aware)
+                grid = DetailedGrid(design, stitch_aware=self.stitch_aware)
                 nets = list(order_hint) if order_hint is not None else sorted(
                     design.netlist, key=lambda n: (n.hpwl, n.name)
                 )

@@ -2,8 +2,8 @@
 
 Connects a source component of a net to any node of a target set under
 the stitch-aware weighted grid cost of Eq. (10).  The search runs
-inside an expanding window around the endpoints; the cost function and
-hard-constraint filtering live in :class:`~repro.detailed.grid.DetailedGrid`.
+inside an expanding window around the endpoints, over the flat node
+ids and step tables of :class:`~repro.detailed.grid.DetailedGrid`.
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ import heapq
 from collections.abc import Iterable
 from typing import Optional
 
-from ..analysis.pairing import paired
-from .grid import DetailedGrid, Node
+import numpy as np
+
+from .grid import BLOCKED_STEP, OWNED_STEP, DetailedGrid, Node
+
+_INF = float("inf")
 
 
-@paired("detailed-astar", backend="object")
 def astar_connect(
     grid: DetailedGrid,
     net: str,
@@ -42,6 +44,7 @@ def astar_connect(
             short-polygon repair pass to forbid a line crossing).
         foreign_penalty: when set, other nets' non-pin wire becomes
             passable at this extra cost per node (negotiated rip-up).
+            Foreign *pin* nodes stay hard obstacles.
         stats: mutable counter dict; ``astar_searches`` and
             ``astar_expansions`` are accumulated into it.
         profile: additionally flush ``perf_heap_pushes`` /
@@ -52,11 +55,29 @@ def astar_connect(
 
     Returns:
         The node path from a source to a target, or ``None``.
+
+    The heuristic is the distance to the targets' bounding box weighted
+    slightly above admissible, ``1.3 * alpha`` (bounded-suboptimal A*,
+    standard in detailed routers: a large speedup for a <=30% path-cost
+    bound).  Successors come in a fixed order — planar minus, planar
+    plus, via down, via up — with planar moves in the layer's preferred
+    direction only and no via on a stitching line (via constraint).
+    The via violations Problem 1 permits on fixed pins are the implicit
+    cell contacts *below* layer 1, which the evaluator counts per
+    routed on-line pin; they involve no grid move here.
+    ``grid.cost_evaluations`` counts every passable candidate before
+    the window and ``blocked`` filters, the expansion counter
+    increments after the target test, and relaxation keeps a ``1e-12``
+    slack.  ``tests/engine/reference.py`` holds a tuple-node A* this
+    search must match step for step: same path, same counters.
+
+    ``profile=True`` counts only pops in the loop (one add per pop,
+    unconditionally, so both modes run the same instructions); pushes
+    are derived at flush time from the heap invariant
+    ``pushes == pops + len(heap)``.
     """
     if stats is not None:
-        stats["astar_searches"] = (  # repro: allow-PAR001 object-only entry counter
-            stats.get("astar_searches", 0) + 1
-        )
+        stats["astar_searches"] = stats.get("astar_searches", 0) + 1
     if not sources or not targets:
         return None
     if sources & targets:
@@ -65,98 +86,607 @@ def astar_connect(
         # pick is hash-seed independent and reproducible as committed.
         node = next(iter(sources & targets))  # repro: allow-DET005
         return [node]
-    indexed = getattr(grid, "indexed_search", None)
-    if indexed is not None:
-        # Array-core fast path (repro.engine): same loop over flat
-        # node ids, byte-identical result and counters.
-        return indexed(
-            net,
-            sources,
-            targets,
-            window,
-            expansion_limit,
-            blocked=blocked,
-            foreign_penalty=foreign_penalty,
-            stats=stats,
-            profile=profile,
-        )
     lo_x, lo_y, hi_x, hi_y = window
-
-    # O(1) heuristic: distance to the targets' bounding box, weighted
-    # slightly above admissible (bounded-suboptimal A*, standard in
-    # detailed routers: large speedup for a <=30% path-cost bound).
-    t_lo_x = min(t[0] for t in targets)
-    t_hi_x = max(t[0] for t in targets)
-    t_lo_y = min(t[1] for t in targets)
-    t_hi_y = max(t[1] for t in targets)
     weight = 1.3 * grid.config.alpha
 
-    def heuristic(node: Node) -> float:
-        x, y, _ = node
-        dx = (t_lo_x - x) if x < t_lo_x else (x - t_hi_x) if x > t_hi_x else 0
-        dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
-        return weight * (dx + dy)
+    encode = grid._encode
+    width = grid._width
+    height = grid._height
+    layers_n = grid._num_layers
+    hl = grid._hl
 
-    # Seeding order over the source set is immaterial: best_g is a pure
-    # mapping, and heap entries are totally ordered by (f, g, node), so
-    # pop order never depends on insertion order.
-    best_g: dict[Node, float] = {
-        s: 0.0 for s in sources  # repro: allow-DET001
-    }
-    parent: dict[Node, Node] = {}
-    heap: list[tuple[float, float, Node]] = [
-        (heuristic(s), 0.0, s) for s in sources  # repro: allow-DET001
-    ]
+    # Target bbox + encoded ids.  Rip-up reconnects pass whole net
+    # components as targets, so this setup is O(|targets|) per
+    # search; one vectorized pass replaces four scans plus a
+    # per-node encode.  Integer arithmetic is exact either way —
+    # both branches produce identical values.
+    if len(targets) >= 16:
+        tarr = np.array(
+            list(targets), dtype=np.int64  # repro: allow-DET001 feeds only min/max and a frozenset
+        )
+        txs, tys = tarr[:, 0], tarr[:, 1]
+        t_lo_x = int(txs.min())
+        t_hi_x = int(txs.max())
+        t_lo_y = int(tys.min())
+        t_hi_y = int(tys.max())
+        tgt = frozenset(
+            ((txs * height + tys) * layers_n + tarr[:, 2] - 1).tolist()
+        )
+    else:
+        t_lo_x = min(t[0] for t in targets)
+        t_hi_x = max(t[0] for t in targets)
+        t_lo_y = min(t[1] for t in targets)
+        t_hi_y = max(t[1] for t in targets)
+        tgt = frozenset(encode(t) for t in targets)
+    step = grid._step
+    via_extra = grid._via_extra
+    on_line = grid._on_line
+    vertical = grid._vertical
+    owner_ids = grid._owner_ids
+    pins = grid._pin_mask
+    net_id = grid._net_id(net)
+    fp = foreign_penalty
+
+    blk: Optional[frozenset] = None
+    if blocked is not None:
+        blk = frozenset(encode(b) for b in blocked)
+
+    # Seeding order over the source set is immaterial: best_g is a
+    # pure mapping and heap entries are totally ordered by
+    # (f, g, id), so pop order never depends on insertion order.
+    # Large source sets (rip-up reconnects seed whole components)
+    # take the vectorized branch; the clipped distances and the
+    # int64 encode produce the same values as the scalar branch,
+    # and ``weight * int`` multiplies identically in float64.
+    #
+    # Heap entries carry the node's clipped heuristic deltas as a
+    # fourth and fifth element so the pop side reuses them instead
+    # of recomputing eight comparisons per expansion.  They are a
+    # pure function of the node id (given the fixed target bbox),
+    # so two entries that tie on ``(f, g, id)`` carry equal deltas
+    # and the heap order stays exactly the 3-tuple order.
+    best_g: dict[int, float]
+    src_idx: set[int]
+    heap: list[tuple[float, float, int, int, int]]
+    if len(sources) >= 16:
+        sarr = np.array(
+            list(sources), dtype=np.int64  # repro: allow-DET001 seeds a mapping and a heap
+        )
+        sxs, sys_ = sarr[:, 0], sarr[:, 1]
+        sdx = np.maximum(np.maximum(t_lo_x - sxs, sxs - t_hi_x), 0)
+        sdy = np.maximum(np.maximum(t_lo_y - sys_, sys_ - t_hi_y), 0)
+        sis = ((sxs * height + sys_) * layers_n + sarr[:, 2] - 1).tolist()
+        best_g = dict.fromkeys(sis, 0.0)
+        src_idx = set(sis)
+        heap = [
+            (f0, 0.0, si0, dx0, dy0)
+            for f0, si0, dx0, dy0 in zip(
+                (weight * (sdx + sdy)).tolist(),
+                sis,
+                sdx.tolist(),
+                sdy.tolist(),
+            )
+        ]
+    else:
+        best_g = {}
+        src_idx = set()
+        heap = []
+        for s in sources:  # repro: allow-DET001 seeds a pure mapping and a heapified list
+            x, y, _layer = s
+            dx = (t_lo_x - x) if x < t_lo_x else (x - t_hi_x) if x > t_hi_x else 0
+            dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
+            si = encode(s)
+            best_g[si] = 0.0
+            src_idx.add(si)
+            heap.append((weight * (dx + dy), 0.0, si, dx, dy))
     heapq.heapify(heap)
+
+    parent: dict[int, int] = {}
+    best_g_get = best_g.get
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     expansions = 0
-    pushes = len(heap)
+    evals = 0
     pops = 0
     try:
+        if fp is None and blk is None:
+            # Specialized loop for the dominant case (~85% of the
+            # searches on the gate circuits): no foreign penalty,
+            # no blocked set.  Identical candidate order, counter
+            # increments, and float association order as the
+            # general loop below — only the branches that are
+            # statically dead here (the penalty rewrite, the
+            # blocked filter) are removed, so every produced value
+            # is bit-identical.  The via blocks hoist the on-line
+            # filter above the ownership read, and candidates
+            # consult the ownership-folded step array first:
+            # ownership reads have no side effect, so both
+            # reorders are unobservable and the owner id array is
+            # only touched for owned nodes (to recheck against
+            # ``net_id``).
+            free_step = grid._free_step
+            while heap:
+                _f, g, si, hdx, hdy = heappop(heap)
+                pops += 1
+                if g > best_g_get(si, _INF):
+                    continue
+                if si in tgt:
+                    rev = [si]
+                    while rev[-1] not in src_idx:
+                        rev.append(parent[rev[-1]])
+                    rev.reverse()
+                    decode = grid._decode
+                    return [decode(i) for i in rev]
+                expansions += 1
+                if expansions > expansion_limit:
+                    return None
+                x = si // hl
+                rem = si - x * hl
+                y = rem // layers_n
+                lm = rem - y * layers_n
+                in_x = lo_x <= x <= hi_x
+                in_y = lo_y <= y <= hi_y
+                off_line = not on_line[x]
+
+                if vertical[lm + 1]:
+                    if y > 0:
+                        ci = si - layers_n
+                        sc = free_step[ci]
+                        if sc < 0.0:
+                            sc = (
+                                step[ci]
+                                if sc == OWNED_STEP and owner_ids[ci] == net_id
+                                else BLOCKED_STEP
+                            )
+                        if sc >= 0.0:
+                            evals += 1
+                            ny_ = y - 1
+                            if in_x and lo_y <= ny_ <= hi_y:
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    dy = (
+                                        (t_lo_y - ny_)
+                                        if ny_ < t_lo_y
+                                        else (ny_ - t_hi_y)
+                                        if ny_ > t_hi_y
+                                        else 0
+                                    )
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (hdx + dy),
+                                            candidate,
+                                            ci,
+                                            hdx,
+                                            dy,
+                                        ),
+                                    )
+                    if y + 1 < height:
+                        ci = si + layers_n
+                        sc = free_step[ci]
+                        if sc < 0.0:
+                            sc = (
+                                step[ci]
+                                if sc == OWNED_STEP and owner_ids[ci] == net_id
+                                else BLOCKED_STEP
+                            )
+                        if sc >= 0.0:
+                            evals += 1
+                            ny_ = y + 1
+                            if in_x and lo_y <= ny_ <= hi_y:
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    dy = (
+                                        (t_lo_y - ny_)
+                                        if ny_ < t_lo_y
+                                        else (ny_ - t_hi_y)
+                                        if ny_ > t_hi_y
+                                        else 0
+                                    )
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (hdx + dy),
+                                            candidate,
+                                            ci,
+                                            hdx,
+                                            dy,
+                                        ),
+                                    )
+                else:
+                    if x > 0:
+                        ci = si - hl
+                        sc = free_step[ci]
+                        if sc < 0.0:
+                            sc = (
+                                step[ci]
+                                if sc == OWNED_STEP and owner_ids[ci] == net_id
+                                else BLOCKED_STEP
+                            )
+                        if sc >= 0.0:
+                            evals += 1
+                            nx_ = x - 1
+                            if in_y and lo_x <= nx_ <= hi_x:
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    dx = (
+                                        (t_lo_x - nx_)
+                                        if nx_ < t_lo_x
+                                        else (nx_ - t_hi_x)
+                                        if nx_ > t_hi_x
+                                        else 0
+                                    )
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (dx + hdy),
+                                            candidate,
+                                            ci,
+                                            dx,
+                                            hdy,
+                                        ),
+                                    )
+                    if x + 1 < width:
+                        ci = si + hl
+                        sc = free_step[ci]
+                        if sc < 0.0:
+                            sc = (
+                                step[ci]
+                                if sc == OWNED_STEP and owner_ids[ci] == net_id
+                                else BLOCKED_STEP
+                            )
+                        if sc >= 0.0:
+                            evals += 1
+                            nx_ = x + 1
+                            if in_y and lo_x <= nx_ <= hi_x:
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    dx = (
+                                        (t_lo_x - nx_)
+                                        if nx_ < t_lo_x
+                                        else (nx_ - t_hi_x)
+                                        if nx_ > t_hi_x
+                                        else 0
+                                    )
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (dx + hdy),
+                                            candidate,
+                                            ci,
+                                            dx,
+                                            hdy,
+                                        ),
+                                    )
+
+                if off_line:
+                    if lm > 0:
+                        ci = si - 1
+                        sc = free_step[ci]
+                        if sc < 0.0:
+                            sc = (
+                                step[ci]
+                                if sc == OWNED_STEP and owner_ids[ci] == net_id
+                                else BLOCKED_STEP
+                            )
+                        if sc >= 0.0:
+                            evals += 1
+                            sc = sc + via_extra[x]
+                            if in_x and in_y:
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (hdx + hdy),
+                                            candidate,
+                                            ci,
+                                            hdx,
+                                            hdy,
+                                        ),
+                                    )
+                    if lm + 1 < layers_n:
+                        ci = si + 1
+                        sc = free_step[ci]
+                        if sc < 0.0:
+                            sc = (
+                                step[ci]
+                                if sc == OWNED_STEP and owner_ids[ci] == net_id
+                                else BLOCKED_STEP
+                            )
+                        if sc >= 0.0:
+                            evals += 1
+                            sc = sc + via_extra[x]
+                            if in_x and in_y:
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (hdx + hdy),
+                                            candidate,
+                                            ci,
+                                            hdx,
+                                            hdy,
+                                        ),
+                                    )
+            return None
+
         while heap:
-            _, g, node = heapq.heappop(heap)
+            _f, g, si, hdx, hdy = heappop(heap)
             pops += 1
-            if g > best_g.get(node, float("inf")):
+            if g > best_g_get(si, _INF):
                 continue
-            if node in targets:
-                return _reconstruct(parent, sources, node)
+            if si in tgt:
+                rev = [si]
+                while rev[-1] not in src_idx:
+                    rev.append(parent[rev[-1]])
+                rev.reverse()
+                decode = grid._decode
+                return [decode(i) for i in rev]
             expansions += 1
             if expansions > expansion_limit:
                 return None
-            for succ, step in grid.neighbors(node, net, foreign_penalty):
-                if not (lo_x <= succ[0] <= hi_x and lo_y <= succ[1] <= hi_y):
-                    continue
-                if blocked is not None and succ in blocked:
-                    continue
-                candidate = g + step
-                if candidate < best_g.get(succ, float("inf")) - 1e-12:
-                    best_g[succ] = candidate
-                    parent[succ] = node
-                    pushes += 1
-                    heapq.heappush(
-                        heap, (candidate + heuristic(succ), candidate, succ)
-                    )
+            x = si // hl
+            rem = si - x * hl
+            y = rem // layers_n
+            lm = rem - y * layers_n
+            # Window status of the popped node: planar moves reuse
+            # the unchanged coordinate's verdict, vias (same x and
+            # y as the node) reuse both.
+            in_x = lo_x <= x <= hi_x
+            in_y = lo_y <= y <= hi_y
+            off_line = not on_line[x]
+
+            # --- planar moves (preferred direction only) ---------
+            if vertical[lm + 1]:
+                if y > 0:
+                    ci = si - layers_n
+                    sc = step[ci]
+                    if sc >= 0.0:
+                        o = owner_ids[ci]
+                        if o == 0 or o == net_id:
+                            ok = True
+                        elif fp is not None and not pins[ci]:
+                            ok = True
+                            sc = sc + fp
+                        else:
+                            ok = False
+                        if ok:
+                            evals += 1
+                            ny_ = y - 1
+                            if (
+                                in_x
+                                and lo_y <= ny_ <= hi_y
+                                and (blk is None or ci not in blk)
+                            ):
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    dy = (
+                                        (t_lo_y - ny_)
+                                        if ny_ < t_lo_y
+                                        else (ny_ - t_hi_y) if ny_ > t_hi_y else 0
+                                    )
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (hdx + dy),
+                                            candidate,
+                                            ci,
+                                            hdx,
+                                            dy,
+                                        ),
+                                    )
+                if y + 1 < height:
+                    ci = si + layers_n
+                    sc = step[ci]
+                    if sc >= 0.0:
+                        o = owner_ids[ci]
+                        if o == 0 or o == net_id:
+                            ok = True
+                        elif fp is not None and not pins[ci]:
+                            ok = True
+                            sc = sc + fp
+                        else:
+                            ok = False
+                        if ok:
+                            evals += 1
+                            ny_ = y + 1
+                            if (
+                                in_x
+                                and lo_y <= ny_ <= hi_y
+                                and (blk is None or ci not in blk)
+                            ):
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    dy = (
+                                        (t_lo_y - ny_)
+                                        if ny_ < t_lo_y
+                                        else (ny_ - t_hi_y) if ny_ > t_hi_y else 0
+                                    )
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (hdx + dy),
+                                            candidate,
+                                            ci,
+                                            hdx,
+                                            dy,
+                                        ),
+                                    )
+            else:
+                if x > 0:
+                    ci = si - hl
+                    sc = step[ci]
+                    if sc >= 0.0:
+                        o = owner_ids[ci]
+                        if o == 0 or o == net_id:
+                            ok = True
+                        elif fp is not None and not pins[ci]:
+                            ok = True
+                            sc = sc + fp
+                        else:
+                            ok = False
+                        if ok:
+                            evals += 1
+                            nx_ = x - 1
+                            if (
+                                in_y
+                                and lo_x <= nx_ <= hi_x
+                                and (blk is None or ci not in blk)
+                            ):
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    dx = (
+                                        (t_lo_x - nx_)
+                                        if nx_ < t_lo_x
+                                        else (nx_ - t_hi_x) if nx_ > t_hi_x else 0
+                                    )
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (dx + hdy),
+                                            candidate,
+                                            ci,
+                                            dx,
+                                            hdy,
+                                        ),
+                                    )
+                if x + 1 < width:
+                    ci = si + hl
+                    sc = step[ci]
+                    if sc >= 0.0:
+                        o = owner_ids[ci]
+                        if o == 0 or o == net_id:
+                            ok = True
+                        elif fp is not None and not pins[ci]:
+                            ok = True
+                            sc = sc + fp
+                        else:
+                            ok = False
+                        if ok:
+                            evals += 1
+                            nx_ = x + 1
+                            if (
+                                in_y
+                                and lo_x <= nx_ <= hi_x
+                                and (blk is None or ci not in blk)
+                            ):
+                                candidate = g + sc
+                                if candidate < best_g_get(ci, _INF) - 1e-12:
+                                    best_g[ci] = candidate
+                                    parent[ci] = si
+                                    dx = (
+                                        (t_lo_x - nx_)
+                                        if nx_ < t_lo_x
+                                        else (nx_ - t_hi_x) if nx_ > t_hi_x else 0
+                                    )
+                                    heappush(
+                                        heap,
+                                        (
+                                            candidate + weight * (dx + hdy),
+                                            candidate,
+                                            ci,
+                                            dx,
+                                            hdy,
+                                        ),
+                                    )
+
+            # --- z moves (vias) ----------------------------------
+            if lm > 0:
+                ci = si - 1
+                sc = step[ci]
+                if sc >= 0.0:
+                    o = owner_ids[ci]
+                    if o == 0 or o == net_id:
+                        ok = True
+                    elif fp is not None and not pins[ci]:
+                        ok = True
+                        sc = sc + fp
+                    else:
+                        ok = False
+                    if ok and off_line:
+                        evals += 1
+                        sc = sc + via_extra[x]
+                        if in_x and in_y and (blk is None or ci not in blk):
+                            candidate = g + sc
+                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                                best_g[ci] = candidate
+                                parent[ci] = si
+                                heappush(
+                                    heap,
+                                    (
+                                        candidate + weight * (hdx + hdy),
+                                        candidate,
+                                        ci,
+                                        hdx,
+                                        hdy,
+                                    ),
+                                )
+            if lm + 1 < layers_n:
+                ci = si + 1
+                sc = step[ci]
+                if sc >= 0.0:
+                    o = owner_ids[ci]
+                    if o == 0 or o == net_id:
+                        ok = True
+                    elif fp is not None and not pins[ci]:
+                        ok = True
+                        sc = sc + fp
+                    else:
+                        ok = False
+                    if ok and off_line:
+                        evals += 1
+                        sc = sc + via_extra[x]
+                        if in_x and in_y and (blk is None or ci not in blk):
+                            candidate = g + sc
+                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                                best_g[ci] = candidate
+                                parent[ci] = si
+                                heappush(
+                                    heap,
+                                    (
+                                        candidate + weight * (hdx + hdy),
+                                        candidate,
+                                        ci,
+                                        hdx,
+                                        hdy,
+                                    ),
+                                )
         return None
     finally:
         # Hot loop: count locally, flush once per search.
+        grid.cost_evaluations += evals
         if stats is not None:
             stats["astar_expansions"] = (
                 stats.get("astar_expansions", 0) + expansions
             )
             if profile:
+                # pushes == pops + len(heap) (heap invariant).
                 stats["perf_heap_pushes"] = (
-                    stats.get("perf_heap_pushes", 0) + pushes
+                    stats.get("perf_heap_pushes", 0) + pops + len(heap)
                 )
-                stats["perf_heap_pops"] = stats.get("perf_heap_pops", 0) + pops
-
-
-def _reconstruct(
-    parent: dict[Node, Node], sources: set[Node], end: Node
-) -> list[Node]:
-    path = [end]
-    while path[-1] not in sources:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+                stats["perf_heap_pops"] = (
+                    stats.get("perf_heap_pops", 0) + pops
+                )
 
 
 def connection_window(

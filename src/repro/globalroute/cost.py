@@ -10,13 +10,19 @@ needing special cases.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import GlobalGraph, Tile
+if TYPE_CHECKING:  # the graph imports this module for its step prices
+    from .graph import GlobalGraph, Tile
 
 #: Cost assigned per unit of demand on a zero-capacity resource.
 _ZERO_CAPACITY_PENALTY = 64.0
+
+#: Weight of one tile hop in the global A* cost; small so congestion
+#: dominates but paths stay short when congestion is zero.
+WL_WEIGHT = 0.1
 
 #: Scale of the upfront vertex (line-end) congestion price.  Kept below
 #: 1 so that first-pass paths do not detour pre-emptively; rip-up
@@ -47,10 +53,10 @@ def edge_cost(graph: GlobalGraph, key: tuple[str, int, int]) -> float:
 def edge_price(demand: int, capacity: int, history: float) -> float:
     """ψ_e of Eq. (1) for one more wire on an edge, plus its history.
 
-    One of the two scalar step prices (with :func:`line_end_price`)
-    both engines call: :func:`edge_cost_if_used` feeds it the graph's
-    arrays, the array engine's cost caches feed it their flat mirrors
-    of the same values.  Pricing the *next* unit of demand (rather than
+    One of the two scalar step prices (with :func:`line_end_price`):
+    the graph's cost caches feed it their flat mirrors of the demand,
+    capacity and history arrays, :func:`edge_cost_if_used` the arrays
+    themselves.  Pricing the *next* unit of demand (rather than
     the current one) makes the first wire over capacity pay the
     marginal congestion it creates, which is what sequential routing
     needs.
@@ -80,9 +86,7 @@ def edge_cost_if_used(graph: GlobalGraph, key: tuple[str, int, int]) -> float:
         graph.h_history[i, j] if kind == "h" else graph.v_history[i, j]
     )
     return edge_price(
-        graph.edge_demand(key),  # repro: allow-PAR004 array reads via price cache
-        graph.edge_capacity(key),  # repro: allow-PAR004 array reads via price cache
-        float(history),
+        graph.edge_demand(key), graph.edge_capacity(key), float(history)
     )
 
 
@@ -121,9 +125,10 @@ def congestion_cost_array(demand, capacity):
     penalty where capacity is non-positive, and ``2^(d/c) - 1``
     elsewhere.  ``numpy.exp2`` may differ from the scalar kernel's
     CPython ``2.0 ** x`` in the last ulp, so this kernel serves bulk
-    analysis (congestion maps, overflow summaries); the array engine's
+    analysis (congestion maps, overflow summaries); the global graph's
     cost *caches* call the scalar step prices per entry precisely
-    because the engines must agree bit for bit (see
+    because the search must price every step bit-identically to
+    :func:`edge_cost_if_used` / :func:`vertex_price` (see
     ``docs/performance.md``).
     """
     d = np.asarray(demand, dtype=np.float64)

@@ -14,7 +14,6 @@ up edge overflow, mirroring NTUgr's overflow reduction.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import time
 from collections.abc import Sequence
 from typing import Optional
@@ -27,15 +26,8 @@ from ..observe import Span, Tracer, ensure
 from .cost import (
     VERTEX_OVERFLOW_PENALTY,  # noqa: F401  (re-export: moved to .cost)
     VERTEX_WEIGHT,  # noqa: F401  (re-export: moved to .cost)
-    edge_cost_if_used,
-    vertex_price,
 )
-from ..analysis.pairing import paired
 from .graph import GlobalGraph, Tile, vertical_run_line_ends
-
-#: Weight of one tile hop in the A* cost; small so congestion dominates
-#: but paths stay short when congestion is zero.
-WL_WEIGHT = 0.1
 
 #: Tile margin of the first (windowed) A* attempt around a subnet's
 #: endpoints; a subnet that finds no path inside it retries on the
@@ -94,15 +86,8 @@ class GlobalRouter:
             instead of the plain spanning tree (optional wirelength
             improvement; the paper's experiments use the spanning
             tree, so this defaults to off).
-        engine: concrete engine name — ``"object"`` routes on the
-            reference :class:`GlobalGraph`, ``"array"`` on the
-            :class:`~repro.engine.ArrayGlobalGraph` with incrementally
-            maintained cost caches.  The two produce byte-identical
-            results (``docs/performance.md``); resolve ``"auto"`` with
-            :func:`repro.config.resolve_engine` before constructing
-            the router.
         profile: ``"off"`` / ``"counters"`` / ``"full"``.  ``"counters"``
-            flushes engine-level ``perf_*`` counters (maze heap
+            flushes search-level ``perf_*`` counters (maze heap
             pushes/pops, cost-cache refreshes and incremental updates)
             per pass and negotiation round; ``"full"`` additionally
             reports per-net commits through :meth:`Tracer.progress`
@@ -114,13 +99,8 @@ class GlobalRouter:
         stitch_aware: bool = True,
         ripup_rounds: int = 8,
         steiner: bool = False,
-        engine: str = "object",
         profile: str = "off",
     ) -> None:
-        if engine not in ("object", "array"):
-            raise ValueError(
-                f"engine must be 'object' or 'array', got {engine!r}"
-            )
         if profile not in ("off", "counters", "full"):
             raise ValueError(
                 f"profile must be 'off', 'counters' or 'full', got {profile!r}"
@@ -128,7 +108,6 @@ class GlobalRouter:
         self.stitch_aware = stitch_aware
         self.ripup_rounds = ripup_rounds
         self.steiner = steiner
-        self.engine = engine
         self.profile = profile
         self._profiling = profile != "off"
         self._tracer: Optional[Tracer] = None
@@ -152,12 +131,7 @@ class GlobalRouter:
         try:
             with tracer.span("global-route") as stage:
                 with tracer.span("graph-build"):
-                    if self.engine == "array":
-                        from ..engine import ArrayGlobalGraph
-
-                        graph: GlobalGraph = ArrayGlobalGraph(design)
-                    else:
-                        graph = GlobalGraph(design)
+                    graph = GlobalGraph(design)
                 order = self._bottom_up_order(design, graph)
                 self._subnets = {
                     net.name: self.two_pin_subnets(net, graph) for net in order
@@ -206,15 +180,10 @@ class GlobalRouter:
                         )
                 stage.count("failed_nets", len(failed))
                 if self._profiling:
-                    # Cost-cache churn lives on the array graph (the
-                    # object engine has no caches — counters absent).
-                    refreshes = getattr(graph, "perf_cache_refreshes", None)
-                    if refreshes is not None:
-                        stage.count("perf_cache_refreshes", refreshes)
-                        stage.count(
-                            "perf_cache_updates",
-                            getattr(graph, "perf_cache_updates", 0),
-                        )
+                    stage.count(
+                        "perf_cache_refreshes", graph.perf_cache_refreshes
+                    )
+                    stage.count("perf_cache_updates", graph.perf_cache_updates)
         finally:
             self._tracer = None
             self._subnets = {}
@@ -232,7 +201,7 @@ class GlobalRouter:
         """Report accumulated profiling counters on ``span``.
 
         Flushed (and zeroed) per pass and per negotiation round, so the
-        ``perf_*`` engine counters land on the round that incurred them.
+        ``perf_*`` search counters land on the round that incurred them.
         """
         for name in sorted(stats):
             if name.startswith("perf_"):
@@ -372,7 +341,6 @@ class GlobalRouter:
             path = self._astar_in_window(graph, src, dst, full, stats)
         return path
 
-    @paired("global-maze", backend="object")
     def _astar_in_window(
         self,
         graph: GlobalGraph,
@@ -381,105 +349,13 @@ class GlobalRouter:
         window: tuple[int, int, int, int],
         stats: dict[str, float],
     ) -> Optional[list[Tile]]:
-        """Direction-aware A* between two tiles.
-
-        Search states carry the arrival direction so the vertex
-        (line-end) cost of Eq. (2) is charged exactly where a vertical
-        run starts or ends — the tiles whose line-end demand the path
-        will raise — rather than diffusely along the whole path.
-        """
-        lo_x, lo_y, hi_x, hi_y = window
+        """Direction-aware A* between two tiles
+        (:meth:`GlobalGraph.astar_in_window`)."""
         if src == dst:
             return [src]
-        fast = getattr(graph, "astar_in_window", None)
-        if fast is not None:
-            # Array-core fast path (repro.engine): same direction-aware
-            # loop over integer state ids against the graph's cost
-            # caches, byte-identical result and counters.
-            return fast(
-                src, dst, window, self.stitch_aware, stats, self._profiling
-            )
-
-        def heuristic(t: Tile) -> float:
-            return WL_WEIGHT * (abs(t[0] - dst[0]) + abs(t[1] - dst[1]))
-
-        # State: (tile, direction); direction is "h", "v", or "" at src.
-        start = (src, "")
-        best: dict[tuple[Tile, str], float] = {start: 0.0}
-        parent: dict[tuple[Tile, str], tuple[Tile, str]] = {}
-        heap: list[tuple[float, float, tuple[Tile, str]]] = [
-            (heuristic(src), 0.0, start)
-        ]
-        goal: Optional[tuple[Tile, str]] = None
-        expansions = 0
-        pops = 0
-        while heap:
-            _, g, state = heapq.heappop(heap)
-            pops += 1
-            if g > best.get(state, float("inf")):
-                continue
-            expansions += 1
-            tile, direction = state
-            if tile == dst:
-                goal = state
-                break
-            for succ in graph.neighbors(tile):
-                if not (lo_x <= succ[0] <= hi_x and lo_y <= succ[1] <= hi_y):
-                    continue
-                step_dir = "v" if succ[0] == tile[0] else "h"
-                key = graph.edge_between(tile, succ)
-                step = WL_WEIGHT + edge_cost_if_used(graph, key)
-                if self.stitch_aware:
-                    if step_dir == "v" and direction != "v":
-                        # A vertical run starts: line end at this tile.
-                        step += self._vertex_price(graph, tile)
-                    if direction == "v" and step_dir != "v":
-                        # A vertical run just ended at this tile.
-                        step += self._vertex_price(graph, tile)
-                    if step_dir == "v" and succ == dst:
-                        # The run will terminate at the target tile.
-                        step += self._vertex_price(graph, succ)
-                candidate = g + step
-                succ_state = (succ, step_dir)
-                if candidate < best.get(succ_state, float("inf")) - 1e-12:
-                    best[succ_state] = candidate
-                    parent[succ_state] = state
-                    heapq.heappush(
-                        heap, (candidate + heuristic(succ), candidate, succ_state)
-                    )
-        stats["maze_expansions"] = stats.get("maze_expansions", 0) + expansions
-        if self._profiling:
-            # pushes == pops + len(heap) (heap invariant — the seed
-            # entry counts as a push), so one add per pop suffices.
-            stats["perf_maze_heap_pushes"] = (
-                stats.get("perf_maze_heap_pushes", 0) + pops + len(heap)
-            )
-            stats["perf_maze_heap_pops"] = (
-                stats.get("perf_maze_heap_pops", 0) + pops
-            )
-        if goal is None:
-            return None
-        return self._reconstruct(parent, start, goal)
-
-    def _vertex_price(self, graph: GlobalGraph, tile: Tile) -> float:
-        # The base price (Eq. 2) is kept mild so uncongested paths stay
-        # short; persistent overflow is negotiated away through the
-        # history term, which only grows where overflow survives a
-        # rip-up round.  This mirrors NTUgr-style pricing and keeps the
-        # wirelength overhead in the paper's ~1.5% band.
-        return vertex_price(graph, tile)
-
-    @staticmethod
-    def _reconstruct(
-        parent: dict[tuple[Tile, str], tuple[Tile, str]],
-        start: tuple[Tile, str],
-        goal: tuple[Tile, str],
-    ) -> list[Tile]:
-        states = [goal]
-        while states[-1] != start:
-            states.append(parent[states[-1]])
-        states.reverse()
-        return [tile for tile, _ in states]
+        return graph.astar_in_window(
+            src, dst, window, self.stitch_aware, stats, self._profiling
+        )
 
     # ------------------------------------------------------------------
     # Demand bookkeeping
@@ -540,8 +416,6 @@ class GlobalRouter:
         if self.stitch_aware:
             over_vertex = graph.vertex_demand > graph.vertex_capacity
             graph.vertex_history[over_vertex] += 0.5
-        # History feeds the array engine's cost caches; rebuild them
-        # after mutating it behind the graph's back.
-        refresh = getattr(graph, "refresh_cost_cache", None)
-        if refresh is not None:
-            refresh()
+        # History feeds the graph's cost caches; rebuild them after
+        # mutating it behind the graph's back.
+        graph.refresh_cost_cache()

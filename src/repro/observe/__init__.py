@@ -18,9 +18,9 @@ counters summarize the independent solution audit
 
 Every name a tracer may record is declared in
 :mod:`~repro.observe.schema` — the canonical registry of counters,
-gauges, spans, and progress kinds with their owner stage and backend
-coverage.  The regression gate's strip lists, the perf-history
-columns, and the static PAR005 parity rule all derive from it.
+gauges, spans, and progress kinds with their owner stage and
+category.  The regression gate's strip lists, the perf-history
+columns, and the lint rule OBS001 all derive from it.
 """
 
 from . import schema
@@ -48,7 +48,6 @@ from .log import (
     configure_logging,
 )
 from .schema import (
-    ALL_BACKENDS,
     CATEGORY_PREFIXES,
     MetricSpec,
     history_counters,
@@ -83,7 +82,6 @@ from .watch import (
 )
 
 __all__ = [
-    "ALL_BACKENDS",
     "CATEGORY_PREFIXES",
     "MetricSpec",
     "STREAM_FORMAT",

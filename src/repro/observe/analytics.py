@@ -488,24 +488,21 @@ class PerfHistory:
     """Perf-trajectory rollup of a directory of benchmark artifacts.
 
     Built by :func:`collect_perf_history` from the committed
-    ``BENCH_<circuit>.json`` snapshots (per-router traces) and
-    ``SPEEDUP_ENGINE_<circuit>.json`` (object vs. array engine walls).
+    ``BENCH_<circuit>.json`` snapshots (per-router traces).
 
     Attributes:
         directory: where the artifacts were collected from.
         bench_rows: one row per circuit x router label with wall/CPU
             seconds, stage walls and the deterministic work counters.
-        engine_rows: one row per engine-speedup artifact.
     """
 
     directory: str
     bench_rows: list[dict]
-    engine_rows: list[dict]
 
     @property
     def empty(self) -> bool:
-        """Whether no artifact of either kind was found."""
-        return not (self.bench_rows or self.engine_rows)
+        """Whether no artifact was found."""
+        return not self.bench_rows
 
 
 #: Deterministic whole-run counters worth tracking over time — the
@@ -518,12 +515,11 @@ def collect_perf_history(directory: PathLike) -> PerfHistory:
     """Ingest the benchmark artifacts of ``directory`` into a rollup.
 
     Files that do not parse as their expected schema are skipped (the
-    directory may hold unrelated JSON); artifact sets may be partially
-    present — an empty rollup is reported, not an error.
+    directory may hold unrelated JSON); an empty rollup is reported,
+    not an error.
     """
     root = pathlib.Path(directory)
     bench_rows: list[dict] = []
-    engine_rows: list[dict] = []
 
     for path in sorted(root.glob("BENCH_*.json")):
         circuit = path.stem[len("BENCH_"):]
@@ -556,50 +552,16 @@ def collect_perf_history(directory: PathLike) -> PerfHistory:
                 row[name] = counters.get(name, 0)
             bench_rows.append(row)
 
-    for path in sorted(root.glob("SPEEDUP_ENGINE_*.json")):
-        try:
-            data = json.loads(path.read_text())
-            engine_rows.append(
-                {
-                    "circuit": data["circuit"],
-                    "scale": data.get("scale", ""),
-                    "object_s": data["object_wall_seconds"],
-                    "array_s": data["array_wall_seconds"],
-                    "speedup": data["speedup"],
-                    "repeats": data.get("repeats", ""),
-                }
-            )
-        except (ValueError, KeyError, TypeError):
-            continue
-
-    return PerfHistory(
-        directory=str(root),
-        bench_rows=bench_rows,
-        engine_rows=engine_rows,
-    )
+    return PerfHistory(directory=str(root), bench_rows=bench_rows)
 
 
 def render_perf_history(history: PerfHistory, fmt: str = "plain") -> str:
     """Table view of a :class:`PerfHistory` (``plain`` or ``markdown``)."""
     if history.empty:
         return f"no benchmark artifacts under {history.directory}"
-    sections: list[str] = []
-    if history.bench_rows:
-        columns = ["circuit", "router", "wall_s", "cpu_s", "global_s",
-                   "detail_s", *_HISTORY_COUNTERS]
-        sections.append(
-            _render_rows(
-                history.bench_rows, columns,
-                f"benchmark snapshots ({history.directory})", fmt, decimals=3,
-            )
-        )
-    if history.engine_rows:
-        columns = ["circuit", "scale", "object_s", "array_s", "speedup",
-                   "repeats"]
-        sections.append(
-            _render_rows(
-                history.engine_rows, columns,
-                "engine speedups (object vs array)", fmt, decimals=3,
-            )
-        )
-    return "\n\n".join(sections)
+    columns = ["circuit", "router", "wall_s", "cpu_s", "global_s",
+               "detail_s", *_HISTORY_COUNTERS]
+    return _render_rows(
+        history.bench_rows, columns,
+        f"benchmark snapshots ({history.directory})", fmt, decimals=3,
+    )

@@ -1,26 +1,21 @@
 """Canonical schema registry for every observability name.
 
 Every counter, gauge, span, and progress kind the router can emit is
-declared here, once, with its owner stage, backend coverage, and
-category.  The registry is the single source of truth that used to be
-scattered across ad-hoc lists: the regression gate's ``perf_*`` /
-``stream_*`` strip tuples, the perf-history counter columns, and the
-watch monitor's notable-counter picks all derive from it now, and the
-static parity analyzer's PAR005 rule fails any ``src`` emission whose
-name is missing here.
+declared here, once, with its owner stage and category.  The registry
+is the single source of truth that used to be scattered across ad-hoc
+lists: the regression gate's ``perf_*`` / ``stream_*`` strip tuples,
+the perf-history counter columns, and the watch monitor's
+notable-counter picks all derive from it now, and the lint rule
+OBS001 fails any emission whose name is missing here.
 
 Identity is ``(kind, name)`` — names may repeat across kinds (the
 multilevel scheme emits a ``level`` *span* carrying a ``level``
-*gauge*) but never within one.  Backend coverage is a set of engine
-tags (``object`` / ``array``): a metric tagged with a backend *may*
-appear under it, and a metric missing one *never* does
-(``perf_cache_refreshes`` carries no ``object`` tag — only the array
-graph keeps cost caches).  The live-run completeness test
+*gauge*) but never within one.  The live-run completeness test
 (``tests/observe/test_schema.py``) routes a real circuit under three
-configurations and holds every emitted name to its declared coverage.
+configurations and requires every emitted name to be registered.
 
 Categories partition the vocabulary by contract: ``routing`` metrics
-are the deterministic ones every backend must reproduce exactly,
+are the deterministic ones the committed baselines pin exactly,
 while ``profiling`` / ``streaming`` bookkeeping is mode-specific and
 strippable (see
 :func:`strip_prefixes`).  Each strippable category owns a name prefix
@@ -36,12 +31,6 @@ from typing import Optional
 
 #: The four observability primitives a tracer records.
 KINDS = ("counter", "gauge", "span", "progress")
-
-#: Engine-axis backend tags (``RouterConfig.engine``).
-ENGINE_BACKENDS = frozenset({"object", "array"})
-
-#: Full coverage: emitted under every engine.
-ALL_BACKENDS = ENGINE_BACKENDS
 
 #: Strippable categories and the name prefix each one owns.  The
 #: regression gate scrubs by prefix; the registry enforces at import
@@ -61,10 +50,8 @@ class MetricSpec:
         kind: one of :data:`KINDS`.
         stages: owner stages (``global`` / ``detailed`` / ``assign`` /
             ``multilevel`` / ``flow`` / ``observe``).
-        backends: tags under which the name may be emitted (subset of
-            :data:`ALL_BACKENDS`).
         category: contract family — ``routing`` names are part of the
-            deterministic cross-backend surface; prefix-owning
+            deterministic surface the baselines pin; prefix-owning
             categories (:data:`CATEGORY_PREFIXES`) are strippable.
         history: 0 for untracked, else the 1-based column position in
             the perf-history rollup (:func:`history_counters`).
@@ -74,7 +61,6 @@ class MetricSpec:
     name: str
     kind: str
     stages: frozenset[str]
-    backends: frozenset[str]
     category: str
     history: int = 0
     description: str = ""
@@ -87,7 +73,6 @@ def _register(
     name: str,
     kind: str,
     stages: frozenset[str],
-    backends: frozenset[str],
     category: str,
     description: str,
     history: int = 0,
@@ -97,13 +82,10 @@ def _register(
         raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
     if key in _REGISTRY:
         raise ValueError(f"duplicate registration: {kind} {name!r}")
-    if not backends <= ALL_BACKENDS:
-        raise ValueError(f"unknown backend tag on {kind} {name!r}")
     _REGISTRY[key] = MetricSpec(
         name=name,
         kind=kind,
         stages=frozenset(stages),
-        backends=frozenset(backends),
         category=category,
         history=history,
         description=description,
@@ -118,219 +100,217 @@ _MULTILEVEL = frozenset({"multilevel"})
 _FLOW = frozenset({"flow"})
 _OBSERVE = frozenset({"observe"})
 
-# -- routing counters: the deterministic cross-backend surface --------
+# -- routing counters: the deterministic surface ----------------------
 _register(
-    "maze_expansions", "counter", _GLOBAL, ALL_BACKENDS, "routing",
+    "maze_expansions", "counter", _GLOBAL, "routing",
     "Tiles popped by the negotiated-congestion maze search.",
     history=1,
 )
 _register(
-    "nets_routed", "counter", _GLOBAL, ALL_BACKENDS, "routing",
+    "nets_routed", "counter", _GLOBAL, "routing",
     "Nets the global stage connected.",
 )
 _register(
-    "ripup_victims", "counter", _GLOBAL, ALL_BACKENDS, "routing",
+    "ripup_victims", "counter", _GLOBAL, "routing",
     "Nets torn up by global negotiation rounds.",
 )
 _register(
-    "failed_nets", "counter", _BOTH_ROUTE, ALL_BACKENDS, "routing",
+    "failed_nets", "counter", _BOTH_ROUTE, "routing",
     "Nets left unrouted when a stage gave up.",
     history=5,
 )
 _register(
-    "nets_attempted", "counter", _DETAILED, ALL_BACKENDS, "routing",
+    "nets_attempted", "counter", _DETAILED, "routing",
     "Nets the detailed stage tried to realize.",
 )
 _register(
-    "first_pass_failed", "counter", _DETAILED, ALL_BACKENDS, "routing",
+    "first_pass_failed", "counter", _DETAILED, "routing",
     "Nets whose first detailed pass missed and queued for rip-up.",
 )
 _register(
-    "stitch_cost_evaluations", "counter", _DETAILED, ALL_BACKENDS,
+    "stitch_cost_evaluations", "counter", _DETAILED,
     "routing",
     "Stitch-aware cost terms evaluated during detailed search.",
 )
 _register(
-    "ripup_rounds", "counter", _DETAILED, ALL_BACKENDS, "routing",
+    "ripup_rounds", "counter", _DETAILED, "routing",
     "Detailed rip-up-and-reroute rounds executed.",
     history=4,
 )
 _register(
-    "reroutes", "counter", _DETAILED, ALL_BACKENDS, "routing",
+    "reroutes", "counter", _DETAILED, "routing",
     "Nets rerouted inside detailed rip-up rounds.",
 )
 _register(
-    "astar_searches", "counter", _DETAILED, ALL_BACKENDS, "routing",
+    "astar_searches", "counter", _DETAILED, "routing",
     "Windowed A* searches launched by the detailed stage.",
     history=2,
 )
 _register(
-    "astar_expansions", "counter", _DETAILED, ALL_BACKENDS, "routing",
+    "astar_expansions", "counter", _DETAILED, "routing",
     "Grid nodes expanded across all detailed A* searches.",
     history=3,
 )
 _register(
-    "panels", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "panels", "counter", _ASSIGN, "routing",
     "Track-assignment panels processed.",
 )
 _register(
-    "conflict_vertices", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "conflict_vertices", "counter", _ASSIGN, "routing",
     "Vertices of the layer-assignment conflict graph.",
 )
 _register(
-    "conflict_edges", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "conflict_edges", "counter", _ASSIGN, "routing",
     "Edges of the layer-assignment conflict graph.",
 )
 _register(
-    "flow_augmentations", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "flow_augmentations", "counter", _ASSIGN, "routing",
     "Augmenting paths pushed by the flow-based coloring.",
 )
 _register(
-    "flow_rounds", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "flow_rounds", "counter", _ASSIGN, "routing",
     "Rounds of the flow-based coloring loop.",
 )
 _register(
-    "flow_nodes", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "flow_nodes", "counter", _ASSIGN, "routing",
     "Nodes of the min-cost-flow network built by the interval "
     "k-coloring (accumulated per panel; not yet forwarded to spans).",
 )
 _register(
-    "failed_segments", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "failed_segments", "counter", _ASSIGN, "routing",
     "Trunk segments track assignment could not place.",
 )
 _register(
-    "bad_ends", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "bad_ends", "counter", _ASSIGN, "routing",
     "Segment endpoints left off-track after assignment.",
 )
 _register(
-    "track_graph_nodes", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "track_graph_nodes", "counter", _ASSIGN, "routing",
     "Nodes of the track-assignment interval graph.",
 )
 _register(
-    "track_baseline_segments", "counter", _ASSIGN, ALL_BACKENDS,
+    "track_baseline_segments", "counter", _ASSIGN,
     "routing",
     "Segments placed by the greedy track-assignment baseline.",
 )
 _register(
-    "track_ilp_variables", "counter", _ASSIGN, ALL_BACKENDS, "routing",
+    "track_ilp_variables", "counter", _ASSIGN, "routing",
     "Decision variables of the track-assignment ILP.",
 )
 
 # -- audit counters (repro audit / --audit flow) ----------------------
 _register(
-    "audit_nets_checked", "counter", _FLOW, ALL_BACKENDS, "audit",
+    "audit_nets_checked", "counter", _FLOW, "audit",
     "Nets re-verified by the independent solution audit.",
 )
 _register(
-    "audit_findings", "counter", _FLOW, ALL_BACKENDS, "audit",
+    "audit_findings", "counter", _FLOW, "audit",
     "Audit rule violations found.",
 )
 _register(
-    "audit_drift", "counter", _FLOW, ALL_BACKENDS, "audit",
+    "audit_drift", "counter", _FLOW, "audit",
     "Reported counters that disagreed with audit recomputation.",
 )
 
 # -- profiling counters (RouterConfig.profile) ------------------------
 _register(
-    "perf_maze_heap_pushes", "counter", _GLOBAL, ALL_BACKENDS,
+    "perf_maze_heap_pushes", "counter", _GLOBAL,
     "profiling",
     "Heap pushes by the global maze search (profile mode).",
 )
 _register(
-    "perf_maze_heap_pops", "counter", _GLOBAL, ALL_BACKENDS,
+    "perf_maze_heap_pops", "counter", _GLOBAL,
     "profiling",
     "Heap pops by the global maze search (profile mode).",
 )
 _register(
-    "perf_cache_refreshes", "counter", _GLOBAL, frozenset({"array"}),
-    "profiling",
-    "Full cost-cache rebuilds by the array global graph.",
+    "perf_cache_refreshes", "counter", _GLOBAL, "profiling",
+    "Full cost-cache rebuilds by the global graph.",
 )
 _register(
-    "perf_cache_updates", "counter", _GLOBAL, frozenset({"array"}),
-    "profiling",
-    "Incremental cost-cache updates by the array global graph.",
+    "perf_cache_updates", "counter", _GLOBAL, "profiling",
+    "Incremental cost-cache updates by the global graph.",
 )
 _register(
-    "perf_heap_pushes", "counter", _DETAILED, ALL_BACKENDS,
+    "perf_heap_pushes", "counter", _DETAILED,
     "profiling",
     "Heap pushes by detailed A* (profile mode).",
 )
 _register(
-    "perf_heap_pops", "counter", _DETAILED, ALL_BACKENDS, "profiling",
+    "perf_heap_pops", "counter", _DETAILED, "profiling",
     "Heap pops by detailed A* (profile mode).",
 )
 _register(
-    "perf_ripup_net_visits", "counter", _DETAILED, ALL_BACKENDS,
+    "perf_ripup_net_visits", "counter", _DETAILED,
     "profiling",
     "Net visits across detailed rip-up rounds (profile mode).",
 )
 
 # -- streaming bookkeeping (StreamingTracer) --------------------------
 _register(
-    "stream_events", "counter", _OBSERVE, ALL_BACKENDS, "streaming",
+    "stream_events", "counter", _OBSERVE, "streaming",
     "NDJSON events emitted by the streaming tracer.",
 )
 _register(
-    "stream_heartbeats", "counter", _OBSERVE, ALL_BACKENDS,
+    "stream_heartbeats", "counter", _OBSERVE,
     "streaming",
     "Heartbeat events emitted between spans.",
 )
 
 # -- routing gauges ---------------------------------------------------
 _register(
-    "edge_overflow", "gauge", _GLOBAL, ALL_BACKENDS, "routing",
+    "edge_overflow", "gauge", _GLOBAL, "routing",
     "Total edge-capacity overflow after a negotiation round.",
 )
 _register(
-    "vertex_overflow", "gauge", _GLOBAL, ALL_BACKENDS, "routing",
+    "vertex_overflow", "gauge", _GLOBAL, "routing",
     "Total vertex-capacity overflow after a negotiation round.",
 )
 _register(
-    "conflict_weight", "gauge", _ASSIGN, ALL_BACKENDS, "routing",
+    "conflict_weight", "gauge", _ASSIGN, "routing",
     "Total weight of the layer-assignment conflict graph.",
 )
 _register(
-    "coloring_cost", "gauge", _ASSIGN, ALL_BACKENDS, "routing",
+    "coloring_cost", "gauge", _ASSIGN, "routing",
     "Objective value of the chosen layer coloring.",
 )
 _register(
-    "max_cut_weight", "gauge", _ASSIGN, ALL_BACKENDS, "routing",
+    "max_cut_weight", "gauge", _ASSIGN, "routing",
     "Best cut weight seen by the coloring search.",
 )
 _register(
-    "column_problems", "gauge", _ASSIGN, ALL_BACKENDS, "routing",
+    "column_problems", "gauge", _ASSIGN, "routing",
     "Column panel problems solved by track assignment.",
 )
 _register(
-    "row_problems", "gauge", _ASSIGN, ALL_BACKENDS, "routing",
+    "row_problems", "gauge", _ASSIGN, "routing",
     "Row panel problems solved by track assignment.",
 )
 _register(
-    "method", "gauge", _ASSIGN, ALL_BACKENDS, "routing",
+    "method", "gauge", _ASSIGN, "routing",
     "Track-assignment method actually used (string-valued; recorded "
     "as a span attribute on track-assign).",
 )
 
 # -- span-attribute gauges (keyword arguments to tracer.span) ---------
 _register(
-    "nets", "gauge", _DETAILED | _MULTILEVEL, ALL_BACKENDS, "routing",
+    "nets", "gauge", _DETAILED | _MULTILEVEL, "routing",
     "Net count attribute on detailed-route and level spans.",
 )
 _register(
-    "levels", "gauge", _MULTILEVEL, ALL_BACKENDS, "routing",
+    "levels", "gauge", _MULTILEVEL, "routing",
     "Level count attribute on the levelize span.",
 )
 _register(
-    "level", "gauge", _MULTILEVEL, ALL_BACKENDS, "routing",
+    "level", "gauge", _MULTILEVEL, "routing",
     "Level index attribute on level spans.",
 )
 _register(
-    "round", "gauge", _BOTH_ROUTE, ALL_BACKENDS, "routing",
+    "round", "gauge", _BOTH_ROUTE, "routing",
     "Round index attribute on negotiation-round / ripup-round spans.",
 )
 _register(
-    "queued", "gauge", _DETAILED, ALL_BACKENDS, "routing",
+    "queued", "gauge", _DETAILED, "routing",
     "Rip-up queue depth attribute on ripup-round spans.",
 )
 
@@ -358,11 +338,11 @@ for _name, _stages, _desc in (
     ("pass2", _MULTILEVEL, "Multilevel pass 2 (detailed)."),
     ("audit", _FLOW, "Independent solution audit."),
 ):
-    _register(_name, "span", _stages, ALL_BACKENDS, "routing", _desc)
+    _register(_name, "span", _stages, "routing", _desc)
 
 # -- progress kinds ---------------------------------------------------
 _register(
-    "net", "progress", _BOTH_ROUTE, ALL_BACKENDS, "routing",
+    "net", "progress", _BOTH_ROUTE, "routing",
     "Per-net completion event (fields: stage, net, routed).",
 )
 
@@ -400,7 +380,6 @@ def metric_specs(
     kind: Optional[str] = None,
     *,
     stage: Optional[str] = None,
-    backend: Optional[str] = None,
     category: Optional[str] = None,
 ) -> tuple[MetricSpec, ...]:
     """Registered specs, filtered; registration order preserved."""
@@ -409,8 +388,6 @@ def metric_specs(
         if kind is not None and spec.kind != kind:
             continue
         if stage is not None and stage not in spec.stages:
-            continue
-        if backend is not None and backend not in spec.backends:
             continue
         if category is not None and spec.category != category:
             continue
@@ -422,15 +399,12 @@ def metric_names(
     kind: Optional[str] = None,
     *,
     stage: Optional[str] = None,
-    backend: Optional[str] = None,
     category: Optional[str] = None,
 ) -> tuple[str, ...]:
     """Registered names, filtered like :func:`metric_specs`."""
     return tuple(
         spec.name
-        for spec in metric_specs(
-            kind, stage=stage, backend=backend, category=category
-        )
+        for spec in metric_specs(kind, stage=stage, category=category)
     )
 
 
@@ -469,9 +443,7 @@ def history_counters() -> tuple[str, ...]:
 
 
 __all__ = [
-    "ALL_BACKENDS",
     "CATEGORY_PREFIXES",
-    "ENGINE_BACKENDS",
     "KINDS",
     "MetricSpec",
     "history_counters",

@@ -60,6 +60,15 @@ class TestCleanSolutions:
         assert "AUD007" not in report.rules_checked
         assert report.ok
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP open item 6 (dogleg jogs vs AUD006): the trunk "
+        "doglegs jog along tile-boundary rows on the vertical layer",
+    )
+    def test_tile_boundary_doglegs_audit_clean(self):
+        flow = StitchAwareRouter().route(mcnc_design("S38584", 0.02))
+        assert _audit(flow).ok
+
 
 def _tiny_design():
     """A 40x20 HVH die with one stitching line crossing a two-pin net."""

@@ -1,4 +1,10 @@
-"""Tests for the detailed routing grid: legality, occupancy, Eq. (10)."""
+"""Tests for the detailed routing grid: legality, occupancy, Eq. (10).
+
+The move and cost tests drive the reference neighbour function of
+``tests/engine/reference.py``, which prices Eq. (10) from the config
+and the stitching lines; the production A* must match it step for step
+(``tests/engine``).
+"""
 
 import pytest
 
@@ -6,6 +12,7 @@ from repro.config import RouterConfig
 from repro.geometry import Point
 from repro.layout import Design, Net, Netlist, Pin, Technology
 from repro.detailed import DetailedGrid
+from tests.engine.reference import neighbors
 
 
 def make_design(layers=3, width=60, height=45):
@@ -69,6 +76,17 @@ class TestOccupancy:
         g.release((3, 3, 1), "b")  # no-op
         assert g.owner((3, 3, 1)) == "a"
 
+    def test_off_grid_reads_never_alias(self):
+        design = make_design()
+        g = DetailedGrid(design)
+        g.occupy((4, 0, 1), "a")
+        g.mark_pin((4, 0, 1))
+        # (3, height, 1) would encode to the flat id of (4, 0, 1).
+        for off_grid in ((3, design.height, 1), (-1, 0, 1), (4, 0, 0)):
+            assert g.owner(off_grid) is None
+            assert not g.is_pin(off_grid)
+        assert g.occupied_by("a") == {(4, 0, 1)}
+
     def test_force_occupy_reports_eviction(self):
         g = DetailedGrid(make_design())
         g.occupy((3, 3, 1), "a")
@@ -80,21 +98,21 @@ class TestOccupancy:
 class TestNeighbors:
     def test_preferred_directions(self):
         g = DetailedGrid(make_design())
-        h_moves = {n for n, _ in g.neighbors((5, 5, 1), "a")}
+        h_moves = {n for n, _ in neighbors(g, (5, 5, 1), "a")}
         assert (4, 5, 1) in h_moves and (6, 5, 1) in h_moves
         assert (5, 4, 1) not in h_moves and (5, 6, 1) not in h_moves
-        v_moves = {n for n, _ in g.neighbors((5, 5, 2), "a")}
+        v_moves = {n for n, _ in neighbors(g, (5, 5, 2), "a")}
         assert (5, 4, 2) in v_moves and (5, 6, 2) in v_moves
         assert (4, 5, 2) not in v_moves
 
     def test_z_moves_exist(self):
         g = DetailedGrid(make_design())
-        moves = {n for n, _ in g.neighbors((5, 5, 2), "a")}
+        moves = {n for n, _ in neighbors(g, (5, 5, 2), "a")}
         assert (5, 5, 1) in moves and (5, 5, 3) in moves
 
     def test_via_forbidden_on_line(self):
         g = DetailedGrid(make_design())
-        moves = {n for n, _ in g.neighbors((15, 5, 1), "a")}
+        moves = {n for n, _ in neighbors(g, (15, 5, 1), "a")}
         assert (15, 5, 2) not in moves
         # Horizontal pass-through across the line stays legal.
         assert (14, 5, 1) in moves and (16, 5, 1) in moves
@@ -102,13 +120,13 @@ class TestNeighbors:
     def test_foreign_nodes_blocked(self):
         g = DetailedGrid(make_design())
         g.occupy((6, 5, 1), "other")
-        moves = {n for n, _ in g.neighbors((5, 5, 1), "a")}
+        moves = {n for n, _ in neighbors(g, (5, 5, 1), "a")}
         assert (6, 5, 1) not in moves
 
     def test_foreign_penalty_mode(self):
         g = DetailedGrid(make_design())
         g.occupy((6, 5, 1), "other")
-        moves = dict(g.neighbors((5, 5, 1), "a", foreign_penalty=30.0))
+        moves = dict(neighbors(g, (5, 5, 1), "a", foreign_penalty=30.0))
         assert (6, 5, 1) in moves
         assert moves[(6, 5, 1)] >= 30.0
 
@@ -116,7 +134,7 @@ class TestNeighbors:
         g = DetailedGrid(make_design())
         g.occupy((6, 5, 1), "other")
         g.mark_pin((6, 5, 1))
-        moves = {n for n, _ in g.neighbors((5, 5, 1), "a", 30.0)}
+        moves = {n for n, _ in neighbors(g, (5, 5, 1), "a", 30.0)}
         assert (6, 5, 1) not in moves
 
 
@@ -124,15 +142,15 @@ class TestCosts:
     def test_via_in_sur_costs_beta(self):
         design = make_design()
         g = DetailedGrid(design)
-        moves = dict(g.neighbors((16, 5, 1), "a"))  # x=16 in SUR
-        base = dict(g.neighbors((5, 5, 1), "a"))
+        moves = dict(neighbors(g, (16, 5, 1), "a"))  # x=16 in SUR
+        base = dict(neighbors(g, (5, 5, 1), "a"))
         assert moves[(16, 5, 2)] >= base[(5, 5, 2)] + design.config.beta - 1e-9
 
     def test_escape_region_costs_gamma_on_vertical(self):
         design = make_design()
         g = DetailedGrid(design)
-        moves = dict(g.neighbors((18, 5, 2), "a"))  # escape region
-        away = dict(g.neighbors((5, 5, 2), "a"))
+        moves = dict(neighbors(g, (18, 5, 2), "a"))  # escape region
+        away = dict(neighbors(g, (5, 5, 2), "a"))
         assert (
             moves[(18, 6, 2)]
             == pytest.approx(away[(5, 6, 2)] + design.config.gamma)
@@ -141,13 +159,13 @@ class TestCosts:
     def test_baseline_mode_drops_soft_costs(self):
         design = make_design()
         g = DetailedGrid(design, stitch_aware=False)
-        moves = dict(g.neighbors((16, 5, 1), "a"))
+        moves = dict(neighbors(g, (16, 5, 1), "a"))
         assert moves[(16, 5, 2)] == pytest.approx(design.config.alpha)
-        v_moves = dict(g.neighbors((18, 5, 2), "a"))
+        v_moves = dict(neighbors(g, (18, 5, 2), "a"))
         assert v_moves[(18, 6, 2)] == pytest.approx(design.config.alpha)
 
     def test_hard_constraints_kept_in_baseline_mode(self):
         g = DetailedGrid(make_design(), stitch_aware=False)
         assert g.is_blocked((15, 5, 2))
-        moves = {n for n, _ in g.neighbors((15, 5, 1), "a")}
+        moves = {n for n, _ in neighbors(g, (15, 5, 1), "a")}
         assert (15, 5, 2) not in moves

@@ -1,13 +1,14 @@
-"""The congestion kernels and the array engine's cost caches.
+"""The congestion kernels and the global graph's cost caches.
 
 :func:`repro.globalroute.cost.congestion_cost_array` powers bulk
-analysis; the array engine's cost caches deliberately call the scalar
+analysis; the global graph's cost caches deliberately call the scalar
 kernel instead (``numpy.exp2`` vs CPython ``2.0 ** x`` may differ in
 the last ulp).  These properties pin down both facts: the piecewise
 branches agree exactly, and the smooth branch agrees to float64
-round-off.  The last property drives an :class:`ArrayGlobalGraph`
-through random demand changes and history bumps and checks that every
-cache entry is a plain ``float`` bit-equal to the reference pricing.
+round-off.  The last property drives a :class:`GlobalGraph` through
+random demand changes and history bumps and checks that every cache
+entry is a plain ``float`` bit-equal to the pricing of the numpy
+state, and that every flat Python mirror equals its numpy array.
 """
 
 import math
@@ -18,16 +19,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import RouterConfig
-from repro.engine import ArrayGlobalGraph
 from repro.globalroute import GlobalGraph, GlobalRouter
 from repro.globalroute.cost import (
     _ZERO_CAPACITY_PENALTY,
+    WL_WEIGHT,
     congestion_cost,
     congestion_cost_array,
     edge_cost_if_used,
     vertex_price,
 )
-from repro.globalroute.router import WL_WEIGHT
 from repro.layout import Design, Netlist, Technology
 from tests.globalroute.test_router import two_pin
 
@@ -117,7 +117,8 @@ operations = st.lists(
 
 
 def assert_cache_exact(graph):
-    """Every cache entry is a ``float`` bit-equal to the reference."""
+    """Every cache entry is a ``float`` bit-equal to the pricing of
+    the numpy state."""
     ny = graph.ny
     for i in range(graph.nx):
         for j in range(ny):
@@ -138,51 +139,57 @@ def assert_cache_exact(graph):
                 assert entry.hex() == float(reference).hex(), (kind, i, j)
 
 
-#: The graph arrays routing mutates: demand on every placement, history
-#: on every bump.
-MUTABLE_STATE = (
-    "h_demand",
-    "v_demand",
-    "vertex_demand",
-    "h_history",
-    "v_history",
-    "vertex_history",
+#: Each flat Python mirror and the numpy array it mirrors, with the
+#: Python type its entries must have.
+MIRRORS = (
+    ("_h_dem", "h_demand", int),
+    ("_v_dem", "v_demand", int),
+    ("_t_dem", "vertex_demand", int),
+    ("_h_cap", "h_capacity", int),
+    ("_v_cap", "v_capacity", int),
+    ("_t_cap", "vertex_capacity", int),
+    ("_h_hist", "h_history", float),
+    ("_v_hist", "v_history", float),
+    ("_t_hist", "vertex_history", float),
 )
 
 
-def assert_same_state(graph, reference):
-    for key in MUTABLE_STATE:
-        assert np.array_equal(getattr(graph, key), getattr(reference, key)), key
+def assert_mirrors_exact(graph):
+    """Every mirror entry equals its numpy element, as a Python number."""
+    ny = graph.ny
+    for mirror, name, kind in MIRRORS:
+        values = getattr(graph, mirror)
+        array = getattr(graph, name)
+        assert len(values) == array.shape[0] * ny, mirror
+        for (i, j), element in np.ndenumerate(array):
+            entry = values[i * ny + j]
+            assert type(entry) is kind, (mirror, i, j, type(entry))
+            assert entry == element, (mirror, i, j)
 
 
 @given(operations, tile_paths())
 def test_cache_entries_are_floats_equal_to_reference(ops, probe):
-    graph = ArrayGlobalGraph(TINY)
-    reference = GlobalGraph(TINY)
+    graph = GlobalGraph(TINY)
     routers = {flag: GlobalRouter(stitch_aware=flag) for flag in (True, False)}
     router = routers[True]
     placed = []
     assert_cache_exact(graph)
+    assert_mirrors_exact(graph)
     for op in ops:
         if op[0] == "place":
             _, path, copies = op
             for _ in range(copies):
-                for g in (graph, reference):
-                    router._place_path(g, path)
+                router._place_path(graph, path)
                 placed.append(path)
         elif op[0] == "unplace":
             if not placed:
                 continue
-            path = placed.pop(op[1] % len(placed))
-            for g in (graph, reference):
-                router._unplace_path(g, path)
+            router._unplace_path(graph, placed.pop(op[1] % len(placed)))
         else:
-            for g in (graph, reference):
-                routers[op[1]]._bump_history(g)
+            routers[op[1]]._bump_history(graph)
         assert_cache_exact(graph)
-        assert_same_state(graph, reference)
+        assert_mirrors_exact(graph)
 
-    for g in (graph, reference):
-        router._place_path(g, probe)
+    router._place_path(graph, probe)
     assert_cache_exact(graph)
-    assert_same_state(graph, reference)
+    assert_mirrors_exact(graph)

@@ -1,12 +1,14 @@
-"""Object vs array global routing through the negotiation rounds.
+"""Production vs reference global routing through the negotiation rounds.
 
 The gate circuits converge before the first history bump, so the gate
-differential never drives the array engine's cost caches and state
+differential never drives the global graph's cost caches and state
 mirrors through a rebuild.  These congestion-stressed instances do:
 each runs all eight negotiation rounds, and every round bumps history,
-rebuilds the caches and rips up and re-routes its victims.  Both
-engines must agree on every route, failed net, demand and history
-entry, counter and per-round gauge.
+rebuilds the caches and rips up and re-routes its victims.  A run
+whose maze is monkeypatched to the reference
+(``tests/engine/reference.py``) must agree with the production run on
+every route, failed net, demand and history entry, counter and
+per-round gauge.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from repro.benchmarks_gen import mcnc_stress_design
 from repro.globalroute import GlobalRouter
 from repro.observe import Tracer
+from tests.engine import reference
 
 CASES = {
     "S15850-stitch-aware": ("S15850", 0.15, True),
@@ -22,9 +25,9 @@ CASES = {
 }
 
 
-def route(design, stitch_aware, engine):
+def route(design, stitch_aware):
     tracer = Tracer()
-    router = GlobalRouter(stitch_aware=stitch_aware, engine=engine)
+    router = GlobalRouter(stitch_aware=stitch_aware)
     result = router.route(design, tracer=tracer)
     return result, tracer.finish(router="GlobalRouter", design=design.name)
 
@@ -35,21 +38,24 @@ def span_records(trace):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_negotiation_rounds_identical_across_engines(case):
+def test_negotiation_rounds_identical_across_engines(case, monkeypatch):
     circuit, scale, stitch_aware = CASES[case]
     design = mcnc_stress_design(circuit, scale=scale)
-    obj, obj_trace = route(design, stitch_aware, "object")
-    arr, arr_trace = route(design, stitch_aware, "array")
+    prod, prod_trace = route(design, stitch_aware)
+    monkeypatch.setattr(
+        GlobalRouter, "_astar_in_window", reference.astar_in_window
+    )
+    ref, ref_trace = route(design, stitch_aware)
 
-    rounds = [s for s in arr_trace.walk() if s.name == "negotiation-round"]
+    rounds = [s for s in prod_trace.walk() if s.name == "negotiation-round"]
     assert len(rounds) == GlobalRouter().ripup_rounds
     assert all(s.counters["ripup_victims"] > 0 for s in rounds)
 
-    assert {n: r.paths for n, r in obj.routes.items()} == {
-        n: r.paths for n, r in arr.routes.items()
+    assert {n: r.paths for n, r in prod.routes.items()} == {
+        n: r.paths for n, r in ref.routes.items()
     }
-    assert list(obj.routes) == list(arr.routes)
-    assert obj.failed == arr.failed
+    assert list(prod.routes) == list(ref.routes)
+    assert prod.failed == ref.failed
     for key in (
         "h_demand",
         "v_demand",
@@ -58,5 +64,5 @@ def test_negotiation_rounds_identical_across_engines(case):
         "v_history",
         "vertex_history",
     ):
-        assert np.array_equal(getattr(obj.graph, key), getattr(arr.graph, key)), key
-    assert span_records(obj_trace) == span_records(arr_trace)
+        assert np.array_equal(getattr(prod.graph, key), getattr(ref.graph, key)), key
+    assert span_records(prod_trace) == span_records(ref_trace)

@@ -1,0 +1,205 @@
+"""Per-search differential properties: production kernel vs reference.
+
+The whole-flow differentials only reach the code paths the gate and
+stress circuits happen to exercise.  These properties draw tiny random
+designs — 2 to 4 layers, either layer-1 direction, random stitch
+spacing, epsilon and cost weights, stitch-aware on and off — put
+random ownership, pins, demand and history on them, and run one
+search through the production kernel and one through the reference
+(``tests/engine/reference.py``) on the same grid or graph.  Both must
+return the same path (or both ``None``) and report the same counters:
+expansions, heap pushes and pops, and for the detailed A* the same
+``cost_evaluations`` delta.
+
+Searches are drawn the way the routers issue them: detailed windows
+from :func:`~repro.detailed.search.connection_window` or the full
+grid, with and without ``foreign_penalty`` and ``blocked`` (the
+specialized and the general search loop), with source and target sets
+on both sides of the 16-node threshold of the vectorized seeding;
+global windows as the ``ASTAR_WINDOW_MARGIN`` box around the two
+tiles or the full grid.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.config import RouterConfig
+from repro.detailed import DetailedGrid, astar_connect, connection_window
+from repro.geometry import Point
+from repro.globalroute import GlobalGraph, GlobalRouter
+from repro.globalroute.router import ASTAR_WINDOW_MARGIN
+from repro.layout import Design, Direction, Net, Netlist, Pin, Technology
+from tests.engine import reference
+
+NETS = ("a", "b", "c")
+
+weights = st.sampled_from([0.0, 0.3, 1.0, 1.7, 5.0, 10.0])
+
+
+@st.composite
+def designs(draw, max_width, max_height):
+    """A small design with random layers, stitching lines and weights."""
+    spacing = draw(st.integers(3, 9))
+    config = RouterConfig(
+        stitch_spacing=spacing,
+        epsilon=draw(st.integers(0, (spacing - 2) // 2)),
+        escape_width=draw(st.integers(0, 4)),
+        tile_size=draw(st.integers(2, 6)),
+        alpha=draw(st.sampled_from([0.5, 1.0, 1.3])),
+        beta=draw(weights),
+        gamma=draw(weights),
+    )
+    width = draw(st.integers(4, max_width))
+    height = draw(st.integers(4, max_height))
+    nets = [
+        Net(
+            name,
+            (
+                Pin(f"{name}.0", Point(k, 0), 1),
+                Pin(f"{name}.1", Point(width - 1 - k, height - 1), 1),
+            ),
+        )
+        for k, name in enumerate(NETS)
+    ]
+    technology = Technology(
+        draw(st.integers(2, 4)),
+        draw(st.sampled_from([Direction.HORIZONTAL, Direction.VERTICAL])),
+    )
+    return Design(
+        name="random",
+        width=width,
+        height=height,
+        technology=technology,
+        netlist=Netlist(nets),
+        config=config,
+    )
+
+
+def nodes_of(design):
+    return st.tuples(
+        st.integers(0, design.width - 1),
+        st.integers(0, design.height - 1),
+        st.integers(1, design.technology.num_layers),
+    )
+
+
+def node_sets(design):
+    # Both sides of the 16-node threshold of the vectorized seeding.
+    nodes = nodes_of(design)
+    return st.one_of(
+        st.lists(nodes, min_size=1, max_size=6, unique=True),
+        st.lists(nodes, min_size=16, max_size=28, unique=True),
+    ).map(set)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_detailed_search_matches_reference(data):
+    design = data.draw(designs(max_width=20, max_height=14))
+    grid = DetailedGrid(design, stitch_aware=data.draw(st.booleans()))
+    owned = data.draw(
+        st.lists(
+            st.tuples(nodes_of(design), st.sampled_from(NETS), st.booleans()),
+            max_size=60,
+        )
+    )
+    for node, net, pin in owned:
+        if not grid.is_pin(node):
+            grid.force_occupy(node, net)
+            if pin:
+                grid.mark_pin(node)
+
+    sources = data.draw(node_sets(design))
+    targets = data.draw(node_sets(design))
+    if not data.draw(st.booleans()):
+        targets -= sources
+        assume(targets)
+    window = data.draw(
+        st.one_of(
+            st.just((0, 0, design.width - 1, design.height - 1)),
+            st.sampled_from([0, 1, 2, 6, 16]).map(
+                lambda margin: connection_window(
+                    sources, targets, margin, design.width, design.height
+                )
+            ),
+        )
+    )
+    limit = data.draw(st.one_of(st.integers(0, 300), st.just(200_000)))
+    blocked = data.draw(st.one_of(st.none(), node_sets(design)))
+    penalty = data.draw(st.sampled_from([None, 2.5, 30.0]))
+
+    def search(kernel):
+        stats = {}
+        before = grid.cost_evaluations
+        path = kernel(
+            grid, "a", sources, targets, window, limit,
+            blocked=blocked, foreign_penalty=penalty, stats=stats,
+            profile=True,
+        )
+        return path, stats, grid.cost_evaluations - before
+
+    assert search(astar_connect) == search(reference.astar_connect)
+
+
+@st.composite
+def tile_walks(draw, nx, ny):
+    """A walk over adjacent tiles (it may double back on itself)."""
+    i = draw(st.integers(0, nx - 1))
+    j = draw(st.integers(0, ny - 1))
+    path = [(i, j)]
+    steps = st.sampled_from([(-1, 0), (1, 0), (0, -1), (0, 1)])
+    for di, dj in draw(st.lists(steps, max_size=12)):
+        if 0 <= i + di < nx and 0 <= j + dj < ny:
+            i, j = i + di, j + dj
+            path.append((i, j))
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_global_search_matches_reference(data):
+    design = data.draw(designs(max_width=40, max_height=30))
+    graph = GlobalGraph(design)
+    nx, ny = graph.nx, graph.ny
+    walks = data.draw(
+        st.lists(st.tuples(tile_walks(nx, ny), st.integers(1, 6)), max_size=10)
+    )
+    for path, copies in walks:
+        for _ in range(copies):
+            graph.apply_path(path, +1)
+    seed = data.draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    if seed is not None:
+        # Negotiated history: multiples of 0.5, then the rebuild the
+        # router's history bump performs.
+        rng = np.random.default_rng(seed)
+        for array in (graph.h_history, graph.v_history, graph.vertex_history):
+            array[...] = 0.5 * rng.integers(0, 6, size=array.shape)
+        graph.refresh_cost_cache()
+
+    src = (data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1)))
+    dst = (data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1)))
+    margin = ASTAR_WINDOW_MARGIN
+    window = data.draw(
+        st.sampled_from(
+            [
+                (
+                    max(0, min(src[0], dst[0]) - margin),
+                    max(0, min(src[1], dst[1]) - margin),
+                    min(nx - 1, max(src[0], dst[0]) + margin),
+                    min(ny - 1, max(src[1], dst[1]) + margin),
+                ),
+                (0, 0, nx - 1, ny - 1),
+            ]
+        )
+    )
+    router = GlobalRouter(
+        stitch_aware=data.draw(st.booleans()), profile="counters"
+    )
+
+    production, ref = {}, {}
+    path = router._astar_in_window(graph, src, dst, window, production)
+    assert path == reference.astar_in_window(
+        router, graph, src, dst, window, ref
+    )
+    assert production == ref

@@ -308,19 +308,6 @@ def write_artifacts(root, make_trace_fn=None):
         "stitch-aware": make(maze=100).to_dict(),
     }
     (root / "BENCH_S9234.json").write_text(json.dumps(bench))
-    (root / "SPEEDUP_ENGINE_S9234.json").write_text(
-        json.dumps(
-            {
-                "circuit": "S9234",
-                "scale": 0.2,
-                "scale_multiplier": 10.0,
-                "object_wall_seconds": 2.0,
-                "array_wall_seconds": 1.0,
-                "repeats": 3,
-                "speedup": 2.0,
-            }
-        )
-    )
 
 
 class TestPerfHistory:
@@ -336,17 +323,14 @@ class TestPerfHistory:
         )
         assert aware["maze_expansions"] == 100
         assert aware["detail_s"] == 1.0
-        (engine_row,) = history.engine_rows
-        assert engine_row["speedup"] == 2.0
 
     def test_unparseable_and_unrelated_json_skipped(self, tmp_path):
         write_artifacts(tmp_path)
         (tmp_path / "BENCH_garbage.json").write_text('{"x": 1}')
-        (tmp_path / "SPEEDUP_ENGINE_bad.json").write_text("[]")
+        (tmp_path / "BENCH_list.json").write_text("[]")
         (tmp_path / "unrelated.json").write_text("{}")
         history = collect_perf_history(tmp_path)
         assert {r["circuit"] for r in history.bench_rows} == {"S9234"}
-        assert len(history.engine_rows) == 1
 
     def test_empty_directory_reports_empty(self, tmp_path):
         history = collect_perf_history(tmp_path)
@@ -358,7 +342,6 @@ class TestPerfHistory:
         history = collect_perf_history(tmp_path)
         plain = render_perf_history(history)
         assert "benchmark snapshots" in plain
-        assert "engine speedups" in plain
         md = render_perf_history(history, fmt="markdown")
         assert md.count("|") > 20
 
@@ -368,4 +351,3 @@ class TestPerfHistory:
         history = collect_perf_history(root)
         circuits = {r["circuit"] for r in history.bench_rows}
         assert {"S9234", "S5378", "S13207"} <= circuits
-        assert history.engine_rows  # committed SPEEDUP_ENGINE_*.json

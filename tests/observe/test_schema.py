@@ -8,9 +8,9 @@ Two halves:
 * live completeness — S9234 at the regression-gate scale is routed
   under three configurations (default, counter profiling, full
   profiling) and **every** counter, gauge, span, and progress kind the
-  run emits must be registered with backend coverage that includes the
-  run's own engine tag.  A new metric emitted anywhere in the engine
-  fails here until it is declared in :mod:`repro.observe.schema`.
+  run emits must be registered.  A new metric emitted anywhere in the
+  router fails here until it is declared in
+  :mod:`repro.observe.schema`.
 """
 
 import io
@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.benchmarks_gen import mcnc_design
-from repro.config import RouterConfig, resolve_engine
+from repro.config import RouterConfig
 from repro.api import StitchAwareRouter
 from repro.observe import StreamingTracer, schema
 
@@ -56,7 +56,6 @@ class TestRegistryInvariants:
         for spec in schema.metric_specs():
             assert spec.name and spec.description
             assert spec.kind in schema.KINDS
-            assert spec.backends and spec.backends <= schema.ALL_BACKENDS
             assert spec.stages
 
     def test_history_counters_order(self):
@@ -91,12 +90,7 @@ class TestRegistryInvariants:
     def test_metric_names_filters(self):
         profiling = schema.metric_names("counter", category="profiling")
         assert profiling and all(n.startswith("perf_") for n in profiling)
-        assert "perf_cache_refreshes" in schema.metric_names(
-            "counter", backend="array"
-        )
-        assert "perf_cache_refreshes" not in schema.metric_names(
-            "counter", backend="object"
-        )
+        assert "perf_cache_refreshes" in profiling
 
 
 # ----------------------------------------------------------------------
@@ -124,11 +118,6 @@ def run(name):
     return _RUNS[name]
 
 
-def backend_tags(config):
-    """The engine tag this configuration runs under."""
-    return {resolve_engine(config.engine).value}
-
-
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 class TestLiveCompleteness:
     def test_every_span_is_registered(self, name):
@@ -137,28 +126,19 @@ class TestLiveCompleteness:
             assert schema.is_registered("span", span.name), span.name
 
     def test_every_counter_is_registered_with_coverage(self, name):
-        config, trace, _ = run(name)
-        tags = backend_tags(config)
+        _, trace, _ = run(name)
         emitted = dict(trace.counters)
         for span in trace.walk():
             emitted.update(span.counters)
         assert emitted, "run recorded no counters at all"
         for counter in emitted:
             assert schema.is_registered("counter", counter), counter
-            spec = schema.lookup("counter", counter)
-            assert tags <= spec.backends, (
-                f"{counter}: emitted under {sorted(tags)} but schema "
-                f"declares {sorted(spec.backends)}"
-            )
 
     def test_every_gauge_is_registered_with_coverage(self, name):
-        config, trace, _ = run(name)
-        tags = backend_tags(config)
+        _, trace, _ = run(name)
         for span in trace.walk():
             for gauge in span.gauges:
                 assert schema.is_registered("gauge", gauge), gauge
-                spec = schema.lookup("gauge", gauge)
-                assert tags <= spec.backends, gauge
 
     def test_every_progress_kind_is_registered(self, name):
         _, _, progress_kinds = run(name)

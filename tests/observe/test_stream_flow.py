@@ -15,8 +15,6 @@ gate circuit (S9234 at the regression-gate scale):
 import json
 import pathlib
 
-import pytest
-
 from repro.benchmarks_gen import mcnc_design
 from repro.config import RouterConfig
 from repro.api import StitchAwareRouter
@@ -31,9 +29,9 @@ BASELINE = (
 )
 
 
-def route(profile="off", engine="auto", tracer=None):
+def route(profile="off", tracer=None):
     design = mcnc_design(CIRCUIT, SCALE)
-    config = RouterConfig(profile=profile, engine=engine)
+    config = RouterConfig(profile=profile)
     return StitchAwareRouter(config=config).route(design, tracer=tracer)
 
 
@@ -55,7 +53,7 @@ class TestReplayIdentity:
 
 class TestProfileOffIsInvisible:
     def test_off_matches_committed_baseline_counters(self):
-        flow = route(profile="off", engine="object")
+        flow = route(profile="off")
         assert flow.trace is not None
         baseline = json.loads(BASELINE.read_text())["stitch-aware"]
         fresh = flow.trace.to_dict()
@@ -107,16 +105,3 @@ class TestCountersModeIsPure:
         assert agg.get("perf_heap_pops", 0) > 0
         assert agg.get("perf_maze_heap_pops", 0) > 0
         assert flow.trace.meta["profile"] == "counters"
-
-    def test_engines_agree_on_perf_counters(self):
-        pytest.importorskip("numpy")
-        obj = route(profile="counters", engine="object")
-        arr = route(profile="counters", engine="array")
-        assert obj.trace is not None and arr.trace is not None
-        obj_agg = obj.trace.aggregate_counters()
-        arr_agg = arr.trace.aggregate_counters()
-        # The derived heap-push accounting must line up with the
-        # reference loop's explicit counts: identical expansions imply
-        # identical heap traffic.
-        for name in ("perf_maze_heap_pushes", "perf_maze_heap_pops"):
-            assert obj_agg[name] == arr_agg[name]

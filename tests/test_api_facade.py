@@ -1,6 +1,10 @@
 """The ``repro.api`` facade contract and its deprecation shims."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -20,6 +24,26 @@ class TestFacadeExports:
         assert api.audit_solution is audit_solution
         assert api.lint_paths is lint_paths
 
+    def test_import_leaves_analysis_unloaded_until_asked(self):
+        # A fresh interpreter: this test process has long imported the
+        # analysis package.  Importing the facade must not load it;
+        # reading a lazy re-export must.
+        src = pathlib.Path(api.__file__).resolve().parents[1]
+        probe = (
+            "import sys\n"
+            "import repro.api\n"
+            "assert 'repro.analysis' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('repro.analysis'))\n"
+            "repro.api.audit_solution\n"
+            "assert 'repro.analysis' in sys.modules\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            cwd=src,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             api.no_such_name
@@ -38,12 +62,6 @@ class TestRouteConvenience:
         result = api.route(design)
         assert isinstance(result, api.FlowResult)
         assert isinstance(result.report, api.RoutingReport)
-
-    def test_honours_engine_selection(self):
-        design = mcnc_design("S9234", scale=0.02)
-        result = api.route(design, api.RouterConfig(engine="object"))
-        assert result.trace is not None
-        assert result.trace.meta["engine"] == "object"
 
 
 class TestCoreShim:

@@ -4,13 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import (
-    DEFAULT_CONFIG,
-    Engine,
-    RouterConfig,
-    benchmark_scale,
-    resolve_engine,
-)
+from repro.config import DEFAULT_CONFIG, RouterConfig, benchmark_scale
 
 
 class TestRouterConfig:
@@ -71,7 +65,7 @@ class TestBenchmarkScale:
 
     def test_oversize_scale_for_speedup_runs(self, monkeypatch):
         # Factors above 1 (up to 100) grow instances beyond the
-        # paper's statistics for engine-speedup measurements.
+        # paper's statistics for timing measurements.
         monkeypatch.delenv("REPRO_FULL", raising=False)
         monkeypatch.setenv("REPRO_SCALE", "10")
         assert benchmark_scale() == 10.0
@@ -112,28 +106,3 @@ class TestProfileField:
             RouterConfig(profile="verbose")
         with pytest.raises(ValueError):
             RouterConfig(profile=True)
-
-
-class TestEngineField:
-    def test_default_is_auto(self):
-        assert DEFAULT_CONFIG.engine is Engine.AUTO
-
-    def test_accepts_enum_and_string(self):
-        assert RouterConfig(engine=Engine.ARRAY).engine is Engine.ARRAY
-        assert RouterConfig(engine="object").engine is Engine.OBJECT
-        assert RouterConfig(engine="auto").engine is Engine.AUTO
-
-    def test_rejects_unknown_engines(self):
-        with pytest.raises(ValueError):
-            RouterConfig(engine="vectorized")
-        with pytest.raises(ValueError):
-            RouterConfig(engine=3)
-
-    def test_resolve_never_returns_auto(self):
-        assert resolve_engine(Engine.OBJECT) is Engine.OBJECT
-        assert resolve_engine("array") is Engine.ARRAY
-        assert resolve_engine(Engine.AUTO) in (Engine.OBJECT, Engine.ARRAY)
-
-    def test_auto_prefers_array_with_numpy(self):
-        pytest.importorskip("numpy")
-        assert resolve_engine(Engine.AUTO) is Engine.ARRAY
