@@ -6,13 +6,10 @@ stitch-aware framework.  The paper's headline: #SP drops to ~2% of the
 baseline with a small routability gain and ~10% runtime overhead.
 """
 
-from typing import Dict, Optional
-
 from repro.api import BaselineRouter, StitchAwareRouter
-from repro.observe import RunTrace
-from repro.reporting import comparison_row, format_table
+from repro.reporting import format_table
 
-from common import full_suite, save_bench_json, save_result
+from common import full_suite, save_result
 
 COLUMNS = [
     "circuit",
@@ -21,19 +18,11 @@ COLUMNS = [
 ]
 
 
-def run_suite(traces: Optional[Dict[str, RunTrace]] = None):
+def run_suite():
     rows = []
-    base_rows = []
-    aware_rows = []
     for design in full_suite():
-        base_flow = BaselineRouter().route(design)
-        aware_flow = StitchAwareRouter().route(design)
-        base, aware = base_flow.report, aware_flow.report
-        if traces is not None:
-            assert base_flow.trace is not None
-            assert aware_flow.trace is not None
-            traces[f"{design.name}/baseline"] = base_flow.trace
-            traces[f"{design.name}/stitch-aware"] = aware_flow.trace
+        base = BaselineRouter().route(design).report
+        aware = StitchAwareRouter().route(design).report
         rows.append(
             {
                 "circuit": design.name,
@@ -47,16 +36,11 @@ def run_suite(traces: Optional[Dict[str, RunTrace]] = None):
                 "aware_cpu": aware.cpu_seconds,
             }
         )
-        base_rows.append(rows[-1])
-        aware_rows.append(rows[-1])
     return rows
 
 
 def test_table3_framework_vs_baseline(benchmark):
-    traces: Dict[str, RunTrace] = {}
-    rows = benchmark.pedantic(
-        run_suite, args=(traces,), rounds=1, iterations=1
-    )
+    rows = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     comp = {
         "circuit": "Comp.",
         "base_rout": 1.0,
@@ -83,7 +67,6 @@ def test_table3_framework_vs_baseline(benchmark):
         ),
     )
     save_result("table3_framework", table)
-    save_bench_json("table3_framework", traces)
 
     # Shape assertions: massive SP reduction, comparable routability.
     assert aware_sp < 0.35 * base_sp

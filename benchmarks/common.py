@@ -9,10 +9,8 @@ keeps a full benchmark run in the tens of minutes on a laptop.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
-from typing import Dict, List
+from typing import List
 
 from repro.benchmarks_gen import (
     FARADAY_NAMES,
@@ -22,13 +20,13 @@ from repro.benchmarks_gen import (
 )
 from repro.config import benchmark_scale
 from repro.layout import Design
-from repro.observe import RunTrace
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Faraday circuits are 2-3x larger than the biggest MCNC circuit and
 #: use 6 layers; they run at a smaller fraction so one benchmark pass
-#: stays laptop-sized.  Congestion is preserved under scaling.
+#: stays laptop-sized.  Scaling keeps pin density but not congestion:
+#: net spans grow with √scale (see :func:`repro.config.benchmark_scale`).
 FARADAY_FACTOR = 0.4
 
 
@@ -59,19 +57,4 @@ def save_result(name: str, text: str) -> pathlib.Path:
     print()
     print(text)
     print(f"[saved to {path}]")
-    return path
-
-
-def save_bench_json(name: str, traces: Dict[str, RunTrace]) -> pathlib.Path:
-    """Persist per-run traces as ``BENCH_<name>.json``.
-
-    One document per benchmark, keyed ``<circuit>/<router-label>``, each
-    value a full :class:`RunTrace` dict — the per-stage span/counter
-    data perf PRs regress against.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    payload = {label: trace.to_dict() for label, trace in traces.items()}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"[traces saved to {path}]")
     return path

@@ -6,25 +6,25 @@ committed baseline in ``benchmarks/baselines/BENCH_<circuit>.json``
 via :func:`repro.observe.diff_traces`.  Deterministic counters (maze
 expansions, A* expansions, rip-up rounds, flow augmentations, ...)
 must match the baseline **exactly** — any drift is a behavior change
-somebody has to sign off on; wall time fails only past the tolerance
-(default 25%) and above the noise floor.
+somebody has to sign off on.  The gate checks behavior only: its
+circuits finish in milliseconds, so wall time is not compared, and
+speed verdicts come from the ``benchmarks/perf`` harness.
 
-Every fresh solution is additionally run through the independent
-solution auditor (:func:`repro.analysis.audit_solution`): the AUD
+Every fresh solution is also run through the independent solution
+auditor (:func:`repro.analysis.audit_solution`) on every run: the AUD
 rules re-derive all stitching constraints from the raw geometry and
-cross-check the report's counters, so the gate no longer trusts the
-evaluator it is diffing (``--no-audit`` opts out).  The audit is
-invoked directly on the finished flow — not via
-``RouterConfig(audit=True)`` — so the produced traces stay
-byte-compatible with the committed (audit-free) baselines.
+cross-check the report's counters, so the gate does not trust the
+evaluator it is diffing.  The audit is invoked directly on the
+finished flow — not via ``RouterConfig(audit=True)`` — so the
+produced traces stay byte-compatible with the committed (audit-free)
+baselines.
 
 Exit status is non-zero on any regression, so CI can gate on it::
 
     PYTHONPATH=src python benchmarks/regression.py                 # full gate
     PYTHONPATH=src python benchmarks/regression.py --only S9234    # one circuit
-    PYTHONPATH=src python benchmarks/regression.py --no-wall       # counters only
     PYTHONPATH=src python benchmarks/regression.py --update        # refresh baselines
-    PYTHONPATH=src python benchmarks/regression.py --snapshot-dir .  # refresh BENCH_*.json
+    PYTHONPATH=src python benchmarks/regression.py --out-dir DIR   # keep the traces
     PYTHONPATH=src python benchmarks/regression.py --profile counters  # profiled gate
     PYTHONPATH=src python benchmarks/regression.py --overhead-budget 2 --repeat 5  # profiling cost
 
@@ -41,14 +41,12 @@ milliseconds).
 Baseline refresh procedure (after an *intentional* behavior change):
 run with ``--update``, eyeball ``git diff benchmarks/baselines/`` to
 confirm only the counters you expected moved, and commit the new
-baselines together with the change that moved them.  Cross-machine
-wall times are not comparable, which is why CI runs ``--no-wall``;
-the committed wall numbers only serve local before/after comparisons.
+baselines together with the change that moved them.  The baselines
+still record wall times, but nothing reads them as a verdict.
 
-``--snapshot-dir DIR`` also writes the fresh ``BENCH_<circuit>.json``
-documents to ``DIR`` (same label→trace schema as the baselines).
-Pointed at the repo root, this refreshes the top-level perf-trajectory
-snapshots; CI uploads them as artifacts on every gate run.
+``--out-dir DIR`` also writes the fresh ``BENCH_<circuit>.json``
+documents to ``DIR`` (same label→trace schema as the baselines); CI
+uploads them as artifacts.
 """
 
 from __future__ import annotations
@@ -63,13 +61,7 @@ from repro.analysis import audit_solution, render_audit
 from repro.benchmarks_gen import mcnc_design
 from repro.config import RouterConfig
 from repro.api import BaselineRouter, FlowResult, StitchAwareRouter
-from repro.observe import (
-    DiffThresholds,
-    RunTrace,
-    diff_traces,
-    render_diff,
-)
-from repro.observe import schema
+from repro.observe import RunTrace, diff_traces, render_diff, schema
 
 BASELINE_DIR = pathlib.Path(__file__).parent / "baselines"
 
@@ -96,7 +88,7 @@ def baseline_path(circuit: str) -> pathlib.Path:
 def run_circuit(circuit: str, profile: str = "off") -> Dict[str, FlowResult]:
     """Route one gate circuit with every router; flows keyed by label.
 
-    Returns the full :class:`~repro.core.FlowResult` (not just the
+    Returns the full :class:`~repro.api.FlowResult` (not just the
     trace) so the caller can both diff the traces and independently
     audit the solutions.
     """
@@ -145,9 +137,7 @@ def overhead_budget(
                 traces[mode] = flow.trace
 
     diff = diff_traces(
-        traces["off"],
-        strip_profile_counters(traces["counters"]),
-        DiffThresholds(include_wall=False),
+        traces["off"], strip_profile_counters(traces["counters"])
     )
     if diff.ok:
         print(f"{circuit}: counters-mode trace strips back to off-mode")
@@ -276,11 +266,7 @@ def load_traces(path: pathlib.Path) -> Dict[str, RunTrace]:
     return {label: RunTrace.from_dict(doc) for label, doc in data.items()}
 
 
-def check_circuit(
-    circuit: str,
-    traces: Dict[str, RunTrace],
-    thresholds: DiffThresholds,
-) -> List[str]:
+def check_circuit(circuit: str, traces: Dict[str, RunTrace]) -> List[str]:
     """Diff fresh traces against the committed baseline; failures out."""
     path = baseline_path(circuit)
     if not path.exists():
@@ -291,7 +277,7 @@ def check_circuit(
         if label not in baselines:
             failures.append(f"{circuit}/{label}: not in baseline document")
             continue
-        diff = diff_traces(baselines[label], fresh, thresholds)
+        diff = diff_traces(baselines[label], fresh)
         if diff.ok:
             print(f"{circuit}/{label}: OK")
         else:
@@ -318,41 +304,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="rewrite the committed baselines instead of checking",
     )
     parser.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="compare deterministic counters only (use on CI: committed "
-        "wall times come from a different machine)",
-    )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=25.0,
-        metavar="PCT",
-        help="wall-time regression threshold (default 25%%)",
-    )
-    parser.add_argument(
-        "--min-wall",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="noise floor below which stage timings are not compared",
-    )
-    parser.add_argument(
         "--out-dir",
         metavar="DIR",
         help="also write the freshly produced traces there (CI artifacts)",
-    )
-    parser.add_argument(
-        "--snapshot-dir",
-        metavar="DIR",
-        help="refresh the top-level BENCH_<circuit>.json perf snapshots "
-        "there (point at the repo root to update the committed "
-        "trajectory; CI uploads them as artifacts)",
-    )
-    parser.add_argument(
-        "--no-audit",
-        action="store_true",
-        help="skip the independent solution audit of the fresh runs",
     )
     parser.add_argument(
         "--repeat",
@@ -397,11 +351,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"unknown gate circuit(s) {unknown}; choose from {list(CIRCUITS)}"
         )
-    thresholds = DiffThresholds(
-        wall_pct=args.wall_tolerance,
-        min_wall_seconds=args.min_wall,
-        include_wall=not args.no_wall,
-    )
 
     failures: List[str] = []
     if args.overhead_budget is not None:
@@ -420,17 +369,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     for circuit in circuits:
         flows = run_circuit(circuit, args.profile)
         traces = traces_of(flows)
-        if not args.no_audit:
-            failures.extend(audit_flows(circuit, flows))
+        failures.extend(audit_flows(circuit, flows))
         if args.profile != "off":
             traces = {
                 label: strip_profile_counters(trace)
                 for label, trace in traces.items()
             }
-        if args.snapshot_dir:
-            out = pathlib.Path(args.snapshot_dir) / f"BENCH_{circuit}.json"
-            save_traces(out, traces)
-            print(f"wrote {out}")
         if args.out_dir:
             out = pathlib.Path(args.out_dir) / f"BENCH_{circuit}.json"
             save_traces(out, traces)
@@ -439,7 +383,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             save_traces(baseline_path(circuit), traces)
             print(f"updated {baseline_path(circuit)}")
         else:
-            failures.extend(check_circuit(circuit, traces, thresholds))
+            failures.extend(check_circuit(circuit, traces))
 
     if failures:
         print(f"\nregression gate FAILED ({len(failures)} finding(s)):")

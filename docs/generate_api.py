@@ -10,6 +10,7 @@ so the reference is readable without tooling.
 
 from __future__ import annotations
 
+import enum
 import importlib
 import inspect
 import pathlib
@@ -51,6 +52,10 @@ def public_members(module):
 
 
 def signature_of(obj) -> str:
+    if inspect.isclass(obj) and issubclass(obj, enum.Enum):
+        # The stdlib's enum call signature changes between Python
+        # versions; the member values are what a caller passes.
+        return "(" + " | ".join(repr(member.value) for member in obj) + ")"
     try:
         return str(inspect.signature(obj))
     except (TypeError, ValueError):
@@ -77,8 +82,8 @@ def main() -> None:
         "`DeprecationWarning` before any removal.  Deep modules "
         "(`repro.core.flow`, `repro.detailed`, ...) stay importable for "
         "subclassing and instrumentation but may move without notice; "
-        "importing flow classes via `repro.core` is deprecated in favor "
-        "of `repro.api`.",
+        "`repro.core` re-exports nothing, so import the flow classes "
+        "from `repro.api`.",
         "",
     ]
     seen = set()

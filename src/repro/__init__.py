@@ -5,9 +5,10 @@ E-Beam Lithography" (DAC 2013; TCAD 2015 extended version).
 
 Public API tour:
 
-* :class:`repro.core.StitchAwareRouter` / ``BaselineRouter`` — full
+* :class:`repro.api.StitchAwareRouter` / ``BaselineRouter`` — full
   routing flows (global routing -> layer/track assignment -> detailed
-  routing) with and without stitch awareness.
+  routing) with and without stitch awareness; :mod:`repro.api` is the
+  stable import path for everything a user needs.
 * :mod:`repro.benchmarks_gen` — synthetic MCNC / Faraday suites
   matching the paper's Table I/II statistics.
 * :mod:`repro.eval` — the violation checker producing the #VV / #SP /

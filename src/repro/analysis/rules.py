@@ -131,9 +131,9 @@ OBS001 = Rule(
     rationale=(
         "repro.observe.schema is the single source of truth for every "
         "observability name — the regression gate's strip lists, the "
-        "perf-history columns and the live completeness tests all "
-        "derive from it.  An unregistered name is invisible to all of "
-        "them: it cannot be stripped, tracked or checked."
+        "`repro watch` counter picks and the live completeness tests "
+        "all derive from it.  An unregistered name is invisible to all "
+        "of them: it cannot be stripped, watched or checked."
     ),
     fix_hint=(
         "register the name in repro/observe/schema.py with its owner "

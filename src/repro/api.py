@@ -10,10 +10,9 @@ Everything a downstream user needs lives here under one import path::
 The facade is the *compatibility contract*: names exported here keep
 working across refactors, while the deep module layout
 (``repro.core.flow``, ``repro.detailed`` and friends) remains free to
-move.  Importing flow classes through intermediate packages such as
-``repro.core`` is deprecated (a :class:`DeprecationWarning` points
-here); the deep modules themselves stay importable for subclassing and
-instrumentation, without a stability promise.
+move.  The deep modules stay importable for subclassing and
+instrumentation, without a stability promise; intermediate packages
+such as ``repro.core`` re-export nothing.
 
 Heavier analysis entry points (:func:`~repro.analysis.audit_solution`,
 :func:`~repro.analysis.lint_paths`) are re-exported lazily so that

@@ -5,14 +5,19 @@ whose original files are legacy/proprietary distributions we cannot
 ship.  This generator reproduces each circuit's *published statistics*
 — die aspect ratio, layer count, net count, pin count, average pins per
 net — with standard-cell-like pin placement and net locality, so the
-routing experiments exercise the same code paths at the same relative
+routing experiments exercise the same code paths at the same pin
 densities.
 
-Two knobs keep the reproduction faithful:
+Two knobs shape the reproduction:
 
 * ``scale`` shrinks net count and die area together (area is
-  proportional to pin count), preserving congestion ratios while
-  keeping pure-Python routing tractable.
+  proportional to pin count), keeping pure-Python routing tractable.
+  Pin density is preserved, but congestion is not: each net spans
+  ``locality * min(width, height)``, which grows with √scale, so
+  wire demand per unit area grows with the scale.  On S13207 the
+  mean global edge utilization is 0.07, 0.16, 0.24 and 0.35 at
+  scales 0.02, 0.05, 0.1 and 0.2 (ROADMAP item "Make the scale knob
+  change size, not difficulty").
 * ``stitch_pin_fraction`` controls how many pins sit exactly on
   stitching lines.  Via violations are only allowed on fixed pins
   (Problem 1), so this fraction calibrates the #VV columns of Tables
@@ -102,11 +107,11 @@ def generate_design(
     Args:
         spec: published circuit statistics.
         scale: fraction of the full-size net count to generate; die
-            area shrinks proportionally so density is preserved.
-            Factors above 1 (up to 100) *grow* the instance past the
-            published statistics — density is still preserved, so
-            oversized instances stress the routers without changing
-            congestion character (used by timing benchmarks; see
+            area shrinks proportionally so pin density is preserved,
+            while net spans grow with √scale and make larger
+            instances more congested.  Factors above 1 (up to 100)
+            *grow* the instance past the published statistics, and
+            congest it further (used by timing benchmarks; see
             ``docs/performance.md``).
         config: framework parameters (stitch spacing etc.).
         seed: RNG seed; defaults to a hash of the circuit name so each

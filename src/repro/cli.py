@@ -9,14 +9,14 @@ Commands:
   Table III style comparison row.
 * ``diag`` — route one circuit and print the per-stitch-line
   violation histogram (which line causes which #VV/#SP).
-* ``trace show|diff|top`` — summarize, compare, or hotspot-rank saved
-  trace JSONs (``--profile`` dumps, report files, BENCH documents, or
-  ``.ndjson`` / ``.ndjson.gz`` event streams; ``.json.gz`` works too).
+* ``trace show|diff|top`` — summarize, counter-diff, or hotspot-rank
+  saved trace JSONs (``--profile`` dumps, report files, BENCH
+  documents, or ``.ndjson`` / ``.ndjson.gz`` event streams;
+  ``.json.gz`` works too).  ``diff`` compares counters only: speed
+  verdicts come from ``benchmarks/perf``.
 * ``watch`` — tail a live ``--stream`` NDJSON file: per-stage
   progress, nets/s and expansions/s rates, heartbeat gauges, hotspot
   deltas, and the final hotspot ranking when the run finishes.
-* ``perf-history`` — roll the committed ``BENCH_*.json`` artifacts
-  into one perf-trajectory report.
 * ``lint`` — run the linter (determinism rules DET001–DET005 and the
   schema-registry rule OBS001, see ``docs/static_analysis.md``) over
   source paths; exits nonzero on findings not grandfathered by the
@@ -66,20 +66,17 @@ from .eval import RoutingReport
 from .io import save_design, save_report
 from .observe import schema as observe_schema
 from .observe import (
-    DiffThresholds,
     LoggingTracer,
     RunTrace,
     StreamingTracer,
     TraceSummary,
     Tracer,
-    collect_perf_history,
     configure_logging,
     diff_traces,
     hotspots,
     load_trace_file,
     render_diff,
     render_hotspots,
-    render_perf_history,
     render_summary,
 )
 from .reporting import format_table
@@ -94,6 +91,17 @@ def _scale(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not 0.0 < value <= 100.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 100], got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """The ``trace top -n`` argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value
 
 
@@ -311,12 +319,7 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
         new = _load_trace(args.new, args.key_new or args.key)
     except ValueError as error:
         return _trace_error(error)
-    thresholds = DiffThresholds(
-        wall_pct=args.wall_tolerance,
-        min_wall_seconds=args.min_wall,
-        include_wall=not args.no_wall,
-    )
-    diff = diff_traces(old, new, thresholds)
+    diff = diff_traces(old, new)
     fmt = "markdown" if args.markdown else "plain"
     print(render_diff(diff, fmt=fmt))
     if not diff.ok:
@@ -455,18 +458,15 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             timeout=args.timeout,
         )
     except FileNotFoundError:
-        print(f"repro watch: no such stream: {args.stream}", file=sys.stderr)
-        return 2
-    except (ValueError, TimeoutError) as error:
-        print(f"repro watch: {error}", file=sys.stderr)
-        return 2
-
-
-def _cmd_perf_history(args: argparse.Namespace) -> int:
-    history = collect_perf_history(args.dir)
-    fmt = "markdown" if args.markdown else "plain"
-    print(render_perf_history(history, fmt=fmt))
-    return 0 if not history.empty else 1
+        message = f"no such stream: {args.stream}"
+    except json.JSONDecodeError as error:
+        message = f"{args.stream} is not valid JSON: {error}"
+    except ValueError as error:
+        message = f"{args.stream}: {error}"
+    except TimeoutError as error:  # names the stream already
+        message = str(error)
+    print(f"repro watch: {message}", file=sys.stderr)
+    return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -631,38 +631,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff = tsub.add_parser(
         "diff",
-        help="structured delta between two traces "
-        "(exits 1 on counter drift or wall regression)",
+        help="counter delta between two traces (exits 1 on any drift)",
     )
     diff.add_argument("old")
     diff.add_argument("new")
     _trace_common(diff)
     diff.add_argument("--key-old", help="label for OLD in a BENCH document")
     diff.add_argument("--key-new", help="label for NEW in a BENCH document")
-    diff.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=25.0,
-        metavar="PCT",
-        help="wall-time slowdown considered a regression (default 25%%)",
-    )
-    diff.add_argument(
-        "--min-wall",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="skip wall comparison of stages under this floor",
-    )
-    diff.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="compare deterministic counters only (cross-machine diffs)",
-    )
     diff.set_defaults(func=_cmd_trace_diff)
 
     top = tsub.add_parser("top", help="hotspot ranking by self wall time")
     top.add_argument("trace")
-    top.add_argument("-n", type=int, default=10, help="entries to show")
+    top.add_argument(
+        "-n", type=_positive_int, default=10, help="entries to show"
+    )
     _trace_common(top)
     top.set_defaults(func=_cmd_trace_top)
 
@@ -693,21 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: wait forever)",
     )
     watch.set_defaults(func=_cmd_watch)
-
-    perf_history = sub.add_parser(
-        "perf-history",
-        help="perf-trajectory report from committed BENCH_*.json "
-        "artifacts",
-    )
-    perf_history.add_argument(
-        "--dir",
-        default=".",
-        help="directory holding the artifacts (default: .)",
-    )
-    perf_history.add_argument(
-        "--markdown", action="store_true", help="render markdown tables"
-    )
-    perf_history.set_defaults(func=_cmd_perf_history)
 
     return parser
 

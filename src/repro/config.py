@@ -151,20 +151,30 @@ def benchmark_scale(default: float = 0.1) -> float:
 
     The paper's largest circuits have tens of thousands of nets, which a
     C++ router handles in seconds but is slow in pure Python.  Benchmarks
-    therefore run on size-scaled instances by default (area shrinks with
-    the net count, so congestion ratios are preserved).  Set the
-    environment variable ``REPRO_FULL=1`` for full-size instances, or
-    ``REPRO_SCALE=<float>`` for an explicit factor.  Factors above 1
-    (up to 100) grow the instance beyond the paper's statistics, for
-    workloads large enough that wall-clock measurements are
-    meaningful.
+    therefore run on size-scaled instances by default.  Area shrinks with
+    the net count, so pin density is preserved, but congestion is not:
+    each net spans ``locality * min(width, height)``, which grows with
+    √scale, so larger scales make more congested instances (ROADMAP
+    item "Make the scale knob change size, not difficulty").
+    Set the environment variable ``REPRO_FULL=1`` for full-size
+    instances, or ``REPRO_SCALE=<float>`` for an explicit factor.
+    Factors above 1 (up to 100) grow the instance beyond the paper's
+    statistics, for workloads large enough that wall-clock
+    measurements are meaningful.
+
+    Raises:
+        ValueError: ``REPRO_SCALE`` is not a number in (0, 100].
     """
     if os.environ.get("REPRO_FULL") == "1":
         return 1.0
     value = os.environ.get("REPRO_SCALE")
     if value is not None:
-        scale = float(value)
+        message = f"REPRO_SCALE must be in (0, 100], got {value!r}"
+        try:
+            scale = float(value)
+        except ValueError:
+            raise ValueError(message) from None
         if not 0.0 < scale <= 100.0:
-            raise ValueError(f"REPRO_SCALE must be in (0, 100], got {scale}")
+            raise ValueError(message)
         return scale
     return default

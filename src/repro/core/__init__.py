@@ -1,33 +1,5 @@
 """Full routing flows: the stitch-aware framework and its baseline.
 
-Importing the flow classes from this package is deprecated — the
-stable import path is :mod:`repro.api` (the implementation lives in
-:mod:`repro.core.flow`).  The lazy shim below keeps old imports
-working through one deprecation cycle while pointing at the facade.
+The implementation lives in :mod:`repro.core.flow`; import the flow
+classes from the stable facade :mod:`repro.api`.
 """
-
-from __future__ import annotations
-
-import warnings
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # static view of the shimmed names
-    from .flow import BaselineRouter, FlowResult, StitchAwareRouter
-
-__all__ = ["BaselineRouter", "FlowResult", "StitchAwareRouter"]
-
-_SHIMMED = frozenset(__all__)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _SHIMMED:
-        warnings.warn(
-            f"importing {name} from repro.core is deprecated; "
-            "import it from repro.api instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import flow
-
-        return getattr(flow, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from typing import TYPE_CHECKING, Optional
 
 from ..assign import (
@@ -45,15 +44,6 @@ from ..observe import RunTrace, Tracer, ensure
 
 if TYPE_CHECKING:  # runtime import stays lazy (analysis is optional here)
     from ..analysis import AuditReport
-
-#: Positional-argument order of the pre-``RouterConfig`` constructor,
-#: kept for the deprecated compatibility path.
-_LEGACY_FLAGS = (
-    "track_method",
-    "coloring",
-    "stitch_aware_global",
-    "stitch_aware_detail",
-)
 
 
 @dataclasses.dataclass
@@ -84,48 +74,10 @@ class StitchAwareRouter:
             ``coloring`` (FLOW = ours), and the ablation switches
             ``stitch_aware_global`` / ``stitch_aware_detail`` for
             Tables IV and VIII.
-
-    Passing those four flags directly to the constructor (positionally
-    or by keyword) is deprecated; they are folded into ``config`` with
-    a :class:`DeprecationWarning`.
     """
 
-    def __init__(
-        self,
-        *legacy_args,
-        config: Optional[RouterConfig] = None,
-        **legacy_kwargs,
-    ) -> None:
-        overrides = self._legacy_overrides(legacy_args, legacy_kwargs)
-        base = config if config is not None else RouterConfig()
-        if overrides:
-            base = dataclasses.replace(base, **overrides)
-        self.config = base
-
-    @staticmethod
-    def _legacy_overrides(args: tuple, kwargs: dict) -> dict:
-        """Map pre-``RouterConfig`` constructor flags onto config fields."""
-        if not args and not kwargs:
-            return {}
-        if len(args) > len(_LEGACY_FLAGS):
-            raise TypeError(
-                f"expected at most {len(_LEGACY_FLAGS)} positional "
-                f"arguments, got {len(args)}"
-            )
-        overrides = dict(zip(_LEGACY_FLAGS, args))
-        for name, value in kwargs.items():
-            if name not in _LEGACY_FLAGS:
-                raise TypeError(f"unexpected keyword argument {name!r}")
-            if name in overrides:
-                raise TypeError(f"got multiple values for {name!r}")
-            overrides[name] = value
-        warnings.warn(
-            "passing routing flags directly to the router is deprecated; "
-            "pass config=RouterConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return overrides
+    def __init__(self, *, config: Optional[RouterConfig] = None) -> None:
+        self.config = config if config is not None else RouterConfig()
 
     # -- config aliases (read-only views used throughout tests/docs) ---
     @property

@@ -4,9 +4,9 @@ Every stage of both routing flows reports timings and event counts
 here, so per-stage behavior (Tables III–VIII of the paper) is
 measurable instead of being folded into one CPU number.  On top of the
 recording layer (:mod:`~repro.observe.tracer`) sit the consumers:
-:mod:`~repro.observe.analytics` rolls traces up, diffs them against
-baselines and extracts hotspots, :mod:`~repro.observe.log` mirrors
-trace events into stdlib logging for live progress, and
+:mod:`~repro.observe.analytics` rolls traces up, diffs their counters
+against baselines and extracts hotspots, :mod:`~repro.observe.log`
+mirrors trace events into stdlib logging for live progress, and
 :mod:`~repro.observe.stream` streams events to an NDJSON sink *while
 the run executes* (tailed by ``repro watch``) and replays finished
 streams back into byte-identical :class:`RunTrace` documents.
@@ -19,27 +19,22 @@ counters summarize the independent solution audit
 Every name a tracer may record is declared in
 :mod:`~repro.observe.schema` — the canonical registry of counters,
 gauges, spans, and progress kinds with their owner stage and
-category.  The regression gate's strip lists, the perf-history
-columns, and the lint rule OBS001 all derive from it.
+category.  The regression gate's strip lists, the ``repro watch``
+counter columns, and the lint rule OBS001 all derive from it.
 """
 
 from . import schema
 from .analytics import (
     CounterDelta,
-    DiffThresholds,
     Hotspot,
-    PerfHistory,
     StageStats,
-    TimingDelta,
     TraceDiff,
     TraceSummary,
-    collect_perf_history,
     diff_traces,
     hotspots,
     load_trace_file,
     render_diff,
     render_hotspots,
-    render_perf_history,
     render_summary,
 )
 from .log import (
@@ -91,21 +86,17 @@ __all__ = [
     "TRACE_LOGGER_NAME",
     "TRACE_VERSION",
     "CounterDelta",
-    "DiffThresholds",
     "Hotspot",
     "LoggingTracer",
-    "PerfHistory",
     "RunTrace",
     "Span",
     "StageStats",
     "StreamReplayer",
     "StreamWatcher",
     "StreamingTracer",
-    "TimingDelta",
     "TraceDiff",
     "TraceSummary",
     "Tracer",
-    "collect_perf_history",
     "configure_logging",
     "diff_traces",
     "ensure",
@@ -122,7 +113,6 @@ __all__ = [
     "read_stream_text",
     "render_diff",
     "render_hotspots",
-    "render_perf_history",
     "render_summary",
     "schema",
     "strip_prefixes",

@@ -1,8 +1,7 @@
 """Trace analytics: rollups, diffing and hotspot extraction.
 
 The tracer (:mod:`repro.observe.tracer`) records what happened; this
-module answers the questions a perf PR has to answer from those
-recordings:
+module answers questions about one or two of those recordings:
 
 * :class:`TraceSummary` — per-stage rollups (wall/CPU seconds, span
   counts, counters, gauges) aggregated over every span with the same
@@ -10,15 +9,14 @@ recordings:
 * :func:`diff_traces` — a structured delta between two runs.  Counters
   are deterministic (maze expansions, rip-up rounds, flow
   augmentations do not depend on machine speed), so any drift is a
-  behavior change and requires an **exact** match; wall time is noisy,
-  so stage timings regress only past a percentage threshold and a
-  minimum-seconds floor;
+  behavior change and requires an **exact** match.  Wall time is not
+  compared: single traces give no speed verdict, ``benchmarks/perf``
+  does;
 * :func:`hotspots` — the top-N span paths by *self* wall time (time
   not attributed to child spans), i.e. where the run actually went;
 * plain-text and markdown table rendering for all of the above, used
   by ``python -m repro trace {show,diff,top}`` and the benchmark
-  regression gate.
-"""
+  regression gate."""
 
 from __future__ import annotations
 
@@ -29,7 +27,6 @@ from collections.abc import Sequence
 from typing import Optional, Union
 
 from ..reporting import format_table
-from .schema import history_counters
 from .tracer import Number, RunTrace, Span
 
 PathLike = Union[str, pathlib.Path]
@@ -124,27 +121,6 @@ class TraceSummary:
 # Diffing
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
-class DiffThresholds:
-    """What :func:`diff_traces` treats as a regression.
-
-    Attributes:
-        wall_pct: percentage slowdown past which a stage (or the whole
-            run) is a wall-time regression.
-        min_wall_seconds: stages faster than this in **both** traces
-            are skipped for wall comparison — sub-floor timings are
-            dominated by measurement noise.
-        include_wall: compare wall time at all.  Disable when the two
-            traces come from different machines (e.g. a committed
-            baseline checked on CI hardware), where only the
-            deterministic counters are comparable.
-    """
-
-    wall_pct: float = 25.0
-    min_wall_seconds: float = 0.1
-    include_wall: bool = True
-
-
-@dataclasses.dataclass(frozen=True)
 class CounterDelta:
     """One counter whose whole-run total changed between two traces."""
 
@@ -163,30 +139,6 @@ class CounterDelta:
         return f"counter {self.name}: {self.old} -> {self.new} ({sign}{self.delta})"
 
 
-@dataclasses.dataclass(frozen=True)
-class TimingDelta:
-    """Wall-time change of one stage (or the whole run)."""
-
-    stage: str
-    old: float
-    new: float
-    regression: bool
-
-    @property
-    def pct(self) -> float:
-        """Percentage change relative to the old timing."""
-        if self.old == 0:
-            return 0.0 if self.new == 0 else float("inf")
-        return 100.0 * (self.new - self.old) / self.old
-
-    def describe(self) -> str:
-        """One-line human description."""
-        return (
-            f"wall {self.stage}: {self.old:.3f}s -> {self.new:.3f}s "
-            f"({self.pct:+.1f}%)"
-        )
-
-
 @dataclasses.dataclass
 class TraceDiff:
     """Structured delta between two runs, as produced by :func:`diff_traces`.
@@ -196,47 +148,30 @@ class TraceDiff:
         new_label: label of the candidate trace.
         counter_deltas: every counter whose total changed (any change
             is a regression — counters are deterministic).
-        timing_deltas: every compared stage timing, regressions and
-            improvements alike.
-        thresholds: the thresholds the diff was computed with.
     """
 
     old_label: str
     new_label: str
     counter_deltas: list[CounterDelta]
-    timing_deltas: list[TimingDelta]
-    thresholds: DiffThresholds
-
-    @property
-    def wall_regressions(self) -> list[TimingDelta]:
-        """Stage timings past the regression threshold."""
-        return [t for t in self.timing_deltas if t.regression]
 
     @property
     def ok(self) -> bool:
         """Whether the candidate shows no regression at all."""
-        return not self.counter_deltas and not self.wall_regressions
+        return not self.counter_deltas
 
     def regressions(self) -> list[str]:
         """Human-readable description of every regression."""
-        out = [d.describe() for d in self.counter_deltas]
-        out += [t.describe() for t in self.wall_regressions]
-        return out
+        return [d.describe() for d in self.counter_deltas]
 
 
-def diff_traces(
-    old: RunTrace,
-    new: RunTrace,
-    thresholds: Optional[DiffThresholds] = None,
-) -> TraceDiff:
+def diff_traces(old: RunTrace, new: RunTrace) -> TraceDiff:
     """Structured delta of ``new`` against the reference ``old``.
 
     Deterministic counters (whole-run totals) must match exactly; any
-    drift becomes a :class:`CounterDelta`.  Wall time is compared per
-    stage rollup plus the end-to-end total, flagging slowdowns past
-    ``thresholds.wall_pct`` when the stage exceeds the noise floor.
+    drift becomes a :class:`CounterDelta`.  Wall time is not compared:
+    speed verdicts come from the ``benchmarks/perf`` harness, not from
+    single traces.
     """
-    thresholds = thresholds or DiffThresholds()
     old_counters = old.aggregate_counters()
     new_counters = new.aggregate_counters()
     counter_deltas = [
@@ -244,34 +179,10 @@ def diff_traces(
         for name in sorted(old_counters.keys() | new_counters.keys())
         if old_counters.get(name, 0) != new_counters.get(name, 0)
     ]
-
-    timing_deltas: list[TimingDelta] = []
-    if thresholds.include_wall:
-        old_stages = TraceSummary.from_trace(old).stages
-        new_stages = TraceSummary.from_trace(new).stages
-        pairs: list[tuple[str, float, float]] = [
-            (
-                name,
-                old_stages[name].wall_seconds if name in old_stages else 0.0,
-                new_stages[name].wall_seconds if name in new_stages else 0.0,
-            )
-            for name in {**old_stages, **new_stages}
-        ]
-        pairs.append(("(total)", old.wall_seconds, new.wall_seconds))
-        for name, old_wall, new_wall in pairs:
-            if max(old_wall, new_wall) < thresholds.min_wall_seconds:
-                continue
-            slow = new_wall > old_wall * (1.0 + thresholds.wall_pct / 100.0)
-            timing_deltas.append(
-                TimingDelta(name, old_wall, new_wall, regression=slow)
-            )
-
     return TraceDiff(
         old_label=_trace_label(old),
         new_label=_trace_label(new),
         counter_deltas=counter_deltas,
-        timing_deltas=timing_deltas,
-        thresholds=thresholds,
     )
 
 
@@ -342,34 +253,21 @@ def render_summary(summary: TraceSummary, fmt: str = "plain") -> str:
 
 
 def render_diff(diff: TraceDiff, fmt: str = "plain") -> str:
-    """Table view of a diff, regressions first."""
+    """Table view of a diff: one row per drifted counter."""
     title = f"trace diff: {diff.old_label} -> {diff.new_label}"
-    rows: list[dict] = []
-    for delta in diff.counter_deltas:
-        rows.append(
-            {
-                "kind": "counter",
-                "name": delta.name,
-                "old": delta.old,
-                "new": delta.new,
-                "change": f"{delta.delta:+}",
-                "verdict": "REGRESSION",
-            }
-        )
-    for timing in diff.timing_deltas:
-        rows.append(
-            {
-                "kind": "wall",
-                "name": timing.stage,
-                "old": round(timing.old, 3),
-                "new": round(timing.new, 3),
-                "change": f"{timing.pct:+.1f}%",
-                "verdict": "REGRESSION" if timing.regression else "ok",
-            }
-        )
-    if not rows:
+    if not diff.counter_deltas:
         return f"{title}\n(no differences)"
-    columns = ["kind", "name", "old", "new", "change", "verdict"]
+    rows = [
+        {
+            "counter": delta.name,
+            "old": delta.old,
+            "new": delta.new,
+            "change": f"{delta.delta:+}",
+            "verdict": "REGRESSION",
+        }
+        for delta in diff.counter_deltas
+    ]
+    columns = ["counter", "old", "new", "change", "verdict"]
     return _render_rows(rows, columns, title, fmt, decimals=3)
 
 
@@ -434,8 +332,9 @@ def load_trace_file(path: PathLike, key: Optional[str] = None) -> RunTrace:
     Accepts a bare ``repro-trace`` document (``RunTrace.save``), a
     ``repro-report`` document with an embedded trace
     (``repro.io.save_report``), a ``BENCH_*.json`` mapping of
-    ``label -> trace`` (``benchmarks/common.py``) — for the latter pass
-    ``key`` to pick the label (optional when there is exactly one) —
+    ``label -> trace`` (the regression gate's baselines and its
+    ``--out-dir`` output) — for the latter pass ``key`` to pick the
+    label (optional when there is exactly one) —
     or an NDJSON event stream (``.ndjson``), replayed into the trace
     its run finished with.  Any of these may be gzip-compressed
     (``.gz`` suffix); ``trace show/diff/top`` auto-detect through this
@@ -478,90 +377,3 @@ def load_trace_file(path: PathLike, key: Optional[str] = None) -> RunTrace:
             raise ValueError(f"no trace {key!r} in {path} ({sorted(data)})")
         return RunTrace.from_dict(data[key])
     raise ValueError(f"{path} is not a trace, report, or BENCH document")
-
-
-# ----------------------------------------------------------------------
-# Perf history (committed benchmark artifacts -> trajectory report)
-# ----------------------------------------------------------------------
-@dataclasses.dataclass
-class PerfHistory:
-    """Perf-trajectory rollup of a directory of benchmark artifacts.
-
-    Built by :func:`collect_perf_history` from the committed
-    ``BENCH_<circuit>.json`` snapshots (per-router traces).
-
-    Attributes:
-        directory: where the artifacts were collected from.
-        bench_rows: one row per circuit x router label with wall/CPU
-            seconds, stage walls and the deterministic work counters.
-    """
-
-    directory: str
-    bench_rows: list[dict]
-
-    @property
-    def empty(self) -> bool:
-        """Whether no artifact was found."""
-        return not self.bench_rows
-
-
-#: Deterministic whole-run counters worth tracking over time — the
-#: schema registry's history ranking, which fixes the column order of
-#: the committed trajectory reports.
-_HISTORY_COUNTERS = history_counters()
-
-
-def collect_perf_history(directory: PathLike) -> PerfHistory:
-    """Ingest the benchmark artifacts of ``directory`` into a rollup.
-
-    Files that do not parse as their expected schema are skipped (the
-    directory may hold unrelated JSON); an empty rollup is reported,
-    not an error.
-    """
-    root = pathlib.Path(directory)
-    bench_rows: list[dict] = []
-
-    for path in sorted(root.glob("BENCH_*.json")):
-        circuit = path.stem[len("BENCH_"):]
-        try:
-            data = json.loads(path.read_text())
-            traces = {
-                label: RunTrace.from_dict(doc)
-                for label, doc in sorted(data.items())
-            }
-        except (ValueError, KeyError, AttributeError):
-            continue
-        for label, trace in traces.items():
-            stages = TraceSummary.from_trace(trace).stages
-            counters = trace.aggregate_counters()
-            row = {
-                "circuit": circuit,
-                "router": label,
-                "wall_s": round(trace.wall_seconds, 3),
-                "cpu_s": round(trace.cpu_seconds, 3),
-                "global_s": round(
-                    stages["global-route"].wall_seconds
-                    if "global-route" in stages else 0.0, 3
-                ),
-                "detail_s": round(
-                    stages["detailed-route"].wall_seconds
-                    if "detailed-route" in stages else 0.0, 3
-                ),
-            }
-            for name in _HISTORY_COUNTERS:
-                row[name] = counters.get(name, 0)
-            bench_rows.append(row)
-
-    return PerfHistory(directory=str(root), bench_rows=bench_rows)
-
-
-def render_perf_history(history: PerfHistory, fmt: str = "plain") -> str:
-    """Table view of a :class:`PerfHistory` (``plain`` or ``markdown``)."""
-    if history.empty:
-        return f"no benchmark artifacts under {history.directory}"
-    columns = ["circuit", "router", "wall_s", "cpu_s", "global_s",
-               "detail_s", *_HISTORY_COUNTERS]
-    return _render_rows(
-        history.bench_rows, columns,
-        f"benchmark snapshots ({history.directory})", fmt, decimals=3,
-    )

@@ -3,10 +3,10 @@
 Every counter, gauge, span, and progress kind the router can emit is
 declared here, once, with its owner stage and category.  The registry
 is the single source of truth that used to be scattered across ad-hoc
-lists: the regression gate's ``perf_*`` / ``stream_*`` strip tuples,
-the perf-history counter columns, and the watch monitor's
-notable-counter picks all derive from it now, and the lint rule
-OBS001 fails any emission whose name is missing here.
+lists: the regression gate's ``perf_*`` / ``stream_*`` strip tuples
+and the ``repro watch`` monitor's notable-counter picks both derive
+from it now, and the lint rule OBS001 fails any emission whose name
+is missing here.
 
 Identity is ``(kind, name)`` — names may repeat across kinds (the
 multilevel scheme emits a ``level`` *span* carrying a ``level``
@@ -53,8 +53,9 @@ class MetricSpec:
         category: contract family — ``routing`` names are part of the
             deterministic surface the baselines pin; prefix-owning
             categories (:data:`CATEGORY_PREFIXES`) are strippable.
-        history: 0 for untracked, else the 1-based column position in
-            the perf-history rollup (:func:`history_counters`).
+        history: 0 for untracked, else the 1-based position among
+            the counters ``repro watch`` echoes when a top-level span
+            closes (:func:`history_counters`).
         description: one-line meaning, for docs and ``trace show``.
     """
 
@@ -428,10 +429,10 @@ def strip_prefixes(*categories: str) -> tuple[str, ...]:
 
 
 def history_counters() -> tuple[str, ...]:
-    """Counters tracked over time by the perf-history rollup.
+    """Counters ``repro watch`` echoes when a top-level span closes.
 
-    Ordered by their declared ``history`` rank — the column order of
-    the committed trajectory reports, so it must stay stable.
+    Ordered by their declared ``history`` rank, which fixes the order
+    the monitor prints them in.
     """
     ranked = [
         spec

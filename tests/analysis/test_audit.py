@@ -62,8 +62,9 @@ class TestCleanSolutions:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP open item 6 (dogleg jogs vs AUD006): the trunk "
-        "doglegs jog along tile-boundary rows on the vertical layer",
+        reason="ROADMAP open item 'Dogleg jogs against AUD006': the "
+        "trunk doglegs jog along tile-boundary rows on the vertical "
+        "layer",
     )
     def test_tile_boundary_doglegs_audit_clean(self):
         flow = StitchAwareRouter().route(mcnc_design("S38584", 0.02))

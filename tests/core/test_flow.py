@@ -76,10 +76,12 @@ class TestFlowResults:
     def test_router_configuration_switches(self, design):
         """Ablation switches produce a working flow."""
         router = StitchAwareRouter(
-            track_method=TrackMethod.BASELINE,
-            coloring=ColoringMethod.MST,
-            stitch_aware_global=False,
-            stitch_aware_detail=True,
+            config=RouterConfig(
+                track_method=TrackMethod.BASELINE,
+                coloring=ColoringMethod.MST,
+                stitch_aware_global=False,
+                stitch_aware_detail=True,
+            )
         )
         result = router.route(design)
         assert result.report.routability > 0.9

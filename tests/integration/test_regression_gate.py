@@ -29,9 +29,7 @@ def regression():
 
 
 def test_gate_passes_against_committed_baselines(regression, capsys, tmp_path):
-    code = regression.main(
-        ["--only", "S9234", "--no-wall", "--out-dir", str(tmp_path)]
-    )
+    code = regression.main(["--only", "S9234", "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "regression gate passed" in out
@@ -66,7 +64,7 @@ def test_gate_fails_on_injected_counter_regression(
     (baseline_dir / "BENCH_S9234.json").write_text(json.dumps(doc))
     monkeypatch.setattr(regression, "BASELINE_DIR", baseline_dir)
 
-    code = regression.main(["--only", "S9234", "--no-wall"])
+    code = regression.main(["--only", "S9234"])
     out = capsys.readouterr().out
     assert code == 1
     assert "regression gate FAILED" in out
@@ -75,7 +73,7 @@ def test_gate_fails_on_injected_counter_regression(
 
 def test_gate_reports_missing_baseline(regression, capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(regression, "BASELINE_DIR", tmp_path / "nowhere")
-    code = regression.main(["--only", "S9234", "--no-wall"])
+    code = regression.main(["--only", "S9234"])
     out = capsys.readouterr().out
     assert code == 1
     assert "missing baseline" in out
@@ -87,22 +85,11 @@ def test_gate_rejects_unknown_circuit(regression):
 
 
 def test_gate_audits_fresh_solutions(regression, capsys, tmp_path):
-    code = regression.main(["--only", "S9234", "--no-wall"])
+    code = regression.main(["--only", "S9234"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "S9234/baseline: audit clean" in out
     assert "S9234/stitch-aware: audit clean" in out
-
-
-def test_no_audit_skips_the_auditor(regression, capsys, monkeypatch):
-    def boom(circuit, flows):
-        raise AssertionError("audit ran despite --no-audit")
-
-    monkeypatch.setattr(regression, "audit_flows", boom)
-    code = regression.main(["--only", "S9234", "--no-wall", "--no-audit"])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "audit" not in out
 
 
 def test_audit_failure_fails_the_gate(regression, capsys, monkeypatch):
@@ -110,42 +97,8 @@ def test_audit_failure_fails_the_gate(regression, capsys, monkeypatch):
         return [f"{circuit}/stitch-aware: audit AUD004 net split"]
 
     monkeypatch.setattr(regression, "audit_flows", failing_audit)
-    code = regression.main(["--only", "S9234", "--no-wall"])
+    code = regression.main(["--only", "S9234"])
     out = capsys.readouterr().out
     assert code == 1
     assert "regression gate FAILED" in out
     assert "AUD004" in out
-
-
-def test_snapshot_dir_writes_bench_documents(regression, capsys, tmp_path):
-    code = regression.main(
-        [
-            "--only",
-            "S9234",
-            "--no-wall",
-            "--snapshot-dir",
-            str(tmp_path / "snaps"),
-        ]
-    )
-    assert code == 0, capsys.readouterr().out
-    snapshot = tmp_path / "snaps" / "BENCH_S9234.json"
-    assert snapshot.exists()
-    # Same label -> trace schema as the committed baselines, and the
-    # counters match what the gate itself just verified.
-    fresh = regression.load_traces(snapshot)
-    committed = regression.load_traces(regression.baseline_path("S9234"))
-    assert set(fresh) == set(committed) == {"baseline", "stitch-aware"}
-    for label in fresh:
-        assert fresh[label].counters == committed[label].counters
-
-
-def test_committed_snapshots_match_baseline_counters(regression):
-    """The top-level BENCH_*.json trajectory mirrors the gate baselines."""
-    for circuit in regression.CIRCUITS:
-        snapshot = REPO / f"BENCH_{circuit}.json"
-        assert snapshot.exists(), f"missing committed snapshot {snapshot}"
-        fresh = regression.load_traces(snapshot)
-        committed = regression.load_traces(regression.baseline_path(circuit))
-        assert set(fresh) == set(committed)
-        for label in fresh:
-            assert fresh[label].counters == committed[label].counters

@@ -8,19 +8,16 @@ import pathlib
 import pytest
 
 from repro.observe import (
-    DiffThresholds,
     RunTrace,
     Span,
     StreamingTracer,
     TraceSummary,
     Tracer,
-    collect_perf_history,
     diff_traces,
     hotspots,
     load_trace_file,
     render_diff,
     render_hotspots,
-    render_perf_history,
     render_summary,
 )
 
@@ -109,7 +106,6 @@ class TestDiff:
         diff = diff_traces(old, new)
         assert diff.ok
         assert diff.counter_deltas == []
-        assert diff.wall_regressions == []
         assert diff.regressions() == []
 
     def test_schema_roundtrip_then_diff_empty(self):
@@ -129,37 +125,17 @@ class TestDiff:
         diff = diff_traces(make_trace(ripup=3), make_trace(ripup=2))
         assert not diff.ok
 
-    def test_slow_span_detected(self):
+    def test_wall_time_never_regresses(self):
+        # Single traces give no speed verdict: a 50x slowdown with
+        # identical counters is not a regression, and renders no row.
         diff = diff_traces(
-            make_trace(detail_wall=1.0), make_trace(detail_wall=2.0)
-        )
-        assert not diff.ok
-        regressed = {t.stage for t in diff.wall_regressions}
-        assert "detailed-route" in regressed
-
-    def test_slowdown_within_tolerance_passes(self):
-        diff = diff_traces(
-            make_trace(detail_wall=1.0), make_trace(detail_wall=1.1)
+            make_trace(detail_wall=1.0), make_trace(detail_wall=50.0)
         )
         assert diff.ok
-
-    def test_min_wall_floor_skips_noise(self):
-        # 3x slower but both sides under the floor: not compared.
-        diff = diff_traces(
-            make_trace(detail_wall=0.01),
-            make_trace(detail_wall=0.03),
-            DiffThresholds(min_wall_seconds=0.1),
-        )
-        assert "detailed-route" not in {t.stage for t in diff.timing_deltas}
-
-    def test_no_wall_mode_ignores_any_slowdown(self):
-        diff = diff_traces(
-            make_trace(detail_wall=1.0),
-            make_trace(detail_wall=50.0),
-            DiffThresholds(include_wall=False),
-        )
-        assert diff.ok
-        assert diff.timing_deltas == []
+        assert diff.regressions() == []
+        text = render_diff(diff)
+        assert "no differences" in text
+        assert "wall" not in text and "detailed-route" not in text
 
     def test_render_diff(self):
         diff = diff_traces(make_trace(maze=100), make_trace(maze=150))
@@ -168,11 +144,7 @@ class TestDiff:
         assert "| --- |" in render_diff(diff, fmt="markdown")
 
     def test_render_empty_diff(self):
-        text = render_diff(
-            diff_traces(
-                make_trace(), make_trace(), DiffThresholds(include_wall=False)
-            )
-        )
+        text = render_diff(diff_traces(make_trace(), make_trace()))
         assert "no differences" in text
 
 
@@ -298,56 +270,3 @@ class TestLoadTraceFile:
         loaded = load_trace_file(path)
         assert loaded.design == "streamed-toy"
         assert loaded.to_json() == streamed.to_json()
-
-
-def write_artifacts(root, make_trace_fn=None):
-    """A small artifact directory in the committed schemas."""
-    make = make_trace_fn or make_trace
-    bench = {
-        "baseline": make(maze=200).to_dict(),
-        "stitch-aware": make(maze=100).to_dict(),
-    }
-    (root / "BENCH_S9234.json").write_text(json.dumps(bench))
-
-
-class TestPerfHistory:
-    def test_collects_both_artifact_kinds(self, tmp_path):
-        write_artifacts(tmp_path)
-        history = collect_perf_history(tmp_path)
-        assert not history.empty
-        assert {r["router"] for r in history.bench_rows} == {
-            "baseline", "stitch-aware",
-        }
-        aware = next(
-            r for r in history.bench_rows if r["router"] == "stitch-aware"
-        )
-        assert aware["maze_expansions"] == 100
-        assert aware["detail_s"] == 1.0
-
-    def test_unparseable_and_unrelated_json_skipped(self, tmp_path):
-        write_artifacts(tmp_path)
-        (tmp_path / "BENCH_garbage.json").write_text('{"x": 1}')
-        (tmp_path / "BENCH_list.json").write_text("[]")
-        (tmp_path / "unrelated.json").write_text("{}")
-        history = collect_perf_history(tmp_path)
-        assert {r["circuit"] for r in history.bench_rows} == {"S9234"}
-
-    def test_empty_directory_reports_empty(self, tmp_path):
-        history = collect_perf_history(tmp_path)
-        assert history.empty
-        assert "no benchmark artifacts" in render_perf_history(history)
-
-    def test_render_plain_and_markdown(self, tmp_path):
-        write_artifacts(tmp_path)
-        history = collect_perf_history(tmp_path)
-        plain = render_perf_history(history)
-        assert "benchmark snapshots" in plain
-        md = render_perf_history(history, fmt="markdown")
-        assert md.count("|") > 20
-
-    def test_committed_repo_artifacts_ingest(self):
-        """The real committed artifacts must parse, forever."""
-        root = pathlib.Path(__file__).parents[2]
-        history = collect_perf_history(root)
-        circuits = {r["circuit"] for r in history.bench_rows}
-        assert {"S9234", "S5378", "S13207"} <= circuits

@@ -7,13 +7,15 @@ gate circuit (S9234 at the regression-gate scale):
   byte-identical to the trace the run itself froze;
 * ``profile="off"`` leaves the trace byte-compatible with the
   committed (pre-profiling) baselines — zero-cost means *invisible*;
-* ``profile="counters"`` adds only ``perf_*`` counters: stripping
-  them (and the tracer's ``stream_*`` bookkeeping) recovers the
-  off-mode trace exactly.
+* ``profile="counters"`` and ``profile="full"`` add only ``perf_*``
+  counters: stripping them (and the tracer's ``stream_*``
+  bookkeeping) recovers the off-mode trace exactly.
 """
 
 import json
 import pathlib
+
+import pytest
 
 from repro.benchmarks_gen import mcnc_design
 from repro.config import RouterConfig
@@ -89,12 +91,13 @@ class TestProfileOffIsInvisible:
 
 
 class TestCountersModeIsPure:
-    def test_stripping_recovers_off_mode(self):
+    @pytest.mark.parametrize("profile", ["counters", "full"])
+    def test_stripping_recovers_off_mode(self, profile):
         off = route(profile="off")
-        counters = route(profile="counters")
-        assert off.trace is not None and counters.trace is not None
+        profiled = route(profile=profile)
+        assert off.trace is not None and profiled.trace is not None
         assert strip_instrumentation(
-            counters.trace.aggregate_counters()
+            profiled.trace.aggregate_counters()
         ) == off.trace.aggregate_counters()
 
     def test_counters_mode_actually_counts(self):

@@ -1,11 +1,9 @@
-"""The ``repro.api`` facade contract and its deprecation shims."""
+"""The ``repro.api`` facade contract."""
 
-import importlib
 import os
 import pathlib
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -62,22 +60,3 @@ class TestRouteConvenience:
         result = api.route(design)
         assert isinstance(result, api.FlowResult)
         assert isinstance(result.report, api.RoutingReport)
-
-
-class TestCoreShim:
-    def test_old_import_path_warns_and_still_works(self):
-        core = importlib.import_module("repro.core")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            router_cls = core.StitchAwareRouter
-        assert router_cls is api.StitchAwareRouter
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api" in str(w.message)
-            for w in caught
-        )
-
-    def test_shim_rejects_unknown_names(self):
-        core = importlib.import_module("repro.core")
-        with pytest.raises(AttributeError):
-            core.DetailedRouter

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-import pathlib
 
 import pytest
 
@@ -37,14 +36,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["route", "S5378", "--perf", "loud"])
 
-    def test_watch_and_perf_history_parse(self):
+    def test_watch_parse(self):
         args = build_parser().parse_args(
             ["watch", "run.ndjson", "--no-follow", "--timeout", "5"]
         )
         assert args.stream == "run.ndjson"
         assert args.no_follow and args.timeout == 5.0
-        args = build_parser().parse_args(["perf-history", "--markdown"])
-        assert args.dir == "." and args.markdown
 
 
 class TestProfilePath:
@@ -196,10 +193,25 @@ class TestTraceCommands:
 
     def test_diff_across_routers_detects_drift(self, traces, capsys):
         base, aware = traces
-        assert main([
-            "trace", "diff", str(base), str(aware), "--no-wall",
-        ]) == 1
+        assert main(["trace", "diff", str(base), str(aware)]) == 1
         assert "counter" in capsys.readouterr().out
+
+    def test_diff_ignores_wall_time(self, traces, capsys, tmp_path):
+        base, _aware = traces
+        doc = json.loads(base.read_text())
+
+        def slow_down(span):
+            span["wall_seconds"] *= 100
+            for child in span.get("children", []):
+                slow_down(child)
+
+        doc["wall_seconds"] *= 100
+        for span in doc["spans"]:
+            slow_down(span)
+        slow = tmp_path / "slow.json"
+        slow.write_text(json.dumps(doc))
+        assert main(["trace", "diff", str(base), str(slow)]) == 0
+        assert "no differences" in capsys.readouterr().out
 
     def test_markdown_rendering(self, traces, capsys):
         base, _aware = traces
@@ -230,27 +242,24 @@ class TestStreamingCommands:
         assert main(["watch", str(tmp_path / "nope.ndjson")]) == 2
         assert "no such stream" in capsys.readouterr().err
 
-    def test_watch_bad_stream_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "line",
+        ['{"ev":"gauge","name":"x","value":1}', "not json"],
+        ids=["non-event", "not-json"],
+    )
+    def test_watch_bad_stream_exits_2(self, line, capsys, tmp_path):
         bogus = tmp_path / "bogus.ndjson"
-        bogus.write_text('{"ev":"gauge","name":"x","value":1}\n')
+        bogus.write_text(line + "\n")
         assert main(["watch", str(bogus), "--no-follow"]) == 2
-        assert "repro watch:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("repro watch: ")
+        assert str(bogus) in err
 
     def test_perf_counters_route_prints_report(self, capsys):
         assert main([
             "route", "S9234", "--scale", "0.02", "--perf", "counters",
         ]) == 0
         assert "rout_pct" in capsys.readouterr().out
-
-    def test_perf_history_on_repo_artifacts(self, capsys):
-        root = pathlib.Path(__file__).parents[1]
-        assert main(["perf-history", "--dir", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "benchmark snapshots" in out
-
-    def test_perf_history_empty_dir_exits_1(self, capsys, tmp_path):
-        assert main(["perf-history", "--dir", str(tmp_path)]) == 1
-        assert "no benchmark artifacts" in capsys.readouterr().out
 
 
 class TestScaleValidation:
@@ -312,6 +321,14 @@ class TestTraceBadInput:
         bad.write_text("{not json")
         assert main(["trace", command, str(bad)]) == 2
         assert "not valid JSON" in self._one_line_error(capsys)
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_top_rejects_non_positive_n(self, n, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "top", str(tmp_path / "t.json"), "-n", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument -n:" in err and "at least 1" in err
 
     def test_multi_label_bench_without_key_names_the_flag(
         self, bench, capsys

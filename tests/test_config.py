@@ -72,9 +72,9 @@ class TestBenchmarkScale:
 
     def test_invalid_scale_rejected(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL", raising=False)
-        for bad in ("0", "-0.5", "101"):
+        for bad in ("0", "-0.5", "101", "abc", "nan"):
             monkeypatch.setenv("REPRO_SCALE", bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="REPRO_SCALE"):
                 benchmark_scale()
 
 
