@@ -13,13 +13,6 @@ from .interval_kcolor import (
 )
 from .matching import hungarian, matching_cost
 from .mincostflow import MinCostFlow
-from .steiner import (
-    manhattan,
-    mst_edges,
-    mst_length,
-    steiner_points,
-    steiner_tree_edges,
-)
 from .spanning_tree import (
     color_forest_by_depth,
     coloring_cost,
@@ -37,13 +30,8 @@ __all__ = [
     "hungarian",
     "is_k_colorable",
     "longest_path_lengths",
-    "manhattan",
     "matching_cost",
     "max_weight_k_colorable",
     "maximum_spanning_forest",
-    "mst_edges",
-    "mst_length",
-    "steiner_points",
-    "steiner_tree_edges",
     "topological_order",
 ]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Sequence
-from typing import Optional
 
 from ..layout import StitchingLines
 from .panels import Panel, PanelSegment
@@ -119,13 +118,6 @@ class TrackAssignmentResult:
     def num_bad_ends(self) -> int:
         """Count of line ends on stitch-unfriendly tracks."""
         return len(self.bad_ends)
-
-    def track_of(self, segment_index: int, row: int) -> Optional[int]:
-        """Assigned x of ``segment_index`` at ``row`` (None if failed)."""
-        per_row = self.tracks.get(segment_index)
-        if per_row is None:
-            return None
-        return per_row.get(row)
 
     def dogleg_count(self) -> int:
         """Number of track changes across all segments."""

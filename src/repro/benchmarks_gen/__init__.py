@@ -1,6 +1,6 @@
 """Synthetic reproductions of the paper's benchmark suites."""
 
-from .faraday import FARADAY_NAMES, FARADAY_SPECS, faraday_design, faraday_suite
+from .faraday import FARADAY_NAMES, FARADAY_SPECS, faraday_design
 from .generator import SyntheticSpec, generate_design
 from .mcnc import (
     MCNC_HARD_NAMES,
@@ -19,7 +19,6 @@ __all__ = [
     "MCNC_SPECS",
     "SyntheticSpec",
     "faraday_design",
-    "faraday_suite",
     "generate_design",
     "mcnc_design",
     "mcnc_stress_design",

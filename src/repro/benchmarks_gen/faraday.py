@@ -53,10 +53,3 @@ def faraday_design(
             f"unknown Faraday circuit {name!r}; choose from {FARADAY_NAMES}"
         ) from None
     return generate_design(spec, scale=scale, config=config)
-
-
-def faraday_suite(
-    scale: float = 1.0, config: RouterConfig | None = None
-) -> list[Design]:
-    """All five Faraday circuits of Table II."""
-    return [faraday_design(name, scale, config) for name in FARADAY_NAMES]

@@ -75,11 +75,6 @@ class SyntheticSpec:
     num_clusters: int = 6
     cluster_sigma_frac: float = 0.12
 
-    @property
-    def pins_per_net(self) -> float:
-        """Average pins per net of the full-size circuit."""
-        return self.pins / self.nets
-
 
 def _net_pin_count(rng: random.Random, mean: float) -> int:
     """Draw a pin count with the given mean, minimum two.

@@ -105,6 +105,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    """The ``watch --interval/--timeout`` argparse type: finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds above 0, got {text}"
+        )
+    return value
+
+
 def _get_design(name: str, scale: float):
     if name in MCNC_NAMES:
         return mcnc_design(name, scale)
@@ -661,14 +674,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--interval",
-        type=float,
+        type=_positive_seconds,
         default=0.5,
         metavar="SECONDS",
         help="poll interval while tailing (default 0.5)",
     )
     watch.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="give up after this long without new events "

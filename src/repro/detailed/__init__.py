@@ -1,6 +1,6 @@
 """Stitch-aware detailed routing (Section III-D)."""
 
-from .grid import DetailedGrid, Node, nodes_of_points
+from .grid import DetailedGrid, Node
 from .router import DetailedResult, DetailedRouter, RoutedNet
 from .search import astar_connect, connection_window
 from .trunks import TrunkPiece, materialize_trunks
@@ -15,5 +15,4 @@ __all__ = [
     "astar_connect",
     "connection_window",
     "materialize_trunks",
-    "nodes_of_points",
 ]

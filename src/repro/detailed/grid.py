@@ -31,13 +31,11 @@ access.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import Optional
 
 import numpy as np
 
 from ..config import RouterConfig
-from ..geometry import GridPoint
 from ..layout import Design
 
 Node = tuple[int, int, int]  # (x, y, layer)
@@ -258,8 +256,3 @@ class DetailedGrid:
             for idx, owner in enumerate(self._owner_ids)
             if owner == nid
         }
-
-
-def nodes_of_points(points: Iterable[GridPoint]) -> set[Node]:
-    """Convert :class:`GridPoint` objects to plain node tuples."""
-    return {(p.x, p.y, p.layer) for p in points}

@@ -344,8 +344,9 @@ class DetailedRouter:
     def _rip(grid: DetailedGrid, record: "RoutedNet") -> None:
         """Release a net's wire, keeping its pin nodes claimed.
 
-        Pins are never released (not even transiently): a free pin
-        node could be claimed by a concurrent negotiated search.
+        Pins are never released: a free pin node is passable to every
+        net, so a later search of another net could route through it
+        and leave the pin's own net unroutable.
         """
         name = record.net.name
         pin_nodes = record.pin_nodes

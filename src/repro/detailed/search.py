@@ -12,9 +12,7 @@ import heapq
 from collections.abc import Iterable
 from typing import Optional
 
-import numpy as np
-
-from .grid import BLOCKED_STEP, OWNED_STEP, DetailedGrid, Node
+from .grid import OWNED_STEP, DetailedGrid, Node
 
 _INF = float("inf")
 
@@ -95,30 +93,13 @@ def astar_connect(
     layers_n = grid._num_layers
     hl = grid._hl
 
-    # Target bbox + encoded ids.  Rip-up reconnects pass whole net
-    # components as targets, so this setup is O(|targets|) per
-    # search; one vectorized pass replaces four scans plus a
-    # per-node encode.  Integer arithmetic is exact either way —
-    # both branches produce identical values.
-    if len(targets) >= 16:
-        tarr = np.array(
-            list(targets), dtype=np.int64  # repro: allow-DET001 feeds only min/max and a frozenset
-        )
-        txs, tys = tarr[:, 0], tarr[:, 1]
-        t_lo_x = int(txs.min())
-        t_hi_x = int(txs.max())
-        t_lo_y = int(tys.min())
-        t_hi_y = int(tys.max())
-        tgt = frozenset(
-            ((txs * height + tys) * layers_n + tarr[:, 2] - 1).tolist()
-        )
-    else:
-        t_lo_x = min(t[0] for t in targets)
-        t_hi_x = max(t[0] for t in targets)
-        t_lo_y = min(t[1] for t in targets)
-        t_hi_y = max(t[1] for t in targets)
-        tgt = frozenset(encode(t) for t in targets)
+    t_lo_x = min(t[0] for t in targets)
+    t_hi_x = max(t[0] for t in targets)
+    t_lo_y = min(t[1] for t in targets)
+    t_hi_y = max(t[1] for t in targets)
+    tgt = frozenset(encode(t) for t in targets)
     step = grid._step
+    free_step = grid._free_step
     via_extra = grid._via_extra
     on_line = grid._on_line
     vertical = grid._vertical
@@ -127,17 +108,9 @@ def astar_connect(
     net_id = grid._net_id(net)
     fp = foreign_penalty
 
-    blk: Optional[frozenset] = None
-    if blocked is not None:
-        blk = frozenset(encode(b) for b in blocked)
-
     # Seeding order over the source set is immaterial: best_g is a
     # pure mapping and heap entries are totally ordered by
     # (f, g, id), so pop order never depends on insertion order.
-    # Large source sets (rip-up reconnects seed whole components)
-    # take the vectorized branch; the clipped distances and the
-    # int64 encode produce the same values as the scalar branch,
-    # and ``weight * int`` multiplies identically in float64.
     #
     # Heap entries carry the node's clipped heuristic deltas as a
     # fourth and fifth element so the pop side reuses them instead
@@ -145,41 +118,30 @@ def astar_connect(
     # pure function of the node id (given the fixed target bbox),
     # so two entries that tie on ``(f, g, id)`` carry equal deltas
     # and the heap order stays exactly the 3-tuple order.
-    best_g: dict[int, float]
-    src_idx: set[int]
-    heap: list[tuple[float, float, int, int, int]]
-    if len(sources) >= 16:
-        sarr = np.array(
-            list(sources), dtype=np.int64  # repro: allow-DET001 seeds a mapping and a heap
-        )
-        sxs, sys_ = sarr[:, 0], sarr[:, 1]
-        sdx = np.maximum(np.maximum(t_lo_x - sxs, sxs - t_hi_x), 0)
-        sdy = np.maximum(np.maximum(t_lo_y - sys_, sys_ - t_hi_y), 0)
-        sis = ((sxs * height + sys_) * layers_n + sarr[:, 2] - 1).tolist()
-        best_g = dict.fromkeys(sis, 0.0)
-        src_idx = set(sis)
-        heap = [
-            (f0, 0.0, si0, dx0, dy0)
-            for f0, si0, dx0, dy0 in zip(
-                (weight * (sdx + sdy)).tolist(),
-                sis,
-                sdx.tolist(),
-                sdy.tolist(),
-            )
-        ]
-    else:
-        best_g = {}
-        src_idx = set()
-        heap = []
-        for s in sources:  # repro: allow-DET001 seeds a pure mapping and a heapified list
-            x, y, _layer = s
-            dx = (t_lo_x - x) if x < t_lo_x else (x - t_hi_x) if x > t_hi_x else 0
-            dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
-            si = encode(s)
-            best_g[si] = 0.0
-            src_idx.add(si)
-            heap.append((weight * (dx + dy), 0.0, si, dx, dy))
+    best_g: dict[int, float] = {}
+    src_idx: set[int] = set()
+    heap: list[tuple[float, float, int, int, int]] = []
+    for s in sources:  # repro: allow-DET001 seeds a pure mapping and a heapified list
+        x, y, _layer = s
+        dx = (t_lo_x - x) if x < t_lo_x else (x - t_hi_x) if x > t_hi_x else 0
+        dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
+        si = encode(s)
+        best_g[si] = 0.0
+        src_idx.add(si)
+        heap.append((weight * (dx + dy), 0.0, si, dx, dy))
     heapq.heapify(heap)
+
+    # A blocked node is seeded with a best cost of -inf.  No candidate
+    # cost is below it, so the node is counted as a candidate but never
+    # relaxed or pushed.  A blocked source keeps its 0 seed: with
+    # non-negative step costs nothing relaxes it below 0 either
+    # (RouterConfig rejects negative weights; the router's foreign
+    # penalty is 30.0).
+    if blocked is not None:
+        for b in blocked:
+            bi = encode(b)
+            if bi not in src_idx:
+                best_g[bi] = -_INF
 
     parent: dict[int, int] = {}
     best_g_get = best_g.get
@@ -189,241 +151,17 @@ def astar_connect(
     evals = 0
     pops = 0
     try:
-        if fp is None and blk is None:
-            # Specialized loop for the dominant case (~85% of the
-            # searches on the gate circuits): no foreign penalty,
-            # no blocked set.  Identical candidate order, counter
-            # increments, and float association order as the
-            # general loop below — only the branches that are
-            # statically dead here (the penalty rewrite, the
-            # blocked filter) are removed, so every produced value
-            # is bit-identical.  The via blocks hoist the on-line
-            # filter above the ownership read, and candidates
-            # consult the ownership-folded step array first:
-            # ownership reads have no side effect, so both
-            # reorders are unobservable and the owner id array is
-            # only touched for owned nodes (to recheck against
-            # ``net_id``).
-            free_step = grid._free_step
-            while heap:
-                _f, g, si, hdx, hdy = heappop(heap)
-                pops += 1
-                if g > best_g_get(si, _INF):
-                    continue
-                if si in tgt:
-                    rev = [si]
-                    while rev[-1] not in src_idx:
-                        rev.append(parent[rev[-1]])
-                    rev.reverse()
-                    decode = grid._decode
-                    return [decode(i) for i in rev]
-                expansions += 1
-                if expansions > expansion_limit:
-                    return None
-                x = si // hl
-                rem = si - x * hl
-                y = rem // layers_n
-                lm = rem - y * layers_n
-                in_x = lo_x <= x <= hi_x
-                in_y = lo_y <= y <= hi_y
-                off_line = not on_line[x]
-
-                if vertical[lm + 1]:
-                    if y > 0:
-                        ci = si - layers_n
-                        sc = free_step[ci]
-                        if sc < 0.0:
-                            sc = (
-                                step[ci]
-                                if sc == OWNED_STEP and owner_ids[ci] == net_id
-                                else BLOCKED_STEP
-                            )
-                        if sc >= 0.0:
-                            evals += 1
-                            ny_ = y - 1
-                            if in_x and lo_y <= ny_ <= hi_y:
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    dy = (
-                                        (t_lo_y - ny_)
-                                        if ny_ < t_lo_y
-                                        else (ny_ - t_hi_y)
-                                        if ny_ > t_hi_y
-                                        else 0
-                                    )
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (hdx + dy),
-                                            candidate,
-                                            ci,
-                                            hdx,
-                                            dy,
-                                        ),
-                                    )
-                    if y + 1 < height:
-                        ci = si + layers_n
-                        sc = free_step[ci]
-                        if sc < 0.0:
-                            sc = (
-                                step[ci]
-                                if sc == OWNED_STEP and owner_ids[ci] == net_id
-                                else BLOCKED_STEP
-                            )
-                        if sc >= 0.0:
-                            evals += 1
-                            ny_ = y + 1
-                            if in_x and lo_y <= ny_ <= hi_y:
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    dy = (
-                                        (t_lo_y - ny_)
-                                        if ny_ < t_lo_y
-                                        else (ny_ - t_hi_y)
-                                        if ny_ > t_hi_y
-                                        else 0
-                                    )
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (hdx + dy),
-                                            candidate,
-                                            ci,
-                                            hdx,
-                                            dy,
-                                        ),
-                                    )
-                else:
-                    if x > 0:
-                        ci = si - hl
-                        sc = free_step[ci]
-                        if sc < 0.0:
-                            sc = (
-                                step[ci]
-                                if sc == OWNED_STEP and owner_ids[ci] == net_id
-                                else BLOCKED_STEP
-                            )
-                        if sc >= 0.0:
-                            evals += 1
-                            nx_ = x - 1
-                            if in_y and lo_x <= nx_ <= hi_x:
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    dx = (
-                                        (t_lo_x - nx_)
-                                        if nx_ < t_lo_x
-                                        else (nx_ - t_hi_x)
-                                        if nx_ > t_hi_x
-                                        else 0
-                                    )
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (dx + hdy),
-                                            candidate,
-                                            ci,
-                                            dx,
-                                            hdy,
-                                        ),
-                                    )
-                    if x + 1 < width:
-                        ci = si + hl
-                        sc = free_step[ci]
-                        if sc < 0.0:
-                            sc = (
-                                step[ci]
-                                if sc == OWNED_STEP and owner_ids[ci] == net_id
-                                else BLOCKED_STEP
-                            )
-                        if sc >= 0.0:
-                            evals += 1
-                            nx_ = x + 1
-                            if in_y and lo_x <= nx_ <= hi_x:
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    dx = (
-                                        (t_lo_x - nx_)
-                                        if nx_ < t_lo_x
-                                        else (nx_ - t_hi_x)
-                                        if nx_ > t_hi_x
-                                        else 0
-                                    )
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (dx + hdy),
-                                            candidate,
-                                            ci,
-                                            dx,
-                                            hdy,
-                                        ),
-                                    )
-
-                if off_line:
-                    if lm > 0:
-                        ci = si - 1
-                        sc = free_step[ci]
-                        if sc < 0.0:
-                            sc = (
-                                step[ci]
-                                if sc == OWNED_STEP and owner_ids[ci] == net_id
-                                else BLOCKED_STEP
-                            )
-                        if sc >= 0.0:
-                            evals += 1
-                            sc = sc + via_extra[x]
-                            if in_x and in_y:
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (hdx + hdy),
-                                            candidate,
-                                            ci,
-                                            hdx,
-                                            hdy,
-                                        ),
-                                    )
-                    if lm + 1 < layers_n:
-                        ci = si + 1
-                        sc = free_step[ci]
-                        if sc < 0.0:
-                            sc = (
-                                step[ci]
-                                if sc == OWNED_STEP and owner_ids[ci] == net_id
-                                else BLOCKED_STEP
-                            )
-                        if sc >= 0.0:
-                            evals += 1
-                            sc = sc + via_extra[x]
-                            if in_x and in_y:
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (hdx + hdy),
-                                            candidate,
-                                            ci,
-                                            hdx,
-                                            hdy,
-                                        ),
-                                    )
-            return None
-
+        # Candidates read the ownership-folded step list first.  A free
+        # node yields its step cost there, and the ``sc < 0.0`` test
+        # comes first, so it never loads the OWNED_STEP global; only an
+        # owned node reads the owner id array.  An owned node is
+        # passable at its step cost for this net, and at step cost plus
+        # ``foreign_penalty`` when another net owns it and it is not a
+        # pin.  The step cost is tested before the penalty is added,
+        # because ``force_occupy`` may own a structurally blocked node.
+        # Every other negative entry is skipped.  Costs associate as
+        # step, then penalty, then the via's ``beta`` surcharge, the
+        # order the reference oracle uses.
         while heap:
             _f, g, si, hdx, hdy = heappop(heap)
             pops += 1
@@ -448,185 +186,159 @@ def astar_connect(
             # y as the node) reuse both.
             in_x = lo_x <= x <= hi_x
             in_y = lo_y <= y <= hi_y
-            off_line = not on_line[x]
 
-            # --- planar moves (preferred direction only) ---------
+            # --- planar moves (preferred direction only) -------------
             if vertical[lm + 1]:
                 if y > 0:
                     ci = si - layers_n
-                    sc = step[ci]
-                    if sc >= 0.0:
-                        o = owner_ids[ci]
-                        if o == 0 or o == net_id:
-                            ok = True
+                    sc = free_step[ci]
+                    if sc < 0.0 and sc == OWNED_STEP:
+                        if owner_ids[ci] == net_id:
+                            sc = step[ci]
                         elif fp is not None and not pins[ci]:
-                            ok = True
-                            sc = sc + fp
-                        else:
-                            ok = False
-                        if ok:
-                            evals += 1
-                            ny_ = y - 1
-                            if (
-                                in_x
-                                and lo_y <= ny_ <= hi_y
-                                and (blk is None or ci not in blk)
-                            ):
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    dy = (
-                                        (t_lo_y - ny_)
-                                        if ny_ < t_lo_y
-                                        else (ny_ - t_hi_y) if ny_ > t_hi_y else 0
-                                    )
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (hdx + dy),
-                                            candidate,
-                                            ci,
-                                            hdx,
-                                            dy,
-                                        ),
-                                    )
+                            sc = step[ci]
+                            if sc >= 0.0:
+                                sc = sc + fp
+                    if sc >= 0.0:
+                        evals += 1
+                        ny_ = y - 1
+                        if in_x and lo_y <= ny_ <= hi_y:
+                            candidate = g + sc
+                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                                best_g[ci] = candidate
+                                parent[ci] = si
+                                dy = (
+                                    (t_lo_y - ny_)
+                                    if ny_ < t_lo_y
+                                    else (ny_ - t_hi_y) if ny_ > t_hi_y else 0
+                                )
+                                heappush(
+                                    heap,
+                                    (
+                                        candidate + weight * (hdx + dy),
+                                        candidate,
+                                        ci,
+                                        hdx,
+                                        dy,
+                                    ),
+                                )
                 if y + 1 < height:
                     ci = si + layers_n
-                    sc = step[ci]
-                    if sc >= 0.0:
-                        o = owner_ids[ci]
-                        if o == 0 or o == net_id:
-                            ok = True
+                    sc = free_step[ci]
+                    if sc < 0.0 and sc == OWNED_STEP:
+                        if owner_ids[ci] == net_id:
+                            sc = step[ci]
                         elif fp is not None and not pins[ci]:
-                            ok = True
-                            sc = sc + fp
-                        else:
-                            ok = False
-                        if ok:
-                            evals += 1
-                            ny_ = y + 1
-                            if (
-                                in_x
-                                and lo_y <= ny_ <= hi_y
-                                and (blk is None or ci not in blk)
-                            ):
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    dy = (
-                                        (t_lo_y - ny_)
-                                        if ny_ < t_lo_y
-                                        else (ny_ - t_hi_y) if ny_ > t_hi_y else 0
-                                    )
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (hdx + dy),
-                                            candidate,
-                                            ci,
-                                            hdx,
-                                            dy,
-                                        ),
-                                    )
+                            sc = step[ci]
+                            if sc >= 0.0:
+                                sc = sc + fp
+                    if sc >= 0.0:
+                        evals += 1
+                        ny_ = y + 1
+                        if in_x and lo_y <= ny_ <= hi_y:
+                            candidate = g + sc
+                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                                best_g[ci] = candidate
+                                parent[ci] = si
+                                dy = (
+                                    (t_lo_y - ny_)
+                                    if ny_ < t_lo_y
+                                    else (ny_ - t_hi_y) if ny_ > t_hi_y else 0
+                                )
+                                heappush(
+                                    heap,
+                                    (
+                                        candidate + weight * (hdx + dy),
+                                        candidate,
+                                        ci,
+                                        hdx,
+                                        dy,
+                                    ),
+                                )
             else:
                 if x > 0:
                     ci = si - hl
-                    sc = step[ci]
-                    if sc >= 0.0:
-                        o = owner_ids[ci]
-                        if o == 0 or o == net_id:
-                            ok = True
+                    sc = free_step[ci]
+                    if sc < 0.0 and sc == OWNED_STEP:
+                        if owner_ids[ci] == net_id:
+                            sc = step[ci]
                         elif fp is not None and not pins[ci]:
-                            ok = True
-                            sc = sc + fp
-                        else:
-                            ok = False
-                        if ok:
-                            evals += 1
-                            nx_ = x - 1
-                            if (
-                                in_y
-                                and lo_x <= nx_ <= hi_x
-                                and (blk is None or ci not in blk)
-                            ):
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    dx = (
-                                        (t_lo_x - nx_)
-                                        if nx_ < t_lo_x
-                                        else (nx_ - t_hi_x) if nx_ > t_hi_x else 0
-                                    )
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (dx + hdy),
-                                            candidate,
-                                            ci,
-                                            dx,
-                                            hdy,
-                                        ),
-                                    )
+                            sc = step[ci]
+                            if sc >= 0.0:
+                                sc = sc + fp
+                    if sc >= 0.0:
+                        evals += 1
+                        nx_ = x - 1
+                        if in_y and lo_x <= nx_ <= hi_x:
+                            candidate = g + sc
+                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                                best_g[ci] = candidate
+                                parent[ci] = si
+                                dx = (
+                                    (t_lo_x - nx_)
+                                    if nx_ < t_lo_x
+                                    else (nx_ - t_hi_x) if nx_ > t_hi_x else 0
+                                )
+                                heappush(
+                                    heap,
+                                    (
+                                        candidate + weight * (dx + hdy),
+                                        candidate,
+                                        ci,
+                                        dx,
+                                        hdy,
+                                    ),
+                                )
                 if x + 1 < width:
                     ci = si + hl
-                    sc = step[ci]
-                    if sc >= 0.0:
-                        o = owner_ids[ci]
-                        if o == 0 or o == net_id:
-                            ok = True
+                    sc = free_step[ci]
+                    if sc < 0.0 and sc == OWNED_STEP:
+                        if owner_ids[ci] == net_id:
+                            sc = step[ci]
                         elif fp is not None and not pins[ci]:
-                            ok = True
-                            sc = sc + fp
-                        else:
-                            ok = False
-                        if ok:
-                            evals += 1
-                            nx_ = x + 1
-                            if (
-                                in_y
-                                and lo_x <= nx_ <= hi_x
-                                and (blk is None or ci not in blk)
-                            ):
-                                candidate = g + sc
-                                if candidate < best_g_get(ci, _INF) - 1e-12:
-                                    best_g[ci] = candidate
-                                    parent[ci] = si
-                                    dx = (
-                                        (t_lo_x - nx_)
-                                        if nx_ < t_lo_x
-                                        else (nx_ - t_hi_x) if nx_ > t_hi_x else 0
-                                    )
-                                    heappush(
-                                        heap,
-                                        (
-                                            candidate + weight * (dx + hdy),
-                                            candidate,
-                                            ci,
-                                            dx,
-                                            hdy,
-                                        ),
-                                    )
+                            sc = step[ci]
+                            if sc >= 0.0:
+                                sc = sc + fp
+                    if sc >= 0.0:
+                        evals += 1
+                        nx_ = x + 1
+                        if in_y and lo_x <= nx_ <= hi_x:
+                            candidate = g + sc
+                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                                best_g[ci] = candidate
+                                parent[ci] = si
+                                dx = (
+                                    (t_lo_x - nx_)
+                                    if nx_ < t_lo_x
+                                    else (nx_ - t_hi_x) if nx_ > t_hi_x else 0
+                                )
+                                heappush(
+                                    heap,
+                                    (
+                                        candidate + weight * (dx + hdy),
+                                        candidate,
+                                        ci,
+                                        dx,
+                                        hdy,
+                                    ),
+                                )
 
-            # --- z moves (vias) ----------------------------------
-            if lm > 0:
-                ci = si - 1
-                sc = step[ci]
-                if sc >= 0.0:
-                    o = owner_ids[ci]
-                    if o == 0 or o == net_id:
-                        ok = True
-                    elif fp is not None and not pins[ci]:
-                        ok = True
-                        sc = sc + fp
-                    else:
-                        ok = False
-                    if ok and off_line:
+            # --- z moves (vias; none on a stitching line) ------------
+            if not on_line[x]:
+                if lm > 0:
+                    ci = si - 1
+                    sc = free_step[ci]
+                    if sc < 0.0 and sc == OWNED_STEP:
+                        if owner_ids[ci] == net_id:
+                            sc = step[ci]
+                        elif fp is not None and not pins[ci]:
+                            sc = step[ci]
+                            if sc >= 0.0:
+                                sc = sc + fp
+                    if sc >= 0.0:
                         evals += 1
                         sc = sc + via_extra[x]
-                        if in_x and in_y and (blk is None or ci not in blk):
+                        if in_x and in_y:
                             candidate = g + sc
                             if candidate < best_g_get(ci, _INF) - 1e-12:
                                 best_g[ci] = candidate
@@ -641,22 +353,20 @@ def astar_connect(
                                         hdy,
                                     ),
                                 )
-            if lm + 1 < layers_n:
-                ci = si + 1
-                sc = step[ci]
-                if sc >= 0.0:
-                    o = owner_ids[ci]
-                    if o == 0 or o == net_id:
-                        ok = True
-                    elif fp is not None and not pins[ci]:
-                        ok = True
-                        sc = sc + fp
-                    else:
-                        ok = False
-                    if ok and off_line:
+                if lm + 1 < layers_n:
+                    ci = si + 1
+                    sc = free_step[ci]
+                    if sc < 0.0 and sc == OWNED_STEP:
+                        if owner_ids[ci] == net_id:
+                            sc = step[ci]
+                        elif fp is not None and not pins[ci]:
+                            sc = step[ci]
+                            if sc >= 0.0:
+                                sc = sc + fp
+                    if sc >= 0.0:
                         evals += 1
                         sc = sc + via_extra[x]
-                        if in_x and in_y and (blk is None or ci not in blk):
+                        if in_x and in_y:
                             candidate = g + sc
                             if candidate < best_g_get(ci, _INF) - 1e-12:
                                 best_g[ci] = candidate

@@ -20,19 +20,18 @@ from typing import Optional
 
 import numpy as np
 
-from ..algorithms import steiner_tree_edges
 from ..layout import Design, Net
 from ..observe import Span, Tracer, ensure
-from .cost import (
-    VERTEX_OVERFLOW_PENALTY,  # noqa: F401  (re-export: moved to .cost)
-    VERTEX_WEIGHT,  # noqa: F401  (re-export: moved to .cost)
-)
 from .graph import GlobalGraph, Tile, vertical_run_line_ends
 
 #: Tile margin of the first (windowed) A* attempt around a subnet's
 #: endpoints; a subnet that finds no path inside it retries on the
 #: whole grid.
 ASTAR_WINDOW_MARGIN = 4
+
+#: Negotiation (rip-up and re-route) rounds after the initial pass.
+RIPUP_ROUNDS = 8
+
 
 @dataclasses.dataclass
 class GlobalRoute:
@@ -81,11 +80,6 @@ class GlobalRouter:
         stitch_aware: include the vertex (line-end) congestion term of
             Eqs. (2)–(3).  Off reproduces the wire-density-only router
             compared against in Table IV.
-        ripup_rounds: negotiation rounds after the initial pass.
-        steiner: decompose multi-pin nets over a greedy 1-Steiner tree
-            instead of the plain spanning tree (optional wirelength
-            improvement; the paper's experiments use the spanning
-            tree, so this defaults to off).
         profile: ``"off"`` / ``"counters"`` / ``"full"``.  ``"counters"``
             flushes search-level ``perf_*`` counters (maze heap
             pushes/pops, cost-cache refreshes and incremental updates)
@@ -97,8 +91,6 @@ class GlobalRouter:
     def __init__(
         self,
         stitch_aware: bool = True,
-        ripup_rounds: int = 8,
-        steiner: bool = False,
         profile: str = "off",
     ) -> None:
         if profile not in ("off", "counters", "full"):
@@ -106,8 +98,6 @@ class GlobalRouter:
                 f"profile must be 'off', 'counters' or 'full', got {profile!r}"
             )
         self.stitch_aware = stitch_aware
-        self.ripup_rounds = ripup_rounds
-        self.steiner = steiner
         self.profile = profile
         self._profiling = profile != "off"
         self._tracer: Optional[Tracer] = None
@@ -152,7 +142,7 @@ class GlobalRouter:
                         "vertex_overflow", graph.total_vertex_overflow()
                     )
 
-                for round_index in range(self.ripup_rounds):
+                for round_index in range(RIPUP_ROUNDS):
                     victims = self._overflow_victims(graph, routes)
                     if not victims:
                         break
@@ -251,12 +241,7 @@ class GlobalRouter:
     def two_pin_subnets(
         self, net: Net, graph: GlobalGraph
     ) -> list[tuple[Tile, Tile]]:
-        """Two-pin decomposition over the net's pin tiles.
-
-        Prim spanning tree by default; with ``steiner=True`` the edges
-        come from a greedy 1-Steiner tree over the tile coordinates
-        (added Steiner tiles become ordinary path endpoints).
-        """
+        """Two-pin decomposition over the net's pin tiles (Prim tree)."""
         tiles: list[Tile] = []
         seen = set()
         for pin in net.pins:
@@ -266,8 +251,6 @@ class GlobalRouter:
                 tiles.append(t)
         if len(tiles) < 2:
             return []
-        if self.steiner and len(tiles) > 2:
-            return [tuple(e) for e in steiner_tree_edges(tiles)]
         in_tree = {0}
         edges: list[tuple[Tile, Tile]] = []
         dist = {

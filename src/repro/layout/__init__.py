@@ -2,7 +2,7 @@
 
 from .design import Design
 from .netlist import Net, Netlist, Pin
-from .stitch import StitchingLines, stitch_lines_for_width
+from .stitch import StitchingLines
 from .technology import Direction, Technology
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "Pin",
     "StitchingLines",
     "Technology",
-    "stitch_lines_for_width",
 ]

@@ -150,10 +150,3 @@ class StitchingLines:
         return sum(
             1 for x in range(lo, hi + 1) if not self.in_unfriendly_region(x)
         )
-
-
-def stitch_lines_for_width(
-    width: int, config: RouterConfig | None = None
-) -> StitchingLines:
-    """Convenience wrapper for :meth:`StitchingLines.uniform`."""
-    return StitchingLines.uniform(width, config)

@@ -1,10 +1,9 @@
 """Two-pass bottom-up multilevel routing framework (Section II-B)."""
 
 from .framework import TwoPassFramework, TwoPassOutcome
-from .scheme import CoarseTile, MultilevelScheme
+from .scheme import MultilevelScheme
 
 __all__ = [
-    "CoarseTile",
     "MultilevelScheme",
     "TwoPassFramework",
     "TwoPassOutcome",

@@ -10,20 +10,9 @@ like stitching-line constraints optimizable (Section II-B).
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..layout import Design, Net
 
 Tile = tuple[int, int]
-
-
-@dataclasses.dataclass(frozen=True)
-class CoarseTile:
-    """A tile at some coarsening level."""
-
-    level: int
-    x: int
-    y: int
 
 
 class MultilevelScheme:

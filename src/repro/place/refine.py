@@ -31,12 +31,6 @@ class RefinementResult:
     unmovable_pins: int
     total_displacement: int
 
-    @property
-    def moved_fraction(self) -> float:
-        """Share of offending pins that could be legalized."""
-        offenders = self.moved_pins + self.unmovable_pins
-        return self.moved_pins / offenders if offenders else 1.0
-
 
 def refine_pin_placement(
     design: Design,

@@ -1,5 +1,6 @@
 """Tests for A* connection search and trunk materialization."""
 
+import pytest
 
 from repro.assign import TrackMethod, assign_layers, assign_tracks, extract_panels
 from repro.detailed import (
@@ -55,21 +56,66 @@ class TestAstarConnect:
         )
         assert path is None
 
-    def test_blocked_nodes_avoided(self):
+    @pytest.mark.parametrize(
+        "node,targets,end",
+        [
+            ((5, 5, 1), {(8, 5, 1)}, (8, 5, 1)),
+            ((2, 5, 1), {(8, 5, 1)}, (8, 5, 1)),
+            ((8, 5, 1), {(8, 5, 1), (8, 7, 1)}, (8, 7, 1)),
+            ((8, 5, 1), {(8, 5, 1)}, None),
+        ],
+        ids=["interior", "source", "target", "only-target"],
+    )
+    def test_blocked_nodes_avoided(self, node, targets, end):
+        # A blocked node is as impassable as a foreign-owned one: same
+        # path, same expansions.  Unlike a foreign-owned node it is
+        # still counted in cost_evaluations each time it is a candidate.
+        design = make_design()
+        runs = []
+        for walled in (False, True):
+            g = DetailedGrid(design)
+            if walled:
+                g.occupy(node, "wall")
+            stats: dict[str, float] = {}
+            path = astar_connect(
+                g,
+                "a",
+                {(2, 5, 1)},
+                targets,
+                full_window(design),
+                10_000,
+                blocked=None if walled else {node},
+                stats=stats,
+            )
+            runs.append((path, stats["astar_expansions"], g.cost_evaluations))
+        (path, expansions, evals), (w_path, w_expansions, w_evals) = runs
+        assert path == w_path
+        assert expansions == w_expansions
+        assert evals > w_evals
+        if end is None:
+            assert path is None
+        else:
+            assert path is not None
+            assert path[0] == (2, 5, 1) and path[-1] == end
+            assert node not in path[1:]
+
+    def test_owned_structural_block_stays_impassable(self):
+        # (15, 5, 2) is a vertical-layer node on a stitching line.  Owning
+        # it does not make it passable, not even at the foreign penalty.
         design = make_design()
         g = DetailedGrid(design)
-        blocked = {(5, 5, 1)}
+        assert g.is_blocked((15, 5, 2))
+        g.force_occupy((15, 5, 2), "wall")
         path = astar_connect(
             g,
             "a",
-            {(2, 5, 1)},
-            {(8, 5, 1)},
+            {(15, 4, 2)},
+            {(15, 5, 2)},
             full_window(design),
             10_000,
-            blocked=blocked,
+            foreign_penalty=30.0,
         )
-        assert path is not None
-        assert (5, 5, 1) not in path
+        assert path is None
 
     def test_detours_around_foreign_wire(self):
         design = make_design()

@@ -16,6 +16,7 @@ import pytest
 
 from repro.benchmarks_gen import mcnc_stress_design
 from repro.globalroute import GlobalRouter
+from repro.globalroute.router import RIPUP_ROUNDS
 from repro.observe import Tracer
 from tests.engine import reference
 
@@ -48,7 +49,7 @@ def test_negotiation_rounds_identical_across_engines(case, monkeypatch):
     ref, ref_trace = route(design, stitch_aware)
 
     rounds = [s for s in prod_trace.walk() if s.name == "negotiation-round"]
-    assert len(rounds) == GlobalRouter().ripup_rounds
+    assert len(rounds) == RIPUP_ROUNDS
     assert all(s.counters["ripup_victims"] > 0 for s in rounds)
 
     assert {n: r.paths for n, r in prod.routes.items()} == {

@@ -13,11 +13,11 @@ expansions, heap pushes and pops, and for the detailed A* the same
 
 Searches are drawn the way the routers issue them: detailed windows
 from :func:`~repro.detailed.search.connection_window` or the full
-grid, with and without ``foreign_penalty`` and ``blocked`` (the
-specialized and the general search loop), with source and target sets
-on both sides of the 16-node threshold of the vectorized seeding;
-global windows as the ``ASTAR_WINDOW_MARGIN`` box around the two
-tiles or the full grid.
+grid, with and without ``foreign_penalty`` (the owned-node branch of
+the search loop) and ``blocked`` (nodes seeded as unrelaxable), with
+small source and target sets as well as large ones like the whole net
+components rip-up reconnects pass; global windows as the
+``ASTAR_WINDOW_MARGIN`` box around the two tiles or the full grid.
 """
 
 import numpy as np
@@ -85,7 +85,8 @@ def nodes_of(design):
 
 
 def node_sets(design):
-    # Both sides of the 16-node threshold of the vectorized seeding.
+    # Few endpoints, as a pin attach issues, or many, as a rip-up
+    # reconnect of whole net components issues.
     nodes = nodes_of(design)
     return st.one_of(
         st.lists(nodes, min_size=1, max_size=6, unique=True),

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import _profile_path, build_parser, main
+from repro.observe import StreamingTracer
 
 
 class TestParser:
@@ -254,6 +255,23 @@ class TestStreamingCommands:
         err = capsys.readouterr().err
         assert err.startswith("repro watch: ")
         assert str(bogus) in err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--interval", v) for v in ("0", "-1", "inf", "nan")]
+        + [("--timeout", v) for v in ("0", "-1")],
+    )
+    def test_watch_rejects_bad_seconds(self, flag, value, capsys, tmp_path):
+        # A header-only stream: a watcher that accepted the value would
+        # return 1 here (no finish event) instead of hanging.
+        stream = tmp_path / "open.ndjson"
+        StreamingTracer(stream).close()
+        with pytest.raises(SystemExit) as exc:
+            main(["watch", str(stream), "--no-follow", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
 
     def test_perf_counters_route_prints_report(self, capsys):
         assert main([
