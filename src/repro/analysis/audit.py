@@ -613,7 +613,7 @@ def _check_shorts(
 def _check_global_accounting(
     global_result: "GlobalRoutingResult", findings: list[AuditFinding]
 ) -> None:
-    """AUD007: demand arrays must equal the recompute from final routes."""
+    """AUD007: the graph's demand must equal the recompute from final routes."""
     graph = global_result.graph
     h: Counter[tuple[int, int]] = Counter()
     v: Counter[tuple[int, int]] = Counter()

@@ -252,15 +252,15 @@ AUD007 = Rule(
     code="AUD007",
     title="global-routing capacity accounting drift",
     rationale=(
-        "The global graph's edge and vertex (line-end) demand arrays "
-        "drive every congestion decision; if they differ from the "
+        "The global graph's edge and vertex (line-end) demand state "
+        "drives every congestion decision; if it differs from the "
         "demand recomputed from the final routes, place/unplace "
         "bookkeeping has leaked and negotiation was steered by stale "
         "numbers."
     ),
     fix_hint=(
-        "check that every _place_path has a matching _unplace_path "
-        "(rip-up, failed subnets)"
+        "check that every GlobalGraph.apply_path(path, +1) has a "
+        "matching apply_path(path, -1) (rip-up, failed subnets)"
     ),
     routing_only=False,
 )

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
+import operator
 import os
 
 
@@ -42,7 +44,10 @@ class RouterConfig:
     """Parameters shared by every stage of the routing framework.
 
     Geometry/cost attributes (used by the stages through
-    ``design.config``):
+    ``design.config``).  The six counts are integers (anything
+    :func:`operator.index` accepts, stored as ``int``) and the three
+    weights finite and non-negative; a malformed value raises
+    ``ValueError`` naming its field:
 
     Attributes:
         stitch_spacing: distance between two stitching lines, in pitches.
@@ -56,9 +61,11 @@ class RouterConfig:
         beta: via-in-stitch-unfriendly-region weight in Eq. (10).
         gamma: escape-region weight in Eq. (10).  The paper requires
             ``beta`` to be much larger than ``gamma``.
-        max_ripup_iterations: rip-up and re-route rounds for failed nets.
+        max_ripup_iterations: rip-up and re-route rounds for failed nets
+            (0 or more).
         detail_expansion_limit: A* node-expansion budget per net and
-            attempt; keeps worst-case detailed routing bounded.
+            attempt (1 or more); keeps worst-case detailed routing
+            bounded.
         audit: run the independent solution auditor
             (:func:`repro.analysis.audit_solution`) on the final
             result and attach its :class:`~repro.analysis.AuditReport`
@@ -121,6 +128,21 @@ class RouterConfig:
             object.__setattr__(
                 self, "coloring", ColoringMethod(self.coloring)
             )
+        for name in (
+            "stitch_spacing",
+            "epsilon",
+            "escape_width",
+            "tile_size",
+            "max_ripup_iterations",
+            "detail_expansion_limit",
+        ):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
         if self.stitch_spacing < 3:
             raise ValueError("stitch_spacing must be at least 3 pitches")
         if self.epsilon < 0:
@@ -132,8 +154,25 @@ class RouterConfig:
             )
         if self.tile_size < 2:
             raise ValueError("tile_size must be at least 2 pitches")
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("cost weights must be non-negative")
+        for name in ("alpha", "beta", "gamma"):
+            # The A* searches need step costs that are non-negative
+            # and comparable: a NaN weight fails every relaxation test.
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"cost weight {name} must be finite and non-negative, "
+                    f"got {value!r}"
+                )
+        if self.max_ripup_iterations < 0:
+            raise ValueError(
+                "max_ripup_iterations must be non-negative, "
+                f"got {self.max_ripup_iterations}"
+            )
+        if self.detail_expansion_limit < 1:
+            raise ValueError(
+                "detail_expansion_limit must be at least 1, "
+                f"got {self.detail_expansion_limit}"
+            )
         if not isinstance(self.audit, bool):
             raise ValueError(f"audit must be a bool, got {self.audit!r}")
         if self.profile not in ("off", "counters", "full"):

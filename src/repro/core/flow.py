@@ -116,8 +116,10 @@ class StitchAwareRouter:
         config = self.config
 
         def global_stage(d: Design, ordered) -> GlobalRoutingResult:
-            # Pass 1: bottom-up global routing of local nets first; the
-            # router re-derives the same bottom-up order internally.
+            # Pass 1: bottom-up global routing of local nets first.  The
+            # router orders the nets itself, by (tile extent, hpwl,
+            # name), and ignores ``ordered``: the scheme's (level, hpwl,
+            # name) order, which pass 2 uses, is a different order.
             return GlobalRouter(
                 stitch_aware=config.stitch_aware_global,
                 profile=config.profile,

@@ -25,29 +25,17 @@ caches, flat lists indexed by the tile code ``t = i * ny + j``:
   (Eq. (2) next-use cost scaled by ``VERTEX_WEIGHT``, plus history and
   the hard overflow penalty).
 
-Every entry is a Python ``float``, and everything an entry is priced
-from is a Python number: the graph keeps flat Python mirrors of its
-demand, capacity and history arrays.  A ``numpy.float64`` entry (a
-numpy history read makes one) turns the arithmetic of every relaxation
-into numpy scalar arithmetic, three to four times slower than float
-arithmetic, and a numpy element read costs several list reads
-(``docs/performance.md`` has the measurements).  The numpy arrays stay
-for the vectorized readers: the overflow sums, the router's victim
-selection and history bump, and the auditor.
-
-Caches and the demand and history mirrors follow the incremental
-obstacle-cache idiom: rebuilt wholesale by
-:meth:`~GlobalGraph.refresh_cost_cache` (at construction and after the
-history bump) and updated entry-wise by the demand mutators.
-Capacities never change, so their mirrors are built once, with the
-graph.  Every entry comes from the scalar step prices
+The caches are priced from the graph's state: flat Python lists of
+demand, capacity and history, indexed the same way (see
+:class:`GlobalGraph`), so every entry is a Python ``float``.  A
+``numpy.float64`` entry would turn the arithmetic of every relaxation
+into numpy scalar arithmetic, three to four times slower, and a numpy
+element read costs several list reads (``docs/performance.md`` has the
+measurements).  Every entry comes from the scalar step prices
 (:func:`~repro.globalroute.cost.edge_price`,
 :func:`~repro.globalroute.cost.line_end_price`) that
 :func:`~repro.globalroute.cost.edge_cost_if_used` and
-:func:`~repro.globalroute.cost.vertex_price` apply to the numpy state
-— not the vectorized
-:func:`~repro.globalroute.cost.congestion_cost_array`, whose
-``numpy.exp2`` may differ from CPython ``2.0 ** x`` in the last ulp.
+:func:`~repro.globalroute.cost.vertex_price` apply to the same lists.
 """
 
 from __future__ import annotations
@@ -78,41 +66,50 @@ class TileSpan:
     y_hi: int
 
 
-def _flat(array: np.ndarray, ny: int) -> list:
-    """``array`` as a Python list indexed by tile code ``i * ny + j``.
+def _read_only(values: Sequence[int], ny: int, columns: int) -> np.ndarray:
+    """A read-only ``int64`` copy of the state list ``values``.
 
-    ``v`` edge arrays have ``ny - 1`` columns and are zero-padded at
-    ``j = ny - 1``: an edge that does not exist reads as zero capacity
-    (and the search never steps across it).
+    ``values`` is indexed by tile code ``i * ny + j``; the copy keeps
+    its first ``columns`` columns (``ny - 1`` for ``v`` edges, which
+    drops their zero pad).
     """
-    missing = ny - array.shape[1]
-    if missing:
-        array = np.pad(array, ((0, 0), (0, missing)))
-    values: list = array.ravel().tolist()
-    return values
+    array = np.array(values, dtype=np.int64).reshape(-1, ny)[:, :columns]
+    array.setflags(write=False)
+    return array
+
+
+def _overflows(demand: list[int], capacity: list[int]) -> Iterator[int]:
+    """Demand above capacity, entry by entry (``0`` where none)."""
+    return (max(d - c, 0) for d, c in zip(demand, capacity))
+
+
+def _overflowed(demand: list[int], capacity: list[int]) -> Iterator[int]:
+    """Tile codes of the entries whose demand exceeds their capacity."""
+    return (t for t, (d, c) in enumerate(zip(demand, capacity)) if d > c)
 
 
 class GlobalGraph:
-    """Tile graph with edge and vertex capacities/demands.
+    """Tile graph with edge and vertex capacities, demands and history.
 
-    Edge arrays are indexed as:
-
-    * ``h_*[i, j]`` — the edge between tiles ``(i, j)`` and ``(i+1, j)``
-      (a wire crossing it runs horizontally);
-    * ``v_*[i, j]`` — the edge between tiles ``(i, j)`` and ``(i, j+1)``
-      (a wire crossing it runs vertically).
-
-    The demand mutators keep the cost caches and Python mirrors fresh;
-    code that changes the history arrays directly must call
-    :meth:`refresh_cost_cache` afterwards.
+    The state lists are the graph's only store, indexed by tile code:
+    ``_h_*`` (``(nx - 1) * ny`` entries) for the edge between tiles
+    ``(i, j)`` and ``(i + 1, j)``, which a horizontal wire crosses;
+    ``_v_*`` (``nx * ny``) for the edge between ``(i, j)`` and
+    ``(i, j + 1)``, zero-padded at ``j = ny - 1`` where no edge exists;
+    ``_t_*`` (``nx * ny``) for the tiles.  Only the graph writes them:
+    the demand mutators re-price one cache entry, :meth:`bump_history`
+    every entry.  Bulk readers get read-only ``int64`` copies
+    (``h_demand``, ``v_demand``, ``vertex_demand`` and the three
+    ``*_capacity`` properties) shaped ``(nx - 1, ny)``, ``(nx, ny - 1)``
+    and ``(nx, ny)``.
     """
 
     # Cost caches, by tile code.
     _h_cost: list[float]
     _v_cost: list[float]
     _v_price: list[float]
-    # Python mirrors of the numpy state, by tile code: demand and
-    # capacity ints, history floats, for h edges, v edges and tiles.
+    # The state, by tile code: demand and capacity ints, history
+    # floats, for h edges, v edges and tiles.
     _h_dem: list[int]
     _h_cap: list[int]
     _h_hist: list[float]
@@ -134,6 +131,7 @@ class GlobalGraph:
         tile = design.config.tile_size
         self.tile_size = tile
         self.nx, self.ny = self.grid_shape(design)
+        nx, ny = self.nx, self.ny
 
         tech = design.technology
         stitches = design.stitches
@@ -141,49 +139,66 @@ class GlobalGraph:
         num_h_layers = len(tech.horizontal_layers)
         num_v_layers = len(tech.vertical_layers)
 
-        # Per-tile-column vertical track counts.
-        v_usable = np.zeros(self.nx, dtype=np.int64)
-        v_friendly = np.zeros(self.nx, dtype=np.int64)
-        for i in range(self.nx):
-            span = self.tile_span((i, 0))
-            v_usable[i] = stitches.usable_vertical_tracks(span.x_lo, span.x_hi)
-            v_friendly[i] = stitches.friendly_vertical_tracks(
-                span.x_lo, span.x_hi
-            )
-        # Per-tile-row horizontal track counts.
-        h_tracks = np.zeros(self.ny, dtype=np.int64)
-        for j in range(self.ny):
-            span = self.tile_span((0, j))
-            h_tracks[j] = span.y_hi - span.y_lo + 1
-
         # Edge capacities.  A horizontal edge at row j carries wires on
         # the horizontal tracks of that row across all horizontal
         # layers; a vertical edge in column i carries wires on the
-        # usable vertical tracks across all vertical layers.
-        self.h_capacity = np.tile(
-            (h_tracks * num_h_layers)[None, :], (max(self.nx - 1, 0), 1)
-        ).astype(np.int64)
-        self.v_capacity = np.tile(
-            (v_usable * num_v_layers)[:, None], (1, max(self.ny - 1, 0))
-        ).astype(np.int64)
-        # Vertex (line-end) capacity of each tile.
-        self.vertex_capacity = np.tile(
-            (v_friendly * num_v_layers)[:, None], (1, self.ny)
-        ).astype(np.int64)
+        # usable vertical tracks across all vertical layers.  The
+        # vertex (line-end) capacity of a tile counts the friendly
+        # vertical tracks of its column across all vertical layers.
+        h_row: list[int] = []
+        for j in range(ny):
+            span = self.tile_span((0, j))
+            h_row.append((span.y_hi - span.y_lo + 1) * num_h_layers)
+        self._h_cap = h_row * (nx - 1)
+        self._v_cap = []
+        self._t_cap = []
+        for i in range(nx):
+            span = self.tile_span((i, 0))
+            usable = stitches.usable_vertical_tracks(span.x_lo, span.x_hi)
+            friendly = stitches.friendly_vertical_tracks(span.x_lo, span.x_hi)
+            self._v_cap += [usable * num_v_layers] * (ny - 1) + [0]
+            self._t_cap += [friendly * num_v_layers] * ny
 
-        self.h_demand = np.zeros_like(self.h_capacity)
-        self.v_demand = np.zeros_like(self.v_capacity)
-        self.vertex_demand = np.zeros_like(self.vertex_capacity)
-        self.h_history = np.zeros(self.h_capacity.shape, dtype=np.float64)
-        self.v_history = np.zeros(self.v_capacity.shape, dtype=np.float64)
-        self.vertex_history = np.zeros(
-            self.vertex_capacity.shape, dtype=np.float64
-        )
-        ny = self.ny
-        self._h_cap = _flat(self.h_capacity, ny)
-        self._v_cap = _flat(self.v_capacity, ny)
-        self._t_cap = _flat(self.vertex_capacity, ny)
+        self._h_dem = [0] * len(self._h_cap)
+        self._v_dem = [0] * len(self._v_cap)
+        self._t_dem = [0] * len(self._t_cap)
+        self._h_hist = [0.0] * len(self._h_cap)
+        self._v_hist = [0.0] * len(self._v_cap)
+        self._t_hist = [0.0] * len(self._t_cap)
         self.refresh_cost_cache()
+
+    # ------------------------------------------------------------------
+    # Read-only copies of the state, for bulk readers
+    # ------------------------------------------------------------------
+    @property
+    def h_demand(self) -> np.ndarray:
+        """Wire demand of the ``h`` edges, ``(nx - 1, ny)``."""
+        return _read_only(self._h_dem, self.ny, self.ny)
+
+    @property
+    def v_demand(self) -> np.ndarray:
+        """Wire demand of the ``v`` edges, ``(nx, ny - 1)``."""
+        return _read_only(self._v_dem, self.ny, self.ny - 1)
+
+    @property
+    def vertex_demand(self) -> np.ndarray:
+        """Line-end demand of the tiles, ``(nx, ny)``."""
+        return _read_only(self._t_dem, self.ny, self.ny)
+
+    @property
+    def h_capacity(self) -> np.ndarray:
+        """Wire capacity of the ``h`` edges, ``(nx - 1, ny)``."""
+        return _read_only(self._h_cap, self.ny, self.ny)
+
+    @property
+    def v_capacity(self) -> np.ndarray:
+        """Wire capacity of the ``v`` edges, ``(nx, ny - 1)``."""
+        return _read_only(self._v_cap, self.ny, self.ny - 1)
+
+    @property
+    def vertex_capacity(self) -> np.ndarray:
+        """Line-end capacity of the tiles, ``(nx, ny)``."""
+        return _read_only(self._t_cap, self.ny, self.ny)
 
     # ------------------------------------------------------------------
     # Tile geometry
@@ -193,7 +208,7 @@ class GlobalGraph:
         """Tile grid dimensions ``(nx, ny)`` the graph would have.
 
         Lets callers (the multilevel scheme in particular) size the
-        hierarchy without building the capacity arrays of a full graph.
+        hierarchy without building the capacity lists of a full graph.
         """
         tile = design.config.tile_size
         nx = max(1, (design.width + tile - 1) // tile)
@@ -220,12 +235,6 @@ class GlobalGraph:
             min(x // self.tile_size, self.nx - 1),
             min(y // self.tile_size, self.ny - 1),
         )
-
-    def tiles(self) -> Iterator[Tile]:
-        """All tiles in row-major order."""
-        for j in range(self.ny):
-            for i in range(self.nx):
-                yield (i, j)
 
     def neighbors(self, tile: Tile) -> list[Tile]:
         """4-adjacent tiles inside the grid."""
@@ -256,12 +265,12 @@ class GlobalGraph:
     def edge_capacity(self, key: tuple[str, int, int]) -> int:
         """Capacity of the edge ``key``."""
         kind, i, j = key
-        return int(self.h_capacity[i, j] if kind == "h" else self.v_capacity[i, j])
+        return (self._h_cap if kind == "h" else self._v_cap)[i * self.ny + j]
 
     def edge_demand(self, key: tuple[str, int, int]) -> int:
         """Current demand of the edge ``key``."""
         kind, i, j = key
-        return int(self.h_demand[i, j] if kind == "h" else self.v_demand[i, j])
+        return (self._h_dem if kind == "h" else self._v_dem)[i * self.ny + j]
 
     def add_edge_demand(self, key: tuple[str, int, int], delta: int) -> None:
         """Adjust the demand of edge ``key`` by ``delta``."""
@@ -271,14 +280,12 @@ class GlobalGraph:
         if kind == "h":
             demand = self._h_dem[t] + delta
             self._h_dem[t] = demand
-            self.h_demand[i, j] = demand
             self._h_cost[t] = WL_WEIGHT + edge_price(
                 demand, self._h_cap[t], self._h_hist[t]
             )
         else:
             demand = self._v_dem[t] + delta
             self._v_dem[t] = demand
-            self.v_demand[i, j] = demand
             self._v_cost[t] = WL_WEIGHT + edge_price(
                 demand, self._v_cap[t], self._v_hist[t]
             )
@@ -290,7 +297,6 @@ class GlobalGraph:
         t = i * self.ny + j
         demand = self._t_dem[t] + delta
         self._t_dem[t] = demand
-        self.vertex_demand[i, j] = demand
         self._v_price[t] = line_end_price(demand, self._t_cap[t], self._t_hist[t])
 
     def apply_path(self, path: Sequence[Tile], delta: int) -> None:
@@ -309,21 +315,12 @@ class GlobalGraph:
     # Cost caches
     # ------------------------------------------------------------------
     def refresh_cost_cache(self) -> None:
-        """Rebuild the demand and history mirrors from the numpy state
-        and re-price every cache entry with the scalar step prices.
+        """Re-price every cache entry from the state lists with the
+        scalar step prices.
 
-        Called at construction and by the router after the history
-        bump (which mutates the history arrays behind the graph's
-        back).
+        Runs at construction and from :meth:`bump_history`.
         """
         self.perf_cache_refreshes += 1
-        ny = self.ny
-        self._h_dem = _flat(self.h_demand, ny)
-        self._h_hist = _flat(self.h_history, ny)
-        self._v_dem = _flat(self.v_demand, ny)
-        self._v_hist = _flat(self.v_history, ny)
-        self._t_dem = _flat(self.vertex_demand, ny)
-        self._t_hist = _flat(self.vertex_history, ny)
         self._h_cost = [
             WL_WEIGHT + edge_price(d, c, h)
             for d, c, h in zip(self._h_dem, self._h_cap, self._h_hist)
@@ -515,27 +512,55 @@ class GlobalGraph:
         return [divmod(s // 3, ny) for s in states]
 
     # ------------------------------------------------------------------
+    # Negotiation
+    # ------------------------------------------------------------------
+    def overflowed(self) -> tuple[set[tuple[Tile, Tile]], set[Tile]]:
+        """Each overflowed edge as the two tile steps that cross it, and
+        the overflowed tiles."""
+        ny = self.ny
+        steps: set[tuple[Tile, Tile]] = set()
+        for demand, capacity, di, dj in (
+            (self._h_dem, self._h_cap, 1, 0),
+            (self._v_dem, self._v_cap, 0, 1),
+        ):
+            for t in _overflowed(demand, capacity):
+                i, j = divmod(t, ny)
+                steps.update((((i, j), (i + di, j + dj)), ((i + di, j + dj), (i, j))))
+        tiles = {divmod(t, ny) for t in _overflowed(self._t_dem, self._t_cap)}
+        return steps, tiles
+
+    def bump_history(self, line_ends: bool) -> None:
+        """Raise by ``0.5`` the history of every overflowed edge and,
+        when ``line_ends`` is true, of every overflowed tile; then
+        re-price every cache entry."""
+        state = [
+            (self._h_dem, self._h_cap, self._h_hist),
+            (self._v_dem, self._v_cap, self._v_hist),
+        ]
+        if line_ends:
+            state.append((self._t_dem, self._t_cap, self._t_hist))
+        for demand, capacity, history in state:
+            for t in _overflowed(demand, capacity):
+                history[t] += 0.5
+        self.refresh_cost_cache()
+
+    # ------------------------------------------------------------------
     # Overflow metrics (Table IV)
     # ------------------------------------------------------------------
     def edge_overflow(self) -> int:
         """Total wire overflow over all edges."""
-        h = np.maximum(self.h_demand - self.h_capacity, 0).sum()
-        v = np.maximum(self.v_demand - self.v_capacity, 0).sum()
-        return int(h + v)
+        return sum(_overflows(self._h_dem, self._h_cap)) + sum(
+            _overflows(self._v_dem, self._v_cap)
+        )
 
     def total_vertex_overflow(self) -> int:
         """TVOF: summed line-end overflow over all tiles."""
-        return int(
-            np.maximum(self.vertex_demand - self.vertex_capacity, 0).sum()
-        )
+        return sum(_overflows(self._t_dem, self._t_cap))
 
     def max_vertex_overflow(self) -> int:
-        """MVOF: worst line-end overflow among all tiles."""
-        if self.vertex_demand.size == 0:
-            return 0
-        return int(
-            np.maximum(self.vertex_demand - self.vertex_capacity, 0).max()
-        )
+        """MVOF: worst line-end overflow among all tiles (0 without
+        tiles)."""
+        return max(_overflows(self._t_dem, self._t_cap), default=0)
 
 
 def vertical_run_line_ends(path: Sequence[Tile]) -> list[Tile]:

@@ -1,9 +1,10 @@
 """Sequential congestion-driven global routing.
 
 Nets are decomposed into two-pin subnets (Prim spanning tree over the
-pins), ordered bottom-up (nets local to smaller tile neighbourhoods
-first, per the multilevel scheme of Section II-B), and routed by A* on
-the tile graph.  In stitch-aware mode the path cost follows Eq. (3):
+pins), ordered bottom-up by their own tile extent (nets local to
+smaller tile neighbourhoods first, Section II-B; this is not the
+multilevel scheme's level order, which the detailed pass uses), and
+routed by A* on the tile graph.  In stitch-aware mode the path cost follows Eq. (3):
 edge congestion plus the vertex (line-end) congestion term; the
 baseline mode — standing in for NTUgr [5] — prices edges only.
 
@@ -17,8 +18,6 @@ import dataclasses
 import time
 from collections.abc import Sequence
 from typing import Optional
-
-import numpy as np
 
 from ..layout import Design, Net
 from ..observe import Span, Tracer, ensure
@@ -150,9 +149,10 @@ class GlobalRouter:
                         "negotiation-round", round=round_index
                     ) as span:
                         stats = {}
-                        self._bump_history(graph)
+                        graph.bump_history(line_ends=self.stitch_aware)
                         for name in victims:
-                            self._unplace(graph, routes.pop(name))
+                            for path in routes.pop(name).paths:
+                                graph.apply_path(path, -1)
                         victim_nets = [
                             design.netlist[name] for name in victims
                         ]
@@ -297,9 +297,9 @@ class GlobalRouter:
             path = self._astar(graph, src, dst, stats)
             if path is None:
                 for placed in paths:
-                    self._unplace_path(graph, placed)
+                    graph.apply_path(placed, -1)
                 return None
-            self._place_path(graph, path)
+            graph.apply_path(path, +1)
             paths.append(path)
         return GlobalRoute(net=net, paths=paths)
 
@@ -341,44 +341,17 @@ class GlobalRouter:
         )
 
     # ------------------------------------------------------------------
-    # Demand bookkeeping
-    # ------------------------------------------------------------------
-    def _place_path(self, graph: GlobalGraph, path: Sequence[Tile]) -> None:
-        graph.apply_path(path, +1)
-
-    def _unplace_path(self, graph: GlobalGraph, path: Sequence[Tile]) -> None:
-        graph.apply_path(path, -1)
-
-    def _unplace(self, graph: GlobalGraph, route: GlobalRoute) -> None:
-        for path in route.paths:
-            self._unplace_path(graph, path)
-
-    # ------------------------------------------------------------------
     # Negotiation
     # ------------------------------------------------------------------
     def _overflow_victims(
         self, graph: GlobalGraph, routes: dict[str, GlobalRoute]
     ) -> list[str]:
         """Nets crossing an overflowed edge or, in stitch-aware mode,
-        holding a line end on a vertex-overflowed tile.
-
-        The overflowed resources are collected once per call (one per
-        negotiation round): each overflowed edge as the two tile steps
-        that cross it, each overflowed tile as itself.
-        """
-        over_steps: set[tuple[Tile, Tile]] = set()
-        for i, j in np.argwhere(graph.h_demand > graph.h_capacity).tolist():
-            over_steps.update((((i, j), (i + 1, j)), ((i + 1, j), (i, j))))
-        for i, j in np.argwhere(graph.v_demand > graph.v_capacity).tolist():
-            over_steps.update((((i, j), (i, j + 1)), ((i, j + 1), (i, j))))
-        over_tiles: set[Tile] = set()
-        if self.stitch_aware:
-            over_tiles = {
-                (i, j)
-                for i, j in np.argwhere(
-                    graph.vertex_demand > graph.vertex_capacity
-                ).tolist()
-            }
+        holding a line end on a vertex-overflowed tile
+        (:meth:`GlobalGraph.overflowed`, once per negotiation round)."""
+        over_steps, over_tiles = graph.overflowed()
+        if not self.stitch_aware:
+            over_tiles = set()
         victims: list[str] = []
         for name, route in routes.items():
             for path in route.paths:
@@ -389,16 +362,3 @@ class GlobalRouter:
                     victims.append(name)
                     break
         return victims
-
-    def _bump_history(self, graph: GlobalGraph) -> None:
-        """Raise history cost on currently overflowed resources."""
-        over_h = graph.h_demand > graph.h_capacity
-        over_v = graph.v_demand > graph.v_capacity
-        graph.h_history[over_h] += 0.5
-        graph.v_history[over_v] += 0.5
-        if self.stitch_aware:
-            over_vertex = graph.vertex_demand > graph.vertex_capacity
-            graph.vertex_history[over_vertex] += 0.5
-        # History feeds the graph's cost caches; rebuild them after
-        # mutating it behind the graph's back.
-        graph.refresh_cost_cache()

@@ -49,6 +49,8 @@ def design_to_dict(design: Design) -> dict:
             "alpha": design.config.alpha,
             "beta": design.config.beta,
             "gamma": design.config.gamma,
+            "max_ripup_iterations": design.config.max_ripup_iterations,
+            "detail_expansion_limit": design.config.detail_expansion_limit,
         },
         "stitch_lines": list(design.stitches.xs),
         "nets": [

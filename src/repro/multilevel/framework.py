@@ -44,7 +44,9 @@ class TwoPassFramework(Generic[GlobalResultT, AssignResultT, DetailResultT]):
 
     Args:
         global_stage: callable ``(design, ordered_nets) -> G`` that
-            globally routes the nets in the given bottom-up order.
+            globally routes the nets.  It may order them itself: the
+            flows' global router sorts by tile extent and ignores
+            ``ordered_nets``.
         assign_stage: callable ``(design, G) -> A`` performing
             layer/track assignment on the global routing solution.
         detail_stage: callable ``(design, G, A, ordered_nets) -> D``

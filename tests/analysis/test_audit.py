@@ -230,11 +230,11 @@ class TestInjectedCorruption:
     def test_demand_bump_fires_aud007(self, flows):
         flow = flows["stitch-aware"]
         graph = flow.global_result.graph
-        graph.h_demand[0, 0] += 1
+        graph.add_edge_demand(("h", 0, 0), +1)
         try:
             audit = _audit(flow)
         finally:
-            graph.h_demand[0, 0] -= 1
+            graph.add_edge_demand(("h", 0, 0), -1)
         findings = [f for f in audit.findings if f.rule == "AUD007"]
         assert findings
         assert "h-edge (0, 0)" in findings[0].message

@@ -12,8 +12,8 @@ is not collected as a test, and no ``src`` module imports it):
 * :func:`astar_in_window` — the direction-aware global maze over
   ``((i, j), direction)`` tuple states, pricing every step with
   :func:`~repro.globalroute.cost.edge_cost_if_used` and
-  :func:`~repro.globalroute.cost.vertex_price` on the graph's numpy
-  arrays, never from its cost caches.
+  :func:`~repro.globalroute.cost.vertex_price` on the graph's state
+  lists, never from its cost caches.
 
 Both keep the production searches' observable contract: the same
 successor order, tie-breaking, relaxation slack and counters (heap

@@ -1,83 +1,22 @@
-"""The congestion kernels and the global graph's cost caches.
+"""The global graph's cost caches against the pricing of its state.
 
-:func:`repro.globalroute.cost.congestion_cost_array` powers bulk
-analysis; the global graph's cost caches deliberately call the scalar
-kernel instead (``numpy.exp2`` vs CPython ``2.0 ** x`` may differ in
-the last ulp).  These properties pin down both facts: the piecewise
-branches agree exactly, and the smooth branch agrees to float64
-round-off.  The last property drives a :class:`GlobalGraph` through
-random demand changes and history bumps and checks that every cache
-entry is a plain ``float`` bit-equal to the pricing of the numpy
-state, and that every flat Python mirror equals its numpy array.
+The search reads cost caches that the demand mutators and the history
+bump keep fresh entry by entry.  The property drives a
+:class:`GlobalGraph` through random placements, rip-ups and history
+bumps and checks that every cache entry is a plain ``float``
+bit-equal to :func:`~repro.globalroute.cost.edge_cost_if_used` or
+:func:`~repro.globalroute.cost.vertex_price`, which price the graph's
+state lists directly.
 """
 
-import math
-
-import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import RouterConfig
-from repro.globalroute import GlobalGraph, GlobalRouter
-from repro.globalroute.cost import (
-    _ZERO_CAPACITY_PENALTY,
-    WL_WEIGHT,
-    congestion_cost,
-    congestion_cost_array,
-    edge_cost_if_used,
-    vertex_price,
-)
+from repro.globalroute import GlobalGraph
+from repro.globalroute.cost import WL_WEIGHT, edge_cost_if_used, vertex_price
 from repro.layout import Design, Netlist, Technology
 from tests.globalroute.test_router import two_pin
-
-finite = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-demands = st.integers(min_value=-50, max_value=200)
-capacities = st.integers(min_value=-5, max_value=100)
-
-
-@given(st.lists(st.tuples(demands, capacities), min_size=1, max_size=32))
-def test_matches_scalar_kernel_elementwise(pairs):
-    d = np.array([p[0] for p in pairs], dtype=np.float64)
-    c = np.array([p[1] for p in pairs], dtype=np.float64)
-    out = congestion_cost_array(d, c)
-    for k, (demand, capacity) in enumerate(pairs):
-        expected = congestion_cost(demand, capacity)
-        assert out[k] == pytest.approx(expected, rel=1e-12, abs=0.0) or (
-            out[k] == expected
-        )
-
-
-@given(demands.filter(lambda d: d <= 0), capacities)
-def test_nonpositive_demand_is_exactly_free(demand, capacity):
-    assert congestion_cost_array(demand, capacity).item() == 0.0
-
-
-@given(demands.filter(lambda d: d > 0), capacities.filter(lambda c: c <= 0))
-def test_zero_capacity_branch_is_exactly_linear(demand, capacity):
-    out = congestion_cost_array(demand, capacity).item()
-    assert out == _ZERO_CAPACITY_PENALTY * demand
-
-
-@given(finite, finite)
-def test_scalar_inputs_broadcast_to_scalars(demand, capacity):
-    out = congestion_cost_array(demand, capacity)
-    assert out.shape == ()
-    # Costs are non-negative; extreme demand/capacity ratios may
-    # saturate to +inf (2^1024 overflows float64), never to NaN.
-    assert out.item() >= 0.0 and not math.isnan(out.item())
-
-
-def test_broadcasts_demand_row_against_capacity_column():
-    d = np.arange(4, dtype=np.float64)
-    c = np.array([[1.0], [2.0]])
-    out = congestion_cost_array(d, c)
-    assert out.shape == (2, 4)
-    assert out[0, 0] == 0.0
-    assert out[1, 2] == pytest.approx(congestion_cost(2.0, 2.0), rel=1e-12)
-
 
 # An 8 x 5 tile grid with edge capacities around 5 and line-end
 # capacities of 1 to 5, so a few stacked paths overflow.
@@ -118,7 +57,7 @@ operations = st.lists(
 
 def assert_cache_exact(graph):
     """Every cache entry is a ``float`` bit-equal to the pricing of
-    the numpy state."""
+    the state lists."""
     ny = graph.ny
     for i in range(graph.nx):
         for j in range(ny):
@@ -139,57 +78,24 @@ def assert_cache_exact(graph):
                 assert entry.hex() == float(reference).hex(), (kind, i, j)
 
 
-#: Each flat Python mirror and the numpy array it mirrors, with the
-#: Python type its entries must have.
-MIRRORS = (
-    ("_h_dem", "h_demand", int),
-    ("_v_dem", "v_demand", int),
-    ("_t_dem", "vertex_demand", int),
-    ("_h_cap", "h_capacity", int),
-    ("_v_cap", "v_capacity", int),
-    ("_t_cap", "vertex_capacity", int),
-    ("_h_hist", "h_history", float),
-    ("_v_hist", "v_history", float),
-    ("_t_hist", "vertex_history", float),
-)
-
-
-def assert_mirrors_exact(graph):
-    """Every mirror entry equals its numpy element, as a Python number."""
-    ny = graph.ny
-    for mirror, name, kind in MIRRORS:
-        values = getattr(graph, mirror)
-        array = getattr(graph, name)
-        assert len(values) == array.shape[0] * ny, mirror
-        for (i, j), element in np.ndenumerate(array):
-            entry = values[i * ny + j]
-            assert type(entry) is kind, (mirror, i, j, type(entry))
-            assert entry == element, (mirror, i, j)
-
-
 @given(operations, tile_paths())
 def test_cache_entries_are_floats_equal_to_reference(ops, probe):
     graph = GlobalGraph(TINY)
-    routers = {flag: GlobalRouter(stitch_aware=flag) for flag in (True, False)}
-    router = routers[True]
     placed = []
     assert_cache_exact(graph)
-    assert_mirrors_exact(graph)
     for op in ops:
         if op[0] == "place":
             _, path, copies = op
             for _ in range(copies):
-                router._place_path(graph, path)
+                graph.apply_path(path, +1)
                 placed.append(path)
         elif op[0] == "unplace":
             if not placed:
                 continue
-            router._unplace_path(graph, placed.pop(op[1] % len(placed)))
+            graph.apply_path(placed.pop(op[1] % len(placed)), -1)
         else:
-            routers[op[1]]._bump_history(graph)
+            graph.bump_history(line_ends=op[1])
         assert_cache_exact(graph)
-        assert_mirrors_exact(graph)
 
-    router._place_path(graph, probe)
+    graph.apply_path(probe, +1)
     assert_cache_exact(graph)
-    assert_mirrors_exact(graph)

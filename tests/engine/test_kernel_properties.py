@@ -171,11 +171,11 @@ def test_global_search_matches_reference(data):
             graph.apply_path(path, +1)
     seed = data.draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     if seed is not None:
-        # Negotiated history: multiples of 0.5, then the rebuild the
-        # router's history bump performs.
+        # Negotiated history: multiples of 0.5, then the re-pricing
+        # that ``GlobalGraph.bump_history`` performs.
         rng = np.random.default_rng(seed)
-        for array in (graph.h_history, graph.v_history, graph.vertex_history):
-            array[...] = 0.5 * rng.integers(0, 6, size=array.shape)
+        for history in (graph._h_hist, graph._v_hist, graph._t_hist):
+            history[:] = (0.5 * rng.integers(0, 6, size=len(history))).tolist()
         graph.refresh_cost_cache()
 
     src = (data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1)))

@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.globalroute import (
-    GlobalGraph,
-    congestion_cost,
-    edge_cost,
-    edge_cost_if_used,
-    path_cost,
-    vertex_cost,
-    vertex_cost_if_used,
+from repro.globalroute import GlobalGraph, congestion_cost, edge_cost_if_used
+from repro.globalroute.cost import (
+    VERTEX_OVERFLOW_PENALTY,
+    VERTEX_WEIGHT,
+    vertex_price,
 )
 from tests.globalroute.test_graph import make_design
 
@@ -41,36 +38,35 @@ class TestCongestionCost:
 
 
 class TestGraphCosts:
-    def test_edge_cost_tracks_demand(self):
-        g = GlobalGraph(make_design())
-        key = ("h", 0, 0)
-        assert edge_cost(g, key) == 0.0
-        g.add_edge_demand(key, int(g.edge_capacity(key)))
-        assert edge_cost(g, key) == pytest.approx(1.0)
-
     def test_edge_cost_if_used_prices_next_unit(self):
         g = GlobalGraph(make_design())
         key = ("h", 0, 0)
-        assert edge_cost_if_used(g, key) > edge_cost(g, key)
+        capacity = g.edge_capacity(key)
+        assert edge_cost_if_used(g, key) == pytest.approx(congestion_cost(1, capacity))
+        g.add_edge_demand(key, capacity)
+        assert edge_cost_if_used(g, key) == pytest.approx(
+            congestion_cost(capacity + 1, capacity)
+        )
 
     def test_history_raises_price(self):
         g = GlobalGraph(make_design())
-        base = edge_cost_if_used(g, ("h", 0, 0))
-        g.h_history[0, 0] = 2.0
-        assert edge_cost_if_used(g, ("h", 0, 0)) == pytest.approx(base + 2.0)
+        key = ("h", 0, 0)
+        g.add_edge_demand(key, g.edge_capacity(key) + 1)
+        base = edge_cost_if_used(g, key)
+        for _ in range(4):
+            g.bump_history(line_ends=False)
+        assert edge_cost_if_used(g, key) == pytest.approx(base + 2.0)
 
-    def test_vertex_cost(self):
+    def test_vertex_price_prices_next_line_end(self):
         g = GlobalGraph(make_design())
-        assert vertex_cost(g, (1, 0)) == 0.0
-        g.add_vertex_demand((1, 0), int(g.vertex_capacity[1, 0]))
-        assert vertex_cost(g, (1, 0)) == pytest.approx(1.0)
-        assert vertex_cost_if_used(g, (1, 0)) > 1.0
-
-    def test_path_cost_sums_edges_and_vertices(self):
-        g = GlobalGraph(make_design())
-        tiles = [(0, 0), (1, 0), (1, 1)]
-        g.add_edge_demand(("h", 0, 0), 10)
-        g.add_vertex_demand((1, 0), 5)
-        with_v = path_cost(g, tiles, include_vertex_cost=True)
-        without_v = path_cost(g, tiles, include_vertex_cost=False)
-        assert with_v > without_v > 0.0
+        tile = (1, 0)
+        capacity = int(g.vertex_capacity[tile])
+        assert vertex_price(g, tile) == pytest.approx(
+            VERTEX_WEIGHT * congestion_cost(1, capacity)
+        )
+        # The next line end would overflow the tile: the hard step applies.
+        g.add_vertex_demand(tile, capacity)
+        assert vertex_price(g, tile) == pytest.approx(
+            VERTEX_WEIGHT * congestion_cost(capacity + 1, capacity)
+            + VERTEX_OVERFLOW_PENALTY
+        )

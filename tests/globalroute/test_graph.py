@@ -115,7 +115,21 @@ class TestEdgeBookkeeping:
 
     def test_overflow_metrics(self):
         g = GlobalGraph(make_design())
-        g.vertex_demand[1, 0] = g.vertex_capacity[1, 0] + 5
-        g.vertex_demand[2, 0] = g.vertex_capacity[2, 0] + 2
+        g.add_vertex_demand((1, 0), int(g.vertex_capacity[1, 0]) + 5)
+        g.add_vertex_demand((2, 0), int(g.vertex_capacity[2, 0]) + 2)
         assert g.total_vertex_overflow() == 7
         assert g.max_vertex_overflow() == 5
+
+    def test_state_copies_are_read_only(self):
+        """A write to a copy raises instead of leaving the caches stale."""
+        g = GlobalGraph(make_design())
+        g.add_edge_demand(("h", 0, 0), 2)
+        assert g.h_demand[0, 0] == 2
+        assert g.h_demand.shape == g.h_capacity.shape == (g.nx - 1, g.ny)
+        assert g.v_demand.shape == g.v_capacity.shape == (g.nx, g.ny - 1)
+        assert g.vertex_demand.shape == g.vertex_capacity.shape == (g.nx, g.ny)
+        for kind in ("h", "v", "vertex"):
+            for name in (f"{kind}_demand", f"{kind}_capacity"):
+                with pytest.raises(ValueError):
+                    getattr(g, name)[0, 0] = 1
+        assert g.h_demand[0, 0] == 2

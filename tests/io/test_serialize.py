@@ -1,11 +1,13 @@
 """Tests for JSON persistence of designs and reports."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.benchmarks_gen import SyntheticSpec, generate_design
 from repro.api import StitchAwareRouter
+from repro.config import RouterConfig
 from repro.io import (
     design_from_dict,
     design_to_dict,
@@ -53,6 +55,22 @@ class TestDesignRoundtrip:
     def test_config_roundtrip(self, design):
         rebuilt = design_from_dict(design_to_dict(design))
         assert rebuilt.config == design.config
+
+    def test_config_roundtrip_keeps_detailed_limits(self, design):
+        """The detailed router reads both fields from ``design.config``."""
+        config = RouterConfig(max_ripup_iterations=1, detail_expansion_limit=5000)
+        design = dataclasses.replace(design, config=config)
+        rebuilt = design_from_dict(design_to_dict(design))
+        assert rebuilt.config == config
+
+    def test_config_without_detailed_limits_loads_defaults(self, design):
+        """Snapshots saved before the two keys existed still load."""
+        data = design_to_dict(design)
+        data["config"].pop("max_ripup_iterations", None)
+        data["config"].pop("detail_expansion_limit", None)
+        config = design_from_dict(data).config
+        assert config.max_ripup_iterations == RouterConfig().max_ripup_iterations
+        assert config.detail_expansion_limit == RouterConfig().detail_expansion_limit
 
     def test_file_roundtrip(self, design, tmp_path):
         path = tmp_path / "design.json"

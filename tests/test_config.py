@@ -1,6 +1,7 @@
 """Tests for RouterConfig validation and benchmark scaling."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -31,8 +32,28 @@ class TestRouterConfig:
             RouterConfig(stitch_spacing=5, epsilon=2)
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha"):
             RouterConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("alpha", math.nan), ("gamma", math.nan), ("beta", math.inf)]
+    )
+    def test_nonfinite_weights_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RouterConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tile_size", 2.5),
+            ("stitch_spacing", 15.5),
+            ("max_ripup_iterations", -3),
+            ("detail_expansion_limit", 0),
+        ],
+    )
+    def test_malformed_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RouterConfig(**{field: value})
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
