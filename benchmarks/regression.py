@@ -28,10 +28,10 @@ Exit status is non-zero on any regression, so CI can gate on it::
     PYTHONPATH=src python benchmarks/regression.py --profile counters  # profiled gate
     PYTHONPATH=src python benchmarks/regression.py --overhead-budget 2 --repeat 5  # profiling cost
 
-``--profile counters|full`` routes the gate with the profiling
-counters enabled and strips the ``perf_*`` / ``stream_*``
-instrumentation before diffing — the profiled runs must still match
-the profile-off baselines exactly (profiling never perturbs routing).
+``--profile counters`` routes the gate with the profiling counters
+enabled and strips the ``perf_*`` counters before diffing — the
+profiled runs must still match the profile-off baselines exactly
+(profiling never perturbs routing).
 ``--overhead-budget PCT`` is the cost side of that contract: it
 interleaves profile-off and profile-counters runs and fails when the
 counters-mode wall exceeds off-mode by more than ``PCT`` percent
@@ -119,8 +119,8 @@ def overhead_budget(
     must finish within ``budget_pct`` percent of off mode (plus the
     absolute :data:`OVERHEAD_NOISE_FLOOR_SECONDS` slack).  Also proves
     the instrumentation contract on the way: stripping the ``perf_*``
-    / ``stream_*`` counters from the counters-mode trace must recover
-    the off-mode counters exactly.
+    counters from the counters-mode trace must recover the off-mode
+    counters exactly.
     """
     scale = CIRCUITS[circuit]
     failures: List[str] = []
@@ -210,19 +210,24 @@ def audit_flows(circuit: str, flows: Dict[str, FlowResult]) -> List[str]:
     return failures
 
 
-def _strip_prefixed(trace: RunTrace, prefixes: tuple) -> RunTrace:
-    """A copy of ``trace`` without counters named under ``prefixes``.
+def strip_profile_counters(trace: RunTrace) -> RunTrace:
+    """A copy of ``trace`` without ``perf_*`` counters.
 
-    The scrub runs over the serialized document (every span plus the
-    orphan counters) so the returned trace is exactly what a run that
-    never recorded those counters would have frozen.
+    Profiling counters (``RouterConfig(profile="counters")``) are
+    observability instrumentation by contract: stripping them must
+    recover the exact counters of an unprofiled run — which is what
+    lets a profiled gate run diff against the committed (profile-off)
+    baselines.  The scrub runs over the serialized document (every
+    span plus the orphan counters), so the returned trace is exactly
+    what a run that never recorded them would have frozen.
     """
+    prefix = schema.PROFILING_PREFIX
     doc = trace.to_dict()
 
     def scrub(span: dict) -> None:
         counters = span.get("counters")
         if counters:
-            for key in [k for k in counters if k.startswith(prefixes)]:
+            for key in [k for k in counters if k.startswith(prefix)]:
                 del counters[key]
             if not counters:
                 del span["counters"]
@@ -232,25 +237,9 @@ def _strip_prefixed(trace: RunTrace, prefixes: tuple) -> RunTrace:
     for span in doc["spans"]:
         scrub(span)
     doc["counters"] = {
-        k: v
-        for k, v in doc["counters"].items()
-        if not k.startswith(prefixes)
+        k: v for k, v in doc["counters"].items() if not k.startswith(prefix)
     }
     return RunTrace.from_dict(doc)
-
-
-def strip_profile_counters(trace: RunTrace) -> RunTrace:
-    """A copy of ``trace`` without ``perf_*`` / ``stream_*`` counters.
-
-    Profiling counters (``RouterConfig(profile=...)``) and the
-    streaming tracer's bookkeeping are observability instrumentation
-    by contract: stripping them must recover the exact counters of an
-    unprofiled run — which is what lets a profiled gate run diff
-    against the committed (profile-off) baselines.
-    """
-    return _strip_prefixed(
-        trace, schema.strip_prefixes("profiling", "streaming")
-    )
 
 
 def save_traces(path: pathlib.Path, traces: Dict[str, RunTrace]) -> None:
@@ -318,12 +307,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--profile",
-        choices=("off", "counters", "full"),
+        choices=("off", "counters"),
         default="off",
         help="route the gate circuits with this RouterConfig profile "
-        "level; perf_* / stream_* counters are stripped before "
-        "diffing, so the profiled runs must still match the "
-        "profile-off baselines exactly",
+        "level; perf_* counters are stripped before diffing, so the "
+        "profiled runs must still match the profile-off baselines "
+        "exactly",
     )
     parser.add_argument(
         "--overhead-budget",

@@ -15,8 +15,8 @@ Commands:
   ``.json.gz`` works too).  ``diff`` compares counters only: speed
   verdicts come from ``benchmarks/perf``.
 * ``watch`` — tail a live ``--stream`` NDJSON file: per-stage
-  progress, nets/s and expansions/s rates, heartbeat gauges, hotspot
-  deltas, and the final hotspot ranking when the run finishes.
+  progress, per-stage nets/s and expansions/s rates, heartbeat gauges,
+  hotspot deltas, and the final hotspot ranking when the run finishes.
 * ``lint`` — run the linter (determinism rules DET001–DET005 and the
   schema-registry rule OBS001, see ``docs/static_analysis.md``) over
   source paths; exits nonzero on findings not grandfathered by the
@@ -30,19 +30,21 @@ Commands:
   drift.
 * ``circuits`` — list the available benchmark circuits.
 
-``route``, ``compare``, ``diag`` and ``audit`` accept ``--perf`` to
-enable the profiling counters (``counters``) or full live progress
-events (``full``);
-``--scale`` must lie in (0, 100].  ``route --stream FILE`` streams the
-run's events to an NDJSON file that ``repro watch FILE`` can tail.
+``route``, ``compare``, ``diag`` and ``audit`` accept ``--perf
+counters`` to enable the profiling counters; ``--scale`` must lie in
+(0, 100].  ``route --stream FILE`` writes the run's events to an
+NDJSON file that ``repro watch FILE`` can tail.
 Every output path (``--svg``, ``--report``, ``--save-design``,
 ``--profile``, ``--stream``) is checked before the design is
 generated: a missing parent directory exits 2 with
 ``repro <cmd>: no such directory: DIR`` instead of failing after the
 run.
 
-``-v`` / ``-vv`` (before the command) stream live span/round progress
-from the run through the :mod:`repro.observe.log` bridge.
+``-v`` / ``-vv`` (before the command) print the run's live progress
+on stderr in the ``repro watch`` format: ``-v`` shows the stages,
+``-vv`` adds the negotiation and rip-up rounds.  ``-v`` and
+``--stream`` may be combined; both are listeners on the run's one
+:class:`~repro.observe.Tracer`.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import json
 import os
 import pathlib
 import sys
+from collections.abc import Callable
 from typing import Optional
 
 from .benchmarks_gen import (
@@ -66,19 +69,20 @@ from .eval import RoutingReport
 from .io import save_design, save_report
 from .observe import schema as observe_schema
 from .observe import (
-    LoggingTracer,
     RunTrace,
-    StreamingTracer,
+    StreamWatcher,
+    StreamWriter,
     TraceSummary,
     Tracer,
-    configure_logging,
     diff_traces,
     hotspots,
     load_trace_file,
     render_diff,
     render_hotspots,
     render_summary,
+    watch_stream,
 )
+from .observe.tracer import Event
 from .reporting import format_table
 from .viz import render_routing_svg
 
@@ -131,13 +135,19 @@ def _get_design(name: str, scale: float):
 def _make_tracer(args: argparse.Namespace) -> Optional[Tracer]:
     """The tracer a run subcommand should route with.
 
-    ``--stream FILE`` wins (live NDJSON events for ``repro watch``),
-    then ``-v`` (logging bridge), else let the flow decide.
+    ``--stream FILE`` adds a :class:`StreamWriter` listener (live
+    NDJSON events for ``repro watch``) and ``-v`` / ``-vv`` a
+    :class:`StreamWatcher` printing spans down to depth 1 / 2 on
+    stderr; either, both or neither may be given.  With neither, the
+    flow makes its own tracer.
     """
+    listeners: list[Callable[[Event], None]] = []
     stream = getattr(args, "stream", None)
     if stream:
-        return StreamingTracer(stream)
-    return LoggingTracer() if args.verbose else None
+        listeners.append(StreamWriter(stream))
+    if args.verbose:
+        listeners.append(StreamWatcher(sys.stderr, depth=args.verbose).handle)
+    return Tracer(listeners) if listeners else None
 
 
 def _profile_path(prefix: str, label: str) -> str:
@@ -459,10 +469,6 @@ def _cmd_trace_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    # Imported here: the watcher is a pure observer the routing
-    # commands never need (and it pulls in polling machinery).
-    from .observe.watch import watch_stream
-
     try:
         return watch_stream(
             args.stream,
@@ -493,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose",
         action="count",
         default=0,
-        help="stream run progress (-v: stages and rounds, -vv: all spans)",
+        help="print live run progress on stderr "
+        "(-v: stages, -vv: rounds too)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -509,12 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--perf",
-            choices=("off", "counters", "full"),
+            choices=("off", "counters"),
             default="off",
             help="profiling: 'counters' records perf_* search "
             "counters (heap traffic, rip-up visits, cache refreshes) "
-            "in the trace, 'full' additionally emits per-net "
-            "progress events; 'off' is zero-cost and byte-identical "
+            "in the trace; 'off' is zero-cost and byte-identical "
             "to the committed baselines (see docs/observability.md)",
         )
 
@@ -535,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--stream",
         metavar="NDJSON",
-        help="append live trace events to this NDJSON file while the "
+        help="write live trace events to this NDJSON file while the "
         "run executes (.gz writes gzip); tail it with `repro watch`",
     )
     route.set_defaults(
@@ -695,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Entry point (also used by ``python -m repro``)."""
     args = build_parser().parse_args(argv)
-    configure_logging(args.verbose)
     # Output paths are checked before the command runs, so a missing
     # directory fails at once instead of after the whole routing run.
     for name in getattr(args, "outputs", ()):

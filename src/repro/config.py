@@ -79,12 +79,11 @@ class RouterConfig:
             the hot loops byte-identical to the committed baselines;
             ``"counters"`` flushes low-overhead search counters (heap
             pushes/pops, rip-up net visits, cost-cache refreshes) into
-            ``perf_*`` trace counters at stage boundaries; ``"full"``
-            additionally emits per-net ``progress`` events through the
-            tracer (visible when the tracer is a
-            :class:`~repro.observe.StreamingTracer`).
+            ``perf_*`` trace counters at stage boundaries.
             ``perf_*`` counters are namespaced so identity gates strip
-            them (see ``docs/observability.md``).
+            them (see ``docs/observability.md``).  Per-net progress
+            needs no profile: the routers always hand it to the
+            tracer's listeners.
 
     Stage-policy attributes (consumed by the router constructors; the
     ablation switches of Tables IV and VIII):
@@ -175,10 +174,9 @@ class RouterConfig:
             )
         if not isinstance(self.audit, bool):
             raise ValueError(f"audit must be a bool, got {self.audit!r}")
-        if self.profile not in ("off", "counters", "full"):
+        if self.profile not in ("off", "counters"):
             raise ValueError(
-                "profile must be one of 'off', 'counters', 'full', "
-                f"got {self.profile!r}"
+                f"profile must be 'off' or 'counters', got {self.profile!r}"
             )
 
 

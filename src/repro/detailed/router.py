@@ -89,11 +89,14 @@ class DetailedRouter:
     Args:
         stitch_aware: include the beta/gamma costs of Eq. (10) and the
             stitch-aware net ordering.
-        profile: ``"off"`` / ``"counters"`` / ``"full"``.  ``"counters"``
-            flushes search-level ``perf_*`` counters (heap pushes/pops,
-            rip-up net visits) at stage boundaries; ``"full"``
-            additionally reports per-net commits through
-            :meth:`Tracer.progress` (see ``docs/observability.md``).
+        profile: ``"off"`` / ``"counters"``.  ``"counters"`` flushes
+            search-level ``perf_*`` counters (heap pushes/pops, rip-up
+            net visits) at stage boundaries (see
+            ``docs/observability.md``).
+
+    Every net of the first pass is reported through
+    :meth:`Tracer.progress` as a ``net`` event with
+    ``stage="detailed"``.
     """
 
     def __init__(
@@ -101,9 +104,9 @@ class DetailedRouter:
         stitch_aware: bool = True,
         profile: str = "off",
     ) -> None:
-        if profile not in ("off", "counters", "full"):
+        if profile not in ("off", "counters"):
             raise ValueError(
-                f"profile must be 'off', 'counters' or 'full', got {profile!r}"
+                f"profile must be 'off' or 'counters', got {profile!r}"
             )
         self.stitch_aware = stitch_aware
         self.profile = profile
@@ -206,10 +209,7 @@ class DetailedRouter:
                 net=net, nodes=nodes, edges=edges, routed=ok
             )
             tracer.count("nets_attempted")
-            if self.profile == "full":
-                tracer.progress(
-                    "net", stage="detailed", net=net.name, routed=ok
-                )
+            tracer.progress("net", stage="detailed", net=net.name, routed=ok)
             if not ok:
                 failed.append(net.name)
             for victim in sorted(victims):

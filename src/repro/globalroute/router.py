@@ -79,12 +79,14 @@ class GlobalRouter:
         stitch_aware: include the vertex (line-end) congestion term of
             Eqs. (2)–(3).  Off reproduces the wire-density-only router
             compared against in Table IV.
-        profile: ``"off"`` / ``"counters"`` / ``"full"``.  ``"counters"``
-            flushes search-level ``perf_*`` counters (maze heap
-            pushes/pops, cost-cache refreshes and incremental updates)
-            per pass and negotiation round; ``"full"`` additionally
-            reports per-net commits through :meth:`Tracer.progress`
-            (see ``docs/observability.md``).
+        profile: ``"off"`` / ``"counters"``.  ``"counters"`` flushes
+            search-level ``perf_*`` counters (maze heap pushes/pops,
+            cost-cache refreshes and incremental updates) per pass and
+            negotiation round (see ``docs/observability.md``).
+
+    Every routed net, negotiation re-routes included, is reported
+    through :meth:`Tracer.progress` as a ``net`` event with
+    ``stage="global"``.
     """
 
     def __init__(
@@ -92,14 +94,13 @@ class GlobalRouter:
         stitch_aware: bool = True,
         profile: str = "off",
     ) -> None:
-        if profile not in ("off", "counters", "full"):
+        if profile not in ("off", "counters"):
             raise ValueError(
-                f"profile must be 'off', 'counters' or 'full', got {profile!r}"
+                f"profile must be 'off' or 'counters', got {profile!r}"
             )
         self.stitch_aware = stitch_aware
         self.profile = profile
         self._profiling = profile != "off"
-        self._tracer: Optional[Tracer] = None
         #: Two-pin decompositions of the nets of the current ``route()``
         #: call, computed once per net (they depend only on pin tiles).
         self._subnets: dict[str, list[tuple[Tile, Tile]]] = {}
@@ -115,7 +116,6 @@ class GlobalRouter:
         edge/vertex overflow left after it (the Table IV quantities).
         """
         tracer = ensure(tracer)
-        self._tracer = tracer if self.profile == "full" else None
         start = time.perf_counter()
         try:
             with tracer.span("global-route") as stage:
@@ -130,7 +130,9 @@ class GlobalRouter:
                 failed: list[str] = []
                 with tracer.span("initial-pass") as span:
                     stats: dict[str, float] = {}
-                    self._route_many(graph, order, routes, failed, stats)
+                    self._route_many(
+                        graph, order, routes, failed, stats, tracer
+                    )
                     span.count(
                         "maze_expansions", stats.get("maze_expansions", 0)
                     )
@@ -157,7 +159,7 @@ class GlobalRouter:
                             design.netlist[name] for name in victims
                         ]
                         self._route_many(
-                            graph, victim_nets, routes, failed, stats
+                            graph, victim_nets, routes, failed, stats, tracer
                         )
                         span.count(
                             "maze_expansions", stats.get("maze_expansions", 0)
@@ -175,7 +177,6 @@ class GlobalRouter:
                     )
                     stage.count("perf_cache_updates", graph.perf_cache_updates)
         finally:
-            self._tracer = None
             self._subnets = {}
 
         return GlobalRoutingResult(
@@ -205,6 +206,7 @@ class GlobalRouter:
         routes: dict[str, GlobalRoute],
         failed: list[str],
         stats: dict[str, float],
+        tracer: Tracer,
     ) -> None:
         """Route ``nets`` in order; each sees what earlier ones placed."""
         for net in nets:
@@ -213,13 +215,9 @@ class GlobalRouter:
                 failed.append(net.name)
             else:
                 routes[net.name] = route
-            if self._tracer is not None:
-                self._tracer.progress(
-                    "net",
-                    stage="global",
-                    net=net.name,
-                    routed=route is not None,
-                )
+            tracer.progress(
+                "net", stage="global", net=net.name, routed=route is not None
+            )
 
     # ------------------------------------------------------------------
     # Net ordering and decomposition

@@ -1,15 +1,17 @@
-"""Flow observability: staged tracing, metrics, analytics, logging.
+"""Flow observability: staged tracing, metrics, analytics, live events.
 
 Every stage of both routing flows reports timings and event counts
 here, so per-stage behavior (Tables III–VIII of the paper) is
 measurable instead of being folded into one CPU number.  On top of the
 recording layer (:mod:`~repro.observe.tracer`) sit the consumers:
 :mod:`~repro.observe.analytics` rolls traces up, diffs their counters
-against baselines and extracts hotspots, :mod:`~repro.observe.log`
-mirrors trace events into stdlib logging for live progress, and
-:mod:`~repro.observe.stream` streams events to an NDJSON sink *while
-the run executes* (tailed by ``repro watch``) and replays finished
-streams back into byte-identical :class:`RunTrace` documents.
+against baselines and extracts hotspots.  Live consumers are
+listeners on the one :class:`Tracer`:
+:class:`~repro.observe.stream.StreamWriter` writes the events to an
+NDJSON sink *while the run executes* (replayed by
+:func:`read_stream` into byte-identical :class:`RunTrace` documents),
+and :class:`~repro.observe.watch.StreamWatcher` prints them as
+progress lines (the CLI's ``-v`` and ``repro watch``).
 
 Flows run with ``RouterConfig(audit=True)`` add an ``audit`` span
 whose ``audit_nets_checked`` / ``audit_findings`` / ``audit_drift``
@@ -19,7 +21,7 @@ counters summarize the independent solution audit
 Every name a tracer may record is declared in
 :mod:`~repro.observe.schema` — the canonical registry of counters,
 gauges, spans, and progress kinds with their owner stage and
-category.  The regression gate's strip lists, the ``repro watch``
+category.  The regression gate's strip prefix, the ``repro watch``
 counter columns, and the lint rule OBS001 all derive from it.
 """
 
@@ -37,27 +39,21 @@ from .analytics import (
     render_hotspots,
     render_summary,
 )
-from .log import (
-    TRACE_LOGGER_NAME,
-    LoggingTracer,
-    configure_logging,
-)
 from .schema import (
-    CATEGORY_PREFIXES,
+    PROFILING_PREFIX,
     MetricSpec,
     history_counters,
     is_registered,
     lookup,
     metric_names,
     metric_specs,
-    strip_prefixes,
 )
 from .stream import (
     STREAM_FORMAT,
     STREAM_SUFFIXES,
     STREAM_VERSION,
-    StreamingTracer,
     StreamReplayer,
+    StreamWriter,
     iter_stream_events,
     read_stream,
     read_stream_text,
@@ -77,27 +73,24 @@ from .watch import (
 )
 
 __all__ = [
-    "CATEGORY_PREFIXES",
     "MetricSpec",
+    "PROFILING_PREFIX",
     "STREAM_FORMAT",
     "STREAM_SUFFIXES",
     "STREAM_VERSION",
     "TRACE_FORMAT",
-    "TRACE_LOGGER_NAME",
     "TRACE_VERSION",
     "CounterDelta",
     "Hotspot",
-    "LoggingTracer",
     "RunTrace",
     "Span",
     "StageStats",
     "StreamReplayer",
     "StreamWatcher",
-    "StreamingTracer",
+    "StreamWriter",
     "TraceDiff",
     "TraceSummary",
     "Tracer",
-    "configure_logging",
     "diff_traces",
     "ensure",
     "follow_events",
@@ -115,6 +108,5 @@ __all__ = [
     "render_hotspots",
     "render_summary",
     "schema",
-    "strip_prefixes",
     "watch_stream",
 ]

@@ -3,25 +3,24 @@
 Every counter, gauge, span, and progress kind the router can emit is
 declared here, once, with its owner stage and category.  The registry
 is the single source of truth that used to be scattered across ad-hoc
-lists: the regression gate's ``perf_*`` / ``stream_*`` strip tuples
-and the ``repro watch`` monitor's notable-counter picks both derive
-from it now, and the lint rule OBS001 fails any emission whose name
-is missing here.
+lists: the regression gate's ``perf_*`` strip prefix and the ``repro
+watch`` monitor's notable-counter picks both derive from it now, and
+the lint rule OBS001 fails any emission whose name is missing here.
 
 Identity is ``(kind, name)`` — names may repeat across kinds (the
 multilevel scheme emits a ``level`` *span* carrying a ``level``
 *gauge*) but never within one.  The live-run completeness test
-(``tests/observe/test_schema.py``) routes a real circuit under three
-configurations and requires every emitted name to be registered.
+(``tests/observe/test_schema.py``) routes a real circuit under both
+profile levels and requires every emitted name to be registered.
 
 Categories partition the vocabulary by contract: ``routing`` metrics
 are the deterministic ones the committed baselines pin exactly,
-while ``profiling`` / ``streaming`` bookkeeping is mode-specific and
-strippable (see
-:func:`strip_prefixes`).  Each strippable category owns a name prefix
-and the module refuses to import if any registration strays across
-that line — the prefix-based scrub in ``benchmarks/regression.py``
-and the category-based view here can never disagree.
+while ``profiling`` counters exist only under
+``RouterConfig(profile="counters")`` and are strippable.  They own
+the name prefix :data:`PROFILING_PREFIX`, and the module refuses to
+import if a name carrying it is registered under another category —
+the prefix-based scrub in ``benchmarks/regression.py`` and the
+category-based view here can never disagree.
 """
 
 from __future__ import annotations
@@ -32,13 +31,10 @@ from typing import Optional
 #: The four observability primitives a tracer records.
 KINDS = ("counter", "gauge", "span", "progress")
 
-#: Strippable categories and the name prefix each one owns.  The
+#: Name prefix owned by the strippable ``profiling`` category.  The
 #: regression gate scrubs by prefix; the registry enforces at import
-#: time that prefix membership and category membership coincide.
-CATEGORY_PREFIXES: dict[str, tuple[str, ...]] = {
-    "profiling": ("perf_",),
-    "streaming": ("stream_",),
-}
+#: time that every name carrying it is registered as ``profiling``.
+PROFILING_PREFIX = "perf_"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,10 +45,10 @@ class MetricSpec:
         name: the emitted name, exactly as it appears in a trace.
         kind: one of :data:`KINDS`.
         stages: owner stages (``global`` / ``detailed`` / ``assign`` /
-            ``multilevel`` / ``flow`` / ``observe``).
+            ``multilevel`` / ``flow``).
         category: contract family — ``routing`` names are part of the
-            deterministic surface the baselines pin; prefix-owning
-            categories (:data:`CATEGORY_PREFIXES`) are strippable.
+            deterministic surface the baselines pin; ``profiling``
+            names (:data:`PROFILING_PREFIX`) are strippable.
         history: 0 for untracked, else the 1-based position among
             the counters ``repro watch`` echoes when a top-level span
             closes (:func:`history_counters`).
@@ -99,7 +95,6 @@ _BOTH_ROUTE = frozenset({"global", "detailed"})
 _ASSIGN = frozenset({"assign"})
 _MULTILEVEL = frozenset({"multilevel"})
 _FLOW = frozenset({"flow"})
-_OBSERVE = frozenset({"observe"})
 
 # -- routing counters: the deterministic surface ----------------------
 _register(
@@ -247,17 +242,6 @@ _register(
     "Net visits across detailed rip-up rounds (profile mode).",
 )
 
-# -- streaming bookkeeping (StreamingTracer) --------------------------
-_register(
-    "stream_events", "counter", _OBSERVE, "streaming",
-    "NDJSON events emitted by the streaming tracer.",
-)
-_register(
-    "stream_heartbeats", "counter", _OBSERVE,
-    "streaming",
-    "Heartbeat events emitted between spans.",
-)
-
 # -- routing gauges ---------------------------------------------------
 _register(
     "edge_overflow", "gauge", _GLOBAL, "routing",
@@ -349,19 +333,17 @@ _register(
 
 
 def _check_prefix_discipline() -> None:
-    """Categories and their owned prefixes must coincide exactly."""
+    """A metric carrying the profiling prefix must be ``profiling``."""
     for spec in _REGISTRY.values():
-        if spec.kind not in ("counter", "gauge"):
-            continue
-        for category, prefixes in CATEGORY_PREFIXES.items():
-            owns_name = spec.name.startswith(prefixes)
-            in_category = spec.category == category
-            if owns_name and not in_category:
-                raise ValueError(
-                    f"{spec.kind} {spec.name!r} carries the "
-                    f"{category} prefix but is registered as "
-                    f"{spec.category!r}"
-                )
+        if (
+            spec.kind in ("counter", "gauge")
+            and spec.name.startswith(PROFILING_PREFIX)
+            and spec.category != "profiling"
+        ):
+            raise ValueError(
+                f"{spec.kind} {spec.name!r} carries the profiling "
+                f"prefix but is registered as {spec.category!r}"
+            )
 
 
 _check_prefix_discipline()
@@ -409,25 +391,6 @@ def metric_names(
     )
 
 
-def strip_prefixes(*categories: str) -> tuple[str, ...]:
-    """The name prefixes owned by strippable ``categories``.
-
-    This is what the regression gate feeds to its trace scrubber:
-    ``strip_prefixes("profiling", "streaming")`` for profiled runs.
-    Unknown categories raise so a typo cannot silently strip nothing.
-    """
-    out: list[str] = []
-    for category in categories:
-        try:
-            out.extend(CATEGORY_PREFIXES[category])
-        except KeyError:
-            raise ValueError(
-                f"no strippable category {category!r}; known: "
-                f"{sorted(CATEGORY_PREFIXES)}"
-            ) from None
-    return tuple(out)
-
-
 def history_counters() -> tuple[str, ...]:
     """Counters ``repro watch`` echoes when a top-level span closes.
 
@@ -444,13 +407,12 @@ def history_counters() -> tuple[str, ...]:
 
 
 __all__ = [
-    "CATEGORY_PREFIXES",
     "KINDS",
     "MetricSpec",
+    "PROFILING_PREFIX",
     "history_counters",
     "is_registered",
     "lookup",
     "metric_names",
     "metric_specs",
-    "strip_prefixes",
 ]

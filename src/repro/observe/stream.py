@@ -2,27 +2,29 @@
 
 The tracer freezes a run into a :class:`~repro.observe.RunTrace` only
 *after* the run completes; on 10-100x-scale instances that makes long
-runs black boxes until they finish.  This module streams the same
-events incrementally: a :class:`StreamingTracer` is a drop-in
-:class:`~repro.observe.Tracer` that additionally appends one JSON
-object per line (NDJSON) to a file or pipe sink *while the run
-executes* — span opens and closes, counter flushes, gauges, per-net
-progress, and periodic heartbeats carrying wall-clock and peak-RSS
-gauges.
+runs black boxes until they finish.  A :class:`StreamWriter` is a
+:class:`~repro.observe.Tracer` listener that writes the same events
+incrementally, one JSON object per line (NDJSON), to a file or pipe
+sink *while the run executes* — span opens and closes, counter
+flushes, gauges, per-net progress, and periodic heartbeats carrying
+wall-clock and peak-RSS gauges::
+
+    tracer = Tracer([StreamWriter("run.ndjson")])
 
 The schema is versioned (:data:`STREAM_FORMAT` / :data:`STREAM_VERSION`)
-and append-only: every line is self-contained, so a consumer may tail
-the file mid-run (``repro watch``) and a crashed run leaves a valid
-prefix.  :func:`read_stream` replays a complete stream back into a
-:class:`RunTrace` that is **byte-identical** to the trace the run's own
-``finish()`` returned — span-close events carry the authoritative final
-counter/gauge dicts and the exact wall/CPU floats, and
-``RunTrace.to_json`` sorts keys, so reassembly order cannot perturb the
-serialized document.
+and every line is self-contained, so a consumer may tail the file
+mid-run (``repro watch``) and a crashed run leaves a valid prefix.  A
+stream file holds exactly one run.  :func:`read_stream` replays a
+complete stream back into a :class:`RunTrace` that is
+**byte-identical** to the trace the run's own ``finish()`` returned —
+span-close events carry the authoritative final counter/gauge dicts
+and the exact wall/CPU floats, and ``RunTrace.to_json`` sorts keys, so
+reassembly order cannot perturb the serialized document.
 
 Event vocabulary (the ``ev`` field):
 
-* ``open`` — stream header: format and version tags.
+* ``open`` — stream header: format and version tags (written by the
+  :class:`StreamWriter`, not the tracer).
 * ``span-open`` — ``id``, ``parent`` (id or ``None``), ``name``,
   ``started_at``, opening ``gauges``.
 * ``span-close`` — ``id``, final ``wall_seconds`` / ``cpu_seconds`` and
@@ -31,16 +33,17 @@ Event vocabulary (the ``ev`` field):
   too hot to stream, the span-close totals cover them).
 * ``gauge`` — a point-in-time value on the innermost span.
 * ``progress`` — free-form per-net progress
-  (:meth:`StreamingTracer.progress`; emitted by the routers under
-  ``RouterConfig(profile="full")``).
-* ``heartbeat`` — periodic liveness: wall offset, peak RSS (KiB),
-  events emitted so far, open-span depth.
+  (:meth:`~repro.observe.Tracer.progress`; the global and detailed
+  routers send one ``net`` event per routed net).
+* ``heartbeat`` — periodic liveness written by the
+  :class:`StreamWriter`: wall offset, peak RSS (KiB), lines written so
+  far, open-span depth.
 * ``finish`` — the ``RunTrace`` root fields (router, design, wall,
   CPU, orphan counters, meta); terminates the stream.
 
-Thread safety: all emission funnels through one lock.  The routing
+Thread safety: every write holds the writer's lock.  The routing
 stages call the tracer from one thread, so streams are canonically
-ordered; the lock keeps concurrent callers from interleaving events.
+ordered; the lock keeps concurrent callers from interleaving lines.
 """
 
 from __future__ import annotations
@@ -49,19 +52,18 @@ import gzip
 import io
 import json
 import pathlib
+import threading
 import time
-from contextlib import contextmanager
 from collections.abc import Iterator
-from typing import IO, Any, Optional, Union
+from typing import IO, NoReturn, Optional, Union
 
 from .tracer import (
     TRACE_FORMAT,
     TRACE_VERSION,
-    Number,
+    Event,
     PathLike,
     RunTrace,
     Span,
-    Tracer,
 )
 
 #: Format tag of the first line of every stream.
@@ -72,7 +74,10 @@ STREAM_VERSION = 1
 #: File suffixes recognized as NDJSON event streams.
 STREAM_SUFFIXES = (".ndjson", ".ndjson.gz")
 
-Event = dict[str, Any]
+#: Minimum seconds between heartbeat lines.  Heartbeats piggyback on
+#: writes (no timer thread), so event traffic bounds their cadence.
+HEARTBEAT_INTERVAL = 1.0
+
 Sink = Union[PathLike, IO[str]]
 
 
@@ -99,199 +104,85 @@ def open_stream_text(path: PathLike, mode: str = "rt") -> IO[str]:
     return open(p, mode.replace("t", "") + "t", encoding="utf-8")
 
 
-class StreamingTracer(Tracer):
-    """A :class:`Tracer` that also streams events to an NDJSON sink.
+class StreamWriter:
+    """A tracer listener that writes each event as one NDJSON line.
 
-    Drop-in replacement anywhere a tracer is accepted: the frozen
-    :class:`RunTrace` is byte-identical to a plain tracer's except for
-    the ``stream_*`` bookkeeping counters recorded at finish (strip
-    them before diffing against non-streamed baselines — the
-    regression gate and the differential suites already do).
+    The ``open`` header is written when the writer is built; the
+    ``finish`` event closes the sink.  Every line is flushed at once.
 
     Args:
         sink: target path (``.gz`` suffix writes gzip) or an open
-            text-mode file object.  Paths are opened for append so a
-            supervisor may pre-create the file or point at a pipe.
-        heartbeat_interval: minimum seconds between heartbeat events;
-            heartbeats piggyback on event emission (no timer thread),
-            so their cadence is bounded below by event traffic.
+            text-mode file object.  Paths are opened for writing, so a
+            stream file holds one run; a pre-created file or a named
+            pipe works too.
     """
 
-    def __init__(
-        self, sink: Sink, heartbeat_interval: float = 1.0
-    ) -> None:
-        super().__init__()
+    def __init__(self, sink: Sink) -> None:
         if isinstance(sink, (str, pathlib.Path)):
-            self._sink: IO[str] = open_stream_text(sink, "at")
+            self._sink: IO[str] = open_stream_text(sink, "wt")
             self._owns_sink = True
         else:
             self._sink = sink
             self._owns_sink = False
-        self._heartbeat_interval = heartbeat_interval
-        self._last_heartbeat = time.perf_counter()
-        import threading
-
-        self._emit_lock = threading.Lock()
-        self._next_id = 0
-        self._id_stack: list[int] = []
-        self.events_emitted = 0
-        self.heartbeats_emitted = 0
+        self._lock = threading.Lock()
+        self._epoch = self._last_heartbeat = time.perf_counter()
+        self._lines = 0
+        self._open_spans = 0
         self._closed = False
-        self._emit(
+        self._write(
             {
                 "ev": "open",
                 "format": STREAM_FORMAT,
                 "version": STREAM_VERSION,
                 "trace_format": TRACE_FORMAT,
                 "trace_version": TRACE_VERSION,
-            },
-            heartbeat=False,
-        )
-
-    # -- emission ------------------------------------------------------
-    def _emit(self, event: Event, heartbeat: bool = True) -> None:
-        """Write one event line (and maybe a heartbeat) to the sink."""
-        if self._closed:
-            return
-        with self._emit_lock:
-            self._sink.write(
-                json.dumps(event, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            self._sink.flush()
-            self.events_emitted += 1
-            now = time.perf_counter()
-            if (
-                heartbeat
-                and now - self._last_heartbeat >= self._heartbeat_interval
-            ):
-                self._last_heartbeat = now
-                beat = {
-                    "ev": "heartbeat",
-                    "wall_seconds": now - self._epoch_wall,
-                    "rss_kib": _peak_rss_kib(),
-                    "events": self.events_emitted,
-                    "open_spans": len(self._id_stack),
-                }
-                self._sink.write(
-                    json.dumps(beat, sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
-                self._sink.flush()
-                self.events_emitted += 1
-                self.heartbeats_emitted += 1
-
-    # -- mirrored recording --------------------------------------------
-    @contextmanager
-    def span(self, name: str, **gauges: Number) -> Iterator[Span]:
-        sid = self._next_id
-        self._next_id += 1
-        parent = self._id_stack[-1] if self._id_stack else None
-        span: Optional[Span] = None
-        try:
-            with super().span(name, **gauges) as span:
-                event: Event = {
-                    "ev": "span-open",
-                    "id": sid,
-                    "parent": parent,
-                    "name": name,
-                    "started_at": span.started_at,
-                }
-                if span.gauges:
-                    event["gauges"] = dict(span.gauges)
-                self._emit(event)
-                self._id_stack.append(sid)
-                try:
-                    yield span
-                finally:
-                    self._id_stack.pop()
-        finally:
-            # Emitted after the base tracer's exit hook so the final
-            # wall/cpu floats (and any counters flushed in the span's
-            # own finally blocks) are the exact frozen values — this is
-            # what makes replay byte-identical.
-            if span is not None:
-                close: Event = {
-                    "ev": "span-close",
-                    "id": sid,
-                    "wall_seconds": span.wall_seconds,
-                    "cpu_seconds": span.cpu_seconds,
-                }
-                if span.counters:
-                    close["counters"] = dict(span.counters)
-                if span.gauges:
-                    close["gauges"] = dict(span.gauges)
-                self._emit(close)
-
-    def count(self, name: str, delta: Number = 1) -> None:
-        super().count(name, delta)
-        # Unit increments are too hot to stream; per-call flushes from
-        # stage code (delta != 1) mark real per-stage totals.
-        if delta != 1:
-            self._emit(
-                {
-                    "ev": "count",
-                    "span": self._id_stack[-1] if self._id_stack else None,
-                    "name": name,
-                    "delta": delta,
-                }
-            )
-
-    def gauge(self, name: str, value: Number) -> None:
-        super().gauge(name, value)
-        self._emit(
-            {
-                "ev": "gauge",
-                "span": self._id_stack[-1] if self._id_stack else None,
-                "name": name,
-                "value": value,
             }
         )
 
-    def progress(self, kind: str, **fields: object) -> None:
-        """Stream a free-form progress event (never enters the trace)."""
-        event: Event = {"ev": "progress", "kind": kind}
-        event.update(fields)
-        self._emit(event)
-
-    # -- finalization --------------------------------------------------
-    def finish(
-        self,
-        router: str = "",
-        design: str = "",
-        meta: Optional[dict[str, object]] = None,
-    ) -> RunTrace:
-        """Freeze the trace, emit the ``finish`` event, close the sink.
-
-        The ``stream_events`` / ``stream_heartbeats`` bookkeeping
-        counters are recorded as orphan counters *before* freezing, so
-        the finish event and the returned trace agree exactly.
-        """
-        self.counters["stream_events"] = self.events_emitted
-        self.counters["stream_heartbeats"] = self.heartbeats_emitted
-        trace = super().finish(router=router, design=design, meta=meta)
-        self._emit(
-            {
-                "ev": "finish",
-                "router": trace.router,
-                "design": trace.design,
-                "wall_seconds": trace.wall_seconds,
-                "cpu_seconds": trace.cpu_seconds,
-                "counters": dict(trace.counters),
-                "meta": dict(trace.meta),
-            },
-            heartbeat=False,
+    def _write(self, event: Event) -> None:
+        self._sink.write(
+            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
         )
-        self.close()
-        return trace
+        self._sink.flush()
+        self._lines += 1
+
+    def __call__(self, event: Event) -> None:
+        """Write ``event`` (and maybe a heartbeat) to the sink."""
+        ev = event["ev"]
+        with self._lock:
+            if self._closed:
+                return
+            if ev == "span-open":
+                self._open_spans += 1
+            elif ev == "span-close":
+                self._open_spans -= 1
+            self._write(event)
+            now = time.perf_counter()
+            if (
+                ev != "finish"
+                and now - self._last_heartbeat >= HEARTBEAT_INTERVAL
+            ):
+                self._last_heartbeat = now
+                self._write(
+                    {
+                        "ev": "heartbeat",
+                        "wall_seconds": now - self._epoch,
+                        "rss_kib": _peak_rss_kib(),
+                        "events": self._lines,
+                        "open_spans": self._open_spans,
+                    }
+                )
+        if ev == "finish":
+            self.close()
 
     def close(self) -> None:
-        """Stop emitting; close the sink if this tracer opened it."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns_sink:
-            self._sink.close()
+        """Stop writing; close the sink if this writer opened it."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._owns_sink:
+                self._sink.close()
 
 
 # ----------------------------------------------------------------------
@@ -350,37 +241,59 @@ class StreamReplayer:
     """Incrementally reassembles stream events into a trace.
 
     Feed events in order with :meth:`apply`; :attr:`trace` is set once
-    the ``finish`` event arrives.  ``repro watch`` keeps one of these
-    alive while tailing a live file, so hotspot rollups are available
-    the moment the run ends.
+    the ``finish`` event arrives.  ``repro watch`` and ``-v`` keep one
+    of these alive while the run goes on, so hotspot rollups are
+    available the moment it ends.
     """
 
     def __init__(self) -> None:
         self._spans: dict[int, Span] = {}
         self._roots: list[Span] = []
+        self._opened = False
         #: Reassembled trace; ``None`` until the finish event.
         self.trace: Optional[RunTrace] = None
         #: Events applied so far (any type).
         self.events = 0
 
     def apply(self, event: Event) -> None:
-        """Fold one event into the reassembly state."""
+        """Fold one event into the reassembly state.
+
+        Raises:
+            ValueError: the event cannot belong to the one well-formed
+                run a stream holds: a second ``open`` header, a
+                ``span-open`` without a fresh integer ``id`` or with
+                an unknown ``parent``, or a ``span-close`` for a span
+                that never opened.  The message names the event's
+                1-based position.
+        """
         self.events += 1
         ev = event.get("ev")
-        if ev == "span-open":
+        if ev == "open":
+            if self._opened:
+                self._reject("a second 'open' header (two runs in one file?)")
+            self._opened = True
+        elif ev == "span-open":
+            sid = event.get("id")
+            if not isinstance(sid, int) or isinstance(sid, bool):
+                self._reject(f"span-open without an integer id: {sid!r}")
+            if sid in self._spans:
+                self._reject(f"span-open reuses span id {sid}")
+            name = event.get("name")
+            if not isinstance(name, str):
+                self._reject(f"span-open {sid} without a name")
+            parent = event.get("parent")
+            siblings = self._roots
+            if parent is not None:
+                siblings = self._span(parent, "span-open parent").children
             span = Span(
-                name=event["name"],
+                name=name,
                 started_at=event.get("started_at", 0.0),
                 gauges=dict(event.get("gauges", {})),
             )
-            self._spans[event["id"]] = span
-            parent = event.get("parent")
-            if parent is None:
-                self._roots.append(span)
-            else:
-                self._spans[parent].children.append(span)
+            self._spans[sid] = span
+            siblings.append(span)
         elif ev == "span-close":
-            span = self._spans[event["id"]]
+            span = self._span(event.get("id"), "span-close")
             span.wall_seconds = event.get("wall_seconds", 0.0)
             span.cpu_seconds = event.get("cpu_seconds", 0.0)
             span.counters = dict(event.get("counters", {}))
@@ -395,8 +308,18 @@ class StreamReplayer:
                 counters=dict(event.get("counters", {})),
                 meta=dict(event.get("meta", {})),
             )
-        # open / count / gauge / progress / heartbeat: the span-close
-        # and finish totals are authoritative; nothing to fold.
+        # count / gauge / progress / heartbeat: the span-close and
+        # finish totals are authoritative; nothing to fold.
+
+    def _span(self, sid: object, what: str) -> Span:
+        """The opened span ``sid`` names, else reject the event."""
+        span = self._spans.get(sid) if isinstance(sid, int) else None
+        if span is None:
+            self._reject(f"{what} names unknown span id {sid!r}")
+        return span
+
+    def _reject(self, problem: str) -> NoReturn:
+        raise ValueError(f"event {self.events}: {problem}")
 
 
 def read_stream(source: Sink) -> RunTrace:

@@ -17,6 +17,14 @@ every stage of the framework reports into a :class:`Tracer`:
 :meth:`Tracer.finish` freezes everything into a :class:`RunTrace`, a
 plain-data object with a stable, versioned JSON schema so traces from
 different routers (or different commits) are directly diffable.
+
+Live consumers are *listeners*: callables the tracer hands each event
+to while the run executes (the NDJSON vocabulary of
+:mod:`repro.observe.stream`).  The stream file
+(:class:`~repro.observe.StreamWriter`) and the terminal printer
+(:meth:`~repro.observe.StreamWatcher.handle`, ``-v`` and ``repro
+watch``) are both listeners, so they compose.  Without listeners a
+recording call does one extra truthiness test and builds no event.
 """
 
 from __future__ import annotations
@@ -26,14 +34,16 @@ import json
 import pathlib
 import time
 from contextlib import contextmanager
-from collections.abc import Iterator
-from typing import Optional, Union
+from collections.abc import Callable, Iterator, Sequence
+from typing import Any, Optional, Union
 
 TRACE_FORMAT = "repro-trace"
 TRACE_VERSION = 1
 
 Number = Union[int, float]
 PathLike = Union[str, pathlib.Path]
+#: One live event: a JSON-ready dict whose ``ev`` field names its kind.
+Event = dict[str, Any]
 
 
 @dataclasses.dataclass
@@ -221,15 +231,32 @@ class Tracer:
     stages never need ``if tracer is not None`` guards; hot loops should
     still count locally and flush once per call.  Use :func:`ensure`
     at API boundaries that accept ``tracer=None``.
+
+    Args:
+        listeners: callables handed every live event in order:
+            ``span-open`` / ``span-close`` (ids from a per-tracer
+            counter), ``count`` for flushes (``delta != 1``),
+            ``gauge``, ``progress`` and ``finish``.  Progress events
+            exist only for listeners and never enter the frozen trace.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, listeners: Sequence[Callable[[Event], None]] = ()
+    ) -> None:
         self._epoch_wall = time.perf_counter()
         self._epoch_cpu = time.process_time()
         self.spans: list[Span] = []
         #: Counters recorded while no span is open.
         self.counters: dict[str, Number] = {}
         self._stack: list[Span] = []
+        self._listeners = tuple(listeners)
+        #: Event ids of the open spans, alongside ``_stack``.
+        self._ids: list[int] = []
+        self._next_id = 0
+
+    def _emit(self, event: Event) -> None:
+        for listener in self._listeners:
+            listener(event)
 
     # -- recording -----------------------------------------------------
     @property
@@ -250,7 +277,21 @@ class Tracer:
             self._stack[-1].children.append(span)
         else:
             self.spans.append(span)
+        sid = self._next_id
+        self._next_id += 1
+        if self._listeners:
+            event: Event = {
+                "ev": "span-open",
+                "id": sid,
+                "parent": self._ids[-1] if self._ids else None,
+                "name": name,
+                "started_at": span.started_at,
+            }
+            if span.gauges:
+                event["gauges"] = dict(span.gauges)
+            self._emit(event)
         self._stack.append(span)
+        self._ids.append(sid)
         start_wall = time.perf_counter()
         start_cpu = time.process_time()
         try:
@@ -259,7 +300,22 @@ class Tracer:
             span.wall_seconds = time.perf_counter() - start_wall
             span.cpu_seconds = time.process_time() - start_cpu
             popped = self._stack.pop()
+            self._ids.pop()
             assert popped is span
+            if self._listeners:
+                # After the timing and the pop, so the close carries the
+                # exact frozen floats and totals: replay is byte-identical.
+                close: Event = {
+                    "ev": "span-close",
+                    "id": sid,
+                    "wall_seconds": span.wall_seconds,
+                    "cpu_seconds": span.cpu_seconds,
+                }
+                if span.counters:
+                    close["counters"] = dict(span.counters)
+                if span.gauges:
+                    close["gauges"] = dict(span.gauges)
+                self._emit(close)
 
     def count(self, name: str, delta: Number = 1) -> None:
         """Add ``delta`` to counter ``name`` of the innermost span."""
@@ -267,23 +323,48 @@ class Tracer:
             self._stack[-1].count(name, delta)
         else:
             self.counters[name] = self.counters.get(name, 0) + delta
+        # Unit increments are too hot to emit; per-call flushes from
+        # stage code (delta != 1) mark real per-stage totals.
+        if self._listeners and delta != 1:
+            self._emit(
+                {
+                    "ev": "count",
+                    "span": self._ids[-1] if self._ids else None,
+                    "name": name,
+                    "delta": delta,
+                }
+            )
 
     def gauge(self, name: str, value: Number) -> None:
-        """Record gauge ``name`` on the innermost span."""
-        if self._stack:
-            self._stack[-1].gauge(name, value)
-        else:
-            self.counters[name] = value
+        """Record gauge ``name`` on the innermost span.
+
+        Raises:
+            RuntimeError: no span is open — a point-in-time value has
+                no place among the run's event counts.
+        """
+        if not self._stack:
+            raise RuntimeError(f"cannot record gauge {name!r} outside a span")
+        self._stack[-1].gauge(name, value)
+        if self._listeners:
+            self._emit(
+                {
+                    "ev": "gauge",
+                    "span": self._ids[-1],
+                    "name": name,
+                    "value": value,
+                }
+            )
 
     def progress(self, kind: str, **fields: object) -> None:
-        """Report transient progress (per-net commits, task completions).
+        """Report transient progress (per-net commits) to the listeners.
 
-        Progress events never enter the frozen :class:`RunTrace` — they
-        exist for live consumers, so the base tracer discards them.
-        :class:`~repro.observe.StreamingTracer` overrides this to emit
-        a ``progress`` stream event.  Stages only call it under
-        ``RouterConfig(profile="full")``; see ``docs/observability.md``.
+        Progress never enters the frozen :class:`RunTrace`; without
+        listeners the call does nothing.
         """
+        if self._listeners:
+            event: Event = {"ev": "progress", "kind": kind}
+            event.update(fields)
+            self._emit(event)
 
     # -- finalization --------------------------------------------------
     def finish(
@@ -294,13 +375,14 @@ class Tracer:
     ) -> RunTrace:
         """Freeze the recorded data into a :class:`RunTrace`.
 
-        Open spans are not closed — finish after all spans exit.
+        Open spans are not closed — finish after all spans exit.  The
+        listeners get a ``finish`` event with the trace's root fields.
         """
         if self._stack:
             raise RuntimeError(
                 f"cannot finish with open span {self._stack[-1].name!r}"
             )
-        return RunTrace(
+        trace = RunTrace(
             router=router,
             design=design,
             wall_seconds=time.perf_counter() - self._epoch_wall,
@@ -309,6 +391,19 @@ class Tracer:
             counters=dict(self.counters),
             meta=dict(meta or {}),
         )
+        if self._listeners:
+            self._emit(
+                {
+                    "ev": "finish",
+                    "router": trace.router,
+                    "design": trace.design,
+                    "wall_seconds": trace.wall_seconds,
+                    "cpu_seconds": trace.cpu_seconds,
+                    "counters": dict(trace.counters),
+                    "meta": dict(trace.meta),
+                }
+            )
+        return trace
 
 
 def ensure(tracer: Optional[Tracer]) -> Tracer:

@@ -1,14 +1,20 @@
-"""Live run monitor: tail an event stream (``repro watch``).
+"""Live run monitor: ``repro watch`` and the CLI's ``-v`` / ``-vv``.
 
-A :class:`StreamWatcher` folds the NDJSON events of
+A :class:`StreamWatcher` folds the events of
 :mod:`repro.observe.stream` into human-oriented progress lines: stage
-opens/closes with their wall share, net-commit rates (``nets/s``), A*
-throughput (``expansions/s``), heartbeat gauges (peak RSS, open-span
-depth), and — between heartbeats — the *hotspot delta*: the span path
-whose closed wall time grew the most since the previous beat.  When
-the ``finish`` event arrives the watcher prints the standard hotspot
-ranking of the reassembled trace, so a tailed run ends with the same
-rollup ``repro trace top`` would print.
+opens/closes with their wall, net-commit rates per routing stage
+(``nets/s``), A* throughput (``expansions/s``), heartbeat gauges (peak
+RSS, open-span depth), and — between heartbeats — the *hotspot
+delta*: the span path whose closed wall time grew the most since the
+previous beat.  When the ``finish`` event arrives the watcher prints
+the standard hotspot ranking of the reassembled trace, so a run ends
+with the same rollup ``repro trace top`` would print.
+
+``repro watch`` feeds it the lines of a stream file;
+``-v`` registers :meth:`StreamWatcher.handle` as a listener on the
+run's own :class:`~repro.observe.Tracer`, printing to stderr.
+Heartbeats are written by the :class:`~repro.observe.StreamWriter`,
+so they show only when a stream file is watched.
 
 :func:`follow_events` is the tailing reader underneath: it yields
 complete event lines as the producer appends them, polling on EOF
@@ -31,14 +37,13 @@ from typing import IO, Optional, TextIO
 
 from .analytics import hotspots, render_hotspots
 from .stream import (
-    Event,
     StreamReplayer,
     check_stream_header,
     open_stream_text,
     parse_event_line,
 )
 from .schema import history_counters, is_registered
-from .tracer import PathLike
+from .tracer import Event, PathLike
 
 #: Counter names whose span-close totals feed the expansions/s rate.
 _EXPANSION_COUNTERS = ("maze_expansions", "astar_expansions")
@@ -90,7 +95,7 @@ def follow_events(
                     first = False
                     check_stream_header(event)
                 yield event
-                if event.get("ev") == "finish":
+                if follow and event.get("ev") == "finish":
                     return
                 continue
             # EOF, or a partial line the producer is still writing:
@@ -111,20 +116,27 @@ def follow_events(
 class StreamWatcher:
     """Folds stream events into live progress lines on ``out``.
 
-    Only shallow spans (stages and their direct children, depth <= 1)
-    get open/close lines — deep per-round spans would drown the
-    terminal; their wall still feeds the hotspot-delta tracking and
-    the final ranking.
+    Only spans at most ``depth`` levels below a top-level span get
+    open/close lines — depth 1 (``repro watch``, ``-v``) shows the
+    stages, depth 2 (``-vv``) adds the negotiation and rip-up rounds.
+    Deeper spans still feed the hotspot-delta tracking and the final
+    ranking.
+
+    Nets are counted per ``stage`` field of the ``net`` progress
+    events: every net sends one from the global and one from the
+    detailed stage, and the global count includes the nets re-routed
+    by negotiation rounds.
     """
 
-    def __init__(self, out: Optional[TextIO] = None) -> None:
+    def __init__(self, out: Optional[TextIO] = None, depth: int = 1) -> None:
         self._out: TextIO = out if out is not None else sys.stdout
+        self._max_depth = depth
         self.replayer = StreamReplayer()
         self._depth: dict[int, int] = {}
         self._path: dict[int, str] = {}
         self._started: dict[int, float] = {}
-        self._nets = 0
-        self._tasks = 0
+        #: Committed nets per routing stage, in first-seen order.
+        self._nets: dict[str, int] = {}
         self._expansions = 0.0
         self._wall = 0.0
         self._closed_wall: dict[str, float] = {}
@@ -141,9 +153,10 @@ class StreamWatcher:
     def _rates(self) -> str:
         if self._wall <= 0.0:
             return ""
-        parts = []
-        if self._nets:
-            parts.append(f"{self._nets / self._wall:.1f} nets/s")
+        parts = [
+            f"{count / self._wall:.1f} {stage} nets/s"
+            for stage, count in self._nets.items()
+        ]
         if self._expansions:
             parts.append(f"{self._expansions / self._wall:.0f} expansions/s")
         return "  ".join(parts)
@@ -182,7 +195,7 @@ class StreamWatcher:
             self._path[sid] = str(path)
             self._started[sid] = started
             self._wall = max(self._wall, started)
-            if depth <= 1:
+            if depth <= self._max_depth:
                 self._print(f"{self._stamp()} > {path}")
         elif ev == "span-close":
             sid = int(event["id"])
@@ -193,7 +206,7 @@ class StreamWatcher:
             counters = event.get("counters") or {}
             for name in _EXPANSION_COUNTERS:
                 self._expansions += counters.get(name, 0)
-            if self._depth.get(sid, 0) <= 1:
+            if self._depth.get(sid, 0) <= self._max_depth:
                 notable = "  ".join(
                     f"{name}={counters[name]:g}"
                     for name in _NOTABLE_COUNTERS
@@ -203,19 +216,16 @@ class StreamWatcher:
                 if notable:
                     line += f"  {notable}"
                 self._print(line)
-        elif ev == "progress":
-            kind = event.get("kind")
-            if kind == "net":
-                self._nets += 1
-                if self._nets % 100 == 0:
-                    rates = self._rates()
-                    suffix = f"  ({rates})" if rates else ""
-                    self._print(
-                        f"{self._stamp()} {self._nets} nets committed"
-                        f"{suffix}"
-                    )
-            elif kind == "task":
-                self._tasks += 1
+        elif ev == "progress" and event.get("kind") == "net":
+            stage = str(event.get("stage", "?"))
+            count = self._nets.get(stage, 0) + 1
+            self._nets[stage] = count
+            if count % 100 == 0:
+                rates = self._rates()
+                suffix = f"  ({rates})" if rates else ""
+                self._print(
+                    f"{self._stamp()} {count} {stage} nets committed{suffix}"
+                )
         elif ev == "heartbeat":
             self._wall = max(self._wall, float(event.get("wall_seconds", 0.0)))
             rss_mib = float(event.get("rss_kib", 0)) / 1024.0
@@ -242,6 +252,11 @@ class StreamWatcher:
                 f"(wall {event.get('wall_seconds', 0.0):.3f}s, "
                 f"cpu {event.get('cpu_seconds', 0.0):.3f}s)"
             )
+            if self._nets:
+                counts = ", ".join(
+                    f"{stage} {count}" for stage, count in self._nets.items()
+                )
+                self._print(f"  nets committed: {counts}")
             rates = self._rates()
             if rates:
                 self._print(f"  overall: {rates}")
@@ -249,7 +264,8 @@ class StreamWatcher:
             if trace is not None:
                 self._print("")
                 self._print(render_hotspots(hotspots(trace, n=5)))
-        # count / gauge / unknown events: folded by the replayer only.
+        # count / gauge / other progress / unknown events: folded by
+        # the replayer only.
 
 
 def watch_stream(

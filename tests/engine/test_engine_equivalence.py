@@ -11,6 +11,7 @@ independent geometry audit — identical counters from two kernels
 sharing a bug would otherwise go unnoticed.
 """
 
+import io
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from repro.api import RouterConfig, StitchAwareRouter
 from repro.benchmarks_gen import mcnc_design
 from repro.globalroute import GlobalRouter
 from repro.io import report_to_dict
+from repro.observe import StreamWriter, Tracer
 from tests.engine import reference
 
 CIRCUITS = {"S9234": 0.02, "S5378": 0.02, "S13207": 0.02}
@@ -39,10 +41,10 @@ def use_reference(monkeypatch):
         monkeypatch.setattr(owner, name, kernel)
 
 
-def route_flow(circuit, scale, **config_kwargs):
+def route_flow(circuit, scale, tracer=None, **config_kwargs):
     design = mcnc_design(circuit, scale)
     router = StitchAwareRouter(config=RouterConfig(**config_kwargs))
-    return router.route(design)
+    return router.route(design, tracer=tracer)
 
 
 def canonical_report(flow):
@@ -120,7 +122,13 @@ class TestProfiledEquivalence:
         }
         assert routing == plain.trace.aggregate_counters()
 
-    def test_full_profile_keeps_byte_identity(self, monkeypatch):
-        production = route_flow("S5378", 0.02, profile="full")
+    def test_streamed_run_keeps_byte_identity(self, monkeypatch):
+        # A listener sees every progress event; emitting them must
+        # not perturb routing.
+        sink = io.StringIO()
+        production = route_flow(
+            "S5378", 0.02, tracer=Tracer([StreamWriter(sink)])
+        )
+        assert '"kind":"net"' in sink.getvalue()
         use_reference(monkeypatch)
-        assert_identical(production, route_flow("S5378", 0.02, profile="full"))
+        assert_identical(production, route_flow("S5378", 0.02))

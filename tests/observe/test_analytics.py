@@ -10,7 +10,7 @@ import pytest
 from repro.observe import (
     RunTrace,
     Span,
-    StreamingTracer,
+    StreamWriter,
     TraceSummary,
     Tracer,
     diff_traces,
@@ -263,7 +263,7 @@ class TestLoadTraceFile:
     @pytest.mark.parametrize("name", ["run.ndjson", "run.ndjson.gz"])
     def test_event_stream_files(self, tmp_path, name):
         path = tmp_path / name
-        tracer = StreamingTracer(path)
+        tracer = Tracer([StreamWriter(path)])
         with tracer.span("pass1") as span:
             span.count("maze_expansions", 5)
         streamed = tracer.finish(router="R", design="streamed-toy")

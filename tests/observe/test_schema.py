@@ -3,14 +3,13 @@
 Two halves:
 
 * registry invariants — the API contracts other tooling builds on
-  (history ordering for analytics, strip-prefix queries for the
+  (history ordering for analytics, the strip prefix of the
   regression gate, prefix discipline at import time);
-* live completeness — S9234 at the regression-gate scale is routed
-  under three configurations (default, counter profiling, full
-  profiling) and **every** counter, gauge, span, and progress kind the
-  run emits must be registered.  A new metric emitted anywhere in the
-  router fails here until it is declared in
-  :mod:`repro.observe.schema`.
+* live completeness — S9234 at the regression-gate scale is routed,
+  streamed, under both profile levels, and **every** counter, gauge,
+  span, and progress kind the run emits must be registered.  A new
+  metric emitted anywhere in the router fails here until it is
+  declared in :mod:`repro.observe.schema`.
 """
 
 import io
@@ -21,17 +20,15 @@ import pytest
 from repro.benchmarks_gen import mcnc_design
 from repro.config import RouterConfig
 from repro.api import StitchAwareRouter
-from repro.observe import StreamingTracer, schema
+from repro.observe import StreamWriter, Tracer, schema
 
 CIRCUIT, SCALE = "S9234", 0.02
 
-#: The live configurations the completeness gate covers.
+#: The live configurations the completeness gate covers.  Every run
+#: streams, so each also proves the "net" progress kind is registered.
 CONFIGS = {
     "serial": {},
     "profile": {"profile": "counters"},
-    # profile="full" turns on progress events, so this run proves the
-    # "net" progress kind is registered.
-    "full": {"profile": "full"},
 }
 
 
@@ -69,23 +66,27 @@ class TestRegistryInvariants:
         )
 
     def test_strip_prefixes(self):
-        assert schema.strip_prefixes("profiling") == ("perf_",)
-        assert set(schema.strip_prefixes("profiling", "streaming")) == {
-            "perf_",
-            "stream_",
-        }
-
-    def test_strip_prefixes_unknown_category_raises(self):
-        with pytest.raises(ValueError, match="no strippable category"):
-            schema.strip_prefixes("nonsense")
+        # The one strippable namespace: what the regression gate scrubs.
+        assert schema.PROFILING_PREFIX == "perf_"
+        assert not schema.metric_names(category="streaming")
 
     def test_prefix_discipline(self):
         # Prefixed names carry the category their prefix promises, so
-        # strip_prefixes() queries select exactly the right metrics.
+        # the gate's prefix scrub selects exactly the profiling metrics.
         for spec in schema.metric_specs():
-            for category, prefixes in schema.CATEGORY_PREFIXES.items():
-                if any(spec.name.startswith(p) for p in prefixes):
-                    assert spec.category == category, spec.name
+            if spec.name.startswith(schema.PROFILING_PREFIX):
+                assert spec.category == "profiling", spec.name
+
+    def test_discipline_check_rejects_stray_perf_name(self, monkeypatch):
+        stray = schema.MetricSpec(
+            name="perf_stray", kind="counter",
+            stages=frozenset({"global"}), category="routing",
+        )
+        registry = dict(schema._REGISTRY)
+        registry[("counter", "perf_stray")] = stray
+        monkeypatch.setattr(schema, "_REGISTRY", registry)
+        with pytest.raises(ValueError, match="perf_stray"):
+            schema._check_prefix_discipline()
 
     def test_metric_names_filters(self):
         profiling = schema.metric_names("counter", category="profiling")
@@ -103,7 +104,7 @@ def run(name):
     """Route S9234 once per configuration; cache across tests."""
     if name not in _RUNS:
         sink = io.StringIO()
-        tracer = StreamingTracer(sink)
+        tracer = Tracer([StreamWriter(sink)])
         config = RouterConfig(**CONFIGS[name])
         design = mcnc_design(CIRCUIT, SCALE)
         result = StitchAwareRouter(config=config).route(
@@ -153,5 +154,4 @@ class TestLiveCompleteness:
         counters = trace.aggregate_counters()
         if name == "profile":
             assert any(c.startswith("perf_") for c in counters)
-        if name == "full":
-            assert "net" in progress_kinds
+        assert "net" in progress_kinds

@@ -1,15 +1,16 @@
 """Flow-level streaming contracts: replay identity and profile purity.
 
-Three promises from ``docs/observability.md`` are proven on a real
+Four promises from ``docs/observability.md`` are proven on a real
 gate circuit (S9234 at the regression-gate scale):
 
 * a streamed run's NDJSON events replay into a :class:`RunTrace`
   byte-identical to the trace the run itself froze;
+* streaming adds nothing to the trace: a streamed run's counters equal
+  an unstreamed run's, with no stripping;
 * ``profile="off"`` leaves the trace byte-compatible with the
   committed (pre-profiling) baselines — zero-cost means *invisible*;
-* ``profile="counters"`` and ``profile="full"`` add only ``perf_*``
-  counters: stripping them (and the tracer's ``stream_*``
-  bookkeeping) recovers the off-mode trace exactly.
+* ``profile="counters"`` adds only ``perf_*`` counters: stripping them
+  recovers the off-mode trace exactly.
 """
 
 import json
@@ -20,7 +21,7 @@ import pytest
 from repro.benchmarks_gen import mcnc_design
 from repro.config import RouterConfig
 from repro.api import StitchAwareRouter
-from repro.observe import StreamingTracer, read_stream
+from repro.observe import StreamWriter, Tracer, read_stream
 
 CIRCUIT, SCALE = "S9234", 0.02
 BASELINE = (
@@ -38,19 +39,28 @@ def route(profile="off", tracer=None):
 
 
 def strip_instrumentation(counters):
-    return {
-        k: v
-        for k, v in counters.items()
-        if not k.startswith(("perf_", "stream_"))
-    }
+    return {k: v for k, v in counters.items() if not k.startswith("perf_")}
 
 
 class TestReplayIdentity:
     def test_streamed_run_replays_byte_identical(self, tmp_path):
         path = tmp_path / "run.ndjson"
-        flow = route(profile="full", tracer=StreamingTracer(path))
+        flow = route(tracer=Tracer([StreamWriter(path)]))
         assert flow.trace is not None
         assert read_stream(path).to_json() == flow.trace.to_json()
+
+    def test_streaming_adds_no_counter(self, tmp_path):
+        streamed = route(
+            tracer=Tracer([StreamWriter(tmp_path / "run.ndjson")])
+        )
+        plain = route()
+        assert streamed.trace is not None and plain.trace is not None
+        assert (
+            streamed.trace.aggregate_counters()
+            == plain.trace.aggregate_counters()
+        )
+        assert streamed.trace.counters == plain.trace.counters
+        assert streamed.trace.meta == plain.trace.meta
 
 
 class TestProfileOffIsInvisible:
@@ -91,7 +101,7 @@ class TestProfileOffIsInvisible:
 
 
 class TestCountersModeIsPure:
-    @pytest.mark.parametrize("profile", ["counters", "full"])
+    @pytest.mark.parametrize("profile", ["counters"])
     def test_stripping_recovers_off_mode(self, profile):
         off = route(profile="off")
         profiled = route(profile=profile)

@@ -158,6 +158,76 @@ class TestSerialization:
         assert Span.from_dict(span.to_dict()).to_dict() == span.to_dict()
 
 
+class TestGauges:
+    def test_gauge_outside_any_span_raises(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError, match="'overflow'"):
+            tracer.gauge("overflow", 2.5)
+        assert tracer.finish().counters == {}
+
+
+def run_small(tracer):
+    with tracer.span("outer", round=1) as outer:
+        with tracer.span("inner"):
+            tracer.count("unit")
+            tracer.count("flush", 5)
+            tracer.gauge("overflow", 2)
+            tracer.progress("net", stage="global", net="n0")
+        outer.count("late", 3)  # direct span write: no event
+    return tracer.finish(router="R", design="D", meta={"k": 1})
+
+
+class TestListeners:
+    def record(self):
+        events = []
+        trace = run_small(Tracer([events.append]))
+        return events, trace
+
+    def test_event_sequence(self):
+        events, _ = self.record()
+        assert [e["ev"] for e in events] == [
+            "span-open", "span-open", "count", "gauge", "progress",
+            "span-close", "span-close", "finish",
+        ]
+        outer_open, inner_open = events[0], events[1]
+        assert outer_open["parent"] is None
+        assert outer_open["gauges"] == {"round": 1}
+        assert inner_open["parent"] == outer_open["id"]
+        assert events[2]["span"] == events[3]["span"] == inner_open["id"]
+        assert events[4] == {
+            "ev": "progress", "kind": "net", "stage": "global", "net": "n0",
+        }
+
+    def test_span_close_carries_frozen_values(self):
+        events, trace = self.record()
+        outer_close = events[6]
+        outer = trace.spans[0]
+        assert outer_close["id"] == events[0]["id"]
+        assert outer_close["wall_seconds"] == outer.wall_seconds > 0.0
+        assert outer_close["cpu_seconds"] == outer.cpu_seconds
+        assert outer_close["counters"] == {"late": 3}
+
+    def test_finish_event_carries_root_fields(self):
+        events, trace = self.record()
+        assert events[-1] == {
+            "ev": "finish",
+            "router": "R",
+            "design": "D",
+            "wall_seconds": trace.wall_seconds,
+            "cpu_seconds": trace.cpu_seconds,
+            "counters": {},
+            "meta": {"k": 1},
+        }
+
+    def test_listeners_do_not_change_the_trace(self):
+        _, heard = self.record()
+        plain = run_small(Tracer())
+        assert heard.aggregate_counters() == plain.aggregate_counters()
+        assert [s.gauges for s in heard.walk()] == [
+            s.gauges for s in plain.walk()
+        ]
+
+
 def test_ensure_passthrough_and_fresh():
     tracer = Tracer()
     assert ensure(tracer) is tracer

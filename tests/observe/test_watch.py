@@ -7,20 +7,28 @@ import time
 
 import pytest
 
-from repro.observe import StreamingTracer
+from repro.observe import StreamWriter, Tracer
+from repro.observe import stream as stream_module
 from repro.observe.watch import StreamWatcher, follow_events, watch_stream
 
 
-def write_run(path, heartbeat_interval=1e9):
+@pytest.fixture(autouse=True)
+def no_heartbeats(monkeypatch):
+    """Streams without heartbeats, so event lists are timing-independent."""
+    monkeypatch.setattr(stream_module, "HEARTBEAT_INTERVAL", 1e9)
+
+
+def write_run(path):
     """Stream a small synthetic run to ``path``; returns the trace."""
-    tracer = StreamingTracer(path, heartbeat_interval=heartbeat_interval)
+    tracer = Tracer([StreamWriter(path)])
     with tracer.span("pass1"):
         with tracer.span("global-route") as stage:
             stage.count("maze_expansions", 40)
             for i in range(3):
-                tracer.progress("net", net=f"n{i}", routed=True)
+                tracer.progress("net", stage="global", net=f"n{i}")
     with tracer.span("pass2"):
-        tracer.progress("task", stage="detailed", index=0, busy_seconds=0.1)
+        for i in range(2):
+            tracer.progress("net", stage="detailed", net=f"n{i}")
     return tracer.finish(router="StitchAwareRouter", design="toy")
 
 
@@ -45,10 +53,10 @@ class TestWatchStream:
 
     def test_interrupted_stream_exits_nonzero(self, tmp_path):
         path = tmp_path / "run.ndjson"
-        tracer = StreamingTracer(path, heartbeat_interval=1e9)
+        tracer = Tracer([StreamWriter(path)])
         with tracer.span("pass1"):
             pass
-        tracer.close()  # no finish event
+        # no finish event
         out = io.StringIO()
         assert watch_stream(path, follow=False, out=out) == 1
         assert "without a finish event" in out.getvalue()
@@ -65,7 +73,7 @@ class TestFollowEvents:
         path = tmp_path / "run.ndjson"
 
         def producer():
-            tracer = StreamingTracer(path, heartbeat_interval=1e9)
+            tracer = Tracer([StreamWriter(path)])
             with tracer.span("pass1"):
                 time.sleep(0.05)
             tracer.finish(router="R", design="D")
@@ -99,19 +107,21 @@ class TestFollowEvents:
 
     def test_timeout_on_silent_producer(self, tmp_path):
         path = tmp_path / "run.ndjson"
-        tracer = StreamingTracer(path, heartbeat_interval=1e9)
+        writer = StreamWriter(path)
+        tracer = Tracer([writer])
         with tracer.span("pass1"):
             pass
-        tracer.close()  # producer goes silent without finishing
+        writer.close()  # producer goes silent without finishing
         with pytest.raises(TimeoutError):
             list(follow_events(path, poll_interval=0.01, timeout=0.05))
 
     def test_no_follow_stops_at_eof(self, tmp_path):
         path = tmp_path / "run.ndjson"
-        tracer = StreamingTracer(path, heartbeat_interval=1e9)
+        writer = StreamWriter(path)
+        tracer = Tracer([writer])
         with tracer.span("pass1"):
             pass
-        tracer.close()
+        writer.close()
         events = list(follow_events(path, follow=False))
         assert [e["ev"] for e in events] == [
             "open", "span-open", "span-close",
@@ -119,9 +129,9 @@ class TestFollowEvents:
 
 
 class TestStreamWatcher:
-    def feed(self, events):
+    def feed(self, events, depth=1):
         out = io.StringIO()
-        watcher = StreamWatcher(out=out)
+        watcher = StreamWatcher(out=out, depth=depth)
         for event in events:
             watcher.handle(event)
         return watcher, out.getvalue()
@@ -164,12 +174,15 @@ class TestStreamWatcher:
     def test_net_progress_prints_every_hundred(self):
         events = self.synthetic_events()[:2]
         events += [
-            {"ev": "progress", "kind": "net", "net": f"n{i}", "routed": True}
+            {
+                "ev": "progress", "kind": "net", "stage": "global",
+                "net": f"n{i}", "routed": True,
+            }
             for i in range(250)
         ]
         watcher, text = self.feed(events)
-        assert text.count("nets committed") == 2  # at 100 and 200
-        assert watcher._nets == 250
+        assert text.count("global nets committed") == 2  # at 100 and 200
+        assert watcher._nets == {"global": 250}
 
     def test_deep_spans_stay_quiet_but_feed_hotspots(self):
         events = self.synthetic_events()[:2]
@@ -189,6 +202,23 @@ class TestStreamWatcher:
         assert "> pass1/round" in text  # depth 1: printed
         assert "pass1/round/net" not in text  # depth 2: quiet
         assert watcher._depth[2] == 2
+        _, deeper = self.feed(events, depth=2)
+        assert "> pass1/round/net" in deeper
+
+    def test_nets_counted_per_stage(self):
+        events = self.synthetic_events()[:2]
+        for stage, nets in (("global", 3), ("detailed", 2)):
+            events += [
+                {"ev": "progress", "kind": "net", "stage": stage, "net": n}
+                for n in range(nets)
+            ]
+        events.append(
+            {"ev": "finish", "router": "R", "design": "D", "wall_seconds": 1.0}
+        )
+        _, text = self.feed(events)
+        assert "nets committed: global 3, detailed 2" in text
+        assert "3.0 global nets/s" in text
+        assert "2.0 detailed nets/s" in text
 
     def test_finish_prints_summary_and_ranking(self, tmp_path):
         path = tmp_path / "run.ndjson"

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro.cli import _profile_path, build_parser, main
-from repro.observe import StreamingTracer
+from repro.observe import StreamWriter, read_stream
+
+
+STREAM_HEADER = '{"ev":"open","format":"repro-trace-stream","version":1}'
 
 
 class TestParser:
@@ -127,18 +130,38 @@ class TestCommands:
         assert hist_sp == doc["short_polygons"]
 
     def test_verbose_route_streams_progress(self, capsys):
-        import logging
+        assert main(["-v", "route", "S9234", "--scale", "0.02"]) == 0
+        err = capsys.readouterr().err
+        close = next(
+            line for line in err.splitlines()
+            if "< pass2/detailed-route" in line
+        )
+        # The close line is printed after the span was timed.
+        wall = float(close.split("wall=")[1].split("s")[0])
+        assert wall > 0.0
+        assert "finished: StitchAwareRouter on S9234" in err
+        assert "hotspots" in err
+        assert "> pass2/detailed-route/first-pass" not in err  # depth 2
 
-        from repro.observe import TRACE_LOGGER_NAME
+    def test_double_verbose_adds_round_depth(self, capsys):
+        assert main(["-vv", "route", "S9234", "--scale", "0.02"]) == 0
+        assert "> pass2/detailed-route/first-pass" in capsys.readouterr().err
 
-        logger = logging.getLogger(TRACE_LOGGER_NAME)
-        saved = (list(logger.handlers), logger.level, logger.propagate)
-        try:
-            assert main(["-v", "route", "S9234", "--scale", "0.02"]) == 0
-            err = capsys.readouterr().err
-            assert "repro.trace" in err and "wall=" in err
-        finally:
-            logger.handlers, logger.level, logger.propagate = saved
+    def test_verbose_and_stream_compose(self, capsys, tmp_path):
+        stream = tmp_path / "run.ndjson"
+        assert main([
+            "-v", "route", "S9234", "--scale", "0.02",
+            "--stream", str(stream),
+        ]) == 0
+        err = capsys.readouterr().err
+        trace = read_stream(stream)
+        detailed = trace.find("detailed-route")
+        assert detailed is not None
+        # Both listeners saw the same span-close event.
+        assert (
+            f"< pass2/detailed-route  wall={detailed.wall_seconds:.3f}s"
+            in err
+        )
 
 
 class TestTraceCommands:
@@ -225,7 +248,7 @@ class TestStreamingCommands:
         stream = tmp_path / "run.ndjson"
         assert main([
             "route", "S9234", "--scale", "0.02",
-            "--perf", "full", "--stream", str(stream),
+            "--perf", "counters", "--stream", str(stream),
         ]) == 0
         capsys.readouterr()
         assert stream.exists()
@@ -265,13 +288,51 @@ class TestStreamingCommands:
         # A header-only stream: a watcher that accepted the value would
         # return 1 here (no finish event) instead of hanging.
         stream = tmp_path / "open.ndjson"
-        StreamingTracer(stream).close()
+        StreamWriter(stream).close()
         with pytest.raises(SystemExit) as exc:
             main(["watch", str(stream), "--no-follow", flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err
         assert "Traceback" not in err
+
+    def test_second_stream_run_replaces_the_first(self, capsys, tmp_path):
+        stream = tmp_path / "run.ndjson"
+        for _ in range(2):
+            assert main([
+                "route", "S9234", "--scale", "0.02", "--stream", str(stream),
+            ]) == 0
+        counters = read_stream(stream).aggregate_counters()
+        assert counters["nets_routed"] == 30
+
+    @pytest.mark.parametrize("command", ["trace", "watch"])
+    @pytest.mark.parametrize(
+        "events",
+        [
+            ['{"ev":"span-close","id":7}'],
+            ['{"ev":"span-open","id":1,"parent":5,"name":"x"}'],
+            ['{"ev":"span-open","parent":null,"name":"x"}'],
+            ['{"ev":"finish"}', STREAM_HEADER],
+        ],
+        ids=["close-unknown-id", "unknown-parent", "open-without-id",
+             "two-runs"],
+    )
+    def test_malformed_stream_exits_2(
+        self, command, events, capsys, tmp_path
+    ):
+        path = tmp_path / "bad.ndjson"
+        lines = [STREAM_HEADER, *events, '{"ev":"finish"}']
+        path.write_text("\n".join(lines) + "\n")
+        argv = (
+            ["trace", "show", str(path)]
+            if command == "trace"
+            else ["watch", str(path), "--no-follow"]
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "event " in err
 
     def test_perf_counters_route_prints_report(self, capsys):
         assert main([

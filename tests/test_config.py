@@ -119,11 +119,13 @@ class TestProfileField:
         assert DEFAULT_CONFIG.profile == "off"
 
     def test_accepts_known_levels(self):
+        assert RouterConfig(profile="off").profile == "off"
         assert RouterConfig(profile="counters").profile == "counters"
-        assert RouterConfig(profile="full").profile == "full"
 
     def test_rejects_unknown_levels(self):
         with pytest.raises(ValueError):
             RouterConfig(profile="verbose")
+        with pytest.raises(ValueError, match="'off' or 'counters'"):
+            RouterConfig(profile="full")
         with pytest.raises(ValueError):
             RouterConfig(profile=True)
