@@ -88,11 +88,14 @@ def main() -> None:
     ]
     seen = set()
     for module_name, module in iter_modules():
+        # A one-dot package that declares __all__ re-exports its
+        # submodules' names; anywhere else a name is listed only under
+        # the module that defines it.
+        reexports = module_name.count(".") == 1 and hasattr(module, "__all__")
         members = [
             (name, obj)
             for name, obj in public_members(module)
-            if obj.__module__ == module_name
-            or (module_name.count(".") == 1 and id(obj) not in seen)
+            if obj.__module__ == module_name or reexports
         ]
         fresh = [(n, o) for n, o in members if id(o) not in seen]
         if not fresh:

@@ -37,7 +37,6 @@ import dataclasses
 from collections import Counter
 from typing import TYPE_CHECKING, Optional, Union
 
-from .findings import fix_hint_for
 from .rules import AUDIT_RULES
 
 if TYPE_CHECKING:  # data models only — never their counting helpers
@@ -78,7 +77,7 @@ class AuditFinding:
     @property
     def fix_hint(self) -> str:
         """The rule's canonical fix, for display."""
-        return fix_hint_for(self.rule)
+        return AUDIT_RULES[self.rule].fix_hint
 
     @property
     def location(self) -> str:

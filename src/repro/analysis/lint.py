@@ -20,14 +20,10 @@ trace kind (the assignment stage accumulates ``conflict_weight`` this
 way and emits it as a gauge), so a name stored in the function may be
 registered as either a counter or a gauge.
 
-Findings can be silenced in two ways:
-
-* per line — append ``# repro: allow-DETnnn <reason>`` (or
-  ``allow-OBS001``) to the flagged line (several codes may be listed,
-  comma separated);
-* per finding — record it in a committed baseline file
-  (:mod:`~repro.analysis.baseline`), which grandfathers existing debt
-  without hiding new findings.
+The one way past a finding is a justified comment on the flagged line:
+``# repro: allow-DETnnn <reason>`` (or ``allow-OBS001``; several codes
+may be listed, comma separated).  An ``allow-`` comment that silences
+nothing is reported as a dead suppression.
 
 ``repro lint [paths]`` is the CLI front end.
 """
@@ -36,19 +32,13 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import io
 import pathlib
+import re
+import tokenize
 from collections.abc import Iterable, Sequence
 from typing import Optional
 
-from .findings import (
-    DeadSuppression,
-    Finding,
-    dead_suppression_lines,
-    finding_lines,
-    suppressed_rules,
-    suppression_map,
-)
-from .findings import resolve_rule_filter as _resolve_rule_filter
 from .rules import ROUTING_PACKAGES, RULES, Rule
 from ..observe import schema
 
@@ -60,9 +50,8 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "render_findings",
-    "resolve_rule_filter",
     "routing_rules_apply",
-    "suppressed_rules",
+    "suppression_map",
 ]
 
 #: Calls whose result cannot depend on the argument's iteration order —
@@ -108,8 +97,13 @@ _FLOATY_TOKENS = frozenset(
 
 _SET_ANNOTATION_NAMES = frozenset({"set", "Set", "frozenset", "FrozenSet"})
 
-#: Rule-code prefixes ``# repro: allow-...`` comments may name here.
-_SUPPRESSIBLE = "(?:DET|OBS)"
+#: A ``# repro: allow-<CODE>[, <CODE>...]`` comment; codes may repeat
+#: the ``allow-`` prefix.
+_SUPPRESSION = re.compile(
+    r"#\s*repro:\s*allow-((?:DET|OBS)\d{3}"
+    r"(?:\s*,\s*(?:allow-)?(?:DET|OBS)\d{3})*)"
+)
+_RULE_CODE = re.compile(r"(?:DET|OBS)\d{3}")
 
 #: Receiver-name tokens marking a call as a trace emission (OBS001).
 _EMIT_RECEIVER_TOKENS = frozenset({"tracer", "span", "stage"})
@@ -126,12 +120,64 @@ _EMIT_KINDS = {
 }
 
 
+@dataclasses.dataclass(frozen=True)
+class Finding:
+    """One lint-rule violation at one source location."""
+
+    path: str
+    line: int
+    col: int
+    rule: str
+    message: str
+    text: str
+
+    @property
+    def fix_hint(self) -> str:
+        """The rule's canonical fix, for display."""
+        return RULES[self.rule].fix_hint
+
+    def to_dict(self) -> dict[str, object]:
+        """Plain-dict form for ``--format json`` output."""
+        return {
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "rule": self.rule,
+            "message": self.message,
+            "text": self.text,
+            "fix_hint": self.fix_hint,
+        }
+
+
+@dataclasses.dataclass(frozen=True)
+class DeadSuppression:
+    """An ``allow-`` comment whose codes silenced no finding on its line.
+
+    Dead suppressions are reported as warnings (they never fail a run)
+    so stale ``# repro: allow-XXXnnn`` comments surface instead of
+    accumulating silently after the underlying finding is fixed.
+    """
+
+    path: str
+    line: int
+    codes: tuple[str, ...]
+    text: str
+
+    def to_dict(self) -> dict[str, object]:
+        """Plain-dict form for ``--format json`` output."""
+        return {
+            "path": self.path,
+            "line": self.line,
+            "codes": list(self.codes),
+            "text": self.text,
+        }
+
+
 @dataclasses.dataclass
 class LintReport:
     """Outcome of one lint run over a set of paths."""
 
     findings: list[Finding]
-    grandfathered: list[Finding]
     suppressed: int
     files: int
     dead_suppressions: list[DeadSuppression] = dataclasses.field(
@@ -140,8 +186,27 @@ class LintReport:
 
     @property
     def ok(self) -> bool:
-        """Whether the run is clean (no non-grandfathered findings)."""
+        """Whether the run is clean (no unsuppressed finding)."""
         return not self.findings
+
+
+def suppression_map(source: str) -> dict[int, frozenset[str]]:
+    """Per-line rule codes silenced by real ``allow-`` comments.
+
+    Tokenizes ``source`` so the comment syntax quoted inside a string
+    literal (documentation) neither suppresses nor counts as a dead
+    suppression.
+    """
+    out: dict[int, frozenset[str]] = {}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESSION.search(token.string)
+        if match is not None:
+            out[token.start[0]] = frozenset(
+                _RULE_CODE.findall(match.group(1))
+            )
+    return out
 
 
 def routing_rules_apply(path: str) -> bool:
@@ -673,7 +738,7 @@ def _lint_source(
     checker.visit(tree)
     kept: list[Finding] = []
     suppressed = 0
-    allowed = suppression_map(source, _SUPPRESSIBLE)
+    allowed = suppression_map(source)
     used_codes: dict[int, set[str]] = {}
     for finding in sorted(
         linter.findings + checker.findings,
@@ -724,59 +789,36 @@ def iter_python_files(paths: Iterable[str]) -> list[pathlib.Path]:
     return files
 
 
-def resolve_rule_filter(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> frozenset[str]:
-    """The active lint rule codes after ``--select`` / ``--ignore``.
-
-    ``select`` restricts the run to the listed codes (default: every
-    rule); ``ignore`` then removes codes.  Unknown codes raise
-    :class:`ValueError` naming the offenders.
-    """
-    return _resolve_rule_filter(select, ignore, known=RULES)
-
-
-def lint_paths(
-    paths: Sequence[str],
-    baseline_fingerprints: frozenset[tuple[str, str, str]] = frozenset(),
-    *,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> LintReport:
+def lint_paths(paths: Sequence[str]) -> LintReport:
     """Lint every Python file under ``paths``.
 
-    Findings whose :attr:`~Finding.fingerprint` appears in
-    ``baseline_fingerprints`` are grandfathered: reported separately and
-    excluded from the failure condition.  ``select`` / ``ignore``
-    restrict the active rule set (see :func:`resolve_rule_filter`);
-    filtered-out findings are dropped entirely (not counted as
-    suppressed or grandfathered).
+    Raises :class:`ValueError` naming the path for a path that is
+    neither a directory nor a ``.py`` file, and for a file that does
+    not decode as UTF-8 or does not parse.
     """
-    active = resolve_rule_filter(select, ignore)
     findings: list[Finding] = []
-    grandfathered: list[Finding] = []
     suppressed = 0
     files = 0
     dead_suppressions: list[DeadSuppression] = []
     for file_path in iter_python_files(paths):
         files += 1
-        source = file_path.read_text(encoding="utf-8")
-        kept, file_suppressed, file_dead = _lint_source(
-            source, str(file_path)
-        )
+        try:
+            source = file_path.read_text(encoding="utf-8")
+            kept, file_suppressed, file_dead = _lint_source(
+                source, str(file_path)
+            )
+        except SyntaxError as error:
+            where = f"{file_path}:{error.lineno}" if error.lineno else file_path
+            raise ValueError(f"{where}: {error.msg}") from error
+        except UnicodeDecodeError as error:
+            raise ValueError(f"{file_path}: {error}") from error
+        except tokenize.TokenError as error:
+            raise ValueError(f"{file_path}: {error.args[0]}") from error
+        findings.extend(kept)
         suppressed += file_suppressed
         dead_suppressions.extend(file_dead)
-        for finding in kept:
-            if finding.rule not in active:
-                continue
-            if finding.fingerprint in baseline_fingerprints:
-                grandfathered.append(finding)
-            else:
-                findings.append(finding)
     return LintReport(
         findings=findings,
-        grandfathered=grandfathered,
         suppressed=suppressed,
         files=files,
         dead_suppressions=dead_suppressions,
@@ -785,13 +827,21 @@ def lint_paths(
 
 def render_findings(report: LintReport) -> str:
     """Human-readable lint output (one line per finding plus a hint)."""
-    out = finding_lines(report.findings)
-    out.extend(dead_suppression_lines(report.dead_suppressions))
+    out: list[str] = []
+    for finding in report.findings:
+        out.append(
+            f"{finding.path}:{finding.line}:{finding.col + 1}: "
+            f"{finding.rule} {finding.message}"
+        )
+        out.append(f"    hint: {finding.fix_hint}")
+    for entry in report.dead_suppressions:
+        out.append(
+            f"{entry.path}:{entry.line}: warning: dead suppression "
+            f"({', '.join(entry.codes)} silences no finding on this line)"
+        )
     summary = (
         f"{len(report.findings)} finding(s) in {report.files} file(s)"
     )
-    if report.grandfathered:
-        summary += f", {len(report.grandfathered)} grandfathered"
     if report.dead_suppressions:
         summary += (
             f", {len(report.dead_suppressions)} dead suppression(s)"

@@ -270,13 +270,3 @@ AUDIT_RULES: dict[str, Rule] = {
     r.code: r
     for r in (AUD001, AUD002, AUD003, AUD004, AUD005, AUD006, AUD007)
 }
-
-
-def rule_catalog() -> dict[str, Rule]:
-    """Every known rule across all catalogs, keyed by code.
-
-    The merged lookup table behind
-    :func:`~repro.analysis.findings.fix_hint_for` — rule codes are
-    globally unique across the catalogs.
-    """
-    return {**RULES, **AUDIT_RULES}

@@ -19,10 +19,10 @@ Commands:
   hotspot deltas, and the final hotspot ranking when the run finishes.
 * ``lint`` — run the linter (determinism rules DET001–DET005 and the
   schema-registry rule OBS001, see ``docs/static_analysis.md``) over
-  source paths; exits nonzero on findings not grandfathered by the
-  committed baseline and 2 on a path that is neither a directory nor
-  a ``.py`` file.  ``--select`` / ``--ignore`` restrict the active
-  rule set.
+  source paths; exits 1 on any finding that no justified ``# repro:
+  allow-`` comment silences, and 2 on a path that is neither a
+  directory nor a ``.py`` file or on a file that does not decode or
+  parse.
 * ``audit`` — route one circuit and run the independent solution
   auditor (rules AUD001–AUD007) over the result: every stitching
   constraint is re-derived from the raw geometry and the report's
@@ -37,8 +37,9 @@ NDJSON file that ``repro watch FILE`` can tail.
 Every output path (``--svg``, ``--report``, ``--save-design``,
 ``--profile``, ``--stream``) is checked before the design is
 generated: a missing parent directory exits 2 with
-``repro <cmd>: no such directory: DIR`` instead of failing after the
-run.
+``repro <cmd>: no such directory: DIR``, and a path that is an
+existing directory with ``repro <cmd>: is a directory: PATH``,
+instead of failing after the run.
 
 ``-v`` / ``-vv`` (before the command) print the run's live progress
 on stderr in the ``repro watch`` format: ``-v`` shows the stages,
@@ -303,11 +304,14 @@ def _load_trace(path: str, key: Optional[str]) -> RunTrace:
     try:
         return load_trace_file(path, key=key)
     except OSError as error:
-        raise ValueError(
-            f"cannot read {path}: {error.strerror or error}"
-        ) from error
+        message = f"cannot read: {error.strerror or error}"
+    except EOFError as error:  # a truncated .gz
+        message = f"cannot read: {error}"
     except json.JSONDecodeError as error:
-        raise ValueError(f"{path} is not valid JSON: {error}") from error
+        message = f"not valid JSON: {error}"
+    except ValueError as error:
+        message = str(error)
+    raise ValueError(f"{path}: {message}")
 
 
 def _trace_error(error: ValueError) -> int:
@@ -354,72 +358,19 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rule_codes(raw: Optional[str]) -> Optional[list[str]]:
-    """Parse a comma-separated ``--select`` / ``--ignore`` value."""
-    if raw is None:
-        return None
-    return [code.strip() for code in raw.split(",") if code.strip()]
-
-
-def _update_baseline(baseline_path: pathlib.Path, findings: list) -> int:
-    """Rewrite ``baseline_path`` from ``findings``, reporting the churn.
-
-    Stale fingerprints (grandfathered findings that no longer exist)
-    are pruned; brand-new findings are added.  Both counts are printed
-    so a baseline refresh is reviewable at a glance.
-    """
-    from .analysis import Baseline, save_baseline
-
-    old: frozenset = frozenset()
-    if baseline_path.exists():
-        old = Baseline.load(baseline_path).fingerprints
-    new = {finding.fingerprint for finding in findings}
-    count = save_baseline(baseline_path, findings)
-    print(
-        f"wrote {baseline_path} ({count} grandfathered finding(s), "
-        f"{len(new - old)} added, {len(old - new)} pruned)"
-    )
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Imported here: the linter pulls in the analysis package, which
     # routing commands never need.
-    from .analysis import (
-        DEFAULT_BASELINE_NAME,
-        Baseline,
-        lint_paths,
-        render_findings,
-    )
-    from .analysis.findings import dead_suppression_lines
+    from .analysis import lint_paths, render_findings
 
-    paths = args.paths or ["src"]
-    select = _rule_codes(args.select)
-    ignore = _rule_codes(args.ignore)
-    baseline_path = pathlib.Path(args.baseline or DEFAULT_BASELINE_NAME)
     try:
-        if args.update_baseline:
-            report = lint_paths(paths, select=select, ignore=ignore)
-            status = _update_baseline(baseline_path, report.findings)
-            for line in dead_suppression_lines(report.dead_suppressions):
-                print(line, file=sys.stderr)
-            return status
-        fingerprints: frozenset = frozenset()
-        if baseline_path.exists():
-            fingerprints = Baseline.load(baseline_path).fingerprints
-        report = lint_paths(
-            paths,
-            baseline_fingerprints=fingerprints,
-            select=select,
-            ignore=ignore,
-        )
-    except ValueError as error:  # unknown rule codes or paths -> usage error
+        report = lint_paths(args.paths or ["src"])
+    except ValueError as error:  # a bad path or an unreadable file
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
     if args.format == "json":
         document = {
             "findings": [f.to_dict() for f in report.findings],
-            "grandfathered": [f.to_dict() for f in report.grandfathered],
             "suppressed": report.suppressed,
             "dead_suppressions": [
                 d.to_dict() for d in report.dead_suppressions
@@ -589,27 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    lint.add_argument(
-        "--baseline",
-        metavar="JSON",
-        help="baseline file of grandfathered findings "
-        "(default: ./lint-baseline.json when present)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings",
-    )
-    lint.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to check (default: all rules)",
-    )
-    lint.add_argument(
-        "--ignore",
-        metavar="CODES",
-        help="comma-separated rule codes to skip",
-    )
     lint.set_defaults(func=_cmd_lint)
 
     audit = sub.add_parser(
@@ -704,16 +634,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     # Output paths are checked before the command runs, so a missing
     # directory fails at once instead of after the whole routing run.
     for name in getattr(args, "outputs", ()):
-        path = getattr(args, name)
-        if path is None:
+        value = getattr(args, name)
+        if value is None:
             continue
-        parent = pathlib.Path(path).parent
-        if not parent.is_dir():
-            print(
-                f"repro {args.command}: no such directory: {parent}",
-                file=sys.stderr,
-            )
-            return 2
+        path = pathlib.Path(value)
+        if not path.parent.is_dir():
+            problem = f"no such directory: {path.parent}"
+        elif path.is_dir() and args.command != "compare":
+            # compare --profile is a prefix: its files go beside it.
+            problem = f"is a directory: {path}"
+        else:
+            continue
+        print(f"repro {args.command}: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -338,7 +338,8 @@ def load_trace_file(path: PathLike, key: Optional[str] = None) -> RunTrace:
     or an NDJSON event stream (``.ndjson``), replayed into the trace
     its run finished with.  Any of these may be gzip-compressed
     (``.gz`` suffix); ``trace show/diff/top`` auto-detect through this
-    loader.
+    loader.  A :class:`ValueError` for bad content does not repeat
+    ``path``; the caller names the file.
     """
     name = pathlib.Path(path).name
     if name.endswith((".ndjson", ".ndjson.gz")):
@@ -359,7 +360,7 @@ def load_trace_file(path: PathLike, key: Optional[str] = None) -> RunTrace:
         return RunTrace.from_dict(data)
     if fmt == "repro-report":
         if "trace" not in data:
-            raise ValueError(f"report {path} has no embedded trace")
+            raise ValueError("report has no embedded trace")
         return RunTrace.from_dict(data["trace"])
     if isinstance(data, dict) and data and all(
         isinstance(v, dict) and v.get("format") == "repro-trace"
@@ -370,10 +371,10 @@ def load_trace_file(path: PathLike, key: Optional[str] = None) -> RunTrace:
                 key = next(iter(data))
             else:
                 raise ValueError(
-                    f"{path} holds {sorted(data)}; pick one with --key "
+                    f"holds {sorted(data)}; pick one with --key "
                     "(key= in Python)"
                 )
         if key not in data:
-            raise ValueError(f"no trace {key!r} in {path} ({sorted(data)})")
+            raise ValueError(f"no trace {key!r} among {sorted(data)}")
         return RunTrace.from_dict(data[key])
-    raise ValueError(f"{path} is not a trace, report, or BENCH document")
+    raise ValueError("not a trace, report, or BENCH document")

@@ -1,9 +1,6 @@
-"""Rule filtering: ``resolve_rule_filter`` and ``lint --select/--ignore``."""
+"""Dead suppressions: ``allow-`` comments that silence no finding."""
 
-import pytest
-
-from repro.analysis import RULES, lint_paths, resolve_rule_filter
-from repro.cli import main
+from repro.analysis import lint_paths
 
 #: Trips DET001 (set iteration) and DET004 (mutable default) — two
 #: rules with different scoping (DET004 applies everywhere).
@@ -13,97 +10,6 @@ def choose(nets: set, acc=[]):
         acc.append(net)
     return acc
 """
-
-
-@pytest.fixture()
-def snippet_path(tmp_path):
-    path = tmp_path / "snippet.py"
-    path.write_text(SNIPPET, encoding="utf-8")
-    return path
-
-
-class TestResolveRuleFilter:
-    def test_default_is_every_rule(self):
-        assert resolve_rule_filter() == frozenset(RULES)
-
-    def test_select_restricts(self):
-        assert resolve_rule_filter(select=["DET001"]) == {"DET001"}
-
-    def test_ignore_removes(self):
-        active = resolve_rule_filter(ignore=["DET004"])
-        assert active == frozenset(RULES) - {"DET004"}
-
-    def test_select_then_ignore(self):
-        active = resolve_rule_filter(
-            select=["DET001", "DET004"], ignore=["DET001"]
-        )
-        assert active == {"DET004"}
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"select": ["DET999"]},
-            {"ignore": ["DET999"]},
-            {"select": ["det001"]},
-        ],
-    )
-    def test_unknown_codes_raise(self, kwargs):
-        with pytest.raises(ValueError, match="unknown rule code"):
-            resolve_rule_filter(**kwargs)
-
-    def test_error_names_offender_and_catalog(self):
-        with pytest.raises(ValueError, match=r"DET999.*DET001"):
-            resolve_rule_filter(select=["DET999"])
-
-
-class TestLintPathsFiltering:
-    def test_unfiltered_reports_both_rules(self, snippet_path):
-        report = lint_paths([str(snippet_path)])
-        assert {f.rule for f in report.findings} == {"DET001", "DET004"}
-
-    def test_select_drops_other_rules(self, snippet_path):
-        report = lint_paths([str(snippet_path)], select=["DET004"])
-        assert {f.rule for f in report.findings} == {"DET004"}
-
-    def test_ignore_drops_named_rule(self, snippet_path):
-        report = lint_paths([str(snippet_path)], ignore=["DET001"])
-        assert {f.rule for f in report.findings} == {"DET004"}
-
-    def test_filtered_findings_are_not_grandfathered(self, snippet_path):
-        report = lint_paths([str(snippet_path)], select=["DET004"])
-        assert report.grandfathered == []
-
-
-class TestCliFlags:
-    def test_select_passes_when_other_rule_excluded(
-        self, snippet_path, monkeypatch
-    ):
-        monkeypatch.chdir(snippet_path.parent)
-        assert main(["lint", str(snippet_path), "--select", "DET002"]) == 0
-
-    def test_ignore_keeps_remaining_findings_failing(
-        self, snippet_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(snippet_path.parent)
-        code = main(["lint", str(snippet_path), "--ignore", "DET001"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "DET004" in out and "DET001" not in out
-
-    def test_comma_separated_codes(self, snippet_path, monkeypatch):
-        monkeypatch.chdir(snippet_path.parent)
-        code = main(
-            ["lint", str(snippet_path), "--ignore", "DET001,DET004"]
-        )
-        assert code == 0
-
-    def test_unknown_code_is_usage_error(
-        self, snippet_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(snippet_path.parent)
-        code = main(["lint", str(snippet_path), "--select", "DET999"])
-        assert code == 2
-        assert "unknown rule code" in capsys.readouterr().err
 
 
 class TestDeadSuppressions:
@@ -142,19 +48,3 @@ class TestDeadSuppressions:
         )
         report = lint_paths([str(path)])
         assert report.dead_suppressions == []
-
-
-class TestUpdateBaselineChurn:
-    def test_prune_and_add_counts(self, snippet_path, monkeypatch, capsys):
-        monkeypatch.chdir(snippet_path.parent)
-        assert main(["lint", "--update-baseline", str(snippet_path)]) == 0
-        assert "2 added, 0 pruned" in capsys.readouterr().out
-        snippet_path.write_text(
-            "def choose(nets: set, acc=[]):\n    return sorted(nets)\n",
-            encoding="utf-8",
-        )
-        assert main(["lint", "--update-baseline", str(snippet_path)]) == 0
-        out = capsys.readouterr().out
-        # DET004 (mutable default) survives with the same fingerprint;
-        # the fixed DET001 fingerprint is pruned.
-        assert "0 added, 1 pruned" in out

@@ -13,15 +13,8 @@ import json
 import pathlib
 import textwrap
 
-from repro.analysis import (
-    RULES,
-    Baseline,
-    lint_paths,
-    lint_source,
-    render_findings,
-    save_baseline,
-)
-from repro.analysis.lint import routing_rules_apply, suppressed_rules
+from repro.analysis import RULES, lint_paths, lint_source, render_findings
+from repro.analysis.lint import routing_rules_apply, suppression_map
 
 FIXTURE_PATH = "fixtures/snippet.py"
 
@@ -273,11 +266,11 @@ class TestOBS001SchemaRegistry:
 
 class TestSuppressionParsing:
     def test_multiple_codes_one_comment(self):
-        line = "x = 1  # repro: allow-DET001, DET005 order-free"
-        assert suppressed_rules(line) == frozenset({"DET001", "DET005"})
+        line = "x = 1  # repro: allow-DET001, DET005 order-free\n"
+        assert suppression_map(line) == {1: frozenset({"DET001", "DET005"})}
 
     def test_unrelated_comment_suppresses_nothing(self):
-        assert suppressed_rules("x = 1  # just a comment") == frozenset()
+        assert suppression_map("x = 1  # just a comment\n") == {}
 
     def test_suppressing_other_rule_does_not_silence(self):
         source = (
@@ -325,28 +318,6 @@ class TestReportAndBaseline:
         rendered = render_findings(report)
         assert "DET005" in rendered and "hint:" in rendered
 
-    def test_baseline_grandfathers_known_findings(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD_SNIPPET)
-        report = lint_paths([str(tmp_path)])
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, report.findings)
-        fingerprints = Baseline.load(baseline_path).fingerprints
-        again = lint_paths([str(tmp_path)], baseline_fingerprints=fingerprints)
-        assert again.ok
-        assert len(again.grandfathered) == len(report.findings)
-
-    def test_new_finding_not_hidden_by_baseline(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD_SNIPPET)
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(baseline_path, lint_paths([str(tmp_path)]).findings)
-        bad.write_text(self.BAD_SNIPPET + "stamp = id(object())\n")
-        fingerprints = Baseline.load(baseline_path).fingerprints
-        report = lint_paths([str(tmp_path)], baseline_fingerprints=fingerprints)
-        assert not report.ok
-        assert len(report.findings) == 1
-
     def test_every_rule_has_fix_hint_and_rationale(self):
         for rule in RULES.values():
             assert rule.fix_hint
@@ -373,6 +344,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "DET002" in out
+
+    def test_verdict_ignores_a_baseline_file_in_the_cwd(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        (tmp_path / "bad.py").write_text("import random\n")
+        (tmp_path / "lint-baseline.json").write_text(json.dumps({
+            "format": "repro-lint-baseline",
+            "version": 1,
+            "findings": [
+                {"path": "bad.py", "rule": "DET002", "text": "import random"}
+            ],
+        }))
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "bad.py"]) == 1
+        assert "DET002" in capsys.readouterr().out
 
     def test_lint_json_output(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gzip
 import json
 
 import pytest
@@ -401,6 +402,13 @@ class TestTraceBadInput:
         assert main(["trace", command, str(bad)]) == 2
         assert "not valid JSON" in self._one_line_error(capsys)
 
+    def test_truncated_gzip_names_the_file(self, capsys, tmp_path):
+        whole = gzip.compress(json.dumps({"format": "repro-trace"}).encode())
+        bad = tmp_path / "cut.json.gz"
+        bad.write_bytes(whole[: len(whole) // 2])
+        assert main(["trace", "show", str(bad)]) == 2
+        assert str(bad) in self._one_line_error(capsys)
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_top_rejects_non_positive_n(self, n, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -408,6 +416,26 @@ class TestTraceBadInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument -n:" in err and "at least 1" in err
+
+    def test_unfinished_stream_names_the_file(self, capsys, tmp_path):
+        stream = tmp_path / "open.ndjson"
+        StreamWriter(stream).close()
+        assert main(["trace", "show", str(stream)]) == 2
+        err = self._one_line_error(capsys)
+        assert err.count(str(stream)) == 1 and "finish" in err
+
+    def test_diff_names_the_bad_file(self, bench, capsys, tmp_path):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text(
+            "\n".join(
+                [STREAM_HEADER, '{"ev":"span-close","id":7}', '{"ev":"finish"}']
+            )
+            + "\n"
+        )
+        argv = ["trace", "diff", str(bench), str(bad), "--key-old", "baseline"]
+        assert main(argv) == 2
+        err = self._one_line_error(capsys)
+        assert err.count(str(bad)) == 1 and str(bench) not in err
 
     def test_multi_label_bench_without_key_names_the_flag(
         self, bench, capsys
@@ -438,6 +466,20 @@ class TestAnalyzerPaths:
         assert "no such path" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"def f(:\n", b"x = 1\n\xff\xfe\n"],
+        ids=["syntax-error", "not-utf8"],
+    )
+    def test_unreadable_file_exits_2(self, content, capsys, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(content)
+        assert main(["lint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"repro lint: {bad}")
+
+
 class TestOutputPaths:
     """A missing output directory fails before the design is generated."""
 
@@ -466,3 +508,26 @@ class TestOutputPaths:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.strip() == f"repro {command}: no such directory: {missing}"
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("route", "--svg"),
+            ("route", "--report"),
+            ("route", "--save-design"),
+            ("route", "--profile"),
+            ("route", "--stream"),
+            ("diag", "--report"),
+            ("audit", "--report"),
+        ],
+    )
+    def test_directory_exits_2_before_routing(
+        self, command, flag, capsys, monkeypatch, tmp_path
+    ):
+        def no_routing(name, scale):
+            raise AssertionError("the design was generated")
+
+        monkeypatch.setattr("repro.cli._get_design", no_routing)
+        assert main([command, "S9234", flag, str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"repro {command}: is a directory: {tmp_path}"
