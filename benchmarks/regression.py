@@ -4,11 +4,13 @@ Routes a few small Table III circuits with both routers, freezes their
 :class:`~repro.observe.RunTrace` documents, and diffs each against the
 committed baseline in ``benchmarks/baselines/BENCH_<circuit>.json``
 via :func:`repro.observe.diff_traces`.  Deterministic counters (maze
-expansions, A* expansions, rip-up rounds, flow augmentations, ...)
-must match the baseline **exactly** — any drift is a behavior change
-somebody has to sign off on.  The gate checks behavior only: its
-circuits finish in milliseconds, so wall time is not compared, and
-speed verdicts come from the ``benchmarks/perf`` harness.
+expansions, A* expansions, rip-up rounds, flow augmentations, ...,
+and the report's #VV, vertical-violation, #SP, wirelength, via and
+routed-net columns) must match the baseline **exactly** — any drift
+is a behavior change somebody has to sign off on.  The gate checks
+behavior only: its circuits finish in milliseconds, so wall time is
+not compared, and speed verdicts come from the ``benchmarks/perf``
+harness.
 
 Every fresh solution is also run through the independent solution
 auditor (:func:`repro.analysis.audit_solution`) on every run: the AUD

@@ -429,6 +429,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         )
     except FileNotFoundError:
         message = f"no such stream: {args.stream}"
+    except OSError as error:  # a directory, a .gz that is not gzip
+        message = f"{args.stream}: cannot read: {error.strerror or error}"
+    except EOFError as error:  # a truncated .gz
+        message = f"{args.stream}: cannot read: {error}"
     except json.JSONDecodeError as error:
         message = f"{args.stream} is not valid JSON: {error}"
     except ValueError as error:

@@ -115,11 +115,9 @@ class StitchAwareRouter:
         start = time.perf_counter()
         config = self.config
 
-        def global_stage(d: Design, ordered) -> GlobalRoutingResult:
-            # Pass 1: bottom-up global routing of local nets first.  The
-            # router orders the nets itself, by (tile extent, hpwl,
-            # name), and ignores ``ordered``: the scheme's (level, hpwl,
-            # name) order, which pass 2 uses, is a different order.
+        def global_stage(d: Design) -> GlobalRoutingResult:
+            # Pass 1: bottom-up global routing of local nets first, in
+            # the router's own (tile extent, hpwl, name) order.
             return GlobalRouter(
                 stitch_aware=config.stitch_aware_global,
                 profile=config.profile,
@@ -165,6 +163,14 @@ class StitchAwareRouter:
 
         layers, tracks = outcome.assign_result
         report = evaluate(outcome.detail_result)
+        # The report's columns join the run's counters at the trace
+        # root, so the gate baselines pin them beside the work counts.
+        tracer.count("routed_nets", report.routed_nets)
+        tracer.count("wirelength", report.wirelength)
+        tracer.count("vias", report.vias)
+        tracer.count("via_violations", report.via_violations)
+        tracer.count("vertical_violations", report.vertical_violations)
+        tracer.count("short_polygons", report.short_polygons)
         audit_report: Optional[AuditReport] = None
         if config.audit:
             # Lazy import: the analysis package is a consumer of the

@@ -6,9 +6,9 @@ connected tree with A* searches under the Eq. (10) cost, using:
 * **stitch-aware net ordering** — nets with more bad ends from track
   assignment are routed first so their escapes still find resources
   (Fig. 14);
-* **rip-up and re-route** — nets that fail in the first pass are fully
-  ripped and re-routed with wider search windows, mirroring the second
-  bottom-up pass of the framework.
+* **rip-up and re-route** — a failed net reconnects its surviving wire
+  (salvage), then is ripped and re-routed directly, and last negotiates
+  a path through other nets' wire, whose owners re-route in turn.
 
 The baseline mode (``stitch_aware=False``) keeps the hard MEBL
 constraints (wires cross stitching lines in the x direction only, no
@@ -46,6 +46,13 @@ WINDOW_MARGINS = (6, 16, 48)
 #: several tiles, so the smallest window is rarely sufficient and only
 #: wastes a full failed search.
 DIRECT_WINDOW_MARGINS = (16, 48)
+
+#: Pass-through cost of one foreign wire node in a negotiated search.
+NEGOTIATION_PENALTY = 30.0
+
+#: The one window of every negotiated search; a 48-pitch retry never
+#: won (docs/performance.md, "The detailed cascade").
+NEGOTIATED_WINDOW_MARGINS = (16,)
 
 @dataclasses.dataclass
 class RoutedNet:
@@ -231,9 +238,9 @@ class DetailedRouter:
     ) -> list[str]:
         """Negotiated rip-up and re-route of failed nets.
 
-        Each round first tries to reconnect over the net's surviving
-        trunk fragments (plan-preserving), then over a clean direct
-        route; if both fail, the net may buy a path through other
+        Each round first reconnects the pieces of wire the net still
+        owns (salvage), then rips the net and routes it directly over
+        free nodes; if both fail, the net may buy a path through other
         nets' wire at a penalty, and the victims it crosses are ripped
         and queued for re-route in the same fashion.  Returns the nets
         still unrouted at the end, in queue order.
@@ -255,10 +262,11 @@ class DetailedRouter:
             ):
                 for name in queue:
                     record = routed[name]
-                    pieces = trunk_pieces.get(name, [])
+                    # A net whose first pass stopped at a captured pin
+                    # still owns trunk wire outside its record.
                     live_trunk = {
                         node
-                        for piece in pieces
+                        for piece in trunk_pieces.get(name, [])
                         for node in piece.nodes
                         if grid.owner(node) == name
                     }
@@ -283,28 +291,6 @@ class DetailedRouter:
                                 edges=edges | record.edges,
                                 routed=False,
                             )
-                    if not ok and live_trunk:
-                        # Release connections only; keep the plan's wire.
-                        keep = live_trunk | record.pin_nodes
-                        for node in sorted(record.nodes - keep):
-                            grid.release(node, name)
-                        for pin_node in record.pin_nodes:
-                            grid.occupy(pin_node, name)
-                        fragments = _piece_fragments(pieces, live_trunk)
-                        ok, nodes, edges, _ = self._connect_net(
-                            design,
-                            grid,
-                            record.net,
-                            {name: fragments},
-                            allow_negotiation=False,
-                        )
-                        if not ok:
-                            record = RoutedNet(
-                                net=record.net,
-                                nodes=nodes | live_trunk | record.pin_nodes,
-                                edges=edges,
-                                routed=False,
-                            )
                     if not ok:
                         self._rip(grid, record)
                         for node in sorted(live_trunk):
@@ -319,7 +305,7 @@ class DetailedRouter:
                             record.net,
                             {},
                             direct=True,
-                            foreign_penalty=30.0,
+                            foreign_penalty=NEGOTIATION_PENALTY,
                         )
                         for victim in sorted(victims):
                             if victim in routed:
@@ -481,8 +467,8 @@ class DetailedRouter:
         """Merge the net's pins and trunks into one component.
 
         Returns ``(ok, nodes, edges, victims)``; ``victims`` is the set
-        of nets whose wire the path force-claimed (only non-empty when
-        ``foreign_penalty`` is given).
+        of nets whose wire a negotiated search force-claimed (the
+        re-route under ``foreign_penalty``, or a boxed pin's attach).
         """
         pin_components: list[set[Node]] = []
         edges: set[Edge] = set()
@@ -547,20 +533,23 @@ class DetailedRouter:
             ``target_filter`` restricts where the search may terminate
             (pin-to-*segment* routing: a pin must reach the assigned
             wire, not shortcut onto another pin's connection arm);
-            ``margins`` overrides the window escalation schedule;
-            ``penalty`` overrides the foreign-wire pass-through cost
-            (negotiated attachment for boxed pins).
+            ``margins`` overrides the window escalation schedule of a
+            search without penalty; ``penalty`` overrides the
+            foreign-wire pass-through cost (negotiated attachment for
+            boxed pins).
             """
             nonlocal all_nodes, edges, victims
-            if margins is None:
-                margins = DIRECT_WINDOW_MARGINS if direct else WINDOW_MARGINS
             if penalty is None:
                 penalty = foreign_penalty
             # Negotiated searches see almost every node as passable, so
-            # an unreachable target otherwise floods the whole window.
+            # an unreachable target otherwise floods the whole window:
+            # they get one window and an eighth of the budget.
             limit = design.config.detail_expansion_limit
             if penalty is not None:
+                margins = NEGOTIATED_WINDOW_MARGINS
                 limit //= 8
+            elif margins is None:
+                margins = DIRECT_WINDOW_MARGINS if direct else WINDOW_MARGINS
             while len(components) > 1:
                 components.sort(key=len)
                 source = components[0]
@@ -632,8 +621,7 @@ class DetailedRouter:
                         continue
                     # Pin-to-segment: prefer the assigned wire passing
                     # through the pin's own tile (that is why global
-                    # routing went there), then any assigned wire, and
-                    # only then the net's other connection arms.
+                    # routing went there), then any assigned wire.
                     pin_node = next(iter(pin_comp))
                     pin_tile = (pin_node[0] // tile, pin_node[1] // tile)
                     local_targets = {
@@ -645,17 +633,16 @@ class DetailedRouter:
                     # around the pin; a single small window keeps the
                     # escalation cascade cheap.
                     attempts: list[
-                        tuple[Optional[set[Node]], Optional[tuple[int, ...]], Optional[float]]
+                        tuple[set[Node], Optional[tuple[int, ...]], Optional[float]]
                     ] = []
                     if local_targets:
                         attempts.append((local_targets, (tile,), None))
                     attempts.append((trunk_targets, None, None))
-                    attempts.append((None, None, None))
-                    if allow_negotiation and foreign_penalty is None:
+                    if allow_negotiation:
                         # Boxed pin: negotiate through foreign wire
                         # (the victims are ripped by the caller) rather
                         # than abandoning the whole net's plan.
-                        attempts.append((trunk_targets, (16,), 30.0))
+                        attempts.append((trunk_targets, None, NEGOTIATION_PENALTY))
                     ok = False
                     for target_filter, margin_override, penalty in attempts:
                         ok, merged = connect_round(

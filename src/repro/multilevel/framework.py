@@ -43,10 +43,9 @@ class TwoPassFramework(Generic[GlobalResultT, AssignResultT, DetailResultT]):
     """Orchestrates pass 1 -> assignment -> pass 2 (Fig. 6).
 
     Args:
-        global_stage: callable ``(design, ordered_nets) -> G`` that
-            globally routes the nets.  It may order them itself: the
-            flows' global router sorts by tile extent and ignores
-            ``ordered_nets``.
+        global_stage: callable ``(design) -> G`` that globally routes
+            the nets in an order of its own (the flows' global router
+            sorts by tile extent).
         assign_stage: callable ``(design, G) -> A`` performing
             layer/track assignment on the global routing solution.
         detail_stage: callable ``(design, G, A, ordered_nets) -> D``
@@ -55,7 +54,7 @@ class TwoPassFramework(Generic[GlobalResultT, AssignResultT, DetailResultT]):
 
     def __init__(
         self,
-        global_stage: Callable[[Design, list[Net]], GlobalResultT],
+        global_stage: Callable[[Design], GlobalResultT],
         assign_stage: Callable[[Design, GlobalResultT], AssignResultT],
         detail_stage: Callable[
             [Design, GlobalResultT, AssignResultT, list[Net]], DetailResultT
@@ -97,7 +96,7 @@ class TwoPassFramework(Generic[GlobalResultT, AssignResultT, DetailResultT]):
                     pass
 
         with tracer.span("pass1"):
-            global_result = self._global_stage(design, ordered)
+            global_result = self._global_stage(design)
         with tracer.span("assign"):
             assign_result = self._assign_stage(design, global_result)
         with tracer.span("pass2"):

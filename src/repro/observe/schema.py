@@ -194,6 +194,17 @@ _register(
     "Decision variables of the track-assignment ILP.",
 )
 
+# -- report columns, counted at the trace root after evaluation -------
+for _name, _desc in (
+    ("routed_nets", "Nets the final solution routes (Rout. column)."),
+    ("wirelength", "Wirelength of the final solution (WL column)."),
+    ("vias", "Vias of the final solution (#Via column)."),
+    ("via_violations", "Vias cut by a stitching line (#VV column)."),
+    ("vertical_violations", "Vertical wire on a stitching line."),
+    ("short_polygons", "Short polygons of routed nets (#SP column)."),
+):
+    _register(_name, "counter", _FLOW, "routing", _desc)
+
 # -- audit counters (repro audit / --audit flow) ----------------------
 _register(
     "audit_nets_checked", "counter", _FLOW, "audit",

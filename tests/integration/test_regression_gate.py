@@ -29,15 +29,18 @@ def regression():
 
 
 def test_gate_passes_against_committed_baselines(regression, capsys, tmp_path):
-    code = regression.main(["--only", "S9234", "--out-dir", str(tmp_path)])
+    # The whole gate, as CI runs it: a change that moves any circuit
+    # fails here, not only one that moves the smallest.
+    code = regression.main(["--out-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "regression gate passed" in out
-    # The CI artifact copy is a loadable BENCH document.
-    produced = tmp_path / "BENCH_S9234.json"
-    assert produced.exists()
-    traces = regression.load_traces(produced)
-    assert set(traces) == {"baseline", "stitch-aware"}
+    # The CI artifact copies are loadable BENCH documents.
+    for circuit in regression.CIRCUITS:
+        produced = tmp_path / f"BENCH_{circuit}.json"
+        assert produced.exists()
+        traces = regression.load_traces(produced)
+        assert set(traces) == {"baseline", "stitch-aware"}
 
 
 def test_gate_fails_on_injected_counter_regression(
@@ -69,6 +72,27 @@ def test_gate_fails_on_injected_counter_regression(
     assert code == 1
     assert "regression gate FAILED" in out
     assert "counter" in out
+
+
+def test_gate_pins_the_report_columns(regression, capsys, monkeypatch):
+    # One more short polygon than the baseline, with an audit that
+    # would not notice: the gate's counter diff alone must catch it.
+    from repro.core import flow
+
+    real_evaluate = flow.evaluate
+
+    def one_more_short_polygon(result):
+        report = real_evaluate(result)
+        report.short_polygons += 1
+        return report
+
+    monkeypatch.setattr(flow, "evaluate", one_more_short_polygon)
+    monkeypatch.setattr(regression, "audit_flows", lambda circuit, flows: [])
+    code = regression.main(["--only", "S9234"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "regression gate FAILED" in out
+    assert "counter short_polygons" in out
 
 
 def test_gate_reports_missing_baseline(regression, capsys, tmp_path, monkeypatch):

@@ -102,9 +102,8 @@ class TestTwoPassFramework:
         design = make_design(nets)
         scheme = MultilevelScheme(design, nx=8, ny=8)
 
-        def global_stage(d, ordered):
+        def global_stage(d):
             calls.append("global")
-            assert [n.name for n in ordered] == ["a", "b"]
             return "G"
 
         def assign_stage(d, g):
@@ -115,6 +114,7 @@ class TestTwoPassFramework:
         def detail_stage(d, g, a, ordered):
             calls.append("detail")
             assert (g, a) == ("G", "A")
+            assert [n.name for n in ordered] == ["a", "b"]
             return "D"
 
         framework = TwoPassFramework(global_stage, assign_stage, detail_stage)

@@ -281,6 +281,30 @@ class TestStreamingCommands:
         assert str(bogus) in err
 
     @pytest.mark.parametrize(
+        "case", ["truncated-gzip", "not-gzip", "directory"]
+    )
+    def test_watch_unreadable_stream_exits_2(self, case, capsys, tmp_path):
+        events = [STREAM_HEADER] + [
+            f'{{"ev":"span-open","id":{i},"parent":null,"name":"x"}}\n'
+            f'{{"ev":"span-close","id":{i},"wall_seconds":0.1}}'
+            for i in range(50)
+        ]
+        text = "\n".join(events + ['{"ev":"finish"}']) + "\n"
+        path = tmp_path / "run.ndjson.gz"
+        if case == "truncated-gzip":
+            whole = gzip.compress(text.encode())
+            path.write_bytes(whole[: len(whole) // 2])
+        elif case == "not-gzip":
+            path.write_text(text)
+        else:
+            path.mkdir()
+        assert main(["watch", str(path), "--no-follow"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro watch: {path}: cannot read: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "flag,value",
         [("--interval", v) for v in ("0", "-1", "inf", "nan")]
         + [("--timeout", v) for v in ("0", "-1")],
