@@ -44,7 +44,11 @@ Baseline refresh procedure (after an *intentional* behavior change):
 run with ``--update``, eyeball ``git diff benchmarks/baselines/`` to
 confirm only the counters you expected moved, and commit the new
 baselines together with the change that moved them.  The baselines
-still record wall times, but nothing reads them as a verdict.
+still record wall times, but nothing reads them as a verdict, so
+``--update`` keeps the committed ``wall_seconds``, ``cpu_seconds``
+and ``started_at`` of every span the committed document already has:
+a refresh rewrites only what the gate compares, and a refresh with no
+behavior change leaves the files byte for byte as they were.
 
 ``--out-dir DIR`` also writes the fresh ``BENCH_<circuit>.json``
 documents to ``DIR`` (same label→trace schema as the baselines); CI
@@ -244,10 +248,50 @@ def strip_profile_counters(trace: RunTrace) -> RunTrace:
     return RunTrace.from_dict(doc)
 
 
-def save_traces(path: pathlib.Path, traces: Dict[str, RunTrace]) -> None:
-    """Write a ``label -> trace`` document (BENCH_*.json schema)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+#: The per-span (and trace root) fields that vary from run to run.
+TIMING_FIELDS = ("wall_seconds", "cpu_seconds", "started_at")
+
+
+def keep_timings(fresh: dict, committed: dict, children: str = "children") -> None:
+    """Copy ``committed``'s timing fields onto ``fresh``, span by span.
+
+    The k-th child span of a name takes the timings of the k-th child
+    of that name in ``committed``; a span ``committed`` lacks keeps its
+    fresh timings.  ``children`` names the child list (``"spans"`` at a
+    trace's root).
+    """
+    for field in TIMING_FIELDS:
+        if field in fresh and field in committed:
+            fresh[field] = committed[field]
+    old: Dict[str, List[dict]] = {}
+    for span in committed.get(children, ()):
+        old.setdefault(span["name"], []).append(span)
+    seen: Dict[str, int] = {}
+    for span in fresh.get(children, ()):
+        k = seen.get(span["name"], 0)
+        seen[span["name"]] = k + 1
+        if k < len(old.get(span["name"], ())):
+            keep_timings(span, old[span["name"]][k])
+
+
+def save_traces(
+    path: pathlib.Path,
+    traces: Dict[str, RunTrace],
+    keep_committed_timings: bool = False,
+) -> None:
+    """Write a ``label -> trace`` document (BENCH_*.json schema).
+
+    With ``keep_committed_timings``, every span that the document at
+    ``path`` already has keeps its committed timings, so a refresh
+    rewrites only what the gate compares.
+    """
     payload = {label: trace.to_dict() for label, trace in traces.items()}
+    if keep_committed_timings and path.exists():
+        committed = json.loads(path.read_text())
+        for label, doc in payload.items():
+            if label in committed:
+                keep_timings(doc, committed[label], children="spans")
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -292,7 +336,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--update",
         action="store_true",
-        help="rewrite the committed baselines instead of checking",
+        help="rewrite the committed baselines instead of checking; "
+        "spans already in them keep their committed timings",
     )
     parser.add_argument(
         "--out-dir",
@@ -371,7 +416,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             save_traces(out, traces)
             print(f"wrote {out}")
         if args.update:
-            save_traces(baseline_path(circuit), traces)
+            save_traces(
+                baseline_path(circuit), traces, keep_committed_timings=True
+            )
             print(f"updated {baseline_path(circuit)}")
         else:
             failures.extend(check_circuit(circuit, traces))

@@ -2,7 +2,7 @@
 
 from .grid import DetailedGrid, Node
 from .router import DetailedResult, DetailedRouter, RoutedNet
-from .search import astar_connect, connection_window
+from .search import astar_connect, connection_window, separated
 from .trunks import TrunkPiece, materialize_trunks
 
 __all__ = [
@@ -15,4 +15,5 @@ __all__ = [
     "astar_connect",
     "connection_window",
     "materialize_trunks",
+    "separated",
 ]

@@ -29,7 +29,7 @@ from ..globalroute import GlobalGraph
 from ..layout import Design, Net
 from ..observe import Tracer, ensure
 from .grid import DetailedGrid, Node
-from .search import astar_connect, connection_window
+from .search import astar_connect, connection_window, separated
 from .trunks import TrunkPiece, materialize_trunks
 from .wiring import (
     Edge,
@@ -539,6 +539,7 @@ class DetailedRouter:
             boxed pins).
             """
             nonlocal all_nodes, edges, victims
+            stats = self._search_stats
             if penalty is None:
                 penalty = foreign_penalty
             # Negotiated searches see almost every node as passable, so
@@ -559,10 +560,11 @@ class DetailedRouter:
                     if not targets:
                         return False, components
                 path = None
-                for margin in margins:
+                for attempt, margin in enumerate(margins):
                     window = connection_window(
                         source, targets, margin, design.width, design.height
                     )
+                    before = stats.get("astar_expansions", 0)
                     path = astar_connect(
                         grid,
                         net.name,
@@ -572,11 +574,37 @@ class DetailedRouter:
                         limit,
                         blocked=blocked,
                         foreign_penalty=penalty,
-                        stats=self._search_stats,
+                        stats=stats,
                         profile=self._profiling,
                     )
                     if path is not None:
                         break
+                    stats["astar_failed_expansions"] = (
+                        stats.get("astar_failed_expansions", 0)
+                        + stats.get("astar_expansions", 0)
+                        - before
+                    )
+                    # The margins grow, so every retry's window lies
+                    # inside the last one, and a failed search changes
+                    # only counters: when no path exists in the widest
+                    # window, the retries cannot connect and are
+                    # skipped.  A penalty makes foreign wire passable,
+                    # which the proof does not model.
+                    if attempt == 0 and len(margins) > 1 and penalty is None:
+                        widest = connection_window(
+                            source,
+                            targets,
+                            margins[-1],
+                            design.width,
+                            design.height,
+                        )
+                        if separated(
+                            grid, net.name, source, targets, widest, blocked
+                        ):
+                            stats["separations_proved"] = (
+                                stats.get("separations_proved", 0) + 1
+                            )
+                            break
                 if path is None:
                     return False, components
                 for node in path:

@@ -4,6 +4,8 @@ Connects a source component of a net to any node of a target set under
 the stitch-aware weighted grid cost of Eq. (10).  The search runs
 inside an expanding window around the endpoints, over the flat node
 ids and step tables of :class:`~repro.detailed.grid.DetailedGrid`.
+:func:`separated` proves a connection impossible in a window, so the
+router can skip the wider retries of a search that already failed.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ def astar_connect(
     unconditionally, so both modes run the same instructions); pushes
     are derived at flush time from the heap invariant
     ``pushes == pops + len(heap)``.
+
+    :func:`separated` mirrors this search's moves and passability to
+    prove a connection impossible without searching; a change to
+    either here must change it there too.
     """
     if stats is not None:
         stats["astar_searches"] = stats.get("astar_searches", 0) + 1
@@ -397,6 +403,105 @@ def astar_connect(
                 stats["perf_heap_pops"] = (
                     stats.get("perf_heap_pops", 0) + pops
                 )
+
+
+def separated(
+    grid: DetailedGrid,
+    net: str,
+    sources: set[Node],
+    targets: set[Node],
+    window: tuple[int, int, int, int],
+    blocked: Optional[set[Node]] = None,
+) -> bool:
+    """Whether no path can join ``sources`` to ``targets`` in ``window``.
+
+    A proof for :func:`astar_connect` without ``foreign_penalty``: when
+    this returns True, that search returns ``None`` in ``window`` and in
+    every window inside it, whatever its budget.  Two floods over flat
+    ids, one from each side, take one node in turn under the search's
+    moves: planar moves in the layer's preferred direction only, no via
+    on a stitching-line column, nothing outside ``window`` or in
+    ``blocked``.  A node is entered when it is free and not
+    structurally blocked, or owned by ``net`` with a non-negative step
+    cost.  Sources and targets are seeds whatever their state.  The
+    answer is True as soon as one flood runs out of nodes without
+    reaching a node of the other side, and False as soon as the floods
+    meet.  Moves are symmetric and passability belongs to the entered
+    node, so a flood from either side follows any path the search could
+    take.  Entering more than the search may (a blocked or foreign
+    target, no expansion limit) only makes the answer False more often,
+    never True wrongly.
+    """
+    lo_x, lo_y, hi_x, hi_y = window
+    width = grid._width
+    height = grid._height
+    layers_n = grid._num_layers
+    hl = grid._hl
+    step = grid._step
+    free_step = grid._free_step
+    on_line = grid._on_line
+    vertical = grid._vertical
+    owner_ids = grid._owner_ids
+    net_id = grid._net_id(net)
+    encode = grid._encode
+
+    # side[id]: 0 reached from the sources, 1 from the targets, 2 a
+    # blocked node no flood enters.  Seed order only changes how far
+    # the floods get before the verdict, never the verdict.
+    side: dict[int, int] = {}
+    stacks: tuple[list[int], list[int]] = ([], [])
+    for mark, seeds in enumerate((sources, targets)):
+        stack = stacks[mark]
+        for node in seeds:
+            i = encode(node)
+            if side.setdefault(i, mark) != mark:
+                return False  # a shared node is a whole path
+            stack.append(i)
+    if blocked is not None:
+        for node in blocked:
+            side.setdefault(encode(node), 2)
+
+    side_get = side.get
+    turn = 0
+    while True:
+        stack = stacks[turn]
+        if not stack:
+            return True
+        si = stack.pop()
+        x = si // hl
+        rem = si - x * hl
+        y = rem // layers_n
+        lm = rem - y * layers_n
+        in_x = lo_x <= x <= hi_x
+        in_y = lo_y <= y <= hi_y
+        moves: list[int] = []
+        if vertical[lm + 1]:
+            if in_x:
+                if y > 0 and lo_y <= y - 1 <= hi_y:
+                    moves.append(si - layers_n)
+                if y + 1 < height and lo_y <= y + 1 <= hi_y:
+                    moves.append(si + layers_n)
+        elif in_y:
+            if x > 0 and lo_x <= x - 1 <= hi_x:
+                moves.append(si - hl)
+            if x + 1 < width and lo_x <= x + 1 <= hi_x:
+                moves.append(si + hl)
+        if in_x and in_y and not on_line[x]:
+            if lm > 0:
+                moves.append(si - 1)
+            if lm + 1 < layers_n:
+                moves.append(si + 1)
+        for ci in moves:
+            seen = side_get(ci)
+            if seen is None:
+                if free_step[ci] >= 0.0 or (
+                    owner_ids[ci] == net_id and step[ci] >= 0.0
+                ):
+                    side[ci] = turn
+                    stack.append(ci)
+            elif seen != turn and seen != 2:
+                return False
+        turn ^= 1
 
 
 def connection_window(

@@ -148,6 +148,15 @@ _register(
     history=3,
 )
 _register(
+    "astar_failed_expansions", "counter", _DETAILED, "routing",
+    "Grid nodes expanded by detailed A* searches that found no path.",
+)
+_register(
+    "separations_proved", "counter", _DETAILED, "routing",
+    "Detailed connections proved impossible in the widest window, "
+    "whose wider retries were skipped.",
+)
+_register(
     "panels", "counter", _ASSIGN, "routing",
     "Track-assignment panels processed.",
 )

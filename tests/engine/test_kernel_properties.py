@@ -18,14 +18,27 @@ the search loop) and ``blocked`` (nodes seeded as unrelaxable), with
 small source and target sets as well as large ones like the whole net
 components rip-up reconnects pass; global windows as the
 ``ASTAR_WINDOW_MARGIN`` box around the two tiles or the full grid.
+
+The separation proof (:func:`~repro.detailed.search.separated`) gets
+the same designs under dense wire of every net: where it holds, both
+kernels must fail in its window and in every smaller
+``connection_window``, and where every target is enterable it must
+hold exactly when the reference finds no path.
 """
+
+import random
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import RouterConfig
-from repro.detailed import DetailedGrid, astar_connect, connection_window
+from repro.detailed import (
+    DetailedGrid,
+    astar_connect,
+    connection_window,
+    separated,
+)
 from repro.geometry import Point
 from repro.globalroute import GlobalGraph, GlobalRouter
 from repro.globalroute.router import ASTAR_WINDOW_MARGIN
@@ -94,10 +107,8 @@ def node_sets(design):
     ).map(set)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_detailed_search_matches_reference(data):
-    design = data.draw(designs(max_width=20, max_height=14))
+def owned_grid(data, design):
+    """A detailed grid of ``design`` with random ownership and pins."""
     grid = DetailedGrid(design, stitch_aware=data.draw(st.booleans()))
     owned = data.draw(
         st.lists(
@@ -110,6 +121,14 @@ def test_detailed_search_matches_reference(data):
             grid.force_occupy(node, net)
             if pin:
                 grid.mark_pin(node)
+    return grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_detailed_search_matches_reference(data):
+    design = data.draw(designs(max_width=20, max_height=14))
+    grid = owned_grid(data, design)
 
     sources = data.draw(node_sets(design))
     targets = data.draw(node_sets(design))
@@ -141,6 +160,65 @@ def test_detailed_search_matches_reference(data):
         return path, stats, grid.cost_evaluations - before
 
     assert search(astar_connect) == search(reference.astar_connect)
+
+
+#: Margins of the windows a separation proof must cover: the nested
+#: ``connection_window`` margins up to the one the proof floods.
+PROOF_MARGINS = (0, 1, 2, 6, 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_separated_is_a_proof_for_every_smaller_window(data):
+    design = data.draw(designs(max_width=20, max_height=14))
+    grid = owned_grid(data, design)
+    # Dense wire, so that many searches face a closed pocket; a third
+    # of it is the searching net's own, which it may pass through.
+    density = data.draw(st.sampled_from([0.0, 0.3, 0.6]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for x in range(design.width):
+        for y in range(design.height):
+            for layer in range(1, design.technology.num_layers + 1):
+                node = (x, y, layer)
+                if rng.random() < density and not grid.is_pin(node):
+                    grid.force_occupy(node, rng.choice(NETS))
+    sources = data.draw(node_sets(design))
+    targets = data.draw(node_sets(design))
+    if not data.draw(st.booleans()):
+        targets -= sources
+        assume(targets)
+    blocked = data.draw(st.one_of(st.none(), node_sets(design)))
+    widest = data.draw(st.integers(0, len(PROOF_MARGINS) - 1))
+    windows = [
+        connection_window(
+            sources, targets, margin, design.width, design.height
+        )
+        for margin in PROOF_MARGINS[: widest + 1]
+    ]
+
+    proved = separated(grid, "a", sources, targets, windows[-1], blocked)
+
+    # No penalty and an unlimited budget: the search fails only where
+    # no path exists.
+    unlimited = design.width * design.height * design.technology.num_layers
+    if proved:
+        for window in windows:
+            for kernel in (astar_connect, reference.astar_connect):
+                assert kernel(
+                    grid, "a", sources, targets, window, unlimited,
+                    blocked=blocked,
+                ) is None
+    # With every target enterable, the floods follow exactly the moves
+    # the search may make, so the proof is also complete.
+    if all(
+        grid.is_free_for(t, "a") and (blocked is None or t not in blocked)
+        for t in targets
+    ):
+        found = reference.astar_connect(
+            grid, "a", sources, targets, windows[-1], unlimited,
+            blocked=blocked,
+        )
+        assert proved == (found is None)
 
 
 @st.composite

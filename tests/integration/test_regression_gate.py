@@ -95,6 +95,54 @@ def test_gate_pins_the_report_columns(regression, capsys, monkeypatch):
     assert "counter short_polygons" in out
 
 
+def test_update_without_behavior_change_keeps_the_bytes(
+    regression, capsys, tmp_path, monkeypatch
+):
+    # A refresh rewrites only what the gate compares: the committed
+    # timings stay, so a run that moves no counter changes nothing.
+    committed = regression.baseline_path("S9234").read_bytes()
+    (tmp_path / "BENCH_S9234.json").write_bytes(committed)
+    monkeypatch.setattr(regression, "BASELINE_DIR", tmp_path)
+    code = regression.main(["--update", "--only", "S9234"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert (tmp_path / "BENCH_S9234.json").read_bytes() == committed
+
+
+def test_keep_timings_matches_spans_by_name_and_rank(regression):
+    committed = {
+        "wall_seconds": 1.0,
+        "spans": [
+            {"name": "a", "wall_seconds": 2.0, "started_at": 0.5,
+             "children": [{"name": "r", "cpu_seconds": 3.0}]},
+        ],
+    }
+    fresh = {
+        "wall_seconds": 9.0,
+        "spans": [
+            {"name": "b", "wall_seconds": 9.1},
+            {"name": "a", "wall_seconds": 9.2, "started_at": 9.3,
+             "children": [
+                 {"name": "r", "cpu_seconds": 9.4},
+                 {"name": "r", "cpu_seconds": 9.5},
+             ]},
+        ],
+    }
+    regression.keep_timings(fresh, committed, children="spans")
+    # Spans the committed document lacks keep their fresh timings.
+    assert fresh == {
+        "wall_seconds": 1.0,
+        "spans": [
+            {"name": "b", "wall_seconds": 9.1},
+            {"name": "a", "wall_seconds": 2.0, "started_at": 0.5,
+             "children": [
+                 {"name": "r", "cpu_seconds": 3.0},
+                 {"name": "r", "cpu_seconds": 9.5},
+             ]},
+        ],
+    }
+
+
 def test_gate_reports_missing_baseline(regression, capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(regression, "BASELINE_DIR", tmp_path / "nowhere")
     code = regression.main(["--only", "S9234"])
