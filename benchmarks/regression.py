@@ -16,10 +16,8 @@ Every fresh solution is also run through the independent solution
 auditor (:func:`repro.analysis.audit_solution`) on every run: the AUD
 rules re-derive all stitching constraints from the raw geometry and
 cross-check the report's counters, so the gate does not trust the
-evaluator it is diffing.  The audit is invoked directly on the
-finished flow — not via ``RouterConfig(audit=True)`` — so the
-produced traces stay byte-compatible with the committed (audit-free)
-baselines.
+evaluator it is diffing.  The audit reads the finished flow and
+records nothing in its trace.
 
 Exit status is non-zero on any regression, so CI can gate on it::
 
@@ -187,10 +185,8 @@ def traces_of(flows: Dict[str, FlowResult]) -> Dict[str, RunTrace]:
 def audit_flows(circuit: str, flows: Dict[str, FlowResult]) -> List[str]:
     """Independently audit every fresh solution; failure lines out.
 
-    Calls :func:`repro.analysis.audit_solution` directly on the
-    finished flows (rather than routing with ``audit=True``) so the
-    traces being diffed stay identical to the committed baselines,
-    which predate the audit span.
+    Calls :func:`repro.analysis.audit_solution` on the finished flows,
+    as ``repro audit`` does.
     """
     failures: List[str] = []
     for label, flow in flows.items():

@@ -34,8 +34,8 @@ def max_weight_k_colorable(
             as overlap, matching the segment conflict graph).
         weights: one non-negative weight per interval.
         k: number of colors (routing layers) available.
-        stats: optional accumulator; gains ``flow_augmentations`` and
-            ``flow_nodes`` from the underlying min-cost flow.
+        stats: optional accumulator; gains ``flow_augmentations`` from
+            the underlying min-cost flow.
 
     Returns:
         ``(selected, colors)`` — the selected interval indices in input
@@ -72,7 +72,6 @@ def max_weight_k_colorable(
         stats["flow_augmentations"] = (
             stats.get("flow_augmentations", 0) + net.augmentations
         )
-        stats["flow_nodes"] = stats.get("flow_nodes", 0) + net.num_nodes
 
     selected = [
         idx for idx, eid in enumerate(edge_ids) if net.flow_on(eid) > 0.5

@@ -9,10 +9,9 @@ Two enforcement layers (see ``docs/static_analysis.md``):
   :mod:`repro.observe.schema`; a justified ``# repro: allow-`` comment
   on the flagged line is the only exemption;
 * :mod:`~repro.analysis.audit` — an independent DRC-style solution
-  auditor (rules AUD001–AUD007, ``repro audit`` on the CLI /
-  ``RouterConfig(audit=True)``) that re-derives every stitching
-  constraint from the raw geometry and cross-checks the evaluator's
-  counters.
+  auditor (rules AUD001–AUD007, ``repro audit`` on the CLI) that
+  takes a finished flow, re-derives every stitching constraint from
+  the raw geometry and cross-checks the evaluator's counters.
 """
 
 from .audit import (

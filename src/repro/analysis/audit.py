@@ -24,10 +24,10 @@ Two kinds of failure are reported:
   :class:`~repro.eval.RoutingReport` counters (totals, per-net counts,
   and the per-line ``stitch_line_histogram``).
 
-``repro audit`` is the CLI front end; ``RouterConfig(audit=True)``
-runs the auditor inside the flow and attaches the report (plus
-``audit_*`` trace counters) to the :class:`~repro.api.FlowResult`.
-See ``docs/static_analysis.md``.
+``repro audit`` is the CLI front end.  It, the regression gate and the
+performance benchmark all call :func:`audit_solution` on a finished
+:class:`~repro.api.FlowResult`; the flow never audits itself.  See
+``docs/static_analysis.md``.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ from .benchmarks_gen import (
     mcnc_design,
 )
 from .config import RouterConfig
-from .api import BaselineRouter, StitchAwareRouter
+from .api import BaselineRouter, FlowResult, StitchAwareRouter
 from .eval import RoutingReport
 from .io import save_design, save_report
 from .observe import schema as observe_schema
@@ -170,28 +170,31 @@ def _cmd_circuits(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_config(args: argparse.Namespace, audit: bool = False) -> RouterConfig:
-    """The flow config for a run subcommand."""
-    return RouterConfig(profile=args.perf, audit=audit)
+def _route_circuit(
+    args: argparse.Namespace, print_row: bool = True
+) -> FlowResult:
+    """Generate ``args.circuit`` and route it as the run flags ask.
+
+    ``--baseline`` picks the router, ``--perf`` its profile, and ``-v``
+    / ``--stream`` the tracer (:func:`_make_tracer`).  With
+    ``print_row`` the report's row is printed under a title naming the
+    circuit, the scale and the router.
+    """
+    design = _get_design(args.circuit, args.scale)
+    router = BaselineRouter if args.baseline else StitchAwareRouter
+    flow = router(config=RouterConfig(profile=args.perf)).route(
+        design, tracer=_make_tracer(args)
+    )
+    if print_row:
+        label = "baseline" if args.baseline else "stitch-aware"
+        title = f"{design.name} @ scale {args.scale} ({label})"
+        print(format_table([flow.report.row()], title=title))
+    return flow
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    design = _get_design(args.circuit, args.scale)
-    config = _run_config(args)
-    router = (
-        BaselineRouter(config=config)
-        if args.baseline
-        else StitchAwareRouter(config=config)
-    )
-    flow = router.route(design, tracer=_make_tracer(args))
+    flow = _route_circuit(args)
     report = flow.report
-    print(
-        format_table(
-            [report.row()],
-            title=f"{design.name} @ scale {args.scale} "
-            f"({'baseline' if args.baseline else 'stitch-aware'})",
-        )
-    )
     if args.svg:
         with open(args.svg, "w") as f:
             f.write(render_routing_svg(flow.detailed_result))
@@ -200,7 +203,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         save_report(report, args.report)
         print(f"wrote {args.report}")
     if args.save_design:
-        save_design(design, args.save_design)
+        save_design(flow.design, args.save_design)
         print(f"wrote {args.save_design}")
     if args.profile:
         assert flow.trace is not None
@@ -213,7 +216,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     design = _get_design(args.circuit, args.scale)
-    config = _run_config(args)
+    config = RouterConfig(profile=args.perf)
     rows = []
     for label, router in (
         ("baseline", BaselineRouter(config=config)),
@@ -256,22 +259,8 @@ def _histogram_rows(report: RoutingReport) -> list[dict]:
 
 
 def _cmd_diag(args: argparse.Namespace) -> int:
-    design = _get_design(args.circuit, args.scale)
-    config = _run_config(args)
-    router = (
-        BaselineRouter(config=config)
-        if args.baseline
-        else StitchAwareRouter(config=config)
-    )
-    flow = router.route(design, tracer=_make_tracer(args))
-    report = flow.report
-    print(
-        format_table(
-            [report.row()],
-            title=f"{design.name} @ scale {args.scale} "
-            f"({'baseline' if args.baseline else 'stitch-aware'})",
-        )
-    )
+    flow = _route_circuit(args)
+    design, report = flow.design, flow.report
     print()
     rows = _histogram_rows(report)
     if rows:
@@ -387,18 +376,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     # Imported here like the linter: analysis is a consumer layer the
     # plain routing commands never need.
-    from .analysis import render_audit
+    from .analysis import audit_solution, render_audit
 
-    design = _get_design(args.circuit, args.scale)
-    config = _run_config(args, audit=True)
-    router = (
-        BaselineRouter(config=config)
-        if args.baseline
-        else StitchAwareRouter(config=config)
+    flow = _route_circuit(args, print_row=False)
+    audit = audit_solution(
+        flow.detailed_result, flow.report, flow.global_result
     )
-    flow = router.route(design, tracer=_make_tracer(args))
-    audit = flow.audit
-    assert audit is not None  # guaranteed by config.audit=True
     if args.format == "json":
         print(json.dumps(audit.to_dict(), indent=2, sort_keys=True))
     else:

@@ -44,7 +44,7 @@ class RouterConfig:
     """Parameters shared by every stage of the routing framework.
 
     Geometry/cost attributes (used by the stages through
-    ``design.config``).  The six counts are integers (anything
+    ``design.config``).  The four counts are integers (anything
     :func:`operator.index` accepts, stored as ``int``) and the three
     weights finite and non-negative; a malformed value raises
     ``ValueError`` naming its field:
@@ -61,20 +61,6 @@ class RouterConfig:
         beta: via-in-stitch-unfriendly-region weight in Eq. (10).
         gamma: escape-region weight in Eq. (10).  The paper requires
             ``beta`` to be much larger than ``gamma``.
-        max_ripup_iterations: rip-up and re-route rounds for failed nets
-            (0 or more).
-        detail_expansion_limit: A* node-expansion budget per net and
-            attempt (1 or more); keeps worst-case detailed routing
-            bounded.
-        audit: run the independent solution auditor
-            (:func:`repro.analysis.audit_solution`) on the final
-            result and attach its :class:`~repro.analysis.AuditReport`
-            to the flow result (``FlowResult.audit``), with
-            ``audit_*`` counters in the trace.  The audit re-derives
-            every stitching constraint with its own geometry code and
-            cross-checks the report's counters; it observes and
-            reports but never alters the routing (see
-            ``docs/static_analysis.md``).
         profile: profiling level.  ``"off"`` (the default) keeps
             the hot loops byte-identical to the committed baselines;
             ``"counters"`` flushes low-overhead search counters (heap
@@ -107,9 +93,6 @@ class RouterConfig:
     alpha: float = 1.0
     beta: float = 10.0
     gamma: float = 5.0
-    max_ripup_iterations: int = 5
-    detail_expansion_limit: int = 200_000
-    audit: bool = False
     profile: str = "off"
     track_method: TrackMethod = TrackMethod.GRAPH
     coloring: ColoringMethod = ColoringMethod.FLOW
@@ -127,14 +110,7 @@ class RouterConfig:
             object.__setattr__(
                 self, "coloring", ColoringMethod(self.coloring)
             )
-        for name in (
-            "stitch_spacing",
-            "epsilon",
-            "escape_width",
-            "tile_size",
-            "max_ripup_iterations",
-            "detail_expansion_limit",
-        ):
+        for name in ("stitch_spacing", "epsilon", "escape_width", "tile_size"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, operator.index(value))
@@ -162,18 +138,6 @@ class RouterConfig:
                     f"cost weight {name} must be finite and non-negative, "
                     f"got {value!r}"
                 )
-        if self.max_ripup_iterations < 0:
-            raise ValueError(
-                "max_ripup_iterations must be non-negative, "
-                f"got {self.max_ripup_iterations}"
-            )
-        if self.detail_expansion_limit < 1:
-            raise ValueError(
-                "detail_expansion_limit must be at least 1, "
-                f"got {self.detail_expansion_limit}"
-            )
-        if not isinstance(self.audit, bool):
-            raise ValueError(f"audit must be a bool, got {self.audit!r}")
         if self.profile not in ("off", "counters"):
             raise ValueError(
                 f"profile must be 'off' or 'counters', got {self.profile!r}"

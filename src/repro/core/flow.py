@@ -1,10 +1,11 @@
 """The full stitch-aware routing flow and its baseline (Table III).
 
-``StitchAwareRouter`` wires the stage implementations into the two-pass
-bottom-up multilevel framework of Fig. 6: stitch-aware global routing,
-stitch-aware layer assignment (flow-based coloring), short-polygon-
-avoiding track assignment (graph heuristic or ILP), and stitch-aware
-detailed routing.
+``StitchAwareRouter`` runs the two-pass bottom-up multilevel framework
+of Fig. 6: levelize the nets through the coarsening hierarchy, route
+them globally (pass 1, with the stitch-aware line-end term), assign
+layers (flow-based coloring) and tracks (graph heuristic or ILP, both
+short-polygon-avoiding), then route them in detail bottom-up (pass 2,
+stitch-aware costs and net ordering).
 
 ``BaselineRouter`` is the comparison router of Section IV-A: global
 routing without the line-end term (NTUgr-style), conventional layer
@@ -13,7 +14,8 @@ conventional track assignment (segments landing on stitching-line
 tracks are ripped up and routed directly in detailed routing), and
 detailed routing without the stitch costs — but with the same hard
 legality (wires only cross stitching lines in the x direction), so it
-also produces zero vertical routing violations.
+also produces zero vertical routing violations.  Both routers run the
+same sequence and differ only in these stage policies.
 
 Both routers take a single :class:`~repro.config.RouterConfig` and an
 optional :class:`~repro.observe.Tracer`; every run produces a
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ..assign import (
     DesignTrackAssignment,
@@ -39,11 +41,8 @@ from ..detailed import DetailedResult, DetailedRouter
 from ..eval import RoutingReport, evaluate
 from ..globalroute import GlobalGraph, GlobalRouter, GlobalRoutingResult
 from ..layout import Design
-from ..multilevel import MultilevelScheme, TwoPassFramework
+from ..multilevel import MultilevelScheme
 from ..observe import RunTrace, Tracer, ensure
-
-if TYPE_CHECKING:  # runtime import stays lazy (analysis is optional here)
-    from ..analysis import AuditReport
 
 
 @dataclasses.dataclass
@@ -59,9 +58,6 @@ class FlowResult:
     cpu_seconds: float
     #: Per-stage observability trace of this run.
     trace: Optional[RunTrace] = None
-    #: Independent solution audit (:mod:`repro.analysis.audit`);
-    #: attached only when the flow ran with ``config.audit=True``.
-    audit: Optional["AuditReport"] = None
 
 
 class StitchAwareRouter:
@@ -79,31 +75,16 @@ class StitchAwareRouter:
     def __init__(self, *, config: Optional[RouterConfig] = None) -> None:
         self.config = config if config is not None else RouterConfig()
 
-    # -- config aliases (read-only views used throughout tests/docs) ---
-    @property
-    def track_method(self) -> TrackMethod:
-        """Track-assignment policy (from :attr:`config`)."""
-        return self.config.track_method
-
-    @property
-    def coloring(self) -> ColoringMethod:
-        """Layer-assignment coloring policy (from :attr:`config`)."""
-        return self.config.coloring
-
-    @property
-    def stitch_aware_global(self) -> bool:
-        """Global-routing ablation switch (from :attr:`config`)."""
-        return self.config.stitch_aware_global
-
-    @property
-    def stitch_aware_detail(self) -> bool:
-        """Detailed-routing ablation switch (from :attr:`config`)."""
-        return self.config.stitch_aware_detail
-
     def route(
         self, design: Design, *, tracer: Optional[Tracer] = None
     ) -> FlowResult:
         """Run the full two-pass flow (Fig. 6) on ``design``.
+
+        Each step is one top-level span of the trace: ``levelize``
+        (one ``level`` span per coarsening level, with its net count),
+        ``pass1`` (global routing), ``assign`` (layer and track
+        assignment) and ``pass2`` (detailed routing in the scheme's
+        bottom-up order); the stages nest their own spans underneath.
 
         Args:
             design: the routing instance.
@@ -114,55 +95,54 @@ class StitchAwareRouter:
         tracer = ensure(tracer)
         start = time.perf_counter()
         config = self.config
+        # The multilevel scheme needs the tile grid dimensions, which
+        # the global graph defines.
+        scheme = MultilevelScheme(design, *GlobalGraph.grid_shape(design))
+        with tracer.span("levelize", levels=scheme.num_levels):
+            by_level = scheme.nets_by_level()
+            for level in range(scheme.num_levels):
+                # One marker span per level records its net count.
+                nets = len(by_level.get(level, []))
+                with tracer.span("level", level=level, nets=nets):
+                    pass
+            ordered = scheme.bottom_up_order()
 
-        def global_stage(d: Design) -> GlobalRoutingResult:
-            # Pass 1: bottom-up global routing of local nets first, in
-            # the router's own (tile extent, hpwl, name) order.
-            return GlobalRouter(
+        with tracer.span("pass1"):
+            # Pass 1 routes in the global router's own (tile extent,
+            # hpwl, name) order, not the scheme's.
+            global_result = GlobalRouter(
                 stitch_aware=config.stitch_aware_global,
                 profile=config.profile,
-            ).route(d, tracer=tracer)
-
-        def assign_stage(d: Design, global_result: GlobalRoutingResult):
+            ).route(design, tracer=tracer)
+        with tracer.span("assign"):
             columns, rows = extract_panels(global_result)
             layers = assign_layers(
                 columns,
                 rows,
-                d.technology,
+                design.technology,
                 method=config.coloring,
                 tracer=tracer,
             )
             tracks = assign_tracks(
-                d,
+                design,
                 global_result.graph,
                 layers,
                 method=config.track_method,
                 tracer=tracer,
             )
-            return layers, tracks
-
-        def detail_stage(d: Design, global_result, assigned, ordered):
-            _layers, tracks = assigned
-            return DetailedRouter(
+        with tracer.span("pass2"):
+            detailed_result = DetailedRouter(
                 stitch_aware=config.stitch_aware_detail,
                 profile=config.profile,
             ).route(
-                d,
+                design,
                 global_result.graph,
                 tracks,
                 order_hint=ordered,
                 tracer=tracer,
             )
 
-        # The multilevel scheme needs the tile grid dimensions, which
-        # the global graph defines.
-        nx, ny = GlobalGraph.grid_shape(design)
-        scheme = MultilevelScheme(design, nx, ny)
-        framework = TwoPassFramework(global_stage, assign_stage, detail_stage)
-        outcome = framework.run(design, scheme, tracer=tracer)
-
-        layers, tracks = outcome.assign_result
-        report = evaluate(outcome.detail_result)
+        report = evaluate(detailed_result)
         # The report's columns join the run's counters at the trace
         # root, so the gate baselines pin them beside the work counts.
         tracer.count("routed_nets", report.routed_nets)
@@ -171,19 +151,6 @@ class StitchAwareRouter:
         tracer.count("via_violations", report.via_violations)
         tracer.count("vertical_violations", report.vertical_violations)
         tracer.count("short_polygons", report.short_polygons)
-        audit_report: Optional[AuditReport] = None
-        if config.audit:
-            # Lazy import: the analysis package is a consumer of the
-            # routing packages, so core must not import it eagerly.
-            from ..analysis import audit_solution
-
-            with tracer.span("audit") as span:
-                audit_report = audit_solution(
-                    outcome.detail_result, report, outcome.global_result
-                )
-                span.count("audit_nets_checked", audit_report.nets_checked)
-                span.count("audit_findings", len(audit_report.findings))
-                span.count("audit_drift", len(audit_report.drift))
         elapsed = time.perf_counter() - start
         report.cpu_seconds = elapsed
         meta = {
@@ -192,12 +159,9 @@ class StitchAwareRouter:
             "stitch_aware_global": config.stitch_aware_global,
             "stitch_aware_detail": config.stitch_aware_detail,
         }
-        if config.audit:
+        if config.profile != "off":
             # Only stamped when enabled so default-config traces stay
             # byte-compatible with the committed baselines.
-            meta["audit"] = True
-        if config.profile != "off":
-            # Same compatibility rule as the audit stamp.
             meta["profile"] = config.profile
         trace = tracer.finish(
             router=type(self).__name__,
@@ -207,14 +171,13 @@ class StitchAwareRouter:
         report.trace = trace
         return FlowResult(
             design=design,
-            global_result=outcome.global_result,
+            global_result=global_result,
             layer_assignment=layers,
             track_assignment=tracks,
-            detailed_result=outcome.detail_result,
+            detailed_result=detailed_result,
             report=report,
             cpu_seconds=elapsed,
             trace=trace,
-            audit=audit_report,
         )
 
 

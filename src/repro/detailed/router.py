@@ -54,6 +54,14 @@ NEGOTIATION_PENALTY = 30.0
 #: won (docs/performance.md, "The detailed cascade").
 NEGOTIATED_WINDOW_MARGINS = (16,)
 
+#: Rip-up and re-route rounds for the nets the first pass fails.
+RIPUP_ROUNDS = 5
+
+#: A* node-expansion budget of one connection search; keeps worst-case
+#: detailed routing bounded.
+EXPANSION_LIMIT = 200_000
+
+
 @dataclasses.dataclass
 class RoutedNet:
     """Final routing state of one net."""
@@ -246,7 +254,7 @@ class DetailedRouter:
         still unrouted at the end, in queue order.
         """
         tracer = ensure(tracer)
-        for round_index in range(design.config.max_ripup_iterations):
+        for round_index in range(RIPUP_ROUNDS):
             if not failed:
                 break
             queue = list(dict.fromkeys(failed))
@@ -545,7 +553,7 @@ class DetailedRouter:
             # Negotiated searches see almost every node as passable, so
             # an unreachable target otherwise floods the whole window:
             # they get one window and an eighth of the budget.
-            limit = design.config.detail_expansion_limit
+            limit = EXPANSION_LIMIT
             if penalty is not None:
                 margins = NEGOTIATED_WINDOW_MARGINS
                 limit //= 8

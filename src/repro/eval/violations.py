@@ -28,8 +28,8 @@ This module is the router's *self*-evaluation: the router optimizes
 against these very counts.  :mod:`repro.analysis.audit` is the
 independent cross-check — it re-derives every quantity here with its
 own geometry code and fails hard on any disagreement (``repro audit``
-/ ``RouterConfig(audit=True)``), so a bookkeeping bug in this file
-cannot silently skew the reported tables.
+and the regression gate), so a bookkeeping bug in this file cannot
+silently skew the reported tables.
 """
 
 from __future__ import annotations

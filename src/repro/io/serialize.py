@@ -26,6 +26,11 @@ VERSION = 1
 
 PathLike = Union[str, pathlib.Path]
 
+#: Config keys that older design snapshots carry but ``RouterConfig``
+#: no longer has: the detailed search budgets, now the constants
+#: ``RIPUP_ROUNDS`` and ``EXPANSION_LIMIT`` of ``repro.detailed.router``.
+_RETIRED_CONFIG_KEYS = ("max_ripup_iterations", "detail_expansion_limit")
+
 
 # ----------------------------------------------------------------------
 # Design
@@ -49,8 +54,6 @@ def design_to_dict(design: Design) -> dict:
             "alpha": design.config.alpha,
             "beta": design.config.beta,
             "gamma": design.config.gamma,
-            "max_ripup_iterations": design.config.max_ripup_iterations,
-            "detail_expansion_limit": design.config.detail_expansion_limit,
         },
         "stitch_lines": list(design.stitches.xs),
         "nets": [
@@ -72,14 +75,24 @@ def design_to_dict(design: Design) -> dict:
 
 
 def design_from_dict(data: dict) -> Design:
-    """Rebuild a :class:`Design` from :func:`design_to_dict` output."""
+    """Rebuild a :class:`Design` from :func:`design_to_dict` output.
+
+    The detailed search budgets that older snapshots carry in
+    ``config`` are dropped, so those snapshots still load.
+    """
     if data.get("format") != FORMAT_DESIGN:
         raise ValueError(f"not a design document: {data.get('format')!r}")
     if data.get("version") != VERSION:
         raise ValueError(f"unsupported design version {data.get('version')!r}")
     from ..layout.technology import Direction
 
-    config = RouterConfig(**data["config"])
+    config = RouterConfig(
+        **{
+            key: value
+            for key, value in data["config"].items()
+            if key not in _RETIRED_CONFIG_KEYS
+        }
+    )
     nets = [
         Net(
             entry["name"],

@@ -1,10 +1,5 @@
-"""Two-pass bottom-up multilevel routing framework (Section II-B)."""
+"""Bottom-up coarsening scheme of the two-pass multilevel flow (Section II-B)."""
 
-from .framework import TwoPassFramework, TwoPassOutcome
 from .scheme import MultilevelScheme
 
-__all__ = [
-    "MultilevelScheme",
-    "TwoPassFramework",
-    "TwoPassOutcome",
-]
+__all__ = ["MultilevelScheme"]

@@ -13,11 +13,6 @@ NDJSON sink *while the run executes* (replayed by
 and :class:`~repro.observe.watch.StreamWatcher` prints them as
 progress lines (the CLI's ``-v`` and ``repro watch``).
 
-Flows run with ``RouterConfig(audit=True)`` add an ``audit`` span
-whose ``audit_nets_checked`` / ``audit_findings`` / ``audit_drift``
-counters summarize the independent solution audit
-(:mod:`repro.analysis.audit`); default-config traces are unchanged.
-
 Every name a tracer may record is declared in
 :mod:`~repro.observe.schema` — the canonical registry of counters,
 gauges, spans, and progress kinds with their owner stage and

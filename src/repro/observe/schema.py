@@ -177,11 +177,6 @@ _register(
     "Rounds of the flow-based coloring loop.",
 )
 _register(
-    "flow_nodes", "counter", _ASSIGN, "routing",
-    "Nodes of the min-cost-flow network built by the interval "
-    "k-coloring (accumulated per panel; not yet forwarded to spans).",
-)
-_register(
     "failed_segments", "counter", _ASSIGN, "routing",
     "Trunk segments track assignment could not place.",
 )
@@ -213,20 +208,6 @@ for _name, _desc in (
     ("short_polygons", "Short polygons of routed nets (#SP column)."),
 ):
     _register(_name, "counter", _FLOW, "routing", _desc)
-
-# -- audit counters (repro audit / --audit flow) ----------------------
-_register(
-    "audit_nets_checked", "counter", _FLOW, "audit",
-    "Nets re-verified by the independent solution audit.",
-)
-_register(
-    "audit_findings", "counter", _FLOW, "audit",
-    "Audit rule violations found.",
-)
-_register(
-    "audit_drift", "counter", _FLOW, "audit",
-    "Reported counters that disagreed with audit recomputation.",
-)
 
 # -- profiling counters (RouterConfig.profile) ------------------------
 _register(
@@ -341,7 +322,6 @@ for _name, _stages, _desc in (
     ("pass1", _MULTILEVEL, "Multilevel pass 1 (global)."),
     ("assign", _MULTILEVEL, "Multilevel assignment pass."),
     ("pass2", _MULTILEVEL, "Multilevel pass 2 (detailed)."),
-    ("audit", _FLOW, "Independent solution audit."),
 ):
     _register(_name, "span", _stages, "routing", _desc)
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import types
 
 import pytest
 
@@ -56,36 +55,38 @@ class TestCleanRuns:
 
 
 def _failing_flow():
-    """A real flow whose audit report genuinely fails.
+    """A real flow whose audit genuinely fails.
 
-    Routes a tiny circuit, corrupts the final geometry (deletes one
-    net's wires while leaving it marked routed), and re-audits.
+    Routes a tiny circuit and corrupts the final geometry (deletes one
+    net's wires while leaving it marked routed).  Returns the corrupted
+    flow and the audit it must get.
     """
     flow = StitchAwareRouter().route(mcnc_design("S9234", 0.02))
     name = sorted(flow.detailed_result.nets)[0]
     nets = dict(flow.detailed_result.nets)
     nets[name] = dataclasses.replace(nets[name], edges=set())
-    corrupted = dataclasses.replace(flow.detailed_result, nets=nets)
-    audit = audit_solution(corrupted, flow.report, flow.global_result)
+    corrupted = dataclasses.replace(
+        flow, detailed_result=dataclasses.replace(flow.detailed_result, nets=nets)
+    )
+    audit = audit_solution(
+        corrupted.detailed_result, corrupted.report, corrupted.global_result
+    )
     assert not audit.ok
-    return flow, audit
+    return corrupted, audit
 
 
 class TestFailingRuns:
     @pytest.fixture()
     def rigged(self, monkeypatch):
-        """Point the CLI at a router whose flow carries a failing audit."""
+        """Point the CLI at a router whose flow fails the CLI's audit."""
         flow, audit = _failing_flow()
-        rigged_flow = types.SimpleNamespace(
-            report=flow.report, audit=audit, trace=flow.trace
-        )
 
         class RiggedRouter:
             def __init__(self, *, config=None):
                 self.config = config
 
             def route(self, design, *, tracer=None):
-                return rigged_flow
+                return flow
 
         monkeypatch.setattr("repro.cli.StitchAwareRouter", RiggedRouter)
         return audit

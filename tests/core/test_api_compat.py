@@ -10,10 +10,10 @@ class TestConfigConstructor:
     def test_default_config(self):
         router = StitchAwareRouter()
         assert router.config == RouterConfig()
-        assert router.track_method is TrackMethod.GRAPH
-        assert router.coloring is ColoringMethod.FLOW
-        assert router.stitch_aware_global is True
-        assert router.stitch_aware_detail is True
+        assert router.config.track_method is TrackMethod.GRAPH
+        assert router.config.coloring is ColoringMethod.FLOW
+        assert router.config.stitch_aware_global is True
+        assert router.config.stitch_aware_detail is True
 
     def test_explicit_config_does_not_warn(self):
         config = RouterConfig(
@@ -23,20 +23,20 @@ class TestConfigConstructor:
             warnings.simplefilter("error")
             router = StitchAwareRouter(config=config)
         assert router.config is config
-        assert router.track_method is TrackMethod.ILP
+        assert router.config.track_method is TrackMethod.ILP
 
     def test_baseline_pins_policy_flags(self):
         router = BaselineRouter()
-        assert router.track_method is TrackMethod.BASELINE
-        assert router.coloring is ColoringMethod.MST
-        assert router.stitch_aware_global is False
-        assert router.stitch_aware_detail is False
+        assert router.config.track_method is TrackMethod.BASELINE
+        assert router.config.coloring is ColoringMethod.MST
+        assert router.config.stitch_aware_global is False
+        assert router.config.stitch_aware_detail is False
 
     def test_baseline_keeps_geometry_overrides(self):
         config = RouterConfig(stitch_spacing=21, tile_size=21)
         router = BaselineRouter(config=config)
         assert router.config.stitch_spacing == 21
-        assert router.track_method is TrackMethod.BASELINE
+        assert router.config.track_method is TrackMethod.BASELINE
 
     def test_config_accepts_policy_strings(self):
         config = RouterConfig(track_method="ilp", coloring="mst")

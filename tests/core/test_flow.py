@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import audit_solution
 from repro.benchmarks_gen import SyntheticSpec, generate_design
 from repro.config import RouterConfig
 from repro.api import BaselineRouter, FlowResult, StitchAwareRouter
@@ -113,43 +114,35 @@ class TestBaselineSpecifics:
 
 
 class TestAuditIntegration:
-    @pytest.fixture(scope="class")
-    def audited(self, design):
-        return StitchAwareRouter(config=RouterConfig(audit=True)).route(
-            design
-        )
+    """The auditor reads a finished flow, as ``repro audit`` does."""
 
     def test_default_flow_has_no_audit(self, aware_result):
-        assert aware_result.audit is None
+        """The flow never audits itself: no result field, span or stamp."""
+        assert not hasattr(aware_result, "audit")
         assert "audit" not in [s.name for s in aware_result.trace.spans]
-
-    def test_audit_true_attaches_clean_report(self, audited):
-        audit = audited.audit
-        assert audit is not None
-        assert audit.ok
-        assert audit.findings == [] and audit.drift == []
-        assert audit.nets_checked == audited.report.total_nets
-
-    def test_audit_span_carries_counters(self, audited):
-        names = [s.name for s in audited.trace.spans]
-        span = audited.trace.spans[names.index("audit")]
-        assert span.counters["audit_nets_checked"] == (
-            audited.audit.nets_checked
-        )
-        assert span.counters["audit_findings"] == 0
-        assert span.counters["audit_drift"] == 0
-
-    def test_audit_flag_stamped_in_trace_meta(self, audited, aware_result):
-        assert audited.trace.meta.get("audit") is True
         assert "audit" not in aware_result.trace.meta
 
-    def test_audited_routing_identical_to_default(
-        self, audited, aware_result
-    ):
+    def test_finished_flow_audits_clean(self, aware_result, baseline_result):
+        for flow in (aware_result, baseline_result):
+            audit = audit_solution(
+                flow.detailed_result, flow.report, flow.global_result
+            )
+            assert audit.ok
+            assert audit.findings == [] and audit.drift == []
+            assert audit.nets_checked == flow.report.total_nets
+
+    def test_audited_routing_identical_to_default(self, aware_result):
         """The auditor observes; it must never change the solution."""
-        assert audited.report.wirelength == aware_result.report.wirelength
-        assert audited.report.vias == aware_result.report.vias
-        assert (
-            audited.report.via_violations
-            == aware_result.report.via_violations
-        )
+        result = aware_result.detailed_result
+
+        def solution():
+            return {
+                name: (set(rn.nodes), set(rn.edges), rn.routed)
+                for name, rn in result.nets.items()
+            }
+
+        before = solution()
+        wirelength = aware_result.report.wirelength
+        audit_solution(result, aware_result.report, aware_result.global_result)
+        assert solution() == before
+        assert aware_result.report.wirelength == wirelength

@@ -1,13 +1,11 @@
 """Tests for JSON persistence of designs and reports."""
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.benchmarks_gen import SyntheticSpec, generate_design
 from repro.api import StitchAwareRouter
-from repro.config import RouterConfig
 from repro.io import (
     design_from_dict,
     design_to_dict,
@@ -56,21 +54,25 @@ class TestDesignRoundtrip:
         rebuilt = design_from_dict(design_to_dict(design))
         assert rebuilt.config == design.config
 
-    def test_config_roundtrip_keeps_detailed_limits(self, design):
-        """The detailed router reads both fields from ``design.config``."""
-        config = RouterConfig(max_ripup_iterations=1, detail_expansion_limit=5000)
-        design = dataclasses.replace(design, config=config)
-        rebuilt = design_from_dict(design_to_dict(design))
-        assert rebuilt.config == config
-
-    def test_config_without_detailed_limits_loads_defaults(self, design):
-        """Snapshots saved before the two keys existed still load."""
+    def test_old_snapshot_with_search_budgets_routes_identically(self, design):
+        """Older snapshots carry the detailed search budgets; they load
+        without them and route node for node like the fresh design.
+        """
         data = design_to_dict(design)
-        data["config"].pop("max_ripup_iterations", None)
-        data["config"].pop("detail_expansion_limit", None)
-        config = design_from_dict(data).config
-        assert config.max_ripup_iterations == RouterConfig().max_ripup_iterations
-        assert config.detail_expansion_limit == RouterConfig().detail_expansion_limit
+        assert "max_ripup_iterations" not in data["config"]
+        assert "detail_expansion_limit" not in data["config"]
+        data["config"].update(max_ripup_iterations=1, detail_expansion_limit=5000)
+        rebuilt = design_from_dict(data)
+        assert rebuilt.config == design.config
+
+        def solution(d):
+            nets = StitchAwareRouter().route(d).detailed_result.nets
+            return {
+                name: (rn.nodes, rn.edges, rn.routed)
+                for name, rn in nets.items()
+            }
+
+        assert solution(rebuilt) == solution(design)
 
     def test_file_roundtrip(self, design, tmp_path):
         path = tmp_path / "design.json"

@@ -1,11 +1,14 @@
-"""Tests for the coarsening scheme and two-pass driver."""
+"""Tests for the coarsening scheme and the two-pass flow it orders."""
 
 import pytest
 
+from repro.api import BaselineRouter
 from repro.config import RouterConfig
 from repro.geometry import Point
+from repro.globalroute import GlobalGraph
 from repro.layout import Design, Net, Netlist, Pin, Technology
-from repro.multilevel import MultilevelScheme, TwoPassFramework
+from repro.multilevel import MultilevelScheme
+from repro.observe import Tracer
 
 
 def two_pin(name, a, b):
@@ -92,34 +95,53 @@ class TestMultilevelScheme:
         assert [n.name for n in scheme.bottom_up_order()] == ["short", "long"]
 
 
-class TestTwoPassFramework:
-    def test_stage_sequencing_and_data_flow(self):
-        calls = []
-        nets = [
-            two_pin("a", (1, 1), (5, 5)),
-            two_pin("b", (1, 1), (100, 100)),
+class TestTwoPassFlow:
+    """The flow's Fig. 6 sequence, seen through its trace and events."""
+
+    NETS = [
+        two_pin("a", (1, 1), (5, 5)),
+        two_pin("b", (1, 1), (20, 20)),
+        two_pin("c", (57, 50), (62, 52)),
+        two_pin("d", (1, 1), (100, 100)),
+        two_pin("e", (70, 70), (80, 75)),
+        two_pin("f", (100, 10), (104, 12)),
+    ]
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        design = make_design(self.NETS)
+        events = []
+        flow = BaselineRouter().route(design, tracer=Tracer([events.append]))
+        scheme = MultilevelScheme(design, *GlobalGraph.grid_shape(design))
+        return flow, scheme, events
+
+    def test_top_level_spans_in_order(self, run):
+        flow, _, _ = run
+        assert [s.name for s in flow.trace.spans] == [
+            "levelize", "pass1", "assign", "pass2",
         ]
-        design = make_design(nets)
-        scheme = MultilevelScheme(design, nx=8, ny=8)
 
-        def global_stage(d):
-            calls.append("global")
-            return "G"
+    def test_levelize_holds_one_span_per_level(self, run):
+        flow, scheme, _ = run
+        levelize = flow.trace.spans[0]
+        assert levelize.gauges == {"levels": scheme.num_levels}
+        by_level = scheme.nets_by_level()
+        assert [(s.name, s.gauges) for s in levelize.children] == [
+            ("level", {"level": level, "nets": len(by_level.get(level, []))})
+            for level in range(scheme.num_levels)
+        ]
+        # Levels 0, 1 and 3 hold two nets each; level 2 none.
+        assert [s.gauges["nets"] for s in levelize.children] == [2, 2, 0, 2]
 
-        def assign_stage(d, g):
-            calls.append("assign")
-            assert g == "G"
-            return "A"
-
-        def detail_stage(d, g, a, ordered):
-            calls.append("detail")
-            assert (g, a) == ("G", "A")
-            assert [n.name for n in ordered] == ["a", "b"]
-            return "D"
-
-        framework = TwoPassFramework(global_stage, assign_stage, detail_stage)
-        outcome = framework.run(design, scheme)
-        assert calls == ["global", "assign", "detail"]
-        assert outcome.detail_result == "D"
-        assert outcome.cpu_seconds >= 0
-        assert sum(len(level) for level in outcome.level_order) == 2
+    def test_detailed_pass_follows_bottom_up_order(self, run):
+        """The baseline's detailed order keeps the order it is given."""
+        _, scheme, events = run
+        detailed = [
+            event["net"]
+            for event in events
+            if event["ev"] == "progress"
+            and event["kind"] == "net"
+            and event["stage"] == "detailed"
+        ]
+        expected = [net.name for net in scheme.bottom_up_order()]
+        assert detailed == expected == ["f", "a", "e", "b", "c", "d"]

@@ -19,6 +19,23 @@ class TestRouterConfig:
             5.0,
         )
 
+    def test_fields(self):
+        """Geometry, weights, profile and policies; nothing else is settable."""
+        assert [f.name for f in dataclasses.fields(RouterConfig)] == [
+            "stitch_spacing",
+            "epsilon",
+            "escape_width",
+            "tile_size",
+            "alpha",
+            "beta",
+            "gamma",
+            "profile",
+            "track_method",
+            "coloring",
+            "stitch_aware_global",
+            "stitch_aware_detail",
+        ]
+
     def test_beta_much_larger_than_gamma(self):
         """Section IV: beta must dominate gamma."""
         assert DEFAULT_CONFIG.beta > DEFAULT_CONFIG.gamma
@@ -47,8 +64,8 @@ class TestRouterConfig:
         [
             ("tile_size", 2.5),
             ("stitch_spacing", 15.5),
-            ("max_ripup_iterations", -3),
-            ("detail_expansion_limit", 0),
+            ("epsilon", 1.5),
+            ("escape_width", "4"),
         ],
     )
     def test_malformed_counts_rejected(self, field, value):
@@ -97,21 +114,6 @@ class TestBenchmarkScale:
             monkeypatch.setenv("REPRO_SCALE", bad)
             with pytest.raises(ValueError, match="REPRO_SCALE"):
                 benchmark_scale()
-
-
-class TestAuditFlag:
-    def test_default_is_off(self):
-        assert DEFAULT_CONFIG.audit is False
-
-    def test_accepts_bools(self):
-        assert RouterConfig(audit=True).audit is True
-        assert RouterConfig(audit=False).audit is False
-
-    def test_rejects_non_bools(self):
-        with pytest.raises(ValueError):
-            RouterConfig(audit=1)
-        with pytest.raises(ValueError):
-            RouterConfig(audit="yes")
 
 
 class TestProfileField:
