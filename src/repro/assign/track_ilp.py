@@ -21,8 +21,6 @@ from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..layout import StitchingLines
 from .panels import Panel, PanelSegment
@@ -116,6 +114,10 @@ def _solve(
     bad_end_penalty: float = 0.0,
     stats: Optional[dict[str, float]] = None,
 ) -> Optional[dict[int, dict[int, int]]]:
+    # Imported here, so that only track_method="ilp" loads scipy.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     edges = _build_edges(
         segments, usable, unfriendly, max_dogleg, exclude_bad, bad_end_penalty
     )

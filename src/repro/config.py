@@ -45,9 +45,10 @@ class RouterConfig:
 
     Geometry/cost attributes (used by the stages through
     ``design.config``).  The four counts are integers (anything
-    :func:`operator.index` accepts, stored as ``int``) and the three
-    weights finite and non-negative; a malformed value raises
-    ``ValueError`` naming its field:
+    :func:`operator.index` accepts, stored as ``int``; ``epsilon`` and
+    ``escape_width`` non-negative) and the three weights finite and
+    non-negative; a malformed value raises ``ValueError`` naming its
+    field:
 
     Attributes:
         stitch_spacing: distance between two stitching lines, in pitches.
@@ -122,6 +123,8 @@ class RouterConfig:
             raise ValueError("stitch_spacing must be at least 3 pitches")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
+        if self.escape_width < 0:
+            raise ValueError("escape_width must be non-negative")
         if self.epsilon * 2 + 1 >= self.stitch_spacing:
             raise ValueError(
                 "stitch unfriendly regions of adjacent stitching lines overlap: "

@@ -64,6 +64,11 @@ class DetailedGrid:
     ``_step`` with :data:`OWNED_STEP` folded in wherever a node is
     owned, so the search resolves the common free-node candidate with
     a single load and compare; the ownership mutators keep it in step.
+
+    ``_best_g`` is the search's best-cost list, one float per node,
+    allocated once with the grid and ``inf`` between searches: each
+    search resets the entries it wrote before it returns.  A grid
+    therefore serves one search at a time.
     """
 
     def __init__(self, design: Design, stitch_aware: bool = True) -> None:
@@ -117,6 +122,7 @@ class DetailedGrid:
         # Every node starts free, so the folded list begins as a copy.
         self._free_step = list(self._step)
         self._pin_mask = bytearray(size)
+        self._best_g = [float("inf")] * size
         #: net name -> positive integer id, and the inverse (index 0,
         #: the free id, maps to None); filled for the whole netlist up
         #: front, extended for any other name a caller claims with.

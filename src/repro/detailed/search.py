@@ -76,6 +76,10 @@ def astar_connect(
     are derived at flush time from the heap invariant
     ``pushes == pops + len(heap)``.
 
+    Best costs live in the grid's ``_best_g`` list, by node id, and
+    every entry the search writes reads ``inf`` again when it returns
+    or raises; the grid therefore serves one search at a time.
+
     :func:`separated` mirrors this search's moves and passability to
     prove a connection impossible without searching; a change to
     either here must change it there too.
@@ -114,8 +118,13 @@ def astar_connect(
     net_id = grid._net_id(net)
     fp = foreign_penalty
 
-    # Seeding order over the source set is immaterial: best_g is a
-    # pure mapping and heap entries are totally ordered by
+    # best_g is the grid's reused best-cost list, inf everywhere
+    # between searches.  This search writes only its seeds (listed in
+    # ``seeded``) and the nodes it relaxes (the ``parent`` keys), and
+    # the ``finally`` below writes inf back to exactly those.
+    #
+    # Seeding order over the source set is immaterial: each seed sets
+    # its own entry of best_g and heap entries are totally ordered by
     # (f, g, id), so pop order never depends on insertion order.
     #
     # Heap entries carry the node's clipped heuristic deltas as a
@@ -124,39 +133,41 @@ def astar_connect(
     # pure function of the node id (given the fixed target bbox),
     # so two entries that tie on ``(f, g, id)`` carry equal deltas
     # and the heap order stays exactly the 3-tuple order.
-    best_g: dict[int, float] = {}
+    best_g = grid._best_g
+    seeded: list[int] = []
     src_idx: set[int] = set()
     heap: list[tuple[float, float, int, int, int]] = []
-    for s in sources:  # repro: allow-DET001 seeds a pure mapping and a heapified list
-        x, y, _layer = s
-        dx = (t_lo_x - x) if x < t_lo_x else (x - t_hi_x) if x > t_hi_x else 0
-        dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
-        si = encode(s)
-        best_g[si] = 0.0
-        src_idx.add(si)
-        heap.append((weight * (dx + dy), 0.0, si, dx, dy))
-    heapq.heapify(heap)
-
-    # A blocked node is seeded with a best cost of -inf.  No candidate
-    # cost is below it, so the node is counted as a candidate but never
-    # relaxed or pushed.  A blocked source keeps its 0 seed: with
-    # non-negative step costs nothing relaxes it below 0 either
-    # (RouterConfig rejects negative weights; the router's foreign
-    # penalty is 30.0).
-    if blocked is not None:
-        for b in blocked:
-            bi = encode(b)
-            if bi not in src_idx:
-                best_g[bi] = -_INF
-
     parent: dict[int, int] = {}
-    best_g_get = best_g.get
     heappop = heapq.heappop
     heappush = heapq.heappush
     expansions = 0
     evals = 0
     pops = 0
     try:
+        for s in sources:  # repro: allow-DET001 seeds entries by id and a heapified list
+            x, y, _layer = s
+            dx = (t_lo_x - x) if x < t_lo_x else (x - t_hi_x) if x > t_hi_x else 0
+            dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
+            si = encode(s)
+            best_g[si] = 0.0
+            seeded.append(si)
+            src_idx.add(si)
+            heap.append((weight * (dx + dy), 0.0, si, dx, dy))
+        heapq.heapify(heap)
+
+        # A blocked node is seeded with a best cost of -inf.  No
+        # candidate cost is below it, so the node is counted as a
+        # candidate but never relaxed or pushed.  A blocked source
+        # keeps its 0 seed: with non-negative step costs nothing
+        # relaxes it below 0 either (RouterConfig rejects negative
+        # weights; the router's foreign penalty is 30.0).
+        if blocked is not None:
+            for b in blocked:
+                bi = encode(b)
+                if bi not in src_idx:
+                    best_g[bi] = -_INF
+                    seeded.append(bi)
+
         # Candidates read the ownership-folded step list first.  A free
         # node yields its step cost there, and the ``sc < 0.0`` test
         # comes first, so it never loads the OWNED_STEP global; only an
@@ -171,7 +182,7 @@ def astar_connect(
         while heap:
             _f, g, si, hdx, hdy = heappop(heap)
             pops += 1
-            if g > best_g_get(si, _INF):
+            if g > best_g[si]:
                 continue
             if si in tgt:
                 rev = [si]
@@ -210,7 +221,7 @@ def astar_connect(
                         ny_ = y - 1
                         if in_x and lo_y <= ny_ <= hi_y:
                             candidate = g + sc
-                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                            if candidate < best_g[ci] - 1e-12:
                                 best_g[ci] = candidate
                                 parent[ci] = si
                                 dy = (
@@ -243,7 +254,7 @@ def astar_connect(
                         ny_ = y + 1
                         if in_x and lo_y <= ny_ <= hi_y:
                             candidate = g + sc
-                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                            if candidate < best_g[ci] - 1e-12:
                                 best_g[ci] = candidate
                                 parent[ci] = si
                                 dy = (
@@ -277,7 +288,7 @@ def astar_connect(
                         nx_ = x - 1
                         if in_y and lo_x <= nx_ <= hi_x:
                             candidate = g + sc
-                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                            if candidate < best_g[ci] - 1e-12:
                                 best_g[ci] = candidate
                                 parent[ci] = si
                                 dx = (
@@ -310,7 +321,7 @@ def astar_connect(
                         nx_ = x + 1
                         if in_y and lo_x <= nx_ <= hi_x:
                             candidate = g + sc
-                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                            if candidate < best_g[ci] - 1e-12:
                                 best_g[ci] = candidate
                                 parent[ci] = si
                                 dx = (
@@ -346,7 +357,7 @@ def astar_connect(
                         sc = sc + via_extra[x]
                         if in_x and in_y:
                             candidate = g + sc
-                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                            if candidate < best_g[ci] - 1e-12:
                                 best_g[ci] = candidate
                                 parent[ci] = si
                                 heappush(
@@ -374,7 +385,7 @@ def astar_connect(
                         sc = sc + via_extra[x]
                         if in_x and in_y:
                             candidate = g + sc
-                            if candidate < best_g_get(ci, _INF) - 1e-12:
+                            if candidate < best_g[ci] - 1e-12:
                                 best_g[ci] = candidate
                                 parent[ci] = si
                                 heappush(
@@ -389,6 +400,12 @@ def astar_connect(
                                 )
         return None
     finally:
+        # Each store writes inf, so the order of the resets is
+        # immaterial.
+        for i in seeded:
+            best_g[i] = _INF
+        for i in parent:
+            best_g[i] = _INF
         # Hot loop: count locally, flush once per search.
         grid.cost_evaluations += evals
         if stats is not None:

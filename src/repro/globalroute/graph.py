@@ -97,11 +97,18 @@ class GlobalGraph:
     ``_v_*`` (``nx * ny``) for the edge between ``(i, j)`` and
     ``(i, j + 1)``, zero-padded at ``j = ny - 1`` where no edge exists;
     ``_t_*`` (``nx * ny``) for the tiles.  Only the graph writes them:
-    the demand mutators re-price one cache entry, :meth:`bump_history`
-    every entry.  Bulk readers get read-only ``int64`` copies
-    (``h_demand``, ``v_demand``, ``vertex_demand`` and the three
-    ``*_capacity`` properties) shaped ``(nx - 1, ny)``, ``(nx, ny - 1)``
-    and ``(nx, ny)``.
+    the demand mutators and :meth:`apply_path` re-price one cache entry
+    per change, :meth:`bump_history` every entry.  Bulk readers get
+    read-only ``int64`` copies (``h_demand``, ``v_demand``,
+    ``vertex_demand`` and the three ``*_capacity`` properties) shaped
+    ``(nx - 1, ny)``, ``(nx, ny - 1)`` and ``(nx, ny)``.
+
+    The maze's per-search state is allocated once, here: ``_best``
+    holds the best cost of every search state (``nx * ny * 3``
+    entries, ``inf`` between searches), and ``_dist_x[di]`` /
+    ``_dist_y[dj]`` list the tile distances ``|i - di|`` and
+    ``|j - dj|`` to a target column and row.  A graph therefore serves
+    one search at a time.
     """
 
     # Cost caches, by tile code.
@@ -119,6 +126,11 @@ class GlobalGraph:
     _t_dem: list[int]
     _t_cap: list[int]
     _t_hist: list[float]
+    # Reused by every maze search: best cost by state id, and tile
+    # distances by target column / row.
+    _best: list[float]
+    _dist_x: list[list[int]]
+    _dist_y: list[list[int]]
 
     #: Profiling counters (``RouterConfig(profile=...)``): wholesale
     #: cache rebuilds and entry-wise incremental updates.  Class-level
@@ -166,6 +178,10 @@ class GlobalGraph:
         self._v_hist = [0.0] * len(self._v_cap)
         self._t_hist = [0.0] * len(self._t_cap)
         self.refresh_cost_cache()
+
+        self._best = [_INF] * (nx * ny * 3)
+        self._dist_x = [[abs(i - d) for i in range(nx)] for d in range(nx)]
+        self._dist_y = [[abs(j - d) for j in range(ny)] for d in range(ny)]
 
     # ------------------------------------------------------------------
     # Read-only copies of the state, for bulk readers
@@ -303,13 +319,43 @@ class GlobalGraph:
         """Adjust the demand a routed tile path holds by ``delta``.
 
         Every edge the path crosses, then every line end of its
-        vertical runs (:func:`vertical_run_line_ends`), in path order,
-        through the demand mutators.
+        vertical runs (:func:`vertical_run_line_ends`), in path order:
+        the same updates as :meth:`add_edge_demand` and
+        :meth:`add_vertex_demand`, made here on tile codes.  Raises
+        ``ValueError`` at the first pair of non-adjacent tiles.
         """
-        for a, b in zip(path, path[1:]):
-            self.add_edge_demand(self.edge_between(a, b), delta)
-        for tile in vertical_run_line_ends(path):
-            self.add_vertex_demand(tile, delta)
+        ny = self.ny
+        h_dem, h_cap, h_hist, h_cost = (
+            self._h_dem, self._h_cap, self._h_hist, self._h_cost
+        )
+        v_dem, v_cap, v_hist, v_cost = (
+            self._v_dem, self._v_cap, self._v_hist, self._v_cost
+        )
+        for (ia, ja), (ib, jb) in zip(path, path[1:]):
+            if ja == jb and (ib - ia == 1 or ia - ib == 1):
+                t = (ia if ia < ib else ib) * ny + ja
+                demand = h_dem[t] + delta
+                h_dem[t] = demand
+                h_cost[t] = WL_WEIGHT + edge_price(demand, h_cap[t], h_hist[t])
+            elif ia == ib and (jb - ja == 1 or ja - jb == 1):
+                t = ia * ny + (ja if ja < jb else jb)
+                demand = v_dem[t] + delta
+                v_dem[t] = demand
+                v_cost[t] = WL_WEIGHT + edge_price(demand, v_cap[t], v_hist[t])
+            else:
+                raise ValueError(
+                    f"tiles {(ia, ja)} and {(ib, jb)} are not adjacent"
+                )
+        ends = vertical_run_line_ends(path)
+        t_dem, t_cap, t_hist, v_price = (
+            self._t_dem, self._t_cap, self._t_hist, self._v_price
+        )
+        for i, j in ends:
+            t = i * ny + j
+            demand = t_dem[t] + delta
+            t_dem[t] = demand
+            v_price[t] = line_end_price(demand, t_cap[t], t_hist[t])
+        self.perf_cache_updates += max(len(path) - 1, 0) + len(ends)
 
     # ------------------------------------------------------------------
     # Cost caches
@@ -371,24 +417,37 @@ class GlobalGraph:
         :func:`~repro.globalroute.cost.edge_cost_if_used` and
         :func:`~repro.globalroute.cost.vertex_price` that this search
         must match step for step.
+
+        Best costs live in the graph's ``_best`` list, by state id.  A
+        search writes only the entries of its start and of the states
+        it relaxes (the ``parent`` keys), and resets exactly those to
+        ``inf`` when it ends, so its cost is proportional to the states
+        it touched, never to the grid.  The line-end surcharges of a
+        popped state are chosen once: ``h_extra`` for a move along x
+        (a vertical run ends) and ``v_extra`` for a move along y (one
+        starts), each ``0.0`` where nothing is charged.  Every step
+        price is at least ``WL_WEIGHT > 0``, so adding ``0.0`` changes
+        no bit, and each step still sums the edge first and the
+        surcharges after it, in the reference's order.
         """
         lo_x, lo_y, hi_x, hi_y = window
         ny = self.ny
         h_cost = self._h_cost
         v_cost = self._v_cost
         v_price = self._v_price
+        best = self._best
         di, dj = dst
         dst_code = di * ny + dj
-        # Per-search tile distances to the target, per axis.
-        dist_x = [abs(i - di) for i in range(hi_x + 1)]
-        dist_y = [abs(j - dj) for j in range(hi_y + 1)]
+        dist_x = self._dist_x[di]
+        dist_y = self._dist_y[dj]
+        # Charged when a vertical run will terminate at the target.
+        dst_extra = v_price[dst_code] if stitch_aware else 0.0
 
         # State id: (i * ny + j) * 3 + dircode, the arrival direction
         # coded "" (source) -> 0, "h" -> 1, "v" -> 2.  The encoding is
         # monotonic in the ((i, j), direction) tuple order, which
         # breaks ``(f, g, state)`` heap ties.
         start = (src[0] * ny + src[1]) * 3
-        best: dict[int, float] = {start: 0.0}
         parent: dict[int, int] = {}
         heap: list[tuple[float, float, int]] = [
             (WL_WEIGHT * (dist_x[src[0]] + dist_y[src[1]]), 0.0, start)
@@ -396,103 +455,104 @@ class GlobalGraph:
         goal = -1
         expansions = 0
         pops = 0
-        best_get = best.get
         heappop = heapq.heappop
         heappush = heapq.heappush
-        while heap:
-            _f, g, state = heappop(heap)
-            pops += 1
-            if g > best_get(state, _INF):
-                continue
-            expansions += 1
-            tc = state // 3
-            if tc == dst_code:
-                goal = state
-                break
-            i = tc // ny
-            j = tc - i * ny
-            vertical_run = state - tc * 3 == 2
-            dy = dist_y[j]
+        best[start] = 0.0
+        try:
+            while heap:
+                _f, g, state = heappop(heap)
+                pops += 1
+                if g > best[state]:
+                    continue
+                expansions += 1
+                tc = state // 3
+                if tc == dst_code:
+                    goal = state
+                    break
+                i = tc // ny
+                j = tc - i * ny
+                if not stitch_aware:
+                    h_extra = v_extra = 0.0
+                elif state - tc * 3 == 2:
+                    # A vertical run ends here if the path turns.
+                    h_extra = v_price[tc]
+                    v_extra = 0.0
+                else:
+                    # A vertical run starts here: line end at this tile.
+                    h_extra = 0.0
+                    v_extra = v_price[tc]
+                dy = dist_y[j]
 
-            # Successors (i-1, j), (i+1, j), (i, j-1), (i, j+1).
-            if i > lo_x:
-                step = h_cost[tc - ny]
-                if stitch_aware and vertical_run:
-                    # A vertical run just ended at this tile.
-                    step = step + v_price[tc]
-                candidate = g + step
-                succ_state = (tc - ny) * 3 + 1
-                if candidate < best_get(succ_state, _INF) - 1e-12:
-                    best[succ_state] = candidate
-                    parent[succ_state] = state
-                    heappush(
-                        heap,
-                        (
-                            candidate + WL_WEIGHT * (dist_x[i - 1] + dy),
-                            candidate,
-                            succ_state,
-                        ),
-                    )
-            if i < hi_x:
-                step = h_cost[tc]
-                if stitch_aware and vertical_run:
-                    step = step + v_price[tc]
-                candidate = g + step
-                succ_state = (tc + ny) * 3 + 1
-                if candidate < best_get(succ_state, _INF) - 1e-12:
-                    best[succ_state] = candidate
-                    parent[succ_state] = state
-                    heappush(
-                        heap,
-                        (
-                            candidate + WL_WEIGHT * (dist_x[i + 1] + dy),
-                            candidate,
-                            succ_state,
-                        ),
-                    )
-            dx = dist_x[i]
-            if j > lo_y:
-                step = v_cost[tc - 1]
-                if stitch_aware:
-                    if not vertical_run:
-                        # A vertical run starts: line end at this tile.
-                        step = step + v_price[tc]
+                # Successors (i-1, j), (i+1, j), (i, j-1), (i, j+1).
+                if i > lo_x:
+                    candidate = g + (h_cost[tc - ny] + h_extra)
+                    succ_state = (tc - ny) * 3 + 1
+                    if candidate < best[succ_state] - 1e-12:
+                        best[succ_state] = candidate
+                        parent[succ_state] = state
+                        heappush(
+                            heap,
+                            (
+                                candidate + WL_WEIGHT * (dist_x[i - 1] + dy),
+                                candidate,
+                                succ_state,
+                            ),
+                        )
+                if i < hi_x:
+                    candidate = g + (h_cost[tc] + h_extra)
+                    succ_state = (tc + ny) * 3 + 1
+                    if candidate < best[succ_state] - 1e-12:
+                        best[succ_state] = candidate
+                        parent[succ_state] = state
+                        heappush(
+                            heap,
+                            (
+                                candidate + WL_WEIGHT * (dist_x[i + 1] + dy),
+                                candidate,
+                                succ_state,
+                            ),
+                        )
+                dx = dist_x[i]
+                if j > lo_y:
+                    step = v_cost[tc - 1] + v_extra
                     if tc - 1 == dst_code:
-                        # The run will terminate at the target tile.
-                        step = step + v_price[tc - 1]
-                candidate = g + step
-                succ_state = (tc - 1) * 3 + 2
-                if candidate < best_get(succ_state, _INF) - 1e-12:
-                    best[succ_state] = candidate
-                    parent[succ_state] = state
-                    heappush(
-                        heap,
-                        (
-                            candidate + WL_WEIGHT * (dx + dist_y[j - 1]),
-                            candidate,
-                            succ_state,
-                        ),
-                    )
-            if j < hi_y:
-                step = v_cost[tc]
-                if stitch_aware:
-                    if not vertical_run:
-                        step = step + v_price[tc]
+                        step = step + dst_extra
+                    candidate = g + step
+                    succ_state = (tc - 1) * 3 + 2
+                    if candidate < best[succ_state] - 1e-12:
+                        best[succ_state] = candidate
+                        parent[succ_state] = state
+                        heappush(
+                            heap,
+                            (
+                                candidate + WL_WEIGHT * (dx + dist_y[j - 1]),
+                                candidate,
+                                succ_state,
+                            ),
+                        )
+                if j < hi_y:
+                    step = v_cost[tc] + v_extra
                     if tc + 1 == dst_code:
-                        step = step + v_price[tc + 1]
-                candidate = g + step
-                succ_state = (tc + 1) * 3 + 2
-                if candidate < best_get(succ_state, _INF) - 1e-12:
-                    best[succ_state] = candidate
-                    parent[succ_state] = state
-                    heappush(
-                        heap,
-                        (
-                            candidate + WL_WEIGHT * (dx + dist_y[j + 1]),
-                            candidate,
-                            succ_state,
-                        ),
-                    )
+                        step = step + dst_extra
+                    candidate = g + step
+                    succ_state = (tc + 1) * 3 + 2
+                    if candidate < best[succ_state] - 1e-12:
+                        best[succ_state] = candidate
+                        parent[succ_state] = state
+                        heappush(
+                            heap,
+                            (
+                                candidate + WL_WEIGHT * (dx + dist_y[j + 1]),
+                                candidate,
+                                succ_state,
+                            ),
+                        )
+        finally:
+            # Every entry the search wrote is the start's or a parent
+            # key's; each store writes inf, so the order is immaterial.
+            best[start] = _INF
+            for state in parent:
+                best[state] = _INF
         stats["maze_expansions"] = stats.get("maze_expansions", 0) + expansions
         if profile:
             # pushes == pops + len(heap) (heap invariant — the seed

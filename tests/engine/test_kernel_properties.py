@@ -11,6 +11,13 @@ return the same path (or both ``None``) and report the same counters:
 expansions, heap pushes and pops, and for the detailed A* the same
 ``cost_evaluations`` delta.
 
+Both kernels keep their best costs in a list their grid or graph owns
+and reuse it from search to search, so a second property per kernel
+runs two to four searches in a row on one grid or graph, placing each
+found path before the next search.  Every search must match the
+reference, and afterwards every entry of the reused list must read
+``inf`` again.
+
 Searches are drawn the way the routers issue them: detailed windows
 from :func:`~repro.detailed.search.connection_window` or the full
 grid, with and without ``foreign_penalty`` (the owned-node branch of
@@ -26,6 +33,7 @@ kernels must fail in its window and in every smaller
 hold exactly when the reference finds no path.
 """
 
+import math
 import random
 
 import numpy as np
@@ -124,12 +132,14 @@ def owned_grid(data, design):
     return grid
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_detailed_search_matches_reference(data):
-    design = data.draw(designs(max_width=20, max_height=14))
-    grid = owned_grid(data, design)
+def detailed_search(data, design):
+    """A detailed search as the router issues one: the arguments after
+    the grid, the net and the kernel's keywords, drawn from ``data``.
 
+    Sources and targets may share nodes (the early exit), budgets run
+    from none to unlimited (expansion-limit stops), and narrow windows
+    or ``blocked`` nodes can leave no path (window-exhausted failures).
+    """
     sources = data.draw(node_sets(design))
     targets = data.draw(node_sets(design))
     if not data.draw(st.booleans()):
@@ -148,18 +158,67 @@ def test_detailed_search_matches_reference(data):
     limit = data.draw(st.one_of(st.integers(0, 300), st.just(200_000)))
     blocked = data.draw(st.one_of(st.none(), node_sets(design)))
     penalty = data.draw(st.sampled_from([None, 2.5, 30.0]))
+    return (sources, targets, window, limit), {
+        "blocked": blocked, "foreign_penalty": penalty,
+    }
 
-    def search(kernel):
-        stats = {}
-        before = grid.cost_evaluations
-        path = kernel(
-            grid, "a", sources, targets, window, limit,
-            blocked=blocked, foreign_penalty=penalty, stats=stats,
-            profile=True,
+
+def run_detailed(kernel, grid, net, args, kwargs):
+    """Path, counters and ``cost_evaluations`` delta of one search."""
+    stats = {}
+    before = grid.cost_evaluations
+    path = kernel(grid, net, *args, **kwargs, stats=stats, profile=True)
+    return path, stats, grid.cost_evaluations - before
+
+
+def dense_wire(data, design, grid):
+    """Random wire of every net on ``grid``, so that many searches face
+    a closed pocket; a third of it is the searching net's own, which it
+    may pass through."""
+    density = data.draw(st.sampled_from([0.0, 0.3, 0.6]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for x in range(design.width):
+        for y in range(design.height):
+            for layer in range(1, design.technology.num_layers + 1):
+                node = (x, y, layer)
+                if rng.random() < density and not grid.is_pin(node):
+                    grid.force_occupy(node, rng.choice(NETS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_detailed_search_matches_reference(data):
+    design = data.draw(designs(max_width=20, max_height=14))
+    grid = owned_grid(data, design)
+    args, kwargs = detailed_search(data, design)
+
+    assert run_detailed(astar_connect, grid, "a", args, kwargs) == run_detailed(
+        reference.astar_connect, grid, "a", args, kwargs
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_detailed_searches_in_a_row_match_reference(data):
+    # The kernel reuses the grid's best-cost list from search to
+    # search: whatever one search leaves there, the next one reads.
+    design = data.draw(designs(max_width=20, max_height=14))
+    grid = owned_grid(data, design)
+    dense_wire(data, design, grid)
+    for _ in range(data.draw(st.integers(2, 4))):
+        net = data.draw(st.sampled_from(NETS))
+        args, kwargs = detailed_search(data, design)
+
+        found = run_detailed(astar_connect, grid, net, args, kwargs)
+        assert all(cost == math.inf for cost in grid._best_g)
+        assert found == run_detailed(
+            reference.astar_connect, grid, net, args, kwargs
         )
-        return path, stats, grid.cost_evaluations - before
-
-    assert search(astar_connect) == search(reference.astar_connect)
+        # Place the wire, as the router does, so the next search sees
+        # a different grid.
+        for node in found[0] or ():
+            if not grid.is_pin(node):
+                grid.force_occupy(node, net)
 
 
 #: Margins of the windows a separation proof must cover: the nested
@@ -172,16 +231,7 @@ PROOF_MARGINS = (0, 1, 2, 6, 16)
 def test_separated_is_a_proof_for_every_smaller_window(data):
     design = data.draw(designs(max_width=20, max_height=14))
     grid = owned_grid(data, design)
-    # Dense wire, so that many searches face a closed pocket; a third
-    # of it is the searching net's own, which it may pass through.
-    density = data.draw(st.sampled_from([0.0, 0.3, 0.6]))
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    for x in range(design.width):
-        for y in range(design.height):
-            for layer in range(1, design.technology.num_layers + 1):
-                node = (x, y, layer)
-                if rng.random() < density and not grid.is_pin(node):
-                    grid.force_occupy(node, rng.choice(NETS))
+    dense_wire(data, design, grid)
     sources = data.draw(node_sets(design))
     targets = data.draw(node_sets(design))
     if not data.draw(st.booleans()):
@@ -235,10 +285,8 @@ def tile_walks(draw, nx, ny):
     return path
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_global_search_matches_reference(data):
-    design = data.draw(designs(max_width=40, max_height=30))
+def loaded_graph(data, design):
+    """A global graph of ``design`` with random demand and history."""
     graph = GlobalGraph(design)
     nx, ny = graph.nx, graph.ny
     walks = data.draw(
@@ -255,23 +303,36 @@ def test_global_search_matches_reference(data):
         for history in (graph._h_hist, graph._v_hist, graph._t_hist):
             history[:] = (0.5 * rng.integers(0, 6, size=len(history))).tolist()
         graph.refresh_cost_cache()
+    return graph
+
+
+def tile_windows(src, dst, nx, ny):
+    """The router's two windows: the ``ASTAR_WINDOW_MARGIN`` box around
+    the two tiles and the full grid."""
+    margin = ASTAR_WINDOW_MARGIN
+    return st.sampled_from(
+        [
+            (
+                max(0, min(src[0], dst[0]) - margin),
+                max(0, min(src[1], dst[1]) - margin),
+                min(nx - 1, max(src[0], dst[0]) + margin),
+                min(ny - 1, max(src[1], dst[1]) + margin),
+            ),
+            (0, 0, nx - 1, ny - 1),
+        ]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_global_search_matches_reference(data):
+    design = data.draw(designs(max_width=40, max_height=30))
+    graph = loaded_graph(data, design)
+    nx, ny = graph.nx, graph.ny
 
     src = (data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1)))
     dst = (data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1)))
-    margin = ASTAR_WINDOW_MARGIN
-    window = data.draw(
-        st.sampled_from(
-            [
-                (
-                    max(0, min(src[0], dst[0]) - margin),
-                    max(0, min(src[1], dst[1]) - margin),
-                    min(nx - 1, max(src[0], dst[0]) + margin),
-                    min(ny - 1, max(src[1], dst[1]) + margin),
-                ),
-                (0, 0, nx - 1, ny - 1),
-            ]
-        )
-    )
+    window = data.draw(tile_windows(src, dst, nx, ny))
     router = GlobalRouter(
         stitch_aware=data.draw(st.booleans()), profile="counters"
     )
@@ -282,3 +343,51 @@ def test_global_search_matches_reference(data):
         router, graph, src, dst, window, ref
     )
     assert production == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_global_searches_in_a_row_match_reference(data):
+    # The maze reuses the graph's best-cost list from search to
+    # search: whatever one search leaves there, the next one reads.
+    design = data.draw(designs(max_width=40, max_height=30))
+    graph = loaded_graph(data, design)
+    nx, ny = graph.nx, graph.ny
+    for _ in range(data.draw(st.integers(2, 4))):
+        src = (
+            data.draw(st.integers(0, nx - 1)),
+            data.draw(st.integers(0, ny - 1)),
+        )
+        dst = (
+            data.draw(st.integers(0, nx - 1)),
+            data.draw(st.integers(0, ny - 1)),
+        )
+        # Besides the router's windows (and src == dst, which the
+        # router answers without a search), any window around ``src``:
+        # one that leaves ``dst`` out fails once it is exhausted.
+        window = data.draw(
+            st.one_of(
+                tile_windows(src, dst, nx, ny),
+                st.tuples(
+                    st.integers(0, src[0]),
+                    st.integers(0, src[1]),
+                    st.integers(src[0], nx - 1),
+                    st.integers(src[1], ny - 1),
+                ),
+            )
+        )
+        router = GlobalRouter(
+            stitch_aware=data.draw(st.booleans()), profile="counters"
+        )
+
+        production, ref = {}, {}
+        path = router._astar_in_window(graph, src, dst, window, production)
+        assert all(cost == math.inf for cost in graph._best)
+        assert path == reference.astar_in_window(
+            router, graph, src, dst, window, ref
+        )
+        assert production == ref
+        # Place the demand, as the router does, so the next search
+        # sees different prices.
+        if path is not None:
+            graph.apply_path(path, +1)

@@ -6,6 +6,7 @@ from repro.config import RouterConfig
 from repro.geometry import Point
 from repro.layout import Design, Net, Netlist, Pin, Technology
 from repro.globalroute import GlobalGraph
+from repro.globalroute.graph import vertical_run_line_ends
 
 
 def make_design(width=60, height=45, layers=3, spacing=15, tile=15):
@@ -104,6 +105,30 @@ class TestEdgeBookkeeping:
             g.edge_between((0, 0), (2, 0))
         with pytest.raises(ValueError):
             g.edge_between((0, 0), (1, 1))
+
+    def test_apply_path_matches_the_single_entry_mutators(self):
+        """``apply_path`` updates tile codes inline: the same demand,
+        the same caches and one cache update per edge and line end as
+        the mutators applied edge by edge."""
+        path = [(0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (2, 1), (3, 1)]
+        inline, by_entry = GlobalGraph(make_design()), GlobalGraph(make_design())
+        inline.apply_path(path, +2)
+        for a, b in zip(path, path[1:]):
+            by_entry.add_edge_demand(by_entry.edge_between(a, b), +2)
+        for tile in vertical_run_line_ends(path):
+            by_entry.add_vertex_demand(tile, +2)
+        assert inline.perf_cache_updates == by_entry.perf_cache_updates == 6 + 4
+        for name in ("_h_dem", "_v_dem", "_t_dem", "_h_cost", "_v_cost", "_v_price"):
+            assert getattr(inline, name) == getattr(by_entry, name)
+        inline.apply_path(path, -2)
+        assert not inline.h_demand.any() and not inline.v_demand.any()
+        assert not inline.vertex_demand.any()
+
+    def test_apply_path_rejects_non_adjacent_tiles(self):
+        g = GlobalGraph(make_design())
+        for path in ([(0, 0), (2, 0)], [(0, 0), (1, 1)], [(0, 2), (1, 0)]):
+            with pytest.raises(ValueError, match="not adjacent"):
+                g.apply_path(path, +1)
 
     def test_demand_roundtrip(self):
         g = GlobalGraph(make_design())

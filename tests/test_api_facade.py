@@ -42,6 +42,28 @@ class TestFacadeExports:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
 
+    def test_default_flows_run_without_scipy(self):
+        # scipy serves only track_method="ilp" (TestILP covers it).  A
+        # fresh interpreter where importing scipy fails must still
+        # import the package and route with both default routers.
+        src = pathlib.Path(api.__file__).resolve().parents[1]
+        probe = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro\n"
+            "from repro.benchmarks_gen import mcnc_design\n"
+            "design = mcnc_design('S9234', scale=0.02)\n"
+            "for router in (repro.StitchAwareRouter, repro.BaselineRouter):\n"
+            "    assert router().route(design).report.routed_nets > 0\n"
+            "assert sys.modules['scipy'] is None\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            check=True,
+            cwd=src,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             api.no_such_name

@@ -76,6 +76,15 @@ class TestRouterConfig:
         with pytest.raises(ValueError):
             RouterConfig(epsilon=-1)
 
+    def test_negative_escape_width_rejected(self):
+        with pytest.raises(ValueError, match="escape_width"):
+            RouterConfig(escape_width=-3)
+        # dataclasses.replace runs __post_init__ too, so a design cannot
+        # be handed a negative width past its stitching lines either.
+        with pytest.raises(ValueError, match="escape_width"):
+            dataclasses.replace(DEFAULT_CONFIG, escape_width=-1)
+        assert RouterConfig(escape_width=0).escape_width == 0
+
     def test_tiny_tile_rejected(self):
         with pytest.raises(ValueError):
             RouterConfig(tile_size=1)
