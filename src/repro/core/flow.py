@@ -138,7 +138,7 @@ class StitchAwareRouter:
                 design,
                 global_result.graph,
                 tracks,
-                order_hint=ordered,
+                order=ordered,
                 tracer=tracer,
             )
 

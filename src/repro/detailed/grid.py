@@ -67,8 +67,10 @@ class DetailedGrid:
 
     ``_best_g`` is the search's best-cost list, one float per node,
     allocated once with the grid and ``inf`` between searches: each
-    search resets the entries it wrote before it returns.  A grid
-    therefore serves one search at a time.
+    search resets the entries it wrote before it returns.  ``_mark``
+    is the separation proof's flood mark, one byte per node, 0 between
+    calls on the same terms.  A grid therefore serves one search at a
+    time.
     """
 
     def __init__(self, design: Design, stitch_aware: bool = True) -> None:
@@ -123,6 +125,7 @@ class DetailedGrid:
         self._free_step = list(self._step)
         self._pin_mask = bytearray(size)
         self._best_g = [float("inf")] * size
+        self._mark = bytearray(size)
         #: net name -> positive integer id, and the inverse (index 0,
         #: the free id, maps to None); filled for the whole netlist up
         #: front, extended for any other name a caller claims with.

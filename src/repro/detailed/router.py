@@ -134,7 +134,7 @@ class DetailedRouter:
         design: Design,
         graph: GlobalGraph,
         assignment: DesignTrackAssignment,
-        order_hint: Optional[Sequence[Net]] = None,
+        order: Sequence[Net],
         tracer: Optional[Tracer] = None,
     ) -> DetailedResult:
         """Detail-route every net of ``design``.
@@ -143,19 +143,24 @@ class DetailedRouter:
             design: the routing instance.
             graph: the global routing graph (for tile geometry).
             assignment: the track assignment whose trunks to realize.
-            order_hint: bottom-up net order from the multilevel scheme;
-                defaults to HPWL order.
+            order: every net of ``design`` once, in the order to route
+                them (the flow passes the multilevel scheme's bottom-up
+                order); the stitch-aware mode then moves nets with more
+                bad ends first and keeps this order among equals.
             tracer: observability sink for spans and counters.
+
+        Raises:
+            ValueError: ``order`` misses a net of ``design``, repeats
+                one or names a net the design does not have.
         """
+        nets = list(order)
+        _check_order(design, nets)
         tracer = ensure(tracer)
         start = time.perf_counter()
         self._search_stats = {}
         with tracer.span("detailed-route", nets=len(design.netlist)):
             with tracer.span("grid-build"):
                 grid = DetailedGrid(design, stitch_aware=self.stitch_aware)
-                nets = list(order_hint) if order_hint is not None else sorted(
-                    design.netlist, key=lambda n: (n.hpwl, n.name)
-                )
                 # Fixed pins first: they own their nodes unconditionally.
                 for net in nets:
                     for pin in net.pins:
@@ -707,6 +712,22 @@ class DetailedRouter:
         for node in sorted(all_nodes - trimmed_nodes):
             grid.release(node, net.name)
         return True, trimmed_nodes, trimmed_edges, victims
+
+
+def _check_order(design: Design, nets: list[Net]) -> None:
+    """Reject a routing order that is not each net of ``design`` once."""
+    seen: set[str] = set()
+    for net in nets:
+        if net.name in seen:
+            raise ValueError(f"net order repeats net {net.name!r}")
+        if net.name not in design.netlist:
+            raise ValueError(
+                f"net order names net {net.name!r}, which is not in the design"
+            )
+        seen.add(net.name)
+    for net in design.netlist:
+        if net.name not in seen:
+            raise ValueError(f"net order misses net {net.name!r}")
 
 
 def _strip_stolen(grid: DetailedGrid, record: "RoutedNet") -> "RoutedNet":

@@ -448,6 +448,9 @@ def separated(
     take.  Entering more than the search may (a blocked or foreign
     target, no expansion limit) only makes the answer False more often,
     never True wrongly.
+
+    The floods mark nodes in the grid's ``_mark`` list, by node id, and
+    every mark reads 0 again when the call returns or raises.
     """
     lo_x, lo_y, hi_x, hi_y = window
     width = grid._width
@@ -460,66 +463,133 @@ def separated(
     vertical = grid._vertical
     owner_ids = grid._owner_ids
     net_id = grid._net_id(net)
-    encode = grid._encode
 
-    # side[id]: 0 reached from the sources, 1 from the targets, 2 a
-    # blocked node no flood enters.  Seed order only changes how far
-    # the floods get before the verdict, never the verdict.
-    side: dict[int, int] = {}
+    # mark[id] is the grid's reused flood mark, 0 everywhere between
+    # calls: 1 reached from the sources, 2 from the targets, 3 a
+    # blocked node no flood enters.  Every id written is listed in
+    # ``marked`` and zeroed again by the ``finally``.  Seed order only
+    # changes how far the floods get before the verdict, never the
+    # verdict.
+    mark = grid._mark
+    marked: list[int] = []
+    remember = marked.append
     stacks: tuple[list[int], list[int]] = ([], [])
-    for mark, seeds in enumerate((sources, targets)):
-        stack = stacks[mark]
-        for node in seeds:
-            i = encode(node)
-            if side.setdefault(i, mark) != mark:
-                return False  # a shared node is a whole path
-            stack.append(i)
-    if blocked is not None:
-        for node in blocked:
-            side.setdefault(encode(node), 2)
+    try:
+        for own, seeds in ((1, sources), (2, targets)):
+            stack = stacks[own - 1]
+            for x, y, layer in seeds:
+                i = (x * height + y) * layers_n + layer - 1
+                seen = mark[i]
+                if not seen:
+                    mark[i] = own
+                    remember(i)
+                elif seen != own:
+                    return False  # a shared node is a whole path
+                stack.append(i)
+        if blocked is not None:
+            for x, y, layer in blocked:
+                i = (x * height + y) * layers_n + layer - 1
+                if not mark[i]:
+                    mark[i] = 3
+                    remember(i)
 
-    side_get = side.get
-    turn = 0
-    while True:
-        stack = stacks[turn]
-        if not stack:
-            return True
-        si = stack.pop()
-        x = si // hl
-        rem = si - x * hl
-        y = rem // layers_n
-        lm = rem - y * layers_n
-        in_x = lo_x <= x <= hi_x
-        in_y = lo_y <= y <= hi_y
-        moves: list[int] = []
-        if vertical[lm + 1]:
-            if in_x:
-                if y > 0 and lo_y <= y - 1 <= hi_y:
-                    moves.append(si - layers_n)
-                if y + 1 < height and lo_y <= y + 1 <= hi_y:
-                    moves.append(si + layers_n)
-        elif in_y:
-            if x > 0 and lo_x <= x - 1 <= hi_x:
-                moves.append(si - hl)
-            if x + 1 < width and lo_x <= x + 1 <= hi_x:
-                moves.append(si + hl)
-        if in_x and in_y and not on_line[x]:
-            if lm > 0:
-                moves.append(si - 1)
-            if lm + 1 < layers_n:
-                moves.append(si + 1)
-        for ci in moves:
-            seen = side_get(ci)
-            if seen is None:
-                if free_step[ci] >= 0.0 or (
-                    owner_ids[ci] == net_id and step[ci] >= 0.0
-                ):
-                    side[ci] = turn
-                    stack.append(ci)
-            elif seen != turn and seen != 2:
-                return False
-        turn ^= 1
-
+        # One node from each side in turn.  A candidate is entered as
+        # the kernel would enter it; reaching a node of the other side
+        # joins the floods.
+        turn = 0
+        while True:
+            stack = stacks[turn]
+            if not stack:
+                return True
+            own = turn + 1
+            push = stack.append
+            si = stack.pop()
+            x = si // hl
+            rem = si - x * hl
+            y = rem // layers_n
+            lm = rem - y * layers_n
+            in_x = lo_x <= x <= hi_x
+            in_y = lo_y <= y <= hi_y
+            if vertical[lm + 1]:
+                if in_x:
+                    if y > 0 and lo_y <= y - 1 <= hi_y:
+                        ci = si - layers_n
+                        seen = mark[ci]
+                        if not seen:
+                            if free_step[ci] >= 0.0 or (
+                                owner_ids[ci] == net_id and step[ci] >= 0.0
+                            ):
+                                mark[ci] = own
+                                remember(ci)
+                                push(ci)
+                        elif seen != own and seen != 3:
+                            return False
+                    if y + 1 < height and lo_y <= y + 1 <= hi_y:
+                        ci = si + layers_n
+                        seen = mark[ci]
+                        if not seen:
+                            if free_step[ci] >= 0.0 or (
+                                owner_ids[ci] == net_id and step[ci] >= 0.0
+                            ):
+                                mark[ci] = own
+                                remember(ci)
+                                push(ci)
+                        elif seen != own and seen != 3:
+                            return False
+            elif in_y:
+                if x > 0 and lo_x <= x - 1 <= hi_x:
+                    ci = si - hl
+                    seen = mark[ci]
+                    if not seen:
+                        if free_step[ci] >= 0.0 or (
+                            owner_ids[ci] == net_id and step[ci] >= 0.0
+                        ):
+                            mark[ci] = own
+                            remember(ci)
+                            push(ci)
+                    elif seen != own and seen != 3:
+                        return False
+                if x + 1 < width and lo_x <= x + 1 <= hi_x:
+                    ci = si + hl
+                    seen = mark[ci]
+                    if not seen:
+                        if free_step[ci] >= 0.0 or (
+                            owner_ids[ci] == net_id and step[ci] >= 0.0
+                        ):
+                            mark[ci] = own
+                            remember(ci)
+                            push(ci)
+                    elif seen != own and seen != 3:
+                        return False
+            if in_x and in_y and not on_line[x]:
+                if lm > 0:
+                    ci = si - 1
+                    seen = mark[ci]
+                    if not seen:
+                        if free_step[ci] >= 0.0 or (
+                            owner_ids[ci] == net_id and step[ci] >= 0.0
+                        ):
+                            mark[ci] = own
+                            remember(ci)
+                            push(ci)
+                    elif seen != own and seen != 3:
+                        return False
+                if lm + 1 < layers_n:
+                    ci = si + 1
+                    seen = mark[ci]
+                    if not seen:
+                        if free_step[ci] >= 0.0 or (
+                            owner_ids[ci] == net_id and step[ci] >= 0.0
+                        ):
+                            mark[ci] = own
+                            remember(ci)
+                            push(ci)
+                    elif seen != own and seen != 3:
+                        return False
+            turn ^= 1
+    finally:
+        for i in marked:
+            mark[i] = 0
 
 def connection_window(
     sources: Iterable[Node],

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
+from typing import Optional
 
-from ..geometry import GridPoint, Interval, Orientation, WireSegment
+from ..geometry import GridPoint, WireSegment
 from ..layout import StitchingLines
 from .grid import Node
 
@@ -81,39 +82,49 @@ def trim_dangling(edges: set[Edge], anchors: set[Node]) -> set[Edge]:
     return alive
 
 
-def edges_to_segments(edges: set[Edge]) -> list[WireSegment]:
-    """Merge collinear unit edges into maximal wire segments."""
-    # Group contents are canonicalized downstream: groups are consumed
-    # via sorted(...) and run starts via sorted(set(...)).
-    groups: dict[tuple[str, int, int], list[int]] = defaultdict(list)
-    for a, b in edges:  # repro: allow-DET001 output canonicalized below
-        a0, a1, a2 = a
-        b0 = b[0]
+#: Unit-edge start coordinates of one axis, keyed by the edge's two
+#: fixed coordinates in ``(x, y, layer)`` order: ``(y, layer)`` for an
+#: x edge, ``(x, layer)`` for a y edge and ``(x, y)`` for a via.  Each
+#: list holds the smaller varying coordinate of every edge on that line,
+#: in no particular order; :func:`edge_runs` merges it.
+EdgeRows = dict[tuple[int, int], list[int]]
+
+
+def edge_rows(edges: Iterable[Edge], axes: str = "xyz") -> dict[str, EdgeRows]:
+    """Group a net's unit edges by axis and fixed coordinates.
+
+    Returns one :data:`EdgeRows` per letter of ``axes`` (``"x"``,
+    ``"y"``, ``"z"``); edges along the other axes are skipped, so a
+    consumer pays only for the lines it reads.  Together with
+    :func:`edge_runs` this is the one merge rule behind every maximal
+    wire run: the segments of :func:`edges_to_segments`, the short
+    polygons of :func:`short_polygon_sites` and the evaluator's
+    vertical-wire check.
+    """
+    x_rows: Optional[EdgeRows] = defaultdict(list) if "x" in axes else None
+    y_rows: Optional[EdgeRows] = defaultdict(list) if "y" in axes else None
+    z_rows: Optional[EdgeRows] = defaultdict(list) if "z" in axes else None
+    # Consumers sort the keys and merge the starts, so the hash order
+    # of ``edges`` never reaches their output.
+    for (a0, a1, a2), (b0, b1, b2) in edges:
         if a0 != b0:
-            groups[("x", a1, a2)].append(a0 if a0 < b0 else b0)
-        else:
-            b1 = b[1]
-            if a1 != b1:
-                groups[("y", a0, a2)].append(a1 if a1 < b1 else b1)
-            else:
-                b2 = b[2]
-                groups[("z", a0, a1)].append(a2 if a2 < b2 else b2)
-
-    segments: list[WireSegment] = []
-    for (axis, c1, c2), starts in sorted(groups.items()):
-        for lo, hi in _edge_runs(starts):
-            if axis == "x":
-                seg = WireSegment(GridPoint(lo, c1, c2), GridPoint(hi + 1, c1, c2))
-            elif axis == "y":
-                seg = WireSegment(GridPoint(c1, lo, c2), GridPoint(c1, hi + 1, c2))
-            else:
-                seg = WireSegment(GridPoint(c1, c2, lo), GridPoint(c1, c2, hi + 1))
-            segments.append(seg)
-    return segments
+            if x_rows is not None:
+                x_rows[a1, a2].append(a0 if a0 < b0 else b0)
+        elif a1 != b1:
+            if y_rows is not None:
+                y_rows[a0, a2].append(a1 if a1 < b1 else b1)
+        elif z_rows is not None:
+            z_rows[a0, a1].append(a2 if a2 < b2 else b2)
+    groups = {"x": x_rows, "y": y_rows, "z": z_rows}
+    return {axis: rows for axis, rows in groups.items() if rows is not None}
 
 
-def _edge_runs(starts: Iterable[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive unit-edge start coordinates."""
+def edge_runs(starts: Iterable[int]) -> list[tuple[int, int]]:
+    """Maximal runs ``(lo, hi)`` of consecutive unit-edge starts.
+
+    A run's wire covers ``lo`` to ``hi + 1`` along its axis; duplicate
+    starts merge.
+    """
     ordered = sorted(set(starts))
     runs: list[tuple[int, int]] = []
     if not ordered:
@@ -127,6 +138,27 @@ def _edge_runs(starts: Iterable[int]) -> list[tuple[int, int]]:
         begin = prev = v
     runs.append((begin, prev))
     return runs
+
+
+def edges_to_segments(edges: set[Edge]) -> list[WireSegment]:
+    """Merge collinear unit edges into maximal wire segments.
+
+    Segments come axis by axis (x, y, then vias), each axis's lines in
+    sorted order of their fixed coordinates and each line's runs from
+    low to high.
+    """
+    segments: list[WireSegment] = []
+    for axis, rows in edge_rows(edges).items():
+        for c1, c2 in sorted(rows):
+            for lo, hi in edge_runs(rows[c1, c2]):
+                if axis == "x":
+                    a, b = GridPoint(lo, c1, c2), GridPoint(hi + 1, c1, c2)
+                elif axis == "y":
+                    a, b = GridPoint(c1, lo, c2), GridPoint(c1, hi + 1, c2)
+                else:
+                    a, b = GridPoint(c1, c2, lo), GridPoint(c1, c2, hi + 1)
+                segments.append(WireSegment(a, b))
+    return segments
 
 
 def via_landing_points(edges: set[Edge], pins: set[Node]) -> set[Node]:
@@ -151,18 +183,35 @@ def short_polygon_sites(
     contribution of this net; the crossing nodes are what a repair
     pass blocks when re-routing.
     """
+    return row_short_polygons(edge_rows(edges, "x")["x"], edges, pins, stitches)
+
+
+def row_short_polygons(
+    rows: EdgeRows,
+    edges: set[Edge],
+    pins: set[Node],
+    stitches: StitchingLines,
+) -> list[tuple[Node, Node]]:
+    """:func:`short_polygon_sites` over the x rows of ``edges``.
+
+    ``rows`` is ``edge_rows(edges, ...)["x"]``, for a caller that has
+    grouped the edges already.  Sites come row by row in sorted
+    ``(y, layer)`` order, each row's runs from low to high, each run's
+    crossing lines from left to right and its low end before its high
+    end.
+    """
     epsilon = stitches.epsilon
-    landings = via_landing_points(edges, pins)
+    landings: Optional[set[Node]] = None
     sites: list[tuple[Node, Node]] = []
-    for seg in edges_to_segments(edges):
-        if seg.orientation is not Orientation.HORIZONTAL or seg.length == 0:
-            continue
-        y, layer = seg.a.y, seg.a.layer
-        span = Interval(seg.a.x, seg.b.x)
-        for line in stitches.lines_crossing(span):
-            for end_x in (seg.a.x, seg.b.x):
-                if 0 < abs(end_x - line) <= epsilon and (
-                    (end_x, y, layer) in landings
-                ):
-                    sites.append(((line, y, layer), (end_x, y, layer)))
+    for y, layer in sorted(rows):
+        for lo, hi in edge_runs(rows[y, layer]):
+            end = hi + 1
+            for line in stitches.lines_crossing(lo, end):
+                for end_x in (lo, end):
+                    if abs(end_x - line) > epsilon:
+                        continue
+                    if landings is None:
+                        landings = via_landing_points(edges, pins)
+                    if (end_x, y, layer) in landings:
+                        sites.append(((line, y, layer), (end_x, y, layer)))
     return sites

@@ -38,17 +38,10 @@ import dataclasses
 from typing import Optional
 
 from ..detailed import DetailedResult
-from ..geometry import Orientation, WireSegment
-from ..layout import Design, StitchingLines
+from ..detailed.wiring import edge_rows, edge_runs, row_short_polygons
+from ..layout import Design
 from ..observe import RunTrace
-from .geometry import (
-    Edge,
-    edges_to_segments,
-    short_polygon_sites,
-    trim_dangling,
-    via_count,
-    wirelength,
-)
+from .geometry import Edge, trim_dangling, via_count, wirelength
 
 #: Violation ``kind`` labels, in histogram column order.
 VIOLATION_KINDS = ("via", "vertical", "short-polygon")
@@ -214,10 +207,11 @@ def evaluate(result: DetailedResult) -> RoutingReport:
 
 def _check_net(design: Design, routed_net) -> NetReport:
     stitches = design.stitches
+    assert stitches is not None
     name = routed_net.net.name
     pins = routed_net.pin_nodes
     edges = trim_dangling(routed_net.edges, pins)
-    segments = edges_to_segments(edges)
+    rows = edge_rows(edges, "xy")
 
     violations: list[Violation] = []
     for (x, y), layer in sorted(_via_positions(edges).items()):
@@ -233,10 +227,17 @@ def _check_net(design: Design, routed_net) -> NetReport:
                 violations.append(Violation(name, "via", line, x, y, z))
     vv = len(violations)
 
-    violations.extend(_vertical_violations(name, stitches, segments))
+    # Vertical wire along a stitching line: one violation per maximal
+    # run on a line column, at its low end.
+    y_rows = rows["y"]
+    for x, layer in sorted(y_rows):
+        line = stitches.line_index(x)
+        if line is not None:
+            for lo, _hi in edge_runs(y_rows[x, layer]):
+                violations.append(Violation(name, "vertical", line, x, lo, layer))
     vertical = len(violations) - vv
 
-    sp_sites = short_polygon_sites(edges, pins, stitches)
+    sp_sites = row_short_polygons(rows["x"], edges, pins, stitches)
     for (line_x, y, layer), _end in sp_sites:
         line = stitches.line_index(line_x)
         assert line is not None  # crossing nodes sit on a line
@@ -264,25 +265,3 @@ def _via_positions(edges: set[Edge]) -> dict[tuple[int, int], int]:
             low = min(a[2], b[2])
             positions[key] = min(positions.get(key, low), low)
     return positions
-
-
-def _vertical_violations(
-    net: str, stitches: StitchingLines, segments: list[WireSegment]
-) -> list[Violation]:
-    """Vertical wires running along a stitching line (must be zero)."""
-    out: list[Violation] = []
-    for seg in segments:
-        if seg.orientation is Orientation.VERTICAL:
-            line = stitches.line_index(seg.a.x)
-            if line is not None:
-                out.append(
-                    Violation(
-                        net,
-                        "vertical",
-                        line,
-                        seg.a.x,
-                        min(seg.a.y, seg.b.y),
-                        seg.a.layer,
-                    )
-                )
-    return out

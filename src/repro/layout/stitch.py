@@ -14,7 +14,6 @@ import bisect
 import dataclasses
 
 from ..config import RouterConfig
-from ..geometry import Interval
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,16 +113,16 @@ class StitchingLines:
         d = self.distance_to_line(x)
         return d is not None and 1 <= d <= self.escape_width
 
-    def lines_crossing(self, span: Interval) -> list[int]:
+    def lines_crossing(self, lo: int, hi: int) -> list[int]:
         """Stitching lines strictly inside the x span ``[lo, hi]``.
 
-        A wire whose x extent is ``span`` is *cut* by each of these
+        A wire whose x extent is ``[lo, hi]`` is *cut* by each of these
         lines.  Lines at the exact endpoints do not cut the wire into
         two polygons and are excluded.
         """
-        lo = bisect.bisect_right(self.xs, span.lo)
-        hi = bisect.bisect_left(self.xs, span.hi)
-        return list(self.xs[lo:hi])
+        i = bisect.bisect_right(self.xs, lo)
+        j = bisect.bisect_left(self.xs, hi)
+        return list(self.xs[i:j])
 
     def lines_in_range(self, lo: int, hi: int) -> list[int]:
         """Stitching lines with ``lo <= x <= hi``."""

@@ -329,6 +329,9 @@ class TestIndependence:
     )
     FORBIDDEN_NAMES = {
         "trim_dangling",
+        "edge_rows",
+        "edge_runs",
+        "row_short_polygons",
         "edges_to_segments",
         "via_landing_points",
         "short_polygon_sites",

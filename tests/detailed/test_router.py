@@ -1,5 +1,6 @@
 """Tests for the detailed router end to end."""
 
+import pytest
 
 from repro.assign import (
     DesignTrackAssignment,
@@ -12,8 +13,15 @@ from repro.api import RouterConfig, StitchAwareRouter
 from repro.benchmarks_gen import SyntheticSpec, generate_design, mcnc_design
 from repro.detailed import DetailedRouter
 from repro.eval import evaluate
-from repro.globalroute import GlobalRouter
+from repro.globalroute import GlobalGraph, GlobalRouter
+from repro.multilevel import MultilevelScheme
 from tests.globalroute.test_router import design_with_nets, two_pin
+
+
+def bottom_up(design):
+    """The flow's detailed order: the multilevel scheme's bottom-up one."""
+    scheme = MultilevelScheme(design, *GlobalGraph.grid_shape(design))
+    return scheme.bottom_up_order()
 
 
 def route_design(design, stitch_aware=True, method=TrackMethod.GRAPH):
@@ -22,7 +30,7 @@ def route_design(design, stitch_aware=True, method=TrackMethod.GRAPH):
     layers = assign_layers(columns, rows, design.technology)
     tracks = assign_tracks(design, gr.graph, layers, method)
     router = DetailedRouter(stitch_aware=stitch_aware)
-    return router.route(design, gr.graph, tracks), tracks
+    return router.route(design, gr.graph, tracks, bottom_up(design)), tracks
 
 
 SMALL = SyntheticSpec(
@@ -127,8 +135,33 @@ class TestDetailedRouter:
         tracks = assign_tracks(design, gr.graph, layers, TrackMethod.GRAPH)
         victim = next(iter(design.netlist)).name
         tracks.failed_nets.add(victim)
-        result = DetailedRouter().route(design, gr.graph, tracks)
+        result = DetailedRouter().route(
+            design, gr.graph, tracks, bottom_up(design)
+        )
         assert result.nets[victim].routed
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda nets: nets[1:], "misses net 'a'"),
+            (lambda nets: nets + nets[:1], "repeats net 'a'"),
+            (
+                lambda nets: nets + [two_pin("z", (2, 2), (9, 9))],
+                "net 'z', which is not in the design",
+            ),
+        ],
+        ids=["missing", "repeated", "foreign"],
+    )
+    def test_order_must_hold_each_net_once(self, edit, message):
+        nets = [two_pin("a", (1, 1), (40, 30)), two_pin("b", (10, 5), (50, 35))]
+        design = design_with_nets(nets)
+        gr = GlobalRouter().route(design)
+        columns, rows = extract_panels(gr)
+        layers = assign_layers(columns, rows, design.technology)
+        tracks = assign_tracks(design, gr.graph, layers, TrackMethod.GRAPH)
+        order = edit(list(design.netlist))
+        with pytest.raises(ValueError, match=message):
+            DetailedRouter().route(design, gr.graph, tracks, order)
 
 
 def test_failed_lists_exactly_the_unrouted_nets():

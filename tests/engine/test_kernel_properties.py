@@ -30,7 +30,9 @@ The separation proof (:func:`~repro.detailed.search.separated`) gets
 the same designs under dense wire of every net: where it holds, both
 kernels must fail in its window and in every smaller
 ``connection_window``, and where every target is enterable it must
-hold exactly when the reference finds no path.
+hold exactly when the reference finds no path.  It floods over the
+grid's reused mark list, which must read all zero after every call,
+also after a call interrupted by an exception in mid-flood.
 """
 
 import math
@@ -226,6 +228,25 @@ def test_detailed_searches_in_a_row_match_reference(data):
 PROOF_MARGINS = (0, 1, 2, 6, 16)
 
 
+class Interrupted(Exception):
+    pass
+
+
+class ReadBudget(list):
+    """A step list that raises :class:`Interrupted` once ``reads``
+    entries have been read, to stop a flood in mid-flight."""
+
+    def __init__(self, entries, reads):
+        super().__init__(entries)
+        self.reads = reads
+
+    def __getitem__(self, index):
+        if self.reads == 0:
+            raise Interrupted
+        self.reads -= 1
+        return super().__getitem__(index)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_separated_is_a_proof_for_every_smaller_window(data):
@@ -246,7 +267,21 @@ def test_separated_is_a_proof_for_every_smaller_window(data):
         for margin in PROOF_MARGINS[: widest + 1]
     ]
 
+    # A flood stopped by an exception leaves no mark behind either.
+    reads = data.draw(st.one_of(st.none(), st.integers(0, 40)))
+    if reads is not None:
+        free_step = grid._free_step
+        grid._free_step = ReadBudget(free_step, reads)
+        try:
+            separated(grid, "a", sources, targets, windows[-1], blocked)
+        except Interrupted:
+            pass  # else the verdict came within the read budget
+        finally:
+            grid._free_step = free_step
+        assert not any(grid._mark)
+
     proved = separated(grid, "a", sources, targets, windows[-1], blocked)
+    assert not any(grid._mark)
 
     # No penalty and an unlimited budget: the search fails only where
     # no path exists.

@@ -1,0 +1,51 @@
+"""The route-identity fingerprint of ``benchmarks/route_identity.py``.
+
+Two routes of one instance must give the same digests, and the routing
+digest must see a single moved edge.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+from repro.api import RouterConfig, StitchAwareRouter
+from repro.benchmarks_gen import mcnc_design
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+SCRIPT = REPO / "benchmarks" / "route_identity.py"
+
+
+@pytest.fixture(scope="module")
+def route_identity():
+    spec = importlib.util.spec_from_file_location("route_identity", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["route_identity"] = module
+    spec.loader.exec_module(module)
+    yield module
+    sys.modules.pop("route_identity", None)
+
+
+def route():
+    config = RouterConfig(profile="counters")
+    return StitchAwareRouter(config=config).route(mcnc_design("S9234", 0.02))
+
+
+def test_two_routes_give_the_same_digests(route_identity):
+    first = route_identity.flow_digests(route())
+    assert first == route_identity.flow_digests(route())
+    assert all(len(digest) == 64 for digest in first)
+
+
+def test_moving_one_edge_changes_the_routing_digest(route_identity):
+    flow = route()
+    routing, perf = route_identity.flow_digests(flow)
+    net = next(n for _, n in sorted(flow.detailed_result.nets.items()) if n.edges)
+    edge = min(net.edges)
+    (ax, ay, al), (bx, by, bl) = edge
+    # The same edge one row up: same length, same axis, other place.
+    net.edges = (net.edges - {edge}) | {((ax, ay + 1, al), (bx, by + 1, bl))}
+    moved, moved_perf = route_identity.flow_digests(flow)
+    assert moved != routing
+    assert moved_perf == perf

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import RouterConfig
-from repro.geometry import Interval
 from repro.layout import StitchingLines
 
 
@@ -57,10 +56,10 @@ class TestQueries:
 
     def test_lines_crossing_strict(self):
         # A wire ending exactly on the line is not cut in two.
-        assert self.lines.lines_crossing(Interval(10, 20)) == [15]
-        assert self.lines.lines_crossing(Interval(15, 20)) == []
-        assert self.lines.lines_crossing(Interval(10, 15)) == []
-        assert self.lines.lines_crossing(Interval(0, 45)) == [15, 30]
+        assert self.lines.lines_crossing(10, 20) == [15]
+        assert self.lines.lines_crossing(15, 20) == []
+        assert self.lines.lines_crossing(10, 15) == []
+        assert self.lines.lines_crossing(0, 45) == [15, 30]
 
     def test_lines_in_range_inclusive(self):
         assert self.lines.lines_in_range(15, 30) == [15, 30]
