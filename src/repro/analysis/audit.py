@@ -639,17 +639,25 @@ def _check_global_accounting(
                 vertex[path[run_start]] += 1
                 vertex[path[-1]] += 1
 
-    checks = (
-        ("h-edge", graph.h_demand, h),
-        ("v-edge", graph.v_demand, v),
-        ("vertex", graph.vertex_demand, vertex),
+    # The stored demand is read entry by entry, an edge by its kind
+    # (``None`` for a tile), over the shapes of the graph's lists.
+    nx, ny = graph.nx, graph.ny
+    checks: tuple[
+        tuple[str, Optional[str], int, int, Counter[tuple[int, int]]], ...
+    ] = (
+        ("h-edge", "h", nx - 1, ny, h),
+        ("v-edge", "v", nx, ny - 1, v),
+        ("vertex", None, nx, ny, vertex),
     )
-    for label, stored, fresh in checks:
-        ni, nj = stored.shape
+    for label, kind, ni, nj, fresh in checks:
         for i in range(ni):
             for j in range(nj):
                 expected = fresh.get((i, j), 0)
-                actual = int(stored[i, j])
+                actual = (
+                    graph.tile_demand((i, j))
+                    if kind is None
+                    else graph.edge_demand((kind, i, j))
+                )
                 if actual != expected:
                     findings.append(
                         AuditFinding(

@@ -20,8 +20,6 @@ import dataclasses
 from collections.abc import Sequence
 from typing import Optional
 
-import numpy as np
-
 from ..layout import StitchingLines
 from .panels import Panel, PanelSegment
 from .track_common import TrackAssignmentResult, find_bad_ends
@@ -114,7 +112,9 @@ def _solve(
     bad_end_penalty: float = 0.0,
     stats: Optional[dict[str, float]] = None,
 ) -> Optional[dict[int, dict[int, int]]]:
-    # Imported here, so that only track_method="ilp" loads scipy.
+    # Imported here, so that only track_method="ilp" loads numpy and
+    # scipy.
+    import numpy as np
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 

@@ -23,17 +23,16 @@ is ``idx +- num_layers`` and a via is ``idx +- 1``.  The encoding is
 monotonic in ``(x, y, layer)``, so ordering ids compares exactly like
 ordering node tuples.  Per-node state lives in flat lists indexed by
 id — the Eq. (10) step table, the owner ids and the pin mask — which
-the A* of :mod:`~repro.detailed.search` reads directly.  numpy
-assembles the step table once; plain lists serve it, because the
-search reads single entries, where list indexing beats ndarray scalar
-access.
+the A* of :mod:`~repro.detailed.search` reads directly.  Plain lists
+serve them, because the search reads single entries, where list
+indexing beats ndarray scalar access.  The step table is built by list
+repetition, one per-layer pattern per column kind (plain, escape
+region, stitching line), so routing never loads numpy.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from ..config import RouterConfig
 from ..layout import Design
@@ -102,18 +101,24 @@ class DetailedGrid:
         self.cost_evaluations = 0
 
         config = self.config
-        # C-order flattening of the (x, y, layer) array matches the id
-        # encoding; every entry is a single float64 addition of the
-        # Eq. (10) weights.
-        base = np.full((width, height, layers_n), config.alpha, dtype=np.float64)
-        vert_layers = np.array(self._vertical[1:], dtype=bool)
-        all_rows = np.ones(height, dtype=bool)
-        if stitch_aware:
-            escape_cols = np.array(self._escape, dtype=bool)
-            base[np.ix_(escape_cols, all_rows, vert_layers)] += config.gamma
-        line_cols = np.array(self._on_line, dtype=bool)
-        base[np.ix_(line_cols, all_rows, vert_layers)] = BLOCKED_STEP
-        self._step: list[float] = base.reshape(-1).tolist()
+        # Ids run column by column, each column ``height`` repeats of
+        # its per-layer pattern, so one pattern per column kind builds
+        # the table.  Every entry is one float addition of the Eq. (10)
+        # weights at most, and entries of one price share one float
+        # object, which the search reads faster than one per node.
+        alpha = float(config.alpha)
+        vert_layers = self._vertical[1:]
+        plain = [alpha] * layers_n
+        escape = (
+            [alpha + float(config.gamma) if v else alpha for v in vert_layers]
+            if stitch_aware
+            else plain
+        )
+        line = [BLOCKED_STEP if v else alpha for v in vert_layers]
+        step: list[float] = []
+        for on_line, in_escape in zip(self._on_line, self._escape):
+            step += (line if on_line else escape if in_escape else plain) * height
+        self._step = step
         #: Per-x via surcharge (Eq. (10) beta inside unfriendly regions).
         self._via_extra = [
             config.beta if (stitch_aware and unfriendly) else 0.0

@@ -449,11 +449,16 @@ def separated(
     target, no expansion limit) only makes the answer False more often,
     never True wrongly.
 
+    ``window`` (inclusive ``lo_x, lo_y, hi_x, hi_y`` grid bounds) must
+    lie inside the grid and contain every source and target, as the
+    router's ``connection_window`` does: then every popped node lies
+    inside the window, and one bound test per planar move keeps the
+    flood in the window and on the grid.
+
     The floods mark nodes in the grid's ``_mark`` list, by node id, and
     every mark reads 0 again when the call returns or raises.
     """
     lo_x, lo_y, hi_x, hi_y = window
-    width = grid._width
     height = grid._height
     layers_n = grid._num_layers
     hl = grid._hl
@@ -508,36 +513,33 @@ def separated(
             rem = si - x * hl
             y = rem // layers_n
             lm = rem - y * layers_n
-            in_x = lo_x <= x <= hi_x
-            in_y = lo_y <= y <= hi_y
             if vertical[lm + 1]:
-                if in_x:
-                    if y > 0 and lo_y <= y - 1 <= hi_y:
-                        ci = si - layers_n
-                        seen = mark[ci]
-                        if not seen:
-                            if free_step[ci] >= 0.0 or (
-                                owner_ids[ci] == net_id and step[ci] >= 0.0
-                            ):
-                                mark[ci] = own
-                                remember(ci)
-                                push(ci)
-                        elif seen != own and seen != 3:
-                            return False
-                    if y + 1 < height and lo_y <= y + 1 <= hi_y:
-                        ci = si + layers_n
-                        seen = mark[ci]
-                        if not seen:
-                            if free_step[ci] >= 0.0 or (
-                                owner_ids[ci] == net_id and step[ci] >= 0.0
-                            ):
-                                mark[ci] = own
-                                remember(ci)
-                                push(ci)
-                        elif seen != own and seen != 3:
-                            return False
-            elif in_y:
-                if x > 0 and lo_x <= x - 1 <= hi_x:
+                if y > lo_y:
+                    ci = si - layers_n
+                    seen = mark[ci]
+                    if not seen:
+                        if free_step[ci] >= 0.0 or (
+                            owner_ids[ci] == net_id and step[ci] >= 0.0
+                        ):
+                            mark[ci] = own
+                            remember(ci)
+                            push(ci)
+                    elif seen != own and seen != 3:
+                        return False
+                if y < hi_y:
+                    ci = si + layers_n
+                    seen = mark[ci]
+                    if not seen:
+                        if free_step[ci] >= 0.0 or (
+                            owner_ids[ci] == net_id and step[ci] >= 0.0
+                        ):
+                            mark[ci] = own
+                            remember(ci)
+                            push(ci)
+                    elif seen != own and seen != 3:
+                        return False
+            else:
+                if x > lo_x:
                     ci = si - hl
                     seen = mark[ci]
                     if not seen:
@@ -549,7 +551,7 @@ def separated(
                             push(ci)
                     elif seen != own and seen != 3:
                         return False
-                if x + 1 < width and lo_x <= x + 1 <= hi_x:
+                if x < hi_x:
                     ci = si + hl
                     seen = mark[ci]
                     if not seen:
@@ -561,7 +563,7 @@ def separated(
                             push(ci)
                     elif seen != own and seen != 3:
                         return False
-            if in_x and in_y and not on_line[x]:
+            if not on_line[x]:
                 if lm > 0:
                     ci = si - 1
                     seen = mark[ci]

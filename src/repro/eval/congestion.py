@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from ..detailed import DetailedResult
 from ..globalroute import GlobalRoutingResult
 
@@ -37,6 +35,8 @@ class CongestionStats:
 
 def global_congestion_stats(result: GlobalRoutingResult) -> list[CongestionStats]:
     """Edge and vertex utilization summary of a global routing."""
+    import numpy as np
+
     graph = result.graph
     out: list[CongestionStats] = []
     for resource, demand, capacity in (
@@ -67,6 +67,8 @@ def vertex_heatmap(result: GlobalRoutingResult) -> str:
     One glyph per tile, row 0 at the bottom; ``@`` marks saturation or
     overflow.
     """
+    import numpy as np
+
     graph = result.graph
     capacity = np.maximum(graph.vertex_capacity, 1)
     utilization = graph.vertex_demand / capacity

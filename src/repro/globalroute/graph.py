@@ -43,12 +43,13 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from collections.abc import Iterator, Sequence
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ..layout import Design
 from .cost import WL_WEIGHT, edge_price, line_end_price
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 Tile = tuple[int, int]
@@ -71,8 +72,11 @@ def _read_only(values: Sequence[int], ny: int, columns: int) -> np.ndarray:
 
     ``values`` is indexed by tile code ``i * ny + j``; the copy keeps
     its first ``columns`` columns (``ny - 1`` for ``v`` edges, which
-    drops their zero pad).
+    drops their zero pad).  numpy is imported here, so that only the
+    bulk readers load it.
     """
+    import numpy as np
+
     array = np.array(values, dtype=np.int64).reshape(-1, ny)[:, :columns]
     array.setflags(write=False)
     return array
@@ -287,6 +291,11 @@ class GlobalGraph:
         """Current demand of the edge ``key``."""
         kind, i, j = key
         return (self._h_dem if kind == "h" else self._v_dem)[i * self.ny + j]
+
+    def tile_demand(self, tile: Tile) -> int:
+        """Current line-end demand of ``tile``."""
+        i, j = tile
+        return self._t_dem[i * self.ny + j]
 
     def add_edge_demand(self, key: tuple[str, int, int], delta: int) -> None:
         """Adjust the demand of edge ``key`` by ``delta``."""

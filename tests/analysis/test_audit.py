@@ -227,17 +227,23 @@ class TestInjectedCorruption:
         audit = audit_solution(corrupted, report)
         assert any(f.rule == "AUD006" for f in audit.findings)
 
-    def test_demand_bump_fires_aud007(self, flows):
+    @pytest.mark.parametrize(
+        "resource, label",
+        [(("h", 0, 0), "h-edge"), (("v", 0, 0), "v-edge"), ((0, 0), "vertex")],
+        ids=["h-edge", "v-edge", "vertex"],
+    )
+    def test_demand_bump_fires_aud007(self, flows, resource, label):
         flow = flows["stitch-aware"]
         graph = flow.global_result.graph
-        graph.add_edge_demand(("h", 0, 0), +1)
+        bump = graph.add_vertex_demand if label == "vertex" else graph.add_edge_demand
+        bump(resource, +1)
         try:
             audit = _audit(flow)
         finally:
-            graph.add_edge_demand(("h", 0, 0), -1)
+            bump(resource, -1)
         findings = [f for f in audit.findings if f.rule == "AUD007"]
         assert findings
-        assert "h-edge (0, 0)" in findings[0].message
+        assert f"{label} (0, 0)" in findings[0].message
         assert _audit(flow).ok  # restored
 
     def test_phantom_reported_violation_fires_aud001(self, tiny):

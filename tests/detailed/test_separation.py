@@ -3,21 +3,30 @@
 ``DetailedRouter._connect_net`` retries a failed connection in wider
 windows.  After the first window fails, it floods the widest window
 with :func:`~repro.detailed.search.separated` and skips the retries
-when no path exists there.  The unit tests show the skip, and that a
-detour the wider window holds is not skipped; the property shows that
-the proof changes nothing but the work: with it patched to always
-fail, every call returns the same result and leaves the same grid.
+when no path exists there.  The unit tests show the skip, that a
+detour the wider window holds is not skipped, and that a way through
+the window's edge columns and rows is not proved closed; the property
+shows that the proof changes nothing but the work: with it patched to
+always fail, every call returns the same result and leaves the same
+grid.
 """
 
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.detailed.router as detailed_router
 from repro.config import RouterConfig
-from repro.detailed import DetailedGrid, DetailedRouter, TrunkPiece, separated
+from repro.detailed import (
+    DetailedGrid,
+    DetailedRouter,
+    TrunkPiece,
+    astar_connect,
+    separated,
+)
 from repro.detailed.router import (
     NEGOTIATION_PENALTY,
     WINDOW_MARGINS,
@@ -96,6 +105,55 @@ class TestRetries:
         assert stats["astar_searches"] == 2
         assert "separations_proved" not in stats
         assert 0 < stats["astar_failed_expansions"] < stats["astar_expansions"]
+
+
+#: The window of the edge-gap cases, inside a 10 x 10 die without
+#: stitching lines.
+EDGE_WINDOW = (1, 1, 7, 7)
+
+
+def edge_gap(side):
+    """Seeds on either side of a wall through every layer, and the
+    wall's one gap: the window's ``side`` column or row.  Each flood
+    must step onto that edge of the window from inside to meet the
+    other, so a move test one short of the bound fails the proof."""
+    lo_x, lo_y, hi_x, hi_y = EDGE_WINDOW
+    layers = (1, 2, 3)
+    if side in ("lo_x", "hi_x"):
+        gap = lo_x if side == "lo_x" else hi_x
+        wall = [
+            (x, 4, layer) for x in range(lo_x, hi_x + 1) if x != gap
+            for layer in layers
+        ]
+        return {(4, 2, 1)}, {(4, 6, 1)}, wall, [(gap, 4, m) for m in layers]
+    gap = lo_y if side == "lo_y" else hi_y
+    wall = [
+        (4, y, layer) for y in range(lo_y, hi_y + 1) if y != gap
+        for layer in layers
+    ]
+    return {(2, 4, 1)}, {(6, 4, 1)}, wall, [(4, gap, m) for m in layers]
+
+
+class TestWindowEdges:
+    @pytest.mark.parametrize("side", ["lo_x", "hi_x", "lo_y", "hi_y"])
+    def test_a_gap_on_the_window_edge_is_not_proved(self, side):
+        design = Design(
+            name="edges",
+            width=10,
+            height=10,
+            technology=Technology(3),
+            netlist=Netlist([]),
+            config=RouterConfig(stitch_spacing=15, tile_size=15),
+        )
+        grid = DetailedGrid(design)
+        sources, targets, wall, gap = edge_gap(side)
+        for node in wall:
+            grid.occupy(node, "w")
+        assert astar_connect(grid, "n", sources, targets, EDGE_WINDOW, 10**6)
+        assert not separated(grid, "n", sources, targets, EDGE_WINDOW)
+        for node in gap:
+            grid.occupy(node, "w")
+        assert separated(grid, "n", sources, targets, EDGE_WINDOW)
 
 
 @st.composite

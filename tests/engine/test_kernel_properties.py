@@ -9,7 +9,9 @@ search through the production kernel and one through the reference
 (``tests/engine/reference.py``) on the same grid or graph.  Both must
 return the same path (or both ``None``) and report the same counters:
 expansions, heap pushes and pops, and for the detailed A* the same
-``cost_evaluations`` delta.
+``cost_evaluations`` delta.  The detailed kernel reads its prices from
+the grid's step table, so one more property checks that table entry by
+entry against the reference's Eq. (10) price.
 
 Both kernels keep their best costs in a list their grid or graph owns
 and reuse it from search to search, so a second property per kernel
@@ -32,7 +34,8 @@ kernels must fail in its window and in every smaller
 ``connection_window``, and where every target is enterable it must
 hold exactly when the reference finds no path.  It floods over the
 grid's reused mark list, which must read all zero after every call,
-also after a call interrupted by an exception in mid-flood.
+also after a call interrupted by an exception in mid-flood, and whose
+reached nodes must all lie inside the window.
 """
 
 import math
@@ -49,6 +52,7 @@ from repro.detailed import (
     connection_window,
     separated,
 )
+from repro.detailed.grid import BLOCKED_STEP
 from repro.geometry import Point
 from repro.globalroute import GlobalGraph, GlobalRouter
 from repro.globalroute.router import ASTAR_WINDOW_MARGIN
@@ -189,6 +193,34 @@ def dense_wire(data, design, grid):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_step_table_prices_eq10_node_by_node(data):
+    # The kernel reads its Eq. (10) prices from the step table, never
+    # from the weights: every entry, in id order, is the reference's
+    # price of entering that node, or the blocked sentinel where the
+    # vertical routing constraint applies.
+    design = data.draw(designs(max_width=20, max_height=14))
+    grid = DetailedGrid(design, stitch_aware=data.draw(st.booleans()))
+    tech = design.technology
+    nodes = [
+        (x, y, layer)
+        for x in range(design.width)
+        for y in range(design.height)
+        for layer in range(1, tech.num_layers + 1)
+    ]
+    assert len(grid._step) == len(nodes)
+    for node, step in zip(nodes, grid._step):
+        assert type(step) is float
+        x, _y, layer = node
+        if tech.is_vertical(layer) and design.stitches.is_on_line(x):
+            assert step == BLOCKED_STEP
+        else:
+            assert step == design.config.alpha + reference._node_cost(grid, node)
+    # Nothing is owned yet, so the ownership-folded table is the same.
+    assert grid._free_step == grid._step
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_detailed_search_matches_reference(data):
     design = data.draw(designs(max_width=20, max_height=14))
     grid = owned_grid(data, design)
@@ -247,6 +279,19 @@ class ReadBudget(list):
         return super().__getitem__(index)
 
 
+class RecordedMarks(bytearray):
+    """A mark list that records every id a flood marks as reached."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.reached = set()
+
+    def __setitem__(self, index, value):
+        if value in (1, 2):
+            self.reached.add(index)
+        super().__setitem__(index, value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_separated_is_a_proof_for_every_smaller_window(data):
@@ -280,8 +325,14 @@ def test_separated_is_a_proof_for_every_smaller_window(data):
             grid._free_step = free_step
         assert not any(grid._mark)
 
+    grid._mark = marks = RecordedMarks(len(grid._mark))
     proved = separated(grid, "a", sources, targets, windows[-1], blocked)
     assert not any(grid._mark)
+    # The window holds every seed, so both floods stay inside it.
+    lo_x, lo_y, hi_x, hi_y = windows[-1]
+    for idx in marks.reached:
+        x, y, _layer = grid._decode(idx)
+        assert lo_x <= x <= hi_x and lo_y <= y <= hi_y
 
     # No penalty and an unlimited budget: the search fails only where
     # no path exists.

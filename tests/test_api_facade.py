@@ -42,19 +42,35 @@ class TestFacadeExports:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
 
-    def test_default_flows_run_without_scipy(self):
-        # scipy serves only track_method="ilp" (TestILP covers it).  A
-        # fresh interpreter where importing scipy fails must still
-        # import the package and route with both default routers.
+    def test_default_flows_run_without_numpy_or_scipy(self):
+        # numpy serves only the raster substrate, the congestion
+        # statistics, the read-only demand copies and, with scipy,
+        # track_method="ilp" (TestILP covers it).  A fresh interpreter
+        # where importing either fails must still import the package
+        # and the CLI, route and audit with both default routers, and
+        # global-route with and without the line-end term.
         src = pathlib.Path(api.__file__).resolve().parents[1]
         probe = (
             "import sys\n"
+            "sys.modules['numpy'] = None\n"
             "sys.modules['scipy'] = None\n"
             "import repro\n"
-            "from repro.benchmarks_gen import mcnc_design\n"
+            "import repro.cli\n"
+            "from repro.analysis import audit_solution\n"
+            "from repro.benchmarks_gen import mcnc_design, mcnc_stress_design\n"
+            "from repro.globalroute import GlobalRouter\n"
             "design = mcnc_design('S9234', scale=0.02)\n"
             "for router in (repro.StitchAwareRouter, repro.BaselineRouter):\n"
-            "    assert router().route(design).report.routed_nets > 0\n"
+            "    flow = router().route(design)\n"
+            "    assert flow.report.routed_nets > 0\n"
+            "    audit = audit_solution(\n"
+            "        flow.detailed_result, flow.report, flow.global_result)\n"
+            "    assert audit.rules_checked\n"
+            "stressed = mcnc_stress_design('S13207', scale=0.05)\n"
+            "for stitch_aware in (True, False):\n"
+            "    result = GlobalRouter(stitch_aware=stitch_aware).route(stressed)\n"
+            "    assert result.routes\n"
+            "assert sys.modules['numpy'] is None\n"
             "assert sys.modules['scipy'] is None\n"
         )
         subprocess.run(
