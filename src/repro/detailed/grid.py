@@ -32,6 +32,7 @@ region, stitching line), so routing never loads numpy.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Optional
 
 from ..config import RouterConfig
@@ -63,6 +64,12 @@ class DetailedGrid:
     ``_step`` with :data:`OWNED_STEP` folded in wherever a node is
     owned, so the search resolves the common free-node candidate with
     a single load and compare; the ownership mutators keep it in step.
+
+    The router reads and writes ownership a whole collection at a
+    time: :meth:`owned_by` filters nodes down to one net's, and
+    :meth:`claim` takes a whole path, evicting other nets' wire; the
+    per-node :meth:`owner`, :meth:`occupy` and :meth:`release` serve
+    single nodes.
 
     ``_best_g`` is the search's best-cost list, one float per node,
     allocated once with the grid and ``inf`` between searches: each
@@ -227,20 +234,39 @@ class DetailedGrid:
         self._owner_ids[idx] = nid
         self._free_step[idx] = OWNED_STEP
 
-    def force_occupy(self, node: Node, net: str) -> Optional[str]:
-        """Claim ``node`` for ``net``, evicting any previous owner.
+    def claim(self, path: Iterable[Node], net: str) -> set[str]:
+        """Claim every node of ``path`` for ``net``, evicting owners.
 
-        Returns the evicted net's name (None if the node was free or
-        already owned by ``net``).  Used by negotiated rip-up.
+        Returns the names of the nets that lost a node (empty when
+        every node was free or already ``net``'s).  Used for every path
+        the router places, whose negotiated searches may cross other
+        nets' wire.  Every node must lie on the grid.
+
+        Raises:
+            ValueError: a node is a pin of another net (or an unowned
+                pin); the nodes before it stay claimed.
         """
-        idx = self._encode(node)
         nid = self._net_id(net)
-        current = self._owner_ids[idx]
-        if self._pin_mask[idx] and current != nid:
-            raise ValueError(f"pin node {node} cannot change owner")
-        self._owner_ids[idx] = nid
-        self._free_step[idx] = OWNED_STEP
-        return self._net_names[current] if current != nid else None
+        height = self._height
+        layers_n = self._num_layers
+        owner_ids = self._owner_ids
+        free_step = self._free_step
+        pins = self._pin_mask
+        evicted: set[int] = set()
+        for node in path:
+            x, y, layer = node
+            idx = (x * height + y) * layers_n + layer - 1
+            current = owner_ids[idx]
+            if current != nid:
+                if pins[idx]:
+                    raise ValueError(f"pin node {node} cannot change owner")
+                if current:
+                    evicted.add(current)
+                owner_ids[idx] = nid
+                free_step[idx] = OWNED_STEP
+        names = self._net_names
+        # Nonzero ids always name a net; the test only narrows the type.
+        return {name for i in evicted if (name := names[i]) is not None}
 
     def release(self, node: Node, net: str) -> None:
         """Release ``node`` previously claimed by ``net``.
@@ -254,6 +280,23 @@ class DetailedGrid:
         if self._owner_ids[idx] == self._net_ids.get(net):
             self._owner_ids[idx] = 0
             self._free_step[idx] = self._step[idx]
+
+    def owned_by(self, nodes: Iterable[Node], net: str) -> set[Node]:
+        """The nodes of ``nodes`` that ``net`` owns, in one pass.
+
+        Unlike :meth:`owner` it checks no bounds: every node must lie
+        on the grid.
+        """
+        nid = self._net_ids.get(net)
+        height = self._height
+        layers_n = self._num_layers
+        owner_ids = self._owner_ids
+        return {
+            node
+            for node in nodes
+            if owner_ids[(node[0] * height + node[1]) * layers_n + node[2] - 1]
+            == nid
+        }
 
     def is_free_for(self, node: Node, net: str) -> bool:
         """Usable by ``net``: in bounds, not blocked, not foreign-owned."""

@@ -29,7 +29,7 @@ from ..globalroute import GlobalGraph
 from ..layout import Design, Net
 from ..observe import Tracer, ensure
 from .grid import DetailedGrid, Node
-from .search import astar_connect, connection_window, separated
+from .search import astar_connect, connection_window, search_ends, separated
 from .trunks import TrunkPiece, materialize_trunks
 from .wiring import (
     Edge,
@@ -277,12 +277,14 @@ class DetailedRouter:
                     record = routed[name]
                     # A net whose first pass stopped at a captured pin
                     # still owns trunk wire outside its record.
-                    live_trunk = {
-                        node
-                        for piece in trunk_pieces.get(name, [])
-                        for node in piece.nodes
-                        if grid.owner(node) == name
-                    }
+                    live_trunk = grid.owned_by(
+                        (
+                            node
+                            for piece in trunk_pieces.get(name, [])
+                            for node in piece.nodes
+                        ),
+                        name,
+                    )
                     ok = False
                     nodes: set[Node] = set()
                     edges: set[Edge] = set()
@@ -510,12 +512,10 @@ class DetailedRouter:
             # Negotiated rip-up may have stolen parts of the trunks
             # (e.g. before this net's first routing turn); only wire
             # the net still owns belongs in its components.
-            owned = {
-                node
-                for piece in raw_pieces
-                for node in piece.nodes
-                if grid.owner(node) == net.name
-            }
+            owned = grid.owned_by(
+                (node for piece in raw_pieces for node in piece.nodes),
+                net.name,
+            )
             pieces = _piece_fragments(raw_pieces, owned)
             for piece in pieces:
                 trunk_components.append(piece.node_set)
@@ -534,6 +534,7 @@ class DetailedRouter:
         all_nodes: set[Node] = set()
         for comp in pin_components + trunk_components:
             all_nodes |= comp
+        blocked_ids = None if blocked is None else search_ends(grid, blocked)[0]
 
         def connect_round(
             components: list[set[Node]],
@@ -572,20 +573,24 @@ class DetailedRouter:
                     targets &= target_filter
                     if not targets:
                         return False, components
+                # Both sides are encoded once for every window, search
+                # and proof of this merge step.
+                src = search_ends(grid, source)
+                tgt = search_ends(grid, targets)
                 path = None
                 for attempt, margin in enumerate(margins):
                     window = connection_window(
-                        source, targets, margin, design.width, design.height
+                        src, tgt, margin, design.width, design.height
                     )
                     before = stats.get("astar_expansions", 0)
                     path = astar_connect(
                         grid,
                         net.name,
-                        source,
-                        targets,
+                        src,
+                        tgt,
                         window,
                         limit,
-                        blocked=blocked,
+                        blocked=blocked_ids,
                         foreign_penalty=penalty,
                         stats=stats,
                         profile=self._profiling,
@@ -605,14 +610,10 @@ class DetailedRouter:
                     # which the proof does not model.
                     if attempt == 0 and len(margins) > 1 and penalty is None:
                         widest = connection_window(
-                            source,
-                            targets,
-                            margins[-1],
-                            design.width,
-                            design.height,
+                            src, tgt, margins[-1], design.width, design.height
                         )
                         if separated(
-                            grid, net.name, source, targets, widest, blocked
+                            grid, net.name, src, tgt, widest, blocked_ids
                         ):
                             stats["separations_proved"] = (
                                 stats.get("separations_proved", 0) + 1
@@ -620,11 +621,8 @@ class DetailedRouter:
                             break
                 if path is None:
                     return False, components
-                for node in path:
-                    evicted = grid.force_occupy(node, net.name)
-                    if evicted is not None:
-                        victims.add(evicted)
-                    all_nodes.add(node)
+                victims |= grid.claim(path, net.name)
+                all_nodes.update(path)
                 edges |= path_edges(path)
                 end = path[-1]
                 merged = source | set(path)
@@ -737,8 +735,7 @@ def _strip_stolen(grid: DetailedGrid, record: "RoutedNet") -> "RoutedNet":
     rest of its route so its repair is a minimal reconnect instead of
     a from-scratch re-route.
     """
-    name = record.net.name
-    nodes = {n for n in record.nodes if grid.owner(n) == name}
+    nodes = grid.owned_by(record.nodes, record.net.name)
     nodes |= record.pin_nodes
     edges = {e for e in record.edges if e[0] in nodes and e[1] in nodes}
     return RoutedNet(net=record.net, nodes=nodes, edges=edges, routed=False)
@@ -752,27 +749,40 @@ def _salvage_components(
     Returns ``None`` when nothing beyond the pins survives (a from-
     scratch re-route is needed anyway).
     """
-    name = record.net.name
-    live_edges = {
-        e
-        for e in record.edges
-        if grid.owner(e[0]) == name and grid.owner(e[1]) == name
-    }
+    edges = record.edges
+    owned = grid.owned_by(
+        (node for edge in edges for node in edge), record.net.name
+    )
+    live_edges = {e for e in edges if e[0] in owned and e[1] in owned}
     if not live_edges:
         return None
-    from ..algorithms import DisjointSet
-
-    ds = DisjointSet()
-    # Union order cannot change the resulting partition, and edge keys
-    # are int-coordinate tuples whose set order is hash-seed
-    # independent, so the grouping below is reproducible as committed.
-    for a, b in live_edges:  # repro: allow-DET001 partition is order-independent
-        ds.union(a, b)
-    groups: dict[Node, set[Node]] = {}
-    for edge in live_edges:  # repro: allow-DET001 same traversal as the union above
+    adjacent: dict[Node, list[Node]] = {}
+    # Neighbour order only steers the flood inside one group, never
+    # which nodes the group holds.
+    for a, b in live_edges:  # repro: allow-DET001 groups do not depend on it
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    # Groups come in the order their first node appears in
+    # ``live_edges``, whose keys are int-coordinate tuples with a
+    # hash-seed independent set order, so the list is reproducible as
+    # committed.
+    groups: list[set[Node]] = []
+    seen: set[Node] = set()
+    for edge in live_edges:  # repro: allow-DET001 int-tuple set order is fixed
         for node in edge:
-            groups.setdefault(ds.find(node), set()).add(node)
-    return list(groups.values()), live_edges
+            if node in seen:
+                continue
+            seen.add(node)
+            group = {node}
+            stack = [node]
+            while stack:
+                for other in adjacent[stack.pop()]:
+                    if other not in seen:
+                        seen.add(other)
+                        group.add(other)
+                        stack.append(other)
+            groups.append(group)
+    return groups, live_edges
 
 
 def _preconnect_crossings(

@@ -90,9 +90,43 @@ class TestOccupancy:
     def test_force_occupy_reports_eviction(self):
         g = DetailedGrid(make_design())
         g.occupy((3, 3, 1), "a")
-        assert g.force_occupy((3, 3, 1), "b") == "a"
+        assert g.claim([(3, 3, 1)], "b") == {"a"}
         assert g.owner((3, 3, 1)) == "b"
-        assert g.force_occupy((4, 3, 1), "b") is None
+        assert g.claim([(4, 3, 1)], "b") == set()
+
+    def test_claim_takes_a_whole_path(self):
+        g = DetailedGrid(make_design())
+        path = [(2, 3, 1), (3, 3, 1), (4, 3, 1), (5, 3, 1), (6, 3, 1)]
+        g.occupy(path[1], "a")
+        g.occupy(path[2], "c")
+        g.occupy(path[3], "b")
+        g.occupy(path[4], "a")
+        assert g.claim(path, "b") == {"a", "c"}
+        assert all(g.owner(node) == "b" for node in path)
+        assert g.occupied_by("a") == set() and g.occupied_by("c") == set()
+        # Claimed nodes are owned in the folded step list too.
+        assert all(g._free_step[g._encode(node)] < 0.0 for node in path)
+
+    def test_claim_stops_at_a_foreign_pin(self):
+        g = DetailedGrid(make_design())
+        g.occupy((4, 3, 1), "a")
+        g.mark_pin((4, 3, 1))
+        with pytest.raises(ValueError, match="pin node"):
+            g.claim([(3, 3, 1), (4, 3, 1), (5, 3, 1)], "b")
+        assert g.owner((3, 3, 1)) == "b"
+        assert g.owner((4, 3, 1)) == "a"
+        assert g.owner((5, 3, 1)) is None
+
+    def test_owned_by_filters_to_one_net(self):
+        g = DetailedGrid(make_design())
+        g.occupy((3, 3, 1), "a")
+        g.occupy((4, 3, 1), "b")
+        g.occupy((5, 3, 1), "a")
+        nodes = [(3, 3, 1), (4, 3, 1), (5, 3, 1), (6, 3, 1), (3, 3, 1)]
+        assert g.owned_by(nodes, "a") == {(3, 3, 1), (5, 3, 1)}
+        assert g.owned_by(nodes, "b") == {(4, 3, 1)}
+        assert g.owned_by(nodes, "unknown") == set()
+        assert g.owned_by([], "a") == set()
 
 
 class TestNeighbors:

@@ -1,8 +1,19 @@
-"""White-box tests for trunk crossing preconnection and fragments."""
+"""White-box tests for trunk crossing preconnection, fragments and
+salvage grouping."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.detailed import DetailedGrid, TrunkPiece
-from repro.detailed.router import _piece_fragments, _preconnect_crossings
+from repro.algorithms import DisjointSet
+from repro.detailed import DetailedGrid, RoutedNet, TrunkPiece
+from repro.detailed.router import (
+    _piece_fragments,
+    _preconnect_crossings,
+    _salvage_components,
+)
+from repro.detailed.wiring import path_edges
+from repro.geometry import Point
+from repro.layout import Net, Pin
 from tests.detailed.test_grid import make_design
 
 
@@ -116,3 +127,67 @@ class TestPieceFragments:
     def test_fully_released_piece_vanishes(self):
         piece = vertical_piece("n", 5, 0, 4)
         assert _piece_fragments([piece], set()) == []
+
+
+STEPS = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
+
+
+@st.composite
+def unit_edge_walks(draw, width=12, height=10, layers=3):
+    """Walks of unit steps on a small corner of the die (they may cross
+    and double back), as the edges of one net's route."""
+    edges = set()
+    for _ in range(draw(st.integers(0, 5))):
+        node = (
+            draw(st.integers(0, width - 1)),
+            draw(st.integers(0, height - 1)),
+            draw(st.integers(1, layers)),
+        )
+        walk = [node]
+        for dx, dy, dz in draw(st.lists(st.sampled_from(STEPS), max_size=10)):
+            x, y, layer = walk[-1]
+            succ = (x + dx, y + dy, layer + dz)
+            if 0 <= succ[0] < width and 0 <= succ[1] < height and (
+                1 <= succ[2] <= layers
+            ):
+                walk.append(succ)
+        edges |= path_edges(walk)
+    return edges
+
+
+def union_find_groups(grid, name, edges):
+    """The grouping the salvage used to make: live edges through a
+    union-find, groups in the order their root is first met."""
+    live = {
+        e for e in edges
+        if grid.owner(e[0]) == name and grid.owner(e[1]) == name
+    }
+    if not live:
+        return None
+    ds = DisjointSet()
+    for a, b in live:
+        ds.union(a, b)
+    groups = {}
+    for edge in live:
+        for node in edge:
+            groups.setdefault(ds.find(node), set()).add(node)
+    return list(groups.values()), live
+
+
+class TestSalvageComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(unit_edge_walks(), st.data())
+    def test_groups_match_a_union_find_in_order(self, edges, data):
+        # Some of the net's wire was stolen by another net, so only the
+        # edges whose two ends it still owns are salvaged.
+        grid = DetailedGrid(make_design())
+        nodes = sorted({node for edge in edges for node in edge})
+        stolen = data.draw(st.lists(st.sampled_from(nodes), unique=True)) if nodes else []
+        for node in nodes:
+            grid.occupy(node, "m" if node in stolen else "n")
+        net = Net("n", (Pin("p", Point(0, 0), 1), Pin("q", Point(1, 0), 1)))
+        record = RoutedNet(net=net, nodes=set(nodes), edges=edges, routed=False)
+
+        assert _salvage_components(grid, record) == union_find_groups(
+            grid, "n", edges
+        )

@@ -25,6 +25,7 @@ from repro.detailed import (
     DetailedRouter,
     TrunkPiece,
     astar_connect,
+    search_ends,
     separated,
 )
 from repro.detailed.router import (
@@ -147,13 +148,14 @@ class TestWindowEdges:
         )
         grid = DetailedGrid(design)
         sources, targets, wall, gap = edge_gap(side)
+        src, tgt = search_ends(grid, sources), search_ends(grid, targets)
         for node in wall:
             grid.occupy(node, "w")
-        assert astar_connect(grid, "n", sources, targets, EDGE_WINDOW, 10**6)
-        assert not separated(grid, "n", sources, targets, EDGE_WINDOW)
+        assert astar_connect(grid, "n", src, tgt, EDGE_WINDOW, 10**6)
+        assert not separated(grid, "n", src, tgt, EDGE_WINDOW)
         for node in gap:
             grid.occupy(node, "w")
-        assert separated(grid, "n", sources, targets, EDGE_WINDOW)
+        assert separated(grid, "n", src, tgt, EDGE_WINDOW)
 
 
 @st.composite

@@ -29,6 +29,7 @@ import heapq
 from typing import Optional
 
 from repro.detailed.grid import DetailedGrid, Node
+from repro.detailed.search import Ends
 from repro.globalroute.cost import WL_WEIGHT, edge_cost_if_used, vertex_price
 from repro.globalroute.graph import GlobalGraph, Tile
 from repro.globalroute.router import GlobalRouter
@@ -112,31 +113,39 @@ def _node_cost(grid: DetailedGrid, node: Node) -> float:
 def astar_connect(
     grid: DetailedGrid,
     net: str,
-    sources: set[Node],
-    targets: set[Node],
+    sources: Ends,
+    targets: Ends,
     window: tuple[int, int, int, int],
     expansion_limit: int,
-    blocked: Optional[set[Node]] = None,
+    blocked: Optional[frozenset[int]] = None,
     foreign_penalty: Optional[float] = None,
     stats: Optional[dict[str, float]] = None,
     profile: bool = False,
 ) -> Optional[list[Node]]:
     """Cheapest path from any source to any target inside ``window``
-    (the contract of :func:`repro.detailed.search.astar_connect`)."""
+    (the contract of :func:`repro.detailed.search.astar_connect`).
+
+    The prepared ends and the blocked ids are decoded to node tuples
+    first; the search itself reads neither their ids nor their boxes.
+    """
     if stats is not None:
         stats["astar_searches"] = stats.get("astar_searches", 0) + 1
-    if not sources or not targets:
+    decode = grid._decode
+    source_nodes = {decode(i) for i in sources[0]}
+    target_nodes = {decode(i) for i in targets[0]}
+    blocked_nodes = None if blocked is None else {decode(i) for i in blocked}
+    if not source_nodes or not target_nodes:
         return None
-    if sources & targets:
-        return [next(iter(sources & targets))]
+    if source_nodes & target_nodes:
+        return [min(source_nodes & target_nodes)]
     lo_x, lo_y, hi_x, hi_y = window
 
     # Distance to the targets' bounding box, weighted slightly above
     # admissible (bounded-suboptimal A*).
-    t_lo_x = min(t[0] for t in targets)
-    t_hi_x = max(t[0] for t in targets)
-    t_lo_y = min(t[1] for t in targets)
-    t_hi_y = max(t[1] for t in targets)
+    t_lo_x = min(t[0] for t in target_nodes)
+    t_hi_x = max(t[0] for t in target_nodes)
+    t_lo_y = min(t[1] for t in target_nodes)
+    t_hi_y = max(t[1] for t in target_nodes)
     weight = 1.3 * grid.design.config.alpha
 
     def heuristic(node: Node) -> float:
@@ -145,9 +154,9 @@ def astar_connect(
         dy = (t_lo_y - y) if y < t_lo_y else (y - t_hi_y) if y > t_hi_y else 0
         return weight * (dx + dy)
 
-    best_g: dict[Node, float] = {s: 0.0 for s in sources}
+    best_g: dict[Node, float] = {s: 0.0 for s in source_nodes}
     parent: dict[Node, Node] = {}
-    heap = [(heuristic(s), 0.0, s) for s in sources]
+    heap = [(heuristic(s), 0.0, s) for s in source_nodes]
     heapq.heapify(heap)
     expansions = 0
     pushes = len(heap)
@@ -158,9 +167,9 @@ def astar_connect(
             pops += 1
             if g > best_g.get(node, float("inf")):
                 continue
-            if node in targets:
+            if node in target_nodes:
                 path = [node]
-                while path[-1] not in sources:
+                while path[-1] not in source_nodes:
                     path.append(parent[path[-1]])
                 path.reverse()
                 return path
@@ -170,7 +179,7 @@ def astar_connect(
             for succ, step in neighbors(grid, node, net, foreign_penalty):
                 if not (lo_x <= succ[0] <= hi_x and lo_y <= succ[1] <= hi_y):
                     continue
-                if blocked is not None and succ in blocked:
+                if blocked_nodes is not None and succ in blocked_nodes:
                     continue
                 candidate = g + step
                 if candidate < best_g.get(succ, float("inf")) - 1e-12:

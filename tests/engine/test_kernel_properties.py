@@ -21,12 +21,17 @@ reference, and afterwards every entry of the reused list must read
 ``inf`` again.
 
 Searches are drawn the way the routers issue them: detailed windows
-from :func:`~repro.detailed.search.connection_window` or the full
-grid, with and without ``foreign_penalty`` (the owned-node branch of
-the search loop) and ``blocked`` (nodes seeded as unrelaxable), with
-small source and target sets as well as large ones like the whole net
-components rip-up reconnects pass; global windows as the
+from :func:`~repro.detailed.search.connection_window`, the full grid
+or any window that holds the sources, with and without
+``foreign_penalty`` (the owned-node branch of the search loop) and
+``blocked`` (nodes seeded as unrelaxable), with small source and
+target sets as well as large ones like the whole net components
+rip-up reconnects pass, both sides prepared by
+:func:`~repro.detailed.search.search_ends`; global windows as the
 ``ASTAR_WINDOW_MARGIN`` box around the two tiles or the full grid.
+The detailed kernel tests one window bound per planar move, so one
+more property records every finite best cost it writes: each must
+land on a node inside the window.
 
 The separation proof (:func:`~repro.detailed.search.separated`) gets
 the same designs under dense wire of every net: where it holds, both
@@ -50,6 +55,7 @@ from repro.detailed import (
     DetailedGrid,
     astar_connect,
     connection_window,
+    search_ends,
     separated,
 )
 from repro.detailed.grid import BLOCKED_STEP
@@ -132,25 +138,41 @@ def owned_grid(data, design):
     )
     for node, net, pin in owned:
         if not grid.is_pin(node):
-            grid.force_occupy(node, net)
+            grid.claim([node], net)
             if pin:
                 grid.mark_pin(node)
     return grid
 
 
-def detailed_search(data, design):
+def windows_around(ends, design):
+    """Any window inside the grid that holds every node of ``ends``."""
+    _ids, lo_x, lo_y, hi_x, hi_y = ends
+    return st.tuples(
+        st.integers(0, lo_x),
+        st.integers(0, lo_y),
+        st.integers(hi_x, design.width - 1),
+        st.integers(hi_y, design.height - 1),
+    )
+
+
+def detailed_search(data, grid):
     """A detailed search as the router issues one: the arguments after
     the grid, the net and the kernel's keywords, drawn from ``data``.
 
     Sources and targets may share nodes (the early exit), budgets run
     from none to unlimited (expansion-limit stops), and narrow windows
     or ``blocked`` nodes can leave no path (window-exhausted failures).
+    Besides the router's windows, any window that holds the sources
+    meets the kernel's precondition; one that leaves targets out makes
+    the search fail once it is exhausted.
     """
+    design = grid.design
     sources = data.draw(node_sets(design))
     targets = data.draw(node_sets(design))
     if not data.draw(st.booleans()):
         targets -= sources
         assume(targets)
+    sources, targets = search_ends(grid, sources), search_ends(grid, targets)
     window = data.draw(
         st.one_of(
             st.just((0, 0, design.width - 1, design.height - 1)),
@@ -159,10 +181,13 @@ def detailed_search(data, design):
                     sources, targets, margin, design.width, design.height
                 )
             ),
+            windows_around(sources, design),
         )
     )
     limit = data.draw(st.one_of(st.integers(0, 300), st.just(200_000)))
     blocked = data.draw(st.one_of(st.none(), node_sets(design)))
+    if blocked is not None:
+        blocked = search_ends(grid, blocked)[0]
     penalty = data.draw(st.sampled_from([None, 2.5, 30.0]))
     return (sources, targets, window, limit), {
         "blocked": blocked, "foreign_penalty": penalty,
@@ -188,7 +213,7 @@ def dense_wire(data, design, grid):
             for layer in range(1, design.technology.num_layers + 1):
                 node = (x, y, layer)
                 if rng.random() < density and not grid.is_pin(node):
-                    grid.force_occupy(node, rng.choice(NETS))
+                    grid.claim([node], rng.choice(NETS))
 
 
 @settings(max_examples=200, deadline=None)
@@ -224,9 +249,46 @@ def test_step_table_prices_eq10_node_by_node(data):
 def test_detailed_search_matches_reference(data):
     design = data.draw(designs(max_width=20, max_height=14))
     grid = owned_grid(data, design)
-    args, kwargs = detailed_search(data, design)
+    args, kwargs = detailed_search(data, grid)
 
     assert run_detailed(astar_connect, grid, "a", args, kwargs) == run_detailed(
+        reference.astar_connect, grid, "a", args, kwargs
+    )
+
+
+class RecordedCosts(list):
+    """A best-cost list that records every id given a finite cost."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.finite = set()
+
+    def __setitem__(self, index, value):
+        if math.isfinite(value):
+            self.finite.add(index)
+        super().__setitem__(index, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_detailed_search_writes_costs_only_inside_its_window(data):
+    # Each planar move tests only the window bound it moves toward, so
+    # the search must never relax a node beyond the window: every
+    # finite cost it writes (the 0 of a source, a relaxed candidate)
+    # lands on a window node.  Blocked seeds are written -inf.
+    design = data.draw(designs(max_width=20, max_height=14))
+    grid = owned_grid(data, design)
+    dense_wire(data, design, grid)
+    args, kwargs = detailed_search(data, grid)
+
+    grid._best_g = costs = RecordedCosts(grid._best_g)
+    found = run_detailed(astar_connect, grid, "a", args, kwargs)
+    assert all(cost == math.inf for cost in costs)
+    lo_x, lo_y, hi_x, hi_y = args[2]
+    for idx in costs.finite:
+        x, y, _layer = grid._decode(idx)
+        assert lo_x <= x <= hi_x and lo_y <= y <= hi_y
+    assert found == run_detailed(
         reference.astar_connect, grid, "a", args, kwargs
     )
 
@@ -241,7 +303,7 @@ def test_detailed_searches_in_a_row_match_reference(data):
     dense_wire(data, design, grid)
     for _ in range(data.draw(st.integers(2, 4))):
         net = data.draw(st.sampled_from(NETS))
-        args, kwargs = detailed_search(data, design)
+        args, kwargs = detailed_search(data, grid)
 
         found = run_detailed(astar_connect, grid, net, args, kwargs)
         assert all(cost == math.inf for cost in grid._best_g)
@@ -252,7 +314,7 @@ def test_detailed_searches_in_a_row_match_reference(data):
         # a different grid.
         for node in found[0] or ():
             if not grid.is_pin(node):
-                grid.force_occupy(node, net)
+                grid.claim([node], net)
 
 
 #: Margins of the windows a separation proof must cover: the nested
@@ -304,11 +366,11 @@ def test_separated_is_a_proof_for_every_smaller_window(data):
         targets -= sources
         assume(targets)
     blocked = data.draw(st.one_of(st.none(), node_sets(design)))
+    src, tgt = search_ends(grid, sources), search_ends(grid, targets)
+    blocked_ids = None if blocked is None else search_ends(grid, blocked)[0]
     widest = data.draw(st.integers(0, len(PROOF_MARGINS) - 1))
     windows = [
-        connection_window(
-            sources, targets, margin, design.width, design.height
-        )
+        connection_window(src, tgt, margin, design.width, design.height)
         for margin in PROOF_MARGINS[: widest + 1]
     ]
 
@@ -318,7 +380,7 @@ def test_separated_is_a_proof_for_every_smaller_window(data):
         free_step = grid._free_step
         grid._free_step = ReadBudget(free_step, reads)
         try:
-            separated(grid, "a", sources, targets, windows[-1], blocked)
+            separated(grid, "a", src, tgt, windows[-1], blocked_ids)
         except Interrupted:
             pass  # else the verdict came within the read budget
         finally:
@@ -326,7 +388,7 @@ def test_separated_is_a_proof_for_every_smaller_window(data):
         assert not any(grid._mark)
 
     grid._mark = marks = RecordedMarks(len(grid._mark))
-    proved = separated(grid, "a", sources, targets, windows[-1], blocked)
+    proved = separated(grid, "a", src, tgt, windows[-1], blocked_ids)
     assert not any(grid._mark)
     # The window holds every seed, so both floods stay inside it.
     lo_x, lo_y, hi_x, hi_y = windows[-1]
@@ -341,8 +403,8 @@ def test_separated_is_a_proof_for_every_smaller_window(data):
         for window in windows:
             for kernel in (astar_connect, reference.astar_connect):
                 assert kernel(
-                    grid, "a", sources, targets, window, unlimited,
-                    blocked=blocked,
+                    grid, "a", src, tgt, window, unlimited,
+                    blocked=blocked_ids,
                 ) is None
     # With every target enterable, the floods follow exactly the moves
     # the search may make, so the proof is also complete.
@@ -351,8 +413,8 @@ def test_separated_is_a_proof_for_every_smaller_window(data):
         for t in targets
     ):
         found = reference.astar_connect(
-            grid, "a", sources, targets, windows[-1], unlimited,
-            blocked=blocked,
+            grid, "a", src, tgt, windows[-1], unlimited,
+            blocked=blocked_ids,
         )
         assert proved == (found is None)
 

@@ -50,7 +50,7 @@ class TestPinOwnershipPermanence:
         grid.occupy(pin, "a")
         grid.mark_pin(pin)
         with pytest.raises(ValueError):
-            grid.force_occupy(pin, "b")
+            grid.claim([pin], "b")
 
 
 class TestNoPhantomGeometry:
