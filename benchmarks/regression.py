@@ -65,7 +65,7 @@ from repro.analysis import audit_solution, render_audit
 from repro.benchmarks_gen import mcnc_design
 from repro.config import RouterConfig
 from repro.api import BaselineRouter, FlowResult, StitchAwareRouter
-from repro.observe import RunTrace, diff_traces, render_diff, schema
+from repro.observe import RunTrace, diff_traces, render_diff
 
 BASELINE_DIR = pathlib.Path(__file__).parent / "baselines"
 
@@ -223,7 +223,7 @@ def strip_profile_counters(trace: RunTrace) -> RunTrace:
     span plus the orphan counters), so the returned trace is exactly
     what a run that never recorded them would have frozen.
     """
-    prefix = schema.PROFILING_PREFIX
+    prefix = "perf_"
     doc = trace.to_dict()
 
     def scrub(span: dict) -> None:

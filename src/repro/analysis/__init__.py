@@ -4,10 +4,9 @@ Two enforcement layers (see ``docs/static_analysis.md``):
 
 * :mod:`~repro.analysis.lint` — an AST-based linter (``repro lint`` on
   the CLI): the determinism rules DET001–DET005 guard the
-  byte-identical reproducibility the committed baselines rest on, and
-  OBS001 checks every emitted metric name against
-  :mod:`repro.observe.schema`; a justified ``# repro: allow-`` comment
-  on the flagged line is the only exemption;
+  byte-identical reproducibility the committed baselines rest on; a
+  justified ``# repro: allow-`` comment on the flagged line is the
+  only exemption;
 * :mod:`~repro.analysis.audit` — an independent DRC-style solution
   auditor (rules AUD001–AUD007, ``repro audit`` on the CLI) that
   takes a finished flow, re-derives every stitching constraint from

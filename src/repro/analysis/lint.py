@@ -1,4 +1,4 @@
-"""AST-based linter (the DET and OBS rules of the lint catalog).
+"""AST-based linter (the DET rules of the lint catalog).
 
 The committed baselines assume a routing result is a pure function of
 the design and the config: routing decisions never observe hash order,
@@ -8,22 +8,10 @@ conventions statically over the routing-decision packages
 ``repro`` package tree (fixture snippets, scripts) are checked against
 every rule.
 
-OBS001 applies to every file: each literal counter, gauge, span and
-progress name a function emits must be registered in
-:mod:`repro.observe.schema`.  The scan is per function and purely
-syntactic — emit calls on ``tracer`` / ``span`` / ``stage`` receivers
-(``tracer.count("x")``, ``span.gauge("x", v)``,
-``tracer.span("x", level=k)`` with its keyword arguments as gauges,
-``tracer.progress("x", ...)``) and stores into ``stats[...]`` /
-``counters[...]``.  Such a store does not reveal the name's eventual
-trace kind (the assignment stage accumulates ``conflict_weight`` this
-way and emits it as a gauge), so a name stored in the function may be
-registered as either a counter or a gauge.
-
 The one way past a finding is a justified comment on the flagged line:
-``# repro: allow-DETnnn <reason>`` (or ``allow-OBS001``; several codes
-may be listed, comma separated).  An ``allow-`` comment that silences
-nothing is reported as a dead suppression.
+``# repro: allow-DETnnn <reason>`` (several codes may be listed, comma
+separated).  An ``allow-`` comment that silences nothing is reported
+as a dead suppression.
 
 ``repro lint [paths]`` is the CLI front end.
 """
@@ -37,10 +25,8 @@ import pathlib
 import re
 import tokenize
 from collections.abc import Iterable, Sequence
-from typing import Optional
 
 from .rules import ROUTING_PACKAGES, RULES, Rule
-from ..observe import schema
 
 __all__ = [
     "DeadSuppression",
@@ -100,24 +86,9 @@ _SET_ANNOTATION_NAMES = frozenset({"set", "Set", "frozenset", "FrozenSet"})
 #: A ``# repro: allow-<CODE>[, <CODE>...]`` comment; codes may repeat
 #: the ``allow-`` prefix.
 _SUPPRESSION = re.compile(
-    r"#\s*repro:\s*allow-((?:DET|OBS)\d{3}"
-    r"(?:\s*,\s*(?:allow-)?(?:DET|OBS)\d{3})*)"
+    r"#\s*repro:\s*allow-(DET\d{3}(?:\s*,\s*(?:allow-)?DET\d{3})*)"
 )
-_RULE_CODE = re.compile(r"(?:DET|OBS)\d{3}")
-
-#: Receiver-name tokens marking a call as a trace emission (OBS001).
-_EMIT_RECEIVER_TOKENS = frozenset({"tracer", "span", "stage"})
-
-#: Receiver-name tokens marking a subscript store as a metric (OBS001).
-_METRIC_STORE_TOKENS = frozenset({"stats", "counters"})
-
-#: Trace-emitting method -> the schema kind its first argument names.
-_EMIT_KINDS = {
-    "count": "counter",
-    "gauge": "gauge",
-    "progress": "progress",
-    "span": "span",
-}
+_RULE_CODE = re.compile(r"DET\d{3}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -587,145 +558,6 @@ class _FileLinter(ast.NodeVisitor):
                 self._emit(RULES["DET004"], default)
 
 
-def _name_tokens(name: str) -> frozenset[str]:
-    """Lower-case underscore tokens of an identifier."""
-    return frozenset(name.lower().lstrip("_").split("_"))
-
-
-def _receiver_tokens(node: ast.expr) -> frozenset[str]:
-    """Tokens of a receiver's trailing identifier (empty if complex)."""
-    if isinstance(node, ast.Name):
-        return _name_tokens(node.id)
-    if isinstance(node, ast.Attribute):
-        return _name_tokens(node.attr)
-    return frozenset()
-
-
-def _literal(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-class _EmissionScanner(ast.NodeVisitor):
-    """One function body's literal metric emissions (OBS001).
-
-    ``emitted`` maps ``(kind, name)`` to the first site emitting it;
-    ``stored`` holds the names seen as ``stats[...]`` stores.  Nested
-    functions and classes are skipped: they are scanned on their own.
-    """
-
-    def __init__(self) -> None:
-        self.emitted: dict[tuple[str, str], ast.AST] = {}
-        self.stored: set[str] = set()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        pass
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        pass
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _EMIT_KINDS
-            and node.args
-            and _receiver_tokens(func.value) & _EMIT_RECEIVER_TOKENS
-        ):
-            name = _literal(node.args[0])
-            if name is not None:
-                self.emitted.setdefault((_EMIT_KINDS[func.attr], name), node)
-                if func.attr == "span":
-                    # Span keyword arguments become gauges on the span.
-                    for keyword in node.keywords:
-                        if keyword.arg is not None:
-                            self.emitted.setdefault(
-                                ("gauge", keyword.arg), node
-                            )
-        self.generic_visit(node)
-
-    def _store(self, target: ast.expr) -> None:
-        if not isinstance(target, ast.Subscript):
-            return
-        name = _literal(target.slice)
-        if name is not None and (
-            _receiver_tokens(target.value) & _METRIC_STORE_TOKENS
-        ):
-            self.emitted.setdefault(("counter", name), target)
-            self.stored.add(name)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._store(target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._store(node.target)
-        self.generic_visit(node)
-
-
-class _SchemaChecker(ast.NodeVisitor):
-    """OBS001 over one file: every function, at any depth."""
-
-    def __init__(self, path: str, lines: Sequence[str]) -> None:
-        self.path = path
-        self.lines = lines
-        self.findings: list[Finding] = []
-        self._prefix: list[str] = []
-
-    def _function(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> None:
-        qualname = ".".join([*self._prefix, node.name])
-        scanner = _EmissionScanner()
-        for statement in node.body:
-            scanner.visit(statement)
-        for (kind, name), site in scanner.emitted.items():
-            if schema.is_registered(kind, name) or (
-                kind == "counter"
-                and name in scanner.stored
-                and schema.is_registered("gauge", name)
-            ):
-                continue
-            line = getattr(site, "lineno", node.lineno)
-            self.findings.append(
-                Finding(
-                    path=self.path,
-                    line=line,
-                    col=getattr(site, "col_offset", 0),
-                    rule="OBS001",
-                    message=(
-                        f"{RULES['OBS001'].title}: {qualname} emits "
-                        f"{kind} {name!r}"
-                    ),
-                    text=self.lines[line - 1].strip()
-                    if 1 <= line <= len(self.lines)
-                    else "",
-                )
-            )
-        self._enter(node)
-
-    def _enter(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
-    ) -> None:
-        self._prefix.append(node.name)
-        self.generic_visit(node)
-        self._prefix.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._function(node)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._enter(node)
-
-
 def _lint_source(
     source: str, path: str
 ) -> tuple[list[Finding], int, list[DeadSuppression]]:
@@ -734,15 +566,12 @@ def _lint_source(
     lines = source.splitlines()
     linter = _FileLinter(path, lines, routing_rules_apply(path))
     linter.visit(tree)
-    checker = _SchemaChecker(path, lines)
-    checker.visit(tree)
     kept: list[Finding] = []
     suppressed = 0
     allowed = suppression_map(source)
     used_codes: dict[int, set[str]] = {}
     for finding in sorted(
-        linter.findings + checker.findings,
-        key=lambda f: (f.line, f.col, f.rule),
+        linter.findings, key=lambda f: (f.line, f.col, f.rule)
     ):
         if finding.rule in allowed.get(finding.line, frozenset()):
             suppressed += 1

@@ -1,4 +1,4 @@
-"""The analysis rule catalogs (lint: DET and OBS; AUD).
+"""The analysis rule catalogs (lint: DET; AUD).
 
 Two catalogs share the :class:`Rule` record:
 
@@ -6,9 +6,7 @@ Two catalogs share the :class:`Rule` record:
   :mod:`~repro.analysis.lint`.  The DET rules state the code-level
   conventions the committed baselines rest on: the routing result
   must be a pure function of the design and the config,
-  byte-for-byte reproducible across processes and machines.  OBS001
-  keeps the observability vocabulary in one place: every metric name
-  the code emits must be declared in :mod:`repro.observe.schema`.
+  byte-for-byte reproducible across processes and machines.
 * the **AUD** rules state the solution-level constraints a finished
   routing must satisfy (the paper's Problem 1 plus basic routing
   legality).  The independent auditor in
@@ -124,30 +122,9 @@ DET005 = Rule(
     ),
 )
 
-OBS001 = Rule(
-    code="OBS001",
-    title="counter/gauge/span/progress name missing from the observe "
-    "schema registry",
-    rationale=(
-        "repro.observe.schema is the single source of truth for every "
-        "observability name — the regression gate's strip lists, the "
-        "`repro watch` counter picks and the live completeness tests "
-        "all derive from it.  An unregistered name is invisible to all "
-        "of them: it cannot be stripped, watched or checked."
-    ),
-    fix_hint=(
-        "register the name in repro/observe/schema.py with its owner "
-        "stage and category (or fix the typo — unregistered names are "
-        "usually misspellings of registered ones); suppress with "
-        "# repro: allow-OBS001 <why> for a name that never reaches a "
-        "trace"
-    ),
-    routing_only=False,
-)
-
 #: All lint rules, keyed by code, in catalog order.
 RULES: dict[str, Rule] = {
-    r.code: r for r in (DET001, DET002, DET003, DET004, DET005, OBS001)
+    r.code: r for r in (DET001, DET002, DET003, DET004, DET005)
 }
 
 

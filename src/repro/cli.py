@@ -17,12 +17,11 @@ Commands:
 * ``watch`` — tail a live ``--stream`` NDJSON file: per-stage
   progress, per-stage nets/s and expansions/s rates, heartbeat gauges,
   hotspot deltas, and the final hotspot ranking when the run finishes.
-* ``lint`` — run the linter (determinism rules DET001–DET005 and the
-  schema-registry rule OBS001, see ``docs/static_analysis.md``) over
-  source paths; exits 1 on any finding that no justified ``# repro:
-  allow-`` comment silences, and 2 on a path that is neither a
-  directory nor a ``.py`` file or on a file that does not decode or
-  parse.
+* ``lint`` — run the linter (determinism rules DET001–DET005, see
+  ``docs/static_analysis.md``) over source paths; exits 1 on any
+  finding that no justified ``# repro: allow-`` comment silences, and
+  2 on a path that is neither a directory nor a ``.py`` file or on a
+  file that does not decode or parse.
 * ``audit`` — route one circuit and run the independent solution
   auditor (rules AUD001–AUD007) over the result: every stitching
   constraint is re-derived from the raw geometry and the report's
@@ -68,7 +67,6 @@ from .config import RouterConfig
 from .api import BaselineRouter, FlowResult, StitchAwareRouter
 from .eval import RoutingReport
 from .io import save_design, save_report
-from .observe import schema as observe_schema
 from .observe import (
     RunTrace,
     StreamWatcher,
@@ -316,16 +314,6 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
         return _trace_error(error)
     fmt = "markdown" if args.markdown else "plain"
     print(render_summary(TraceSummary.from_trace(trace), fmt=fmt))
-    unregistered = sorted(
-        name
-        for name in trace.aggregate_counters()
-        if not observe_schema.is_registered("counter", name)
-    )
-    if unregistered:
-        print(
-            "warning: counters missing from repro.observe.schema: "
-            + ", ".join(unregistered)
-        )
     return 0
 
 
@@ -514,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="linter (DET and OBS rules, docs/static_analysis.md)",
+        help="linter (DET rules, docs/static_analysis.md)",
     )
     lint.add_argument(
         "paths",

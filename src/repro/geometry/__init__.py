@@ -7,12 +7,7 @@ from .interval import (
     overlapping_pairs,
     point_density,
 )
-from .segment import (
-    Orientation,
-    WireSegment,
-    merge_colinear,
-    path_to_segments,
-)
+from .segment import Orientation, WireSegment
 
 __all__ = [
     "GridPoint",
@@ -24,6 +19,4 @@ __all__ = [
     "point_density",
     "Orientation",
     "WireSegment",
-    "merge_colinear",
-    "path_to_segments",
 ]

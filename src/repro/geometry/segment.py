@@ -3,15 +3,16 @@
 A :class:`WireSegment` is a maximal straight run of routed wire on one
 layer: horizontal (constant ``y``), vertical (constant ``x``), or a via
 (zero 2-D extent, connecting two adjacent layers at one location).
-Detailed routes decompose into wire segments; the violation checker and
-the rasterizer both consume this representation.
+Detailed routes decompose into wire segments through
+:func:`repro.detailed.wiring.edges_to_segments`; the rasterizer and the
+SVG plot both consume this representation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 
 from .point import GridPoint
 from .interval import Interval
@@ -89,91 +90,3 @@ class WireSegment:
         else:
             for x in range(self.a.x, self.b.x + 1):
                 yield GridPoint(x, self.a.y, self.a.layer)
-
-
-def path_to_segments(path: Sequence[GridPoint]) -> list[WireSegment]:
-    """Decompose a grid path into maximal straight wire segments.
-
-    ``path`` is an ordered list of adjacent grid nodes (each consecutive
-    pair differs by one step in exactly one of x, y, or layer), as
-    produced by the detailed router.  Consecutive co-linear steps merge
-    into a single segment.  A single-node path yields no segments.
-    """
-    if len(path) < 2:
-        return []
-    segments: list[WireSegment] = []
-    run_start = path[0]
-    prev = path[0]
-
-    def axis(p: GridPoint, q: GridPoint) -> str:
-        if p.layer != q.layer:
-            return "z"
-        if p.y != q.y:
-            return "y"
-        return "x"
-
-    current_axis: str | None = None
-    for node in path[1:]:
-        if node.manhattan(prev) != 1:
-            raise ValueError(f"non-adjacent path nodes: {prev} -> {node}")
-        step_axis = axis(prev, node)
-        if current_axis is None:
-            current_axis = step_axis
-        elif step_axis != current_axis:
-            segments.append(WireSegment(run_start, prev))
-            run_start = prev
-            current_axis = step_axis
-        prev = node
-    segments.append(WireSegment(run_start, prev))
-    return segments
-
-
-def merge_colinear(segments: Iterable[WireSegment]) -> list[WireSegment]:
-    """Merge overlapping/abutting co-linear planar segments.
-
-    Vias are passed through unchanged.  Used to compute the *polygons*
-    a net contributes to a layer before violation checking: two routes
-    of the same net sharing a track form one electrical wire.
-    """
-    vias: list[WireSegment] = []
-    runs: dict[tuple[str, int, int], list[Interval]] = {}
-    for seg in segments:
-        orient = seg.orientation
-        if orient is Orientation.VIA:
-            vias.append(seg)
-            continue
-        key = (
-            ("h", seg.layer, seg.a.y)
-            if orient is Orientation.HORIZONTAL
-            else ("v", seg.layer, seg.a.x)
-        )
-        runs.setdefault(key, []).append(seg.span)
-
-    merged: list[WireSegment] = []
-    for (kind, layer, fixed), spans in sorted(runs.items()):
-        spans.sort()
-        acc = spans[0]
-        out: list[Interval] = []
-        for iv in spans[1:]:
-            if iv.lo <= acc.hi + 1:
-                acc = acc.union_span(iv)
-            else:
-                out.append(acc)
-                acc = iv
-        out.append(acc)
-        for iv in out:
-            if kind == "h":
-                merged.append(
-                    WireSegment(
-                        GridPoint(iv.lo, fixed, layer),
-                        GridPoint(iv.hi, fixed, layer),
-                    )
-                )
-            else:
-                merged.append(
-                    WireSegment(
-                        GridPoint(fixed, iv.lo, layer),
-                        GridPoint(fixed, iv.hi, layer),
-                    )
-                )
-    return merged + vias

@@ -13,14 +13,12 @@ NDJSON sink *while the run executes* (replayed by
 and :class:`~repro.observe.watch.StreamWatcher` prints them as
 progress lines (the CLI's ``-v`` and ``repro watch``).
 
-Every name a tracer may record is declared in
-:mod:`~repro.observe.schema` — the canonical registry of counters,
-gauges, spans, and progress kinds with their owner stage and
-category.  The regression gate's strip prefix, the ``repro watch``
-counter columns, and the lint rule OBS001 all derive from it.
+Counter, gauge, span and progress names are plain strings defined
+where they are emitted; ``docs/observability.md`` ("Trace structure")
+lists them, and the regression gate pins every routing counter by name
+and value.
 """
 
-from . import schema
 from .analytics import (
     CounterDelta,
     Hotspot,
@@ -33,15 +31,6 @@ from .analytics import (
     render_diff,
     render_hotspots,
     render_summary,
-)
-from .schema import (
-    PROFILING_PREFIX,
-    MetricSpec,
-    history_counters,
-    is_registered,
-    lookup,
-    metric_names,
-    metric_specs,
 )
 from .stream import (
     STREAM_FORMAT,
@@ -68,8 +57,6 @@ from .watch import (
 )
 
 __all__ = [
-    "MetricSpec",
-    "PROFILING_PREFIX",
     "STREAM_FORMAT",
     "STREAM_SUFFIXES",
     "STREAM_VERSION",
@@ -89,19 +76,13 @@ __all__ = [
     "diff_traces",
     "ensure",
     "follow_events",
-    "history_counters",
     "hotspots",
-    "is_registered",
     "iter_stream_events",
     "load_trace_file",
-    "lookup",
-    "metric_names",
-    "metric_specs",
     "read_stream",
     "read_stream_text",
     "render_diff",
     "render_hotspots",
     "render_summary",
-    "schema",
     "watch_stream",
 ]

@@ -55,7 +55,7 @@ import pathlib
 import threading
 import time
 from collections.abc import Iterator
-from typing import IO, NoReturn, Optional, Union
+from typing import IO, Optional, Union
 
 from .tracer import (
     TRACE_FORMAT,
@@ -64,6 +64,11 @@ from .tracer import (
     PathLike,
     RunTrace,
     Span,
+    _counters,
+    _gauges,
+    _number,
+    _object,
+    _string,
 )
 
 #: Format tag of the first line of every stream.
@@ -262,64 +267,88 @@ class StreamReplayer:
             ValueError: the event cannot belong to the one well-formed
                 run a stream holds: a second ``open`` header, a
                 ``span-open`` without a fresh integer ``id`` or with
-                an unknown ``parent``, or a ``span-close`` for a span
-                that never opened.  The message names the event's
-                1-based position.
+                an unknown ``parent``, a ``span-close`` for a span
+                that never opened, or a field of the wrong shape (the
+                same checks as :meth:`RunTrace.from_dict`).  The
+                message names the event's 1-based position.
         """
         self.events += 1
+        try:
+            self._fold(event)
+        except ValueError as error:
+            raise ValueError(f"event {self.events}: {error}") from None
+
+    def _fold(self, event: Event) -> None:
         ev = event.get("ev")
         if ev == "open":
             if self._opened:
-                self._reject("a second 'open' header (two runs in one file?)")
+                raise ValueError(
+                    "a second 'open' header (two runs in one file?)"
+                )
             self._opened = True
         elif ev == "span-open":
             sid = event.get("id")
             if not isinstance(sid, int) or isinstance(sid, bool):
-                self._reject(f"span-open without an integer id: {sid!r}")
+                raise ValueError(f"span-open without an integer id: {sid!r}")
             if sid in self._spans:
-                self._reject(f"span-open reuses span id {sid}")
+                raise ValueError(f"span-open reuses span id {sid}")
             name = event.get("name")
             if not isinstance(name, str):
-                self._reject(f"span-open {sid} without a name")
+                raise ValueError(f"span-open {sid} without a name")
             parent = event.get("parent")
             siblings = self._roots
             if parent is not None:
                 siblings = self._span(parent, "span-open parent").children
             span = Span(
                 name=name,
-                started_at=event.get("started_at", 0.0),
-                gauges=dict(event.get("gauges", {})),
+                started_at=_number(
+                    event.get("started_at", 0.0), "span-open started_at"
+                ),
+                gauges=_gauges(event.get("gauges", {}), "span-open gauges"),
             )
             self._spans[sid] = span
             siblings.append(span)
         elif ev == "span-close":
             span = self._span(event.get("id"), "span-close")
-            span.wall_seconds = event.get("wall_seconds", 0.0)
-            span.cpu_seconds = event.get("cpu_seconds", 0.0)
-            span.counters = dict(event.get("counters", {}))
-            span.gauges = dict(event.get("gauges", {}))
+            span.wall_seconds = _number(
+                event.get("wall_seconds", 0.0), "span-close wall_seconds"
+            )
+            span.cpu_seconds = _number(
+                event.get("cpu_seconds", 0.0), "span-close cpu_seconds"
+            )
+            span.counters = _counters(
+                event.get("counters", {}), "span-close counters"
+            )
+            span.gauges = _gauges(event.get("gauges", {}), "span-close gauges")
         elif ev == "finish":
             self.trace = RunTrace(
-                router=event.get("router", ""),
-                design=event.get("design", ""),
-                wall_seconds=event.get("wall_seconds", 0.0),
-                cpu_seconds=event.get("cpu_seconds", 0.0),
+                router=_string(event.get("router", ""), "finish router"),
+                design=_string(event.get("design", ""), "finish design"),
+                wall_seconds=_number(
+                    event.get("wall_seconds", 0.0), "finish wall_seconds"
+                ),
+                cpu_seconds=_number(
+                    event.get("cpu_seconds", 0.0), "finish cpu_seconds"
+                ),
                 spans=self._roots,
-                counters=dict(event.get("counters", {})),
-                meta=dict(event.get("meta", {})),
+                counters=_counters(
+                    event.get("counters", {}), "finish counters"
+                ),
+                meta=_object(event.get("meta", {}), "finish meta"),
             )
-        # count / gauge / progress / heartbeat: the span-close and
-        # finish totals are authoritative; nothing to fold.
+        elif ev == "heartbeat":
+            # Nothing to fold, but the watcher prints these two.
+            _number(event.get("wall_seconds", 0.0), "heartbeat wall_seconds")
+            _number(event.get("rss_kib", 0), "heartbeat rss_kib")
+        # count / gauge / progress: the span-close and finish totals
+        # are authoritative; nothing to fold.
 
     def _span(self, sid: object, what: str) -> Span:
-        """The opened span ``sid`` names, else reject the event."""
+        """The opened span ``sid`` names, else a ValueError."""
         span = self._spans.get(sid) if isinstance(sid, int) else None
         if span is None:
-            self._reject(f"{what} names unknown span id {sid!r}")
+            raise ValueError(f"{what} names unknown span id {sid!r}")
         return span
-
-    def _reject(self, problem: str) -> NoReturn:
-        raise ValueError(f"event {self.events}: {problem}")
 
 
 def read_stream(source: Sink) -> RunTrace:

@@ -46,6 +46,55 @@ PathLike = Union[str, pathlib.Path]
 Event = dict[str, Any]
 
 
+# -- shape checks for documents read back in --------------------------
+def _number(value: object, field: str) -> Number:
+    """``value`` if it is a number, else a ValueError naming ``field``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{field} must be a number")
+
+
+def _string(value: object, field: str) -> str:
+    """``value`` if it is a string, else a ValueError naming ``field``."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{field} must be a string")
+
+
+def _object(value: object, field: str) -> dict[str, Any]:
+    """A copy of ``value`` if it is an object, else a ValueError."""
+    if isinstance(value, dict):
+        return dict(value)
+    raise ValueError(f"{field} must be an object")
+
+
+def _counters(value: object, field: str) -> dict[str, Number]:
+    """A copy of ``value`` if it maps names to numbers."""
+    out = _object(value, field)
+    for name, item in out.items():
+        _number(item, f"{field} {name!r}")
+    return out
+
+
+def _gauges(value: object, field: str) -> dict[str, Number]:
+    """A copy of ``value`` if it maps names to numbers or strings.
+
+    ``track-assign`` records its ``method`` gauge as a string.
+    """
+    out = _object(value, field)
+    for name, item in out.items():
+        if not isinstance(item, str):
+            _number(item, f"{field} {name!r}")
+    return out
+
+
+def _objects(value: object, field: str) -> list[dict[str, Any]]:
+    """``value`` if it is an array of objects, else a ValueError."""
+    if isinstance(value, list) and all(isinstance(v, dict) for v in value):
+        return value
+    raise ValueError(f"{field} must be an array of objects")
+
+
 @dataclasses.dataclass
 class Span:
     """One timed section of a run, possibly containing child spans.
@@ -108,15 +157,33 @@ class Span:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Span":
-        """Rebuild a span tree from :meth:`to_dict` output."""
+        """Rebuild a span tree from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: a field has the wrong shape; the message names
+                the field.
+        """
+        name = _string(data.get("name"), "span name")
+        field = f"span {name!r}"
         return cls(
-            name=data["name"],
-            started_at=data.get("started_at", 0.0),
-            wall_seconds=data.get("wall_seconds", 0.0),
-            cpu_seconds=data.get("cpu_seconds", 0.0),
-            counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})),
-            children=[cls.from_dict(c) for c in data.get("children", [])],
+            name=name,
+            started_at=_number(
+                data.get("started_at", 0.0), f"{field} started_at"
+            ),
+            wall_seconds=_number(
+                data.get("wall_seconds", 0.0), f"{field} wall_seconds"
+            ),
+            cpu_seconds=_number(
+                data.get("cpu_seconds", 0.0), f"{field} cpu_seconds"
+            ),
+            counters=_counters(data.get("counters", {}), f"{field} counters"),
+            gauges=_gauges(data.get("gauges", {}), f"{field} gauges"),
+            children=[
+                cls.from_dict(child)
+                for child in _objects(
+                    data.get("children", []), f"{field} children"
+                )
+            ],
         )
 
 
@@ -188,21 +255,33 @@ class RunTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunTrace":
-        """Rebuild a trace from :meth:`to_dict` output."""
-        if data.get("format") != TRACE_FORMAT:
-            raise ValueError(f"not a trace document: {data.get('format')!r}")
+        """Rebuild a trace from :meth:`to_dict` output.
+
+        Raises:
+            ValueError: ``data`` is not a version-1 trace document, or
+                a field has the wrong shape; the message names the
+                field.
+        """
+        fmt = data.get("format") if isinstance(data, dict) else None
+        if fmt != TRACE_FORMAT:
+            raise ValueError(f"not a trace document: {fmt!r}")
         if data.get("version") != TRACE_VERSION:
             raise ValueError(
                 f"unsupported trace version {data.get('version')!r}"
             )
         return cls(
-            router=data.get("router", ""),
-            design=data.get("design", ""),
-            wall_seconds=data.get("wall_seconds", 0.0),
-            cpu_seconds=data.get("cpu_seconds", 0.0),
-            spans=[Span.from_dict(s) for s in data.get("spans", [])],
-            counters=dict(data.get("counters", {})),
-            meta=dict(data.get("meta", {})),
+            router=_string(data.get("router", ""), "router"),
+            design=_string(data.get("design", ""), "design"),
+            wall_seconds=_number(
+                data.get("wall_seconds", 0.0), "wall_seconds"
+            ),
+            cpu_seconds=_number(data.get("cpu_seconds", 0.0), "cpu_seconds"),
+            spans=[
+                Span.from_dict(span)
+                for span in _objects(data.get("spans", []), "spans")
+            ],
+            counters=_counters(data.get("counters", {}), "counters"),
+            meta=_object(data.get("meta", {}), "meta"),
         )
 
     def to_json(self, indent: Optional[int] = 2) -> str:

@@ -1,12 +1,10 @@
-"""Per-rule corpora for the linter (DET001-DET005, OBS001).
+"""Per-rule corpora for the linter (DET001-DET005).
 
 Each rule gets at least one bad fixture that must be flagged, a
 suppression check (``# repro: allow-DETnnn`` silences exactly that
 finding), and the clean spelling that must pass.  Fixture paths have no
 ``repro`` package component, so every rule — including the
 routing-scoped ones — is in scope (see ``routing_rules_apply``).
-OBS001 corpora use registered names (``maze_expansions``,
-``conflict_weight``) wherever only the unregistered one may fire.
 """
 
 import json
@@ -207,59 +205,6 @@ class TestDET005HashOrderTieBreaks:
         source = (
             "def f(nodes: set):\n"
             "    return next(iter(nodes))  # repro: allow-DET005 singleton\n"
-        )
-        assert lint_source(source, FIXTURE_PATH) == []
-
-
-class TestOBS001SchemaRegistry:
-    def test_unregistered_counter_flagged(self):
-        assert codes(
-            """
-            def lonely(tracer):
-                tracer.count("totally_unregistered_counter")
-            """
-        ) == ["OBS001"]
-
-    def test_registered_counter_is_clean(self):
-        assert codes(
-            """
-            def lonely(tracer):
-                tracer.count("maze_expansions")
-            """
-        ) == []
-
-    def test_applies_outside_routing_packages(self):
-        source = 'def lonely(span):\n    span.count("no_such_counter")\n'
-        findings = lint_source(source, "src/repro/observe/helper.py")
-        assert [f.rule for f in findings] == ["OBS001"]
-        assert "lonely emits counter 'no_such_counter'" in findings[0].message
-
-    def test_store_of_gauge_name_is_clean(self):
-        # Scratch-dict stores do not reveal the eventual kind: assign
-        # accumulates conflict_weight this way before emitting it as a
-        # gauge, so either registered kind satisfies OBS001.
-        assert codes(
-            """
-            def accumulate(stats, w):
-                stats["conflict_weight"] = stats.get("conflict_weight", 0.0) + w
-            """
-        ) == []
-
-    def test_unregistered_span_kwarg_flagged(self):
-        assert codes(
-            """
-            def staged(tracer):
-                with tracer.span("levelize", bogus_kwarg_gauge=3):
-                    pass
-            """
-        ) == ["OBS001"]
-
-    def test_suppression_comment_silences(self):
-        source = textwrap.dedent(
-            """
-            def lonely(stage):
-                stage.gauge("scratch_gauge", 1)  # repro: allow-OBS001 never traced
-            """
         )
         assert lint_source(source, FIXTURE_PATH) == []
 

@@ -1,17 +1,8 @@
-"""Tests for wire segments and path decomposition."""
+"""Tests for wire segments."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.geometry import (
-    GridPoint,
-    Interval,
-    Orientation,
-    WireSegment,
-    merge_colinear,
-    path_to_segments,
-)
+from repro.geometry import GridPoint, Interval, Orientation, WireSegment
 
 
 class TestWireSegment:
@@ -44,94 +35,3 @@ class TestWireSegment:
         assert len(list(s.points())) == 4
         via = WireSegment(GridPoint(1, 1, 1), GridPoint(1, 1, 3))
         assert [p.layer for p in via.points()] == [1, 2, 3]
-
-
-class TestPathToSegments:
-    def test_empty_and_single(self):
-        assert path_to_segments([]) == []
-        assert path_to_segments([GridPoint(0, 0, 1)]) == []
-
-    def test_l_shape(self):
-        path = [
-            GridPoint(0, 0, 1),
-            GridPoint(1, 0, 1),
-            GridPoint(2, 0, 1),
-            GridPoint(2, 1, 1),
-        ]
-        segs = path_to_segments(path)
-        assert segs == [
-            WireSegment(GridPoint(0, 0, 1), GridPoint(2, 0, 1)),
-            WireSegment(GridPoint(2, 0, 1), GridPoint(2, 1, 1)),
-        ]
-
-    def test_via_between_runs(self):
-        path = [
-            GridPoint(0, 0, 1),
-            GridPoint(1, 0, 1),
-            GridPoint(1, 0, 2),
-            GridPoint(1, 1, 2),
-        ]
-        segs = path_to_segments(path)
-        assert [s.orientation for s in segs] == [
-            Orientation.HORIZONTAL,
-            Orientation.VIA,
-            Orientation.VERTICAL,
-        ]
-
-    def test_non_adjacent_raises(self):
-        with pytest.raises(ValueError):
-            path_to_segments([GridPoint(0, 0, 1), GridPoint(2, 0, 1)])
-
-    @given(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=30))
-    def test_total_length_preserved(self, moves):
-        path = [GridPoint(0, 0, 5)]
-        for m in moves:
-            p = path[-1]
-            if m == "x":
-                path.append(GridPoint(p.x + 1, p.y, p.layer))
-            elif m == "y":
-                path.append(GridPoint(p.x, p.y + 1, p.layer))
-            else:
-                path.append(GridPoint(p.x, p.y, p.layer + 1))
-        segs = path_to_segments(path)
-        assert sum(s.length for s in segs) == len(moves)
-        # Segments chain: consecutive segments share an endpoint.
-        for s1, s2 in zip(segs, segs[1:]):
-            shared = {s1.a, s1.b} & {s2.a, s2.b}
-            assert shared
-
-
-class TestMergeColinear:
-    def test_merges_abutting_runs(self):
-        segs = [
-            WireSegment(GridPoint(0, 1, 1), GridPoint(3, 1, 1)),
-            WireSegment(GridPoint(4, 1, 1), GridPoint(7, 1, 1)),
-        ]
-        merged = merge_colinear(segs)
-        assert merged == [WireSegment(GridPoint(0, 1, 1), GridPoint(7, 1, 1))]
-
-    def test_keeps_disjoint_runs(self):
-        segs = [
-            WireSegment(GridPoint(0, 1, 1), GridPoint(2, 1, 1)),
-            WireSegment(GridPoint(5, 1, 1), GridPoint(7, 1, 1)),
-        ]
-        assert len(merge_colinear(segs)) == 2
-
-    def test_vias_pass_through(self):
-        via = WireSegment(GridPoint(0, 0, 1), GridPoint(0, 0, 2))
-        assert merge_colinear([via]) == [via]
-
-    def test_different_tracks_not_merged(self):
-        segs = [
-            WireSegment(GridPoint(0, 1, 1), GridPoint(3, 1, 1)),
-            WireSegment(GridPoint(0, 2, 1), GridPoint(3, 2, 1)),
-        ]
-        assert len(merge_colinear(segs)) == 2
-
-    def test_overlapping_runs_merge(self):
-        segs = [
-            WireSegment(GridPoint(0, 0, 2), GridPoint(0, 5, 2)),
-            WireSegment(GridPoint(0, 3, 2), GridPoint(0, 9, 2)),
-        ]
-        merged = merge_colinear(segs)
-        assert merged == [WireSegment(GridPoint(0, 0, 2), GridPoint(0, 9, 2))]

@@ -2,14 +2,25 @@
 
 import io
 import json
+import pathlib
 import threading
 import time
 
 import pytest
 
-from repro.observe import StreamWriter, Tracer
+from repro.observe import StreamWriter, Tracer, load_trace_file
 from repro.observe import stream as stream_module
+from repro.observe import watch as watch_module
 from repro.observe.watch import StreamWatcher, follow_events, watch_stream
+
+#: A committed gate trace whose stitch-aware run goes through two rip-up
+#: rounds, so it carries every counter the monitor reads.
+GATE_TRACE = (
+    pathlib.Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "baselines"
+    / "BENCH_S5378.json"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -162,6 +173,15 @@ class TestStreamWatcher:
         assert "rss=2MiB" in beat_line
         assert "expansions/s" in beat_line
         assert "hotspot pass1 +2.000s" in beat_line
+
+    def test_watched_counters_are_emitted_by_a_real_run(self):
+        counters = load_trace_file(
+            GATE_TRACE, key="stitch-aware"
+        ).aggregate_counters()
+        watched = (
+            watch_module._EXPANSION_COUNTERS + watch_module._NOTABLE_COUNTERS
+        )
+        assert [name for name in watched if name not in counters] == []
 
     def test_span_close_echoes_notable_counters(self):
         _, text = self.feed(self.synthetic_events())

@@ -426,6 +426,106 @@ class TestTraceBadInput:
         assert main(["trace", command, str(bad)]) == 2
         assert "not valid JSON" in self._one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"spans": [{}]}, "span name must be a string"),
+            ({"spans": 5}, "spans must be an array of objects"),
+            ({"spans": [5]}, "spans must be an array of objects"),
+            ({"counters": [1]}, "counters must be an object"),
+            (
+                {"spans": [{"name": "s", "counters": {"x": "y"}}]},
+                "span 's' counters 'x' must be a number",
+            ),
+            (
+                {"spans": [{"name": "s", "children": {}}]},
+                "span 's' children must be an array of objects",
+            ),
+            (
+                {"spans": [{"name": "s", "gauges": {"g": [1]}}]},
+                "span 's' gauges 'g' must be a number",
+            ),
+            (
+                {"spans": [{"name": "s", "wall_seconds": "1"}]},
+                "span 's' wall_seconds must be a number",
+            ),
+            ({"cpu_seconds": True}, "cpu_seconds must be a number"),
+            ({"meta": []}, "meta must be an object"),
+            ({"router": 5}, "router must be a string"),
+        ],
+        ids=[
+            "span-without-name", "spans-number", "span-number",
+            "counters-array", "counter-string", "children-object",
+            "gauge-array", "wall-string", "cpu-boolean", "meta-array",
+            "router-number",
+        ],
+    )
+    def test_malformed_trace_fields(self, fields, message, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps({"format": "repro-trace", "version": 1, **fields})
+        )
+        assert main(["trace", "show", str(bad)]) == 2
+        err = self._one_line_error(capsys)
+        assert f"{bad}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["trace", "watch"])
+    @pytest.mark.parametrize(
+        "event,message",
+        [
+            (
+                '{"ev":"span-close","id":0,"counters":5}',
+                "span-close counters must be an object",
+            ),
+            (
+                '{"ev":"span-close","id":0,"counters":{"x":"y"}}',
+                "span-close counters 'x' must be a number",
+            ),
+            (
+                '{"ev":"span-close","id":0,"gauges":[]}',
+                "span-close gauges must be an object",
+            ),
+            (
+                '{"ev":"span-close","id":0,"wall_seconds":"1"}',
+                "span-close wall_seconds must be a number",
+            ),
+            (
+                '{"ev":"heartbeat","wall_seconds":[1]}',
+                "heartbeat wall_seconds must be a number",
+            ),
+        ],
+        ids=["counters-number", "counter-string", "gauges-array",
+             "wall-string", "heartbeat-wall-array"],
+    )
+    def test_malformed_stream_fields(
+        self, command, event, message, capsys, tmp_path
+    ):
+        path = tmp_path / "bad.ndjson"
+        lines = [
+            STREAM_HEADER,
+            '{"ev":"span-open","id":0,"parent":null,"name":"x"}',
+            event,
+            '{"ev":"finish"}',
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        argv = (
+            ["trace", "show", str(path)]
+            if command == "trace"
+            else ["watch", str(path), "--no-follow"]
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: {path}: event 3: {message}")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_report_with_malformed_trace(self, capsys, tmp_path):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"format": "repro-report", "trace": 5}))
+        assert main(["trace", "show", str(bad)]) == 2
+        assert "not a trace document" in self._one_line_error(capsys)
+
     def test_truncated_gzip_names_the_file(self, capsys, tmp_path):
         whole = gzip.compress(json.dumps({"format": "repro-trace"}).encode())
         bad = tmp_path / "cut.json.gz"
