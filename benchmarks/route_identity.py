@@ -1,7 +1,8 @@
 """Route identity: one digest line per reference instance.
 
 A change that claims to keep every route (a kernel, a cache or a
-bookkeeping speed-up) must print the same lines before and after it::
+bookkeeping speed-up) must print the same route digests before and
+after it::
 
     PYTHONPATH=src python benchmarks/route_identity.py > after.txt
     PYTHONPATH=../before/src python benchmarks/route_identity.py > before.txt
@@ -19,14 +20,21 @@ global routes of the ``global_stress_table4`` benchmark workload:
 * the stressed S13207 and S15850 at scale 0.5, global routing with and
   without the line-end term.
 
-Every run uses ``profile="counters"``.  A line carries two SHA-256
-digests.  The first covers every net's sorted nodes, sorted edges and
-routed flag, every counter of the trace whose name does not start with
-``perf_``, and every ``NetReport.violations`` list (global runs: every
-net's tile paths, the failed nets and the counters).  The second
-covers the ``perf_`` counters, which a kernel change may move without
-moving a route.  Set iteration order follows the string hash seed, so
-the script re-runs itself with ``PYTHONHASHSEED=0`` unless it is set.
+Every run uses ``profile="counters"``.  A line carries three SHA-256
+digests:
+
+* ``routes``: every net's sorted nodes, sorted edges and routed flag,
+  and every ``NetReport.violations`` list (global runs: every net's
+  tile paths and the failed nets);
+* ``counters``: every counter of the trace whose name does not start
+  with ``perf_``;
+* ``perf``: the ``perf_`` counters.
+
+A change that only saves work may move the work counters (expansions,
+heap traffic) of the last two digests; the ``routes`` digest shows
+whether any route moved.  Set iteration order follows the string hash
+seed, so the script re-runs itself with ``PYTHONHASHSEED=0`` unless it
+is set.
 """
 
 from __future__ import annotations
@@ -62,8 +70,11 @@ def _split_counters(trace: RunTrace) -> tuple[dict, dict]:
     return rest, perf
 
 
-def flow_digests(flow: FlowResult) -> tuple[str, str]:
-    """The routing digest and the ``perf_`` counter digest of a flow."""
+Digests = tuple[str, str, str]
+
+
+def flow_digests(flow: FlowResult) -> Digests:
+    """The route, counter and ``perf_`` counter digests of a flow."""
     assert flow.trace is not None
     counters, perf = _split_counters(flow.trace)
     nets = [
@@ -74,27 +85,27 @@ def flow_digests(flow: FlowResult) -> tuple[str, str]:
         [name, [v.to_dict() for v in report.violations]]
         for name, report in sorted(flow.report.nets.items())
     ]
-    return _digest([nets, counters, violations]), _digest(perf)
+    return _digest([nets, violations]), _digest(counters), _digest(perf)
 
 
-def global_digests(result: GlobalRoutingResult, trace: RunTrace) -> tuple[str, str]:
-    """The routing digest and the ``perf_`` counter digest of a global run."""
+def global_digests(result: GlobalRoutingResult, trace: RunTrace) -> Digests:
+    """The route, counter and ``perf_`` counter digests of a global run."""
     counters, perf = _split_counters(trace)
     routes = [[name, route.paths] for name, route in sorted(result.routes.items())]
-    return _digest([routes, result.failed, counters]), _digest(perf)
+    return _digest([routes, result.failed]), _digest(counters), _digest(perf)
 
 
-def instances() -> Iterator[tuple[str, Callable[[], tuple[str, str]]]]:
+def instances() -> Iterator[tuple[str, Callable[[], Digests]]]:
     """``(label, run)`` for every reference instance, in print order."""
     config = RouterConfig(profile="counters")
 
-    def flow(router: str, circuit: str, scale: float) -> Callable[[], tuple[str, str]]:
+    def flow(router: str, circuit: str, scale: float) -> Callable[[], Digests]:
         return lambda: flow_digests(
             ROUTERS[router](config=config).route(mcnc_design(circuit, scale))
         )
 
-    def stressed(circuit: str, line_ends: bool) -> Callable[[], tuple[str, str]]:
-        def run() -> tuple[str, str]:
+    def stressed(circuit: str, line_ends: bool) -> Callable[[], Digests]:
+        def run() -> Digests:
             tracer = Tracer()
             router = GlobalRouter(stitch_aware=line_ends, profile="counters")
             result = router.route(mcnc_stress_design(circuit, 0.5), tracer=tracer)
@@ -123,8 +134,8 @@ def main() -> int:
         env = dict(os.environ, PYTHONHASHSEED="0")
         os.execve(sys.executable, [sys.executable, *sys.argv], env)
     for label, run in instances():
-        routing, perf = run()
-        print(f"{label}: {routing} perf {perf}", flush=True)
+        routes, counters, perf = run()
+        print(f"{label}: routes {routes} counters {counters} perf {perf}", flush=True)
     return 0
 
 

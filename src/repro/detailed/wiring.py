@@ -10,8 +10,9 @@ reports.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import Optional
 
 from ..geometry import GridPoint, WireSegment
@@ -53,19 +54,24 @@ def trim_dangling(edges: set[Edge], anchors: set[Node]) -> set[Edge]:
 
     Repeatedly peels leaf edges whose leaf endpoint is not an anchor
     (pin) until every remaining leaf is an anchor or a cycle remains.
+    Endpoint degrees are counted first: a set without a non-anchor
+    leaf, such as a net the router has already trimmed, comes back as
+    a copy without building the peel's incidence sets.
     """
+    degree = Counter(chain.from_iterable(edges))
+    frontier = [
+        node for node, count in degree.items() if count == 1 and node not in anchors
+    ]
+    if not frontier:
+        return set(edges)
     # Leaf peeling is confluent: whatever order edges are indexed and
     # leaves are peeled in, the surviving edge set is the same.
-    incident: dict[Node, set[Edge]] = defaultdict(set)
+    incident: dict[Node, set[Edge]] = {node: set() for node in degree}
     for edge in edges:  # repro: allow-DET001 confluent reduction
-        incident[edge[0]].add(edge)
-        incident[edge[1]].add(edge)
+        a, b = edge
+        incident[a].add(edge)
+        incident[b].add(edge)
     alive = set(edges)
-    frontier = [
-        node
-        for node, inc in incident.items()
-        if len(inc) == 1 and node not in anchors
-    ]
     while frontier:
         node = frontier.pop()
         inc = incident.get(node, set())

@@ -42,10 +42,6 @@ class Interval:
             return None
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def union_span(self, other: "Interval") -> "Interval":
-        """The smallest interval covering both."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def shifted(self, delta: int) -> "Interval":
         """A copy translated by ``delta``."""
         return Interval(self.lo + delta, self.hi + delta)

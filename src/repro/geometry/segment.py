@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections.abc import Iterator
 
 from .point import GridPoint
-from .interval import Interval
 
 
 class Orientation(enum.Enum):
@@ -59,34 +57,10 @@ class WireSegment:
         if self.a.y != self.b.y:
             return Orientation.VERTICAL
         # A single grid point defaults to horizontal; callers that care
-        # about zero-length stubs should filter on ``length``.
+        # about zero-length stubs should filter on ``a == b``.
         return Orientation.HORIZONTAL
-
-    @property
-    def length(self) -> int:
-        """Grid length of the run (0 for a single point; 1 per layer hop)."""
-        return self.a.manhattan(self.b)
 
     @property
     def layer(self) -> int:
         """Layer of a planar segment (lower layer for a via)."""
         return min(self.a.layer, self.b.layer)
-
-    @property
-    def span(self) -> Interval:
-        """The varying-axis interval covered by a planar segment."""
-        if self.orientation is Orientation.VERTICAL:
-            return Interval(self.a.y, self.b.y)
-        return Interval(self.a.x, self.b.x)
-
-    def points(self) -> Iterator[GridPoint]:
-        """Every grid node covered by the segment, endpoints included."""
-        if self.orientation is Orientation.VIA:
-            for layer in range(self.a.layer, self.b.layer + 1):
-                yield GridPoint(self.a.x, self.a.y, layer)
-        elif self.orientation is Orientation.VERTICAL:
-            for y in range(self.a.y, self.b.y + 1):
-                yield GridPoint(self.a.x, y, self.a.layer)
-        else:
-            for x in range(self.a.x, self.b.x + 1):
-                yield GridPoint(x, self.a.y, self.a.layer)

@@ -109,10 +109,13 @@ class GlobalGraph:
 
     The maze's per-search state is allocated once, here: ``_best``
     holds the best cost of every search state (``nx * ny * 3``
-    entries, ``inf`` between searches), and ``_dist_x[di]`` /
+    entries, ``inf`` between searches), ``_dist_x[di]`` /
     ``_dist_y[dj]`` list the tile distances ``|i - di|`` and
-    ``|j - dj|`` to a target column and row.  A graph therefore serves
-    one search at a time.
+    ``|j - dj|`` to a target column and row, ``_tiles`` holds the
+    ``(i, j)`` tuple of every tile code, which returned paths share,
+    and ``_no_price`` is the all-zero line-end price list of a search
+    without the line-end term.  A graph therefore serves one search
+    at a time.
     """
 
     # Cost caches, by tile code.
@@ -130,11 +133,14 @@ class GlobalGraph:
     _t_dem: list[int]
     _t_cap: list[int]
     _t_hist: list[float]
-    # Reused by every maze search: best cost by state id, and tile
-    # distances by target column / row.
+    # Reused by every maze search: best cost by state id, tile
+    # distances by target column / row, tiles and zero line-end
+    # prices by tile code.
     _best: list[float]
     _dist_x: list[list[int]]
     _dist_y: list[list[int]]
+    _tiles: list[Tile]
+    _no_price: list[float]
 
     #: Profiling counters (``RouterConfig(profile=...)``): wholesale
     #: cache rebuilds and entry-wise incremental updates.  Class-level
@@ -186,6 +192,8 @@ class GlobalGraph:
         self._best = [_INF] * (nx * ny * 3)
         self._dist_x = [[abs(i - d) for i in range(nx)] for d in range(nx)]
         self._dist_y = [[abs(j - d) for j in range(ny)] for d in range(ny)]
+        self._tiles = [(i, j) for i in range(nx) for j in range(ny)]
+        self._no_price = [0.0] * (nx * ny)
 
     # ------------------------------------------------------------------
     # Read-only copies of the state, for bulk readers
@@ -419,13 +427,29 @@ class GlobalGraph:
         ``window`` (inclusive ``lo_x, lo_y, hi_x, hi_y`` tile bounds)
         must lie inside the grid and contain ``src``: then every popped
         state lies inside the window, and one bound test per successor
-        suffices.  ``maze_expansions`` accumulates into ``stats``
-        (counted before the target test); ``profile`` adds
-        ``perf_maze_heap_pushes`` / ``perf_maze_heap_pops``.
-        ``tests/engine/reference.py`` holds a tuple-state maze over
+        suffices.  A window without ``dst`` fails once it is exhausted.
+        ``maze_expansions`` accumulates into ``stats`` (counted before
+        the target test); ``profile`` adds ``perf_maze_heap_pushes`` /
+        ``perf_maze_heap_pops``.  ``tests/engine/reference.py`` holds a
+        tuple-state maze over
         :func:`~repro.globalroute.cost.edge_cost_if_used` and
         :func:`~repro.globalroute.cost.vertex_price` that this search
         must match step for step.
+
+        A tile's two arrival states differ only in which next move pays
+        the tile's line-end price ``p`` (``0.0`` without the line-end
+        term): a ``v`` arrival pays it on a move along x, an ``h``
+        arrival, like the source, on a move along y.  So the ``v``
+        state is *dominated* once the best cost of the ``h`` state (or
+        of the source, at its tile) plus ``p`` is at most its cost, and
+        the ``h`` state once the ``v`` state's best cost plus ``p`` is
+        below its cost: none of its moves can then beat its sibling's.
+        A dominated successor gets its best cost and parent but is not
+        pushed, and a popped state that has become dominated is skipped
+        like a stale one, so ``maze_expansions`` counts the expanded,
+        non-dominated states.  The sibling always pops first, so the
+        search returns the path it would return without the rule
+        (``docs/performance.md``, "Dominated maze states").
 
         Best costs live in the graph's ``_best`` list, by state id.  A
         search writes only the entries of its start and of the states
@@ -443,20 +467,23 @@ class GlobalGraph:
         ny = self.ny
         h_cost = self._h_cost
         v_cost = self._v_cost
-        v_price = self._v_price
+        price = self._v_price if stitch_aware else self._no_price
         best = self._best
         di, dj = dst
         dst_code = di * ny + dj
         dist_x = self._dist_x[di]
         dist_y = self._dist_y[dj]
         # Charged when a vertical run will terminate at the target.
-        dst_extra = v_price[dst_code] if stitch_aware else 0.0
+        dst_extra = price[dst_code]
 
         # State id: (i * ny + j) * 3 + dircode, the arrival direction
         # coded "" (source) -> 0, "h" -> 1, "v" -> 2.  The encoding is
         # monotonic in the ((i, j), direction) tuple order, which
-        # breaks ``(f, g, state)`` heap ties.
+        # breaks ``(f, g, state)`` heap ties.  A v state's rival is
+        # the h state one id below it and, at the source tile
+        # (``src_v``), the source as well, whose cost is 0.
         start = (src[0] * ny + src[1]) * 3
+        src_v = start + 2
         parent: dict[int, int] = {}
         heap: list[tuple[float, float, int]] = [
             (WL_WEIGHT * (dist_x[src[0]] + dist_y[src[1]]), 0.0, start)
@@ -473,89 +500,108 @@ class GlobalGraph:
                 pops += 1
                 if g > best[state]:
                     continue
-                expansions += 1
                 tc = state // 3
+                p = price[tc]
+                if state - tc * 3 == 2:
+                    if best[state - 1] + p <= g or (state == src_v and p <= g):
+                        continue  # dominated by the h state or the source
+                    # A vertical run ends here if the path turns.
+                    h_extra = p
+                    v_extra = 0.0
+                else:
+                    # (The source pops first: nothing dominates it.)
+                    if best[state + 1] + p < g:
+                        continue  # dominated by the v state
+                    # A vertical run starts here: line end at this tile.
+                    h_extra = 0.0
+                    v_extra = p
+                expansions += 1
                 if tc == dst_code:
                     goal = state
                     break
                 i = tc // ny
                 j = tc - i * ny
-                if not stitch_aware:
-                    h_extra = v_extra = 0.0
-                elif state - tc * 3 == 2:
-                    # A vertical run ends here if the path turns.
-                    h_extra = v_price[tc]
-                    v_extra = 0.0
-                else:
-                    # A vertical run starts here: line end at this tile.
-                    h_extra = 0.0
-                    v_extra = v_price[tc]
                 dy = dist_y[j]
 
-                # Successors (i-1, j), (i+1, j), (i, j-1), (i, j+1).
+                # Successors (i-1, j), (i+1, j), (i, j-1), (i, j+1),
+                # pushed unless their sibling dominates them.
                 if i > lo_x:
-                    candidate = g + (h_cost[tc - ny] + h_extra)
-                    succ_state = (tc - ny) * 3 + 1
+                    nc = tc - ny
+                    candidate = g + (h_cost[nc] + h_extra)
+                    succ_state = nc * 3 + 1
                     if candidate < best[succ_state] - 1e-12:
                         best[succ_state] = candidate
                         parent[succ_state] = state
-                        heappush(
-                            heap,
-                            (
-                                candidate + WL_WEIGHT * (dist_x[i - 1] + dy),
-                                candidate,
-                                succ_state,
-                            ),
-                        )
+                        if best[succ_state + 1] + price[nc] >= candidate:
+                            heappush(
+                                heap,
+                                (
+                                    candidate + WL_WEIGHT * (dist_x[i - 1] + dy),
+                                    candidate,
+                                    succ_state,
+                                ),
+                            )
                 if i < hi_x:
+                    nc = tc + ny
                     candidate = g + (h_cost[tc] + h_extra)
-                    succ_state = (tc + ny) * 3 + 1
+                    succ_state = nc * 3 + 1
                     if candidate < best[succ_state] - 1e-12:
                         best[succ_state] = candidate
                         parent[succ_state] = state
-                        heappush(
-                            heap,
-                            (
-                                candidate + WL_WEIGHT * (dist_x[i + 1] + dy),
-                                candidate,
-                                succ_state,
-                            ),
-                        )
+                        if best[succ_state + 1] + price[nc] >= candidate:
+                            heappush(
+                                heap,
+                                (
+                                    candidate + WL_WEIGHT * (dist_x[i + 1] + dy),
+                                    candidate,
+                                    succ_state,
+                                ),
+                            )
                 dx = dist_x[i]
                 if j > lo_y:
-                    step = v_cost[tc - 1] + v_extra
-                    if tc - 1 == dst_code:
+                    nc = tc - 1
+                    step = v_cost[nc] + v_extra
+                    if nc == dst_code:
                         step = step + dst_extra
                     candidate = g + step
-                    succ_state = (tc - 1) * 3 + 2
+                    succ_state = nc * 3 + 2
                     if candidate < best[succ_state] - 1e-12:
                         best[succ_state] = candidate
                         parent[succ_state] = state
-                        heappush(
-                            heap,
-                            (
-                                candidate + WL_WEIGHT * (dx + dist_y[j - 1]),
-                                candidate,
-                                succ_state,
-                            ),
-                        )
+                        succ_price = price[nc]
+                        if best[succ_state - 1] + succ_price > candidate and (
+                            succ_state != src_v or succ_price > candidate
+                        ):
+                            heappush(
+                                heap,
+                                (
+                                    candidate + WL_WEIGHT * (dx + dist_y[j - 1]),
+                                    candidate,
+                                    succ_state,
+                                ),
+                            )
                 if j < hi_y:
+                    nc = tc + 1
                     step = v_cost[tc] + v_extra
-                    if tc + 1 == dst_code:
+                    if nc == dst_code:
                         step = step + dst_extra
                     candidate = g + step
-                    succ_state = (tc + 1) * 3 + 2
+                    succ_state = nc * 3 + 2
                     if candidate < best[succ_state] - 1e-12:
                         best[succ_state] = candidate
                         parent[succ_state] = state
-                        heappush(
-                            heap,
-                            (
-                                candidate + WL_WEIGHT * (dx + dist_y[j + 1]),
-                                candidate,
-                                succ_state,
-                            ),
-                        )
+                        succ_price = price[nc]
+                        if best[succ_state - 1] + succ_price > candidate and (
+                            succ_state != src_v or succ_price > candidate
+                        ):
+                            heappush(
+                                heap,
+                                (
+                                    candidate + WL_WEIGHT * (dx + dist_y[j + 1]),
+                                    candidate,
+                                    succ_state,
+                                ),
+                            )
         finally:
             # Every entry the search wrote is the start's or a parent
             # key's; each store writes inf, so the order is immaterial.
@@ -578,7 +624,8 @@ class GlobalGraph:
         while states[-1] != start:
             states.append(parent[states[-1]])
         states.reverse()
-        return [divmod(s // 3, ny) for s in states]
+        tiles = self._tiles
+        return [tiles[s // 3] for s in states]
 
     # ------------------------------------------------------------------
     # Negotiation

@@ -13,7 +13,10 @@ is not collected as a test, and no ``src`` module imports it):
   ``((i, j), direction)`` tuple states, pricing every step with
   :func:`~repro.globalroute.cost.edge_cost_if_used` and
   :func:`~repro.globalroute.cost.vertex_price` on the graph's state
-  lists, never from its cost caches.
+  lists, never from its cost caches.  It leaves out dominated states
+  as the production maze does, with the rule written out on tuple
+  states (:func:`_dominated`); ``dominance=False`` runs the plain
+  search, whose path the rule must not change.
 
 Both keep the production searches' observable contract: the same
 successor order, tie-breaking, relaxation slack and counters (heap
@@ -26,6 +29,7 @@ a test can monkeypatch either into a full run.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from typing import Optional
 
 from repro.detailed.grid import DetailedGrid, Node
@@ -212,6 +216,7 @@ def astar_in_window(
     dst: Tile,
     window: tuple[int, int, int, int],
     stats: dict[str, float],
+    dominance: bool = True,
 ) -> Optional[list[Tile]]:
     """Direction-aware A* between two tiles (the contract of
     ``GlobalRouter._astar_in_window``).
@@ -219,6 +224,16 @@ def astar_in_window(
     Search states carry the arrival direction so the line-end price of
     Eq. (2) is charged exactly where a vertical run starts, where it
     ends, and where it will terminate at ``dst``.
+
+    With ``dominance`` the search leaves out the states that cannot
+    win a relaxation: a ``(tile, "v")`` state pays the tile's line-end
+    price on its next move along x and a ``(tile, "h")`` state, like
+    the source, on its next move along y, so each loses to a sibling
+    whose best cost is lower by at least that price (see
+    :func:`_dominated`).  A dominated successor keeps its best cost
+    and parent but is not pushed, and a popped state that has become
+    dominated is not expanded.  Without ``dominance`` this is the
+    plain search, whose path the rule must not change.
     """
     lo_x, lo_y, hi_x, hi_y = window
     if src == dst:
@@ -226,6 +241,9 @@ def astar_in_window(
 
     def heuristic(t: Tile) -> float:
         return WL_WEIGHT * (abs(t[0] - dst[0]) + abs(t[1] - dst[1]))
+
+    def line_end(t: Tile) -> float:
+        return vertex_price(graph, t) if router.stitch_aware else 0.0
 
     # State: (tile, direction); direction is "h", "v", or "" at src.
     start = (src, "")
@@ -240,6 +258,8 @@ def astar_in_window(
         _, g, state = heapq.heappop(heap)
         pops += 1
         if g > best.get(state, float("inf")):
+            continue
+        if dominance and _dominated(state, g, best, line_end):
             continue
         expansions += 1
         tile, direction = state
@@ -266,6 +286,8 @@ def astar_in_window(
             if candidate < best.get(succ_state, float("inf")) - 1e-12:
                 best[succ_state] = candidate
                 parent[succ_state] = state
+                if dominance and _dominated(succ_state, candidate, best, line_end):
+                    continue
                 pushes += 1
                 heapq.heappush(
                     heap, (candidate + heuristic(succ), candidate, succ_state)
@@ -285,3 +307,31 @@ def astar_in_window(
         states.append(parent[states[-1]])
     states.reverse()
     return [tile for tile, _ in states]
+
+
+def _dominated(
+    state: tuple[Tile, str],
+    cost: float,
+    best: dict[tuple[Tile, str], float],
+    line_end: Callable[[Tile], float],
+) -> bool:
+    """Whether ``state`` at ``cost`` loses every move to a sibling.
+
+    A ``v`` state pays the tile's line-end price ``p`` on a move along
+    x where an ``h`` state pays nothing, and the ``h`` state pays ``p``
+    on a move along y where the ``v`` state pays nothing; the source
+    prices its moves like an ``h`` state.  So the ``v`` state is
+    dominated when the best cost of the ``h`` state or of the source
+    plus ``p`` is at most its cost, and the ``h`` state when the ``v``
+    state's best cost plus ``p`` is below its cost; the source never
+    is.
+    """
+    tile, direction = state
+    inf = float("inf")
+    if direction == "":
+        return False
+    p = line_end(tile)
+    if direction == "v":
+        rival = min(best.get((tile, "h"), inf), best.get((tile, ""), inf))
+        return rival + p <= cost
+    return best.get((tile, "v"), inf) + p < cost

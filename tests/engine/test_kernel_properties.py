@@ -28,7 +28,11 @@ or any window that holds the sources, with and without
 target sets as well as large ones like the whole net components
 rip-up reconnects pass, both sides prepared by
 :func:`~repro.detailed.search.search_ends`; global windows as the
-``ASTAR_WINDOW_MARGIN`` box around the two tiles or the full grid.
+``ASTAR_WINDOW_MARGIN`` box around the two tiles or any window that
+holds the source.  The global maze leaves out dominated states (see
+:meth:`~repro.globalroute.graph.GlobalGraph.astar_in_window`), as the
+reference does by default; one more property runs the reference
+without that rule and checks that every path stays the same.
 The detailed kernel tests one window bound per planar move, so one
 more property records every finite best cost it writes: each must
 land on a node inside the window.
@@ -454,21 +458,36 @@ def loaded_graph(data, design):
     return graph
 
 
-def tile_windows(src, dst, nx, ny):
-    """The router's two windows: the ``ASTAR_WINDOW_MARGIN`` box around
-    the two tiles and the full grid."""
+@st.composite
+def tile_searches(draw, nx, ny):
+    """A maze search ``(src, dst, window)``.
+
+    The window is the router's, the ``ASTAR_WINDOW_MARGIN`` box around
+    the two tiles, or any window around ``src``: one that leaves
+    ``dst`` out fails once it is exhausted.  ``src == dst``, which the
+    router answers without a search, is drawn too.
+    """
+    src = (draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1)))
+    dst = (draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1)))
     margin = ASTAR_WINDOW_MARGIN
-    return st.sampled_from(
-        [
-            (
-                max(0, min(src[0], dst[0]) - margin),
-                max(0, min(src[1], dst[1]) - margin),
-                min(nx - 1, max(src[0], dst[0]) + margin),
-                min(ny - 1, max(src[1], dst[1]) + margin),
-            ),
-            (0, 0, nx - 1, ny - 1),
-        ]
+    router_window = (
+        max(0, min(src[0], dst[0]) - margin),
+        max(0, min(src[1], dst[1]) - margin),
+        min(nx - 1, max(src[0], dst[0]) + margin),
+        min(ny - 1, max(src[1], dst[1]) + margin),
     )
+    window = draw(
+        st.one_of(
+            st.just(router_window),
+            st.tuples(
+                st.integers(0, src[0]),
+                st.integers(0, src[1]),
+                st.integers(src[0], nx - 1),
+                st.integers(src[1], ny - 1),
+            ),
+        )
+    )
+    return src, dst, window
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,11 +495,7 @@ def tile_windows(src, dst, nx, ny):
 def test_global_search_matches_reference(data):
     design = data.draw(designs(max_width=40, max_height=30))
     graph = loaded_graph(data, design)
-    nx, ny = graph.nx, graph.ny
-
-    src = (data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1)))
-    dst = (data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1)))
-    window = data.draw(tile_windows(src, dst, nx, ny))
+    src, dst, window = data.draw(tile_searches(graph.nx, graph.ny))
     router = GlobalRouter(
         stitch_aware=data.draw(st.booleans()), profile="counters"
     )
@@ -500,30 +515,8 @@ def test_global_searches_in_a_row_match_reference(data):
     # search: whatever one search leaves there, the next one reads.
     design = data.draw(designs(max_width=40, max_height=30))
     graph = loaded_graph(data, design)
-    nx, ny = graph.nx, graph.ny
     for _ in range(data.draw(st.integers(2, 4))):
-        src = (
-            data.draw(st.integers(0, nx - 1)),
-            data.draw(st.integers(0, ny - 1)),
-        )
-        dst = (
-            data.draw(st.integers(0, nx - 1)),
-            data.draw(st.integers(0, ny - 1)),
-        )
-        # Besides the router's windows (and src == dst, which the
-        # router answers without a search), any window around ``src``:
-        # one that leaves ``dst`` out fails once it is exhausted.
-        window = data.draw(
-            st.one_of(
-                tile_windows(src, dst, nx, ny),
-                st.tuples(
-                    st.integers(0, src[0]),
-                    st.integers(0, src[1]),
-                    st.integers(src[0], nx - 1),
-                    st.integers(src[1], ny - 1),
-                ),
-            )
-        )
+        src, dst, window = data.draw(tile_searches(graph.nx, graph.ny))
         router = GlobalRouter(
             stitch_aware=data.draw(st.booleans()), profile="counters"
         )
@@ -537,5 +530,24 @@ def test_global_searches_in_a_row_match_reference(data):
         assert production == ref
         # Place the demand, as the router does, so the next search
         # sees different prices.
+        if path is not None:
+            graph.apply_path(path, +1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_global_paths_do_not_depend_on_dominance(data):
+    # Leaving out dominated states saves work and must move no path:
+    # the production maze, which leaves them out, against the
+    # reference maze that expands every state.
+    design = data.draw(designs(max_width=40, max_height=30))
+    graph = loaded_graph(data, design)
+    for _ in range(data.draw(st.integers(1, 4))):
+        src, dst, window = data.draw(tile_searches(graph.nx, graph.ny))
+        router = GlobalRouter(stitch_aware=data.draw(st.booleans()))
+        path = router._astar_in_window(graph, src, dst, window, {})
+        assert path == reference.astar_in_window(
+            router, graph, src, dst, window, {}, dominance=False
+        )
         if path is not None:
             graph.apply_path(path, +1)

@@ -83,7 +83,7 @@ def reference_short_polygon_sites(edges, pins, stitches):
     landings = via_landing_points(edges, pins)
     sites = []
     for seg in reference_edges_to_segments(edges):
-        if seg.orientation is not Orientation.HORIZONTAL or seg.length == 0:
+        if seg.orientation is not Orientation.HORIZONTAL:
             continue
         y, layer = seg.a.y, seg.a.layer
         for line in stitches.lines_crossing(seg.a.x, seg.b.x):

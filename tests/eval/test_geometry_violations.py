@@ -1,6 +1,10 @@
 """Tests for geometry reconstruction, trimming, and violation counting."""
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detailed.wiring import (
     canonical_edge,
@@ -39,7 +43,75 @@ class TestEdges:
         assert via_count(edges) == 1
 
 
+def reference_trim_dangling(edges, anchors):
+    """The leaf peel with no degree count up front."""
+    incident = defaultdict(set)
+    for edge in edges:
+        incident[edge[0]].add(edge)
+        incident[edge[1]].add(edge)
+    alive = set(edges)
+    frontier = [
+        node
+        for node, inc in incident.items()
+        if len(inc) == 1 and node not in anchors
+    ]
+    while frontier:
+        node = frontier.pop()
+        inc = incident.get(node, set())
+        if len(inc) != 1 or node in anchors:
+            continue
+        (edge,) = inc
+        if edge not in alive:
+            continue
+        alive.discard(edge)
+        for endpoint in edge:
+            incident[endpoint].discard(edge)
+            if len(incident[endpoint]) == 1 and endpoint not in anchors:
+                frontier.append(endpoint)
+    return alive
+
+
+grid_nodes = st.tuples(
+    st.integers(0, 5), st.integers(0, 5), st.integers(1, 3)
+)
+
+
+@st.composite
+def wire_edges(draw):
+    """Unit edges of a few random walks on a small three-layer grid:
+    trees, cycles, stubs and separate pieces."""
+    edges = set()
+    for start in draw(st.lists(grid_nodes, min_size=1, max_size=4)):
+        node = start
+        moves = st.sampled_from(
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        )
+        for dx, dy, dz in draw(st.lists(moves, max_size=14)):
+            x, y, z = node
+            nxt = (x + dx, y + dy, z + dz)
+            if 0 <= nxt[0] <= 5 and 0 <= nxt[1] <= 5 and 1 <= nxt[2] <= 3:
+                edges.add(canonical_edge(node, nxt))
+                node = nxt
+    return edges
+
+
 class TestTrimDangling:
+    @settings(max_examples=300, deadline=None)
+    @given(wire_edges(), st.data())
+    def test_matches_the_plain_peel(self, edges, data):
+        # Anchors: some endpoints, and nodes off the wire.
+        anchors = set(data.draw(st.lists(grid_nodes, max_size=3)))
+        endpoints = sorted({node for edge in edges for node in edge})
+        if endpoints:
+            anchors |= set(data.draw(st.lists(st.sampled_from(endpoints))))
+        trimmed = trim_dangling(edges, anchors)
+        assert trimmed == reference_trim_dangling(edges, anchors)
+        assert trimmed is not edges
+        # A trimmed set has no leaf left to peel: trimming it again
+        # returns an equal copy.
+        again = trim_dangling(trimmed, anchors)
+        assert again == trimmed and again is not trimmed
+
     def test_keeps_anchored_path(self):
         path = h_path(0, 0, 5)
         edges = path_edges(path)

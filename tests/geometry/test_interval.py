@@ -39,10 +39,9 @@ class TestInterval:
         assert Interval(0, 2).overlaps(Interval(2, 5))
         assert not Interval(0, 2).overlaps(Interval(3, 5))
 
-    def test_intersection_and_union(self):
+    def test_intersection(self):
         a, b = Interval(0, 5), Interval(3, 8)
         assert a.intersection(b) == Interval(3, 5)
-        assert a.union_span(b) == Interval(0, 8)
 
     def test_shifted(self):
         assert Interval(1, 4).shifted(-1) == Interval(0, 3)
@@ -106,27 +105,10 @@ class TestOverlappingPairs:
 
 
 class TestMergeLaws:
-    """Overlap/merge algebra the batch planner builds on."""
-
-    @given(interval_strategy(), interval_strategy())
-    def test_union_span_covers_both(self, a, b):
-        u = a.union_span(b)
-        for iv in (a, b):
-            assert u.lo <= iv.lo and iv.hi <= u.hi
-
-    @given(interval_strategy(), interval_strategy())
-    def test_union_span_commutative(self, a, b):
-        assert a.union_span(b) == b.union_span(a)
-
-    @given(interval_strategy(), interval_strategy(), interval_strategy())
-    def test_union_span_associative(self, a, b, c):
-        assert a.union_span(b).union_span(c) == a.union_span(
-            b.union_span(c)
-        )
+    """Overlap and intersection algebra."""
 
     @given(interval_strategy())
-    def test_union_and_intersection_idempotent(self, a):
-        assert a.union_span(a) == a
+    def test_intersection_idempotent(self, a):
         assert a.intersection(a) == a
 
     @given(interval_strategy(), interval_strategy())
@@ -134,20 +116,11 @@ class TestMergeLaws:
         assert a.intersection(b) == b.intersection(a)
 
     @given(interval_strategy(), interval_strategy())
-    def test_union_span_minimal(self, a, b):
-        # Shrinking the span from either end uncovers an endpoint.
-        u = a.union_span(b)
-        lo_covered = any(iv.lo == u.lo for iv in (a, b))
-        hi_covered = any(iv.hi == u.hi for iv in (a, b))
-        assert lo_covered and hi_covered
-
-    @given(interval_strategy(), interval_strategy())
     def test_overlap_iff_union_shorter_than_sum(self, a, b):
         # Closed integer intervals: they share a point exactly when
         # the covering span is shorter than the summed lengths.
-        assert a.overlaps(b) == (
-            a.union_span(b).length < a.length + b.length
-        )
+        span = Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+        assert a.overlaps(b) == (span.length < a.length + b.length)
 
     @given(
         interval_strategy(),
@@ -156,6 +129,3 @@ class TestMergeLaws:
     )
     def test_shift_invariance(self, a, b, delta):
         assert a.overlaps(b) == a.shifted(delta).overlaps(b.shifted(delta))
-        assert a.union_span(b).shifted(delta) == a.shifted(delta).union_span(
-            b.shifted(delta)
-        )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geometry import GridPoint, Interval, Orientation, WireSegment
+from repro.geometry import GridPoint, Orientation, WireSegment
 
 
 class TestWireSegment:
@@ -22,16 +22,3 @@ class TestWireSegment:
     def test_diagonal_rejected(self):
         with pytest.raises(ValueError):
             WireSegment(GridPoint(0, 0, 1), GridPoint(1, 1, 1))
-
-    def test_span_and_length(self):
-        h = WireSegment(GridPoint(2, 7, 1), GridPoint(6, 7, 1))
-        assert h.span == Interval(2, 6)
-        assert h.length == 4
-        v = WireSegment(GridPoint(3, 1, 2), GridPoint(3, 9, 2))
-        assert v.span == Interval(1, 9)
-
-    def test_points_cover_run(self):
-        s = WireSegment(GridPoint(0, 0, 1), GridPoint(3, 0, 1))
-        assert len(list(s.points())) == 4
-        via = WireSegment(GridPoint(1, 1, 1), GridPoint(1, 1, 3))
-        assert [p.layer for p in via.points()] == [1, 2, 3]
