@@ -1,7 +1,7 @@
 """Stitch-aware global routing (Section III-A)."""
 
 from .cost import congestion_cost, edge_cost_if_used
-from .graph import GlobalGraph, Tile, TileSpan, vertical_run_line_ends
+from .graph import GlobalGraph, Tile, TileSpan
 from .router import GlobalRoute, GlobalRouter, GlobalRoutingResult
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "TileSpan",
     "congestion_cost",
     "edge_cost_if_used",
-    "vertical_run_line_ends",
 ]

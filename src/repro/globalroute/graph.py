@@ -108,14 +108,14 @@ class GlobalGraph:
     ``(nx - 1, ny)``, ``(nx, ny - 1)`` and ``(nx, ny)``.
 
     The maze's per-search state is allocated once, here: ``_best``
-    holds the best cost of every search state (``nx * ny * 3``
+    holds the best cost of every search state (``nx * ny * 2``
     entries, ``inf`` between searches), ``_dist_x[di]`` /
     ``_dist_y[dj]`` list the tile distances ``|i - di|`` and
     ``|j - dj|`` to a target column and row, ``_tiles`` holds the
-    ``(i, j)`` tuple of every tile code, which returned paths share,
-    and ``_no_price`` is the all-zero line-end price list of a search
-    without the line-end term.  A graph therefore serves one search
-    at a time.
+    ``(i, j)`` tuple of every tile code, which returned paths and
+    :meth:`tile_of` share, and ``_no_price`` is the all-zero line-end
+    price list of a search without the line-end term.  A graph
+    therefore serves one search at a time.
     """
 
     # Cost caches, by tile code.
@@ -189,7 +189,7 @@ class GlobalGraph:
         self._t_hist = [0.0] * len(self._t_cap)
         self.refresh_cost_cache()
 
-        self._best = [_INF] * (nx * ny * 3)
+        self._best = [_INF] * (nx * ny * 2)
         self._dist_x = [[abs(i - d) for i in range(nx)] for d in range(nx)]
         self._dist_y = [[abs(j - d) for j in range(ny)] for d in range(ny)]
         self._tiles = [(i, j) for i in range(nx) for j in range(ny)]
@@ -256,13 +256,12 @@ class GlobalGraph:
         )
 
     def tile_of(self, x: int, y: int) -> Tile:
-        """The tile containing grid cell ``(x, y)``."""
+        """The tile containing grid cell ``(x, y)``, as the graph's
+        shared ``(i, j)`` tuple."""
         if not (0 <= x < self.design.width and 0 <= y < self.design.height):
             raise ValueError(f"cell ({x}, {y}) outside die")
-        return (
-            min(x // self.tile_size, self.nx - 1),
-            min(y // self.tile_size, self.ny - 1),
-        )
+        i = min(x // self.tile_size, self.nx - 1)
+        return self._tiles[i * self.ny + min(y // self.tile_size, self.ny - 1)]
 
     def neighbors(self, tile: Tile) -> list[Tile]:
         """4-adjacent tiles inside the grid."""
@@ -332,47 +331,75 @@ class GlobalGraph:
         self._t_dem[t] = demand
         self._v_price[t] = line_end_price(demand, self._t_cap[t], self._t_hist[t])
 
-    def apply_path(self, path: Sequence[Tile], delta: int) -> None:
-        """Adjust the demand a routed tile path holds by ``delta``.
+    def path_codes(self, path: Sequence[Tile]) -> tuple[list[int], list[int], list[int]]:
+        """The resources a tile path holds, as state-list codes.
 
-        Every edge the path crosses, then every line end of its
-        vertical runs (:func:`vertical_run_line_ends`), in path order:
-        the same updates as :meth:`add_edge_demand` and
-        :meth:`add_vertex_demand`, made here on tile codes.  Raises
+        One walk along ``path`` returns the codes of the ``h`` edges
+        and of the ``v`` edges it crosses and the tile codes of the
+        line ends of its vertical runs, each in path order.  A maximal
+        vertical run becomes a vertical wire segment after layer
+        assignment, and its two end tiles each receive a line end (the
+        quantity the vertex demand of Section III-A counts).  Raises
         ``ValueError`` at the first pair of non-adjacent tiles.
         """
         ny = self.ny
-        h_dem, h_cap, h_hist, h_cost = (
-            self._h_dem, self._h_cap, self._h_hist, self._h_cost
-        )
-        v_dem, v_cap, v_hist, v_cost = (
-            self._v_dem, self._v_cap, self._v_hist, self._v_cost
-        )
-        for (ia, ja), (ib, jb) in zip(path, path[1:]):
+        h_codes: list[int] = []
+        v_codes: list[int] = []
+        ends: list[int] = []
+        run_start = -1  # tile code where the open vertical run starts
+        tiles = iter(path)
+        ia, ja = next(tiles, (0, 0))
+        for ib, jb in tiles:
             if ja == jb and (ib - ia == 1 or ia - ib == 1):
-                t = (ia if ia < ib else ib) * ny + ja
-                demand = h_dem[t] + delta
-                h_dem[t] = demand
-                h_cost[t] = WL_WEIGHT + edge_price(demand, h_cap[t], h_hist[t])
+                h_codes.append((ia if ia < ib else ib) * ny + ja)
+                if run_start >= 0:
+                    ends += (run_start, ia * ny + ja)
+                    run_start = -1
             elif ia == ib and (jb - ja == 1 or ja - jb == 1):
-                t = ia * ny + (ja if ja < jb else jb)
-                demand = v_dem[t] + delta
-                v_dem[t] = demand
-                v_cost[t] = WL_WEIGHT + edge_price(demand, v_cap[t], v_hist[t])
+                v_codes.append(ia * ny + (ja if ja < jb else jb))
+                if run_start < 0:
+                    run_start = ia * ny + ja
             else:
                 raise ValueError(
                     f"tiles {(ia, ja)} and {(ib, jb)} are not adjacent"
                 )
-        ends = vertical_run_line_ends(path)
+            ia, ja = ib, jb
+        if run_start >= 0:
+            ends += (run_start, ia * ny + ja)
+        return h_codes, v_codes, ends
+
+    def apply_path(self, path: Sequence[Tile], delta: int) -> None:
+        """Adjust the demand a routed tile path holds by ``delta``.
+
+        Every ``h`` edge, every ``v`` edge and every line end of the
+        path (:meth:`path_codes`): the same updates as
+        :meth:`add_edge_demand` and :meth:`add_vertex_demand`, made
+        here on codes.  A path with non-adjacent tiles raises
+        ``ValueError`` before any update.
+        """
+        h_codes, v_codes, ends = self.path_codes(path)
+        h_dem, h_cap, h_hist, h_cost = (
+            self._h_dem, self._h_cap, self._h_hist, self._h_cost
+        )
+        for t in h_codes:
+            demand = h_dem[t] + delta
+            h_dem[t] = demand
+            h_cost[t] = WL_WEIGHT + edge_price(demand, h_cap[t], h_hist[t])
+        v_dem, v_cap, v_hist, v_cost = (
+            self._v_dem, self._v_cap, self._v_hist, self._v_cost
+        )
+        for t in v_codes:
+            demand = v_dem[t] + delta
+            v_dem[t] = demand
+            v_cost[t] = WL_WEIGHT + edge_price(demand, v_cap[t], v_hist[t])
         t_dem, t_cap, t_hist, v_price = (
             self._t_dem, self._t_cap, self._t_hist, self._v_price
         )
-        for i, j in ends:
-            t = i * ny + j
+        for t in ends:
             demand = t_dem[t] + delta
             t_dem[t] = demand
             v_price[t] = line_end_price(demand, t_cap[t], t_hist[t])
-        self.perf_cache_updates += max(len(path) - 1, 0) + len(ends)
+        self.perf_cache_updates += len(h_codes) + len(v_codes) + len(ends)
 
     # ------------------------------------------------------------------
     # Cost caches
@@ -436,20 +463,27 @@ class GlobalGraph:
         :func:`~repro.globalroute.cost.vertex_price` that this search
         must match step for step.
 
-        A tile's two arrival states differ only in which next move pays
-        the tile's line-end price ``p`` (``0.0`` without the line-end
-        term): a ``v`` arrival pays it on a move along x, an ``h``
-        arrival, like the source, on a move along y.  So the ``v``
-        state is *dominated* once the best cost of the ``h`` state (or
-        of the source, at its tile) plus ``p`` is at most its cost, and
-        the ``h`` state once the ``v`` state's best cost plus ``p`` is
-        below its cost: none of its moves can then beat its sibling's.
-        A dominated successor gets its best cost and parent but is not
-        pushed, and a popped state that has become dominated is skipped
-        like a stale one, so ``maze_expansions`` counts the expanded,
-        non-dominated states.  The sibling always pops first, so the
-        search returns the path it would return without the rule
-        (``docs/performance.md``, "Dominated maze states").
+        Each tile has two states, its ``h`` and its ``v`` arrival.  The
+        source prices its moves like an ``h`` arrival, so it *is* its
+        tile's ``h`` state, at cost 0: a path back to it along x can
+        never relax that state.  The two states differ only in which
+        next move pays the tile's line-end price ``p`` (``0.0`` without
+        the line-end term): a ``v`` arrival pays it on a move along x,
+        an ``h`` arrival on a move along y.  So the ``v`` state is
+        *dominated* once the ``h`` state's best cost plus ``p`` is at
+        most its cost, and the ``h`` state once the ``v`` state's best
+        cost plus ``p`` is below its cost: none of its moves can then
+        beat its sibling's.  A dominated successor gets its best cost
+        and parent but is not pushed, and a popped state that has
+        become dominated is skipped like a stale one, so
+        ``maze_expansions`` counts the expanded, non-dominated states.
+        Nor is an entry pushed whose ``f`` exceeds the smallest ``f``
+        of a target entry pushed so far (it too keeps its best cost
+        and parent): the cheaper target state is never dominated and
+        is always in the heap at its best cost, so the search ends
+        before such an entry could pop.  None of these rules moves the
+        path (``docs/performance.md``, "Dominated maze states" and "Two
+        maze states per tile").
 
         Best costs live in the graph's ``_best`` list, by state id.  A
         search writes only the entries of its start and of the states
@@ -476,18 +510,17 @@ class GlobalGraph:
         # Charged when a vertical run will terminate at the target.
         dst_extra = price[dst_code]
 
-        # State id: (i * ny + j) * 3 + dircode, the arrival direction
-        # coded "" (source) -> 0, "h" -> 1, "v" -> 2.  The encoding is
-        # monotonic in the ((i, j), direction) tuple order, which
-        # breaks ``(f, g, state)`` heap ties.  A v state's rival is
-        # the h state one id below it and, at the source tile
-        # (``src_v``), the source as well, whose cost is 0.
-        start = (src[0] * ny + src[1]) * 3
-        src_v = start + 2
+        # State id: 2 * (i * ny + j) + dircode, the arrival direction
+        # coded "h" -> 0, "v" -> 1.  The encoding is monotonic in the
+        # ((i, j), direction) tuple order, which breaks ``(f, g,
+        # state)`` heap ties.  The source takes its tile's h slot.
+        start = 2 * (src[0] * ny + src[1])
         parent: dict[int, int] = {}
         heap: list[tuple[float, float, int]] = [
             (WL_WEIGHT * (dist_x[src[0]] + dist_y[src[1]]), 0.0, start)
         ]
+        # The smallest f of a target entry pushed so far.
+        bound = _INF
         goal = -1
         expansions = 0
         pops = 0
@@ -500,16 +533,15 @@ class GlobalGraph:
                 pops += 1
                 if g > best[state]:
                     continue
-                tc = state // 3
+                tc = state >> 1
                 p = price[tc]
-                if state - tc * 3 == 2:
-                    if best[state - 1] + p <= g or (state == src_v and p <= g):
-                        continue  # dominated by the h state or the source
+                if state & 1:
+                    if best[state - 1] + p <= g:
+                        continue  # dominated by the h state
                     # A vertical run ends here if the path turns.
                     h_extra = p
                     v_extra = 0.0
                 else:
-                    # (The source pops first: nothing dominates it.)
                     if best[state + 1] + p < g:
                         continue  # dominated by the v state
                     # A vertical run starts here: line end at this tile.
@@ -524,39 +556,34 @@ class GlobalGraph:
                 dy = dist_y[j]
 
                 # Successors (i-1, j), (i+1, j), (i, j-1), (i, j+1),
-                # pushed unless their sibling dominates them.
+                # pushed unless their sibling dominates them or a
+                # target entry pops first.
                 if i > lo_x:
                     nc = tc - ny
                     candidate = g + (h_cost[nc] + h_extra)
-                    succ_state = nc * 3 + 1
+                    succ_state = 2 * nc
                     if candidate < best[succ_state] - 1e-12:
                         best[succ_state] = candidate
                         parent[succ_state] = state
                         if best[succ_state + 1] + price[nc] >= candidate:
-                            heappush(
-                                heap,
-                                (
-                                    candidate + WL_WEIGHT * (dist_x[i - 1] + dy),
-                                    candidate,
-                                    succ_state,
-                                ),
-                            )
+                            f = candidate + WL_WEIGHT * (dist_x[i - 1] + dy)
+                            if f <= bound:
+                                heappush(heap, (f, candidate, succ_state))
+                                if nc == dst_code:
+                                    bound = f
                 if i < hi_x:
                     nc = tc + ny
                     candidate = g + (h_cost[tc] + h_extra)
-                    succ_state = nc * 3 + 1
+                    succ_state = 2 * nc
                     if candidate < best[succ_state] - 1e-12:
                         best[succ_state] = candidate
                         parent[succ_state] = state
                         if best[succ_state + 1] + price[nc] >= candidate:
-                            heappush(
-                                heap,
-                                (
-                                    candidate + WL_WEIGHT * (dist_x[i + 1] + dy),
-                                    candidate,
-                                    succ_state,
-                                ),
-                            )
+                            f = candidate + WL_WEIGHT * (dist_x[i + 1] + dy)
+                            if f <= bound:
+                                heappush(heap, (f, candidate, succ_state))
+                                if nc == dst_code:
+                                    bound = f
                 dx = dist_x[i]
                 if j > lo_y:
                     nc = tc - 1
@@ -564,44 +591,32 @@ class GlobalGraph:
                     if nc == dst_code:
                         step = step + dst_extra
                     candidate = g + step
-                    succ_state = nc * 3 + 2
+                    succ_state = 2 * nc + 1
                     if candidate < best[succ_state] - 1e-12:
                         best[succ_state] = candidate
                         parent[succ_state] = state
-                        succ_price = price[nc]
-                        if best[succ_state - 1] + succ_price > candidate and (
-                            succ_state != src_v or succ_price > candidate
-                        ):
-                            heappush(
-                                heap,
-                                (
-                                    candidate + WL_WEIGHT * (dx + dist_y[j - 1]),
-                                    candidate,
-                                    succ_state,
-                                ),
-                            )
+                        if best[succ_state - 1] + price[nc] > candidate:
+                            f = candidate + WL_WEIGHT * (dx + dist_y[j - 1])
+                            if f <= bound:
+                                heappush(heap, (f, candidate, succ_state))
+                                if nc == dst_code:
+                                    bound = f
                 if j < hi_y:
                     nc = tc + 1
                     step = v_cost[tc] + v_extra
                     if nc == dst_code:
                         step = step + dst_extra
                     candidate = g + step
-                    succ_state = nc * 3 + 2
+                    succ_state = 2 * nc + 1
                     if candidate < best[succ_state] - 1e-12:
                         best[succ_state] = candidate
                         parent[succ_state] = state
-                        succ_price = price[nc]
-                        if best[succ_state - 1] + succ_price > candidate and (
-                            succ_state != src_v or succ_price > candidate
-                        ):
-                            heappush(
-                                heap,
-                                (
-                                    candidate + WL_WEIGHT * (dx + dist_y[j + 1]),
-                                    candidate,
-                                    succ_state,
-                                ),
-                            )
+                        if best[succ_state - 1] + price[nc] > candidate:
+                            f = candidate + WL_WEIGHT * (dx + dist_y[j + 1])
+                            if f <= bound:
+                                heappush(heap, (f, candidate, succ_state))
+                                if nc == dst_code:
+                                    bound = f
         finally:
             # Every entry the search wrote is the start's or a parent
             # key's; each store writes inf, so the order is immaterial.
@@ -625,25 +640,19 @@ class GlobalGraph:
             states.append(parent[states[-1]])
         states.reverse()
         tiles = self._tiles
-        return [tiles[s // 3] for s in states]
+        return [tiles[s >> 1] for s in states]
 
     # ------------------------------------------------------------------
     # Negotiation
     # ------------------------------------------------------------------
-    def overflowed(self) -> tuple[set[tuple[Tile, Tile]], set[Tile]]:
-        """Each overflowed edge as the two tile steps that cross it, and
-        the overflowed tiles."""
-        ny = self.ny
-        steps: set[tuple[Tile, Tile]] = set()
-        for demand, capacity, di, dj in (
-            (self._h_dem, self._h_cap, 1, 0),
-            (self._v_dem, self._v_cap, 0, 1),
-        ):
-            for t in _overflowed(demand, capacity):
-                i, j = divmod(t, ny)
-                steps.update((((i, j), (i + di, j + dj)), ((i + di, j + dj), (i, j))))
-        tiles = {divmod(t, ny) for t in _overflowed(self._t_dem, self._t_cap)}
-        return steps, tiles
+    def overflowed(self) -> tuple[set[int], set[int], set[int]]:
+        """The codes of the overflowed ``h`` edges, ``v`` edges and
+        tiles, comparable with :meth:`path_codes`."""
+        return (
+            set(_overflowed(self._h_dem, self._h_cap)),
+            set(_overflowed(self._v_dem, self._v_cap)),
+            set(_overflowed(self._t_dem, self._t_cap)),
+        )
 
     def bump_history(self, line_ends: bool) -> None:
         """Raise by ``0.5`` the history of every overflowed edge and,
@@ -678,24 +687,3 @@ class GlobalGraph:
         tiles)."""
         return max(_overflows(self._t_dem, self._t_cap), default=0)
 
-
-def vertical_run_line_ends(path: Sequence[Tile]) -> list[Tile]:
-    """Tiles holding a line end of a vertical run of ``path``.
-
-    The global route's maximal vertical runs become vertical wire
-    segments after layer assignment; their two end tiles each receive a
-    line end (the quantity the vertex demand of Section III-A counts).
-    """
-    ends: list[Tile] = []
-    n = len(path)
-    run_start: Optional[int] = None
-    for idx in range(n - 1):
-        vertical = path[idx][0] == path[idx + 1][0]
-        if vertical and run_start is None:
-            run_start = idx
-        if not vertical and run_start is not None:
-            ends.extend([path[run_start], path[idx]])
-            run_start = None
-    if run_start is not None:
-        ends.extend([path[run_start], path[n - 1]])
-    return ends

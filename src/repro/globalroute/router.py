@@ -21,12 +21,16 @@ from typing import Optional
 
 from ..layout import Design, Net
 from ..observe import Span, Tracer, ensure
-from .graph import GlobalGraph, Tile, vertical_run_line_ends
+from .graph import GlobalGraph, Tile
 
 #: Tile margin of the A* window around a subnet's two end tiles.  The
 #: window holds both ends and every tile step has a finite price, so
 #: the search always finds a path inside it.
 ASTAR_WINDOW_MARGIN = 4
+
+#: A maze search of a two-pin subnet: its two end tiles and its
+#: window (inclusive ``lo_x, lo_y, hi_x, hi_y`` tile bounds).
+Search = tuple[Tile, Tile, tuple[int, int, int, int]]
 
 #: Negotiation (rip-up and re-route) rounds after the initial pass.
 RIPUP_ROUNDS = 8
@@ -47,7 +51,10 @@ class GlobalRoute:
 
 @dataclasses.dataclass
 class GlobalRoutingResult:
-    """Outcome of global routing a design."""
+    """Outcome of global routing a design.
+
+    ``failed`` is always empty: every subnet search finds a path.
+    """
 
     design: Design
     graph: GlobalGraph
@@ -101,9 +108,9 @@ class GlobalRouter:
         self.stitch_aware = stitch_aware
         self.profile = profile
         self._profiling = profile != "off"
-        #: Two-pin decompositions of the nets of the current ``route()``
+        #: The subnet searches of every net of the current ``route()``
         #: call, computed once per net (they depend only on pin tiles).
-        self._subnets: dict[str, list[tuple[Tile, Tile]]] = {}
+        self._searches: dict[str, list[Search]] = {}
 
     # ------------------------------------------------------------------
     def route(
@@ -122,17 +129,14 @@ class GlobalRouter:
                 with tracer.span("graph-build"):
                     graph = GlobalGraph(design)
                 order = self._bottom_up_order(design, graph)
-                self._subnets = {
-                    net.name: self.two_pin_subnets(net, graph) for net in order
+                self._searches = {
+                    net.name: self._subnet_searches(net, graph) for net in order
                 }
 
                 routes: dict[str, GlobalRoute] = {}
-                failed: list[str] = []
                 with tracer.span("initial-pass") as span:
                     stats: dict[str, float] = {}
-                    self._route_many(
-                        graph, order, routes, failed, stats, tracer
-                    )
+                    self._route_many(graph, order, routes, stats, tracer)
                     span.count(
                         "maze_expansions", stats.get("maze_expansions", 0)
                     )
@@ -159,7 +163,7 @@ class GlobalRouter:
                             design.netlist[name] for name in victims
                         ]
                         self._route_many(
-                            graph, victim_nets, routes, failed, stats, tracer
+                            graph, victim_nets, routes, stats, tracer
                         )
                         span.count(
                             "maze_expansions", stats.get("maze_expansions", 0)
@@ -170,20 +174,21 @@ class GlobalRouter:
                         span.gauge(
                             "vertex_overflow", graph.total_vertex_overflow()
                         )
-                stage.count("failed_nets", len(failed))
+                # Every subnet search succeeds (see _route_net).
+                stage.count("failed_nets", 0)
                 if self._profiling:
                     stage.count(
                         "perf_cache_refreshes", graph.perf_cache_refreshes
                     )
                     stage.count("perf_cache_updates", graph.perf_cache_updates)
         finally:
-            self._subnets = {}
+            self._searches = {}
 
         return GlobalRoutingResult(
             design=design,
             graph=graph,
             routes=routes,
-            failed=failed,
+            failed=[],
             cpu_seconds=time.perf_counter() - start,
         )
 
@@ -204,20 +209,13 @@ class GlobalRouter:
         graph: GlobalGraph,
         nets: Sequence[Net],
         routes: dict[str, GlobalRoute],
-        failed: list[str],
         stats: dict[str, float],
         tracer: Tracer,
     ) -> None:
         """Route ``nets`` in order; each sees what earlier ones placed."""
         for net in nets:
-            route = self._route_net(graph, net, stats)
-            if route is None:
-                failed.append(net.name)
-            else:
-                routes[net.name] = route
-            tracer.progress(
-                "net", stage="global", net=net.name, routed=route is not None
-            )
+            routes[net.name] = self._route_net(graph, net, stats)
+            tracer.progress("net", stage="global", net=net.name, routed=True)
 
     # ------------------------------------------------------------------
     # Net ordering and decomposition
@@ -271,41 +269,45 @@ class GlobalRouter:
                     dist[idx] = (d, best)
         return edges
 
+    def _subnet_searches(self, net: Net, graph: GlobalGraph) -> list[Search]:
+        """The maze search of each two-pin subnet of ``net``: its end
+        tiles and the ``ASTAR_WINDOW_MARGIN`` box around them."""
+        margin = ASTAR_WINDOW_MARGIN
+        return [
+            (
+                src,
+                dst,
+                (
+                    max(0, min(src[0], dst[0]) - margin),
+                    max(0, min(src[1], dst[1]) - margin),
+                    min(graph.nx - 1, max(src[0], dst[0]) + margin),
+                    min(graph.ny - 1, max(src[1], dst[1]) + margin),
+                ),
+            )
+            for src, dst in self.two_pin_subnets(net, graph)
+        ]
+
     # ------------------------------------------------------------------
     # Single-net routing
     # ------------------------------------------------------------------
     def _route_net(
-        self,
-        graph: GlobalGraph,
-        net: Net,
-        stats: Optional[dict[str, float]] = None,
-    ) -> Optional[GlobalRoute]:
-        """Route one net on ``graph``, placing its demand.
+        self, graph: GlobalGraph, net: Net, stats: dict[str, float]
+    ) -> GlobalRoute:
+        """Route one net of the current ``route()`` call on ``graph``,
+        placing its demand.
 
-        Each subnet is searched in the ``ASTAR_WINDOW_MARGIN`` box
-        around its two end tiles.  ``stats`` accumulates the net's maze
-        expansions.  A net with an unroutable subnet leaves no demand
-        behind.
+        Each subnet is searched in its window, which holds both end
+        tiles; every tile step has a finite price, so the search always
+        finds a path.  ``stats`` accumulates the net's maze expansions.
         """
-        if stats is None:
-            stats = {}
-        subnets = self._subnets.get(net.name)
-        if subnets is None:
-            subnets = self.two_pin_subnets(net, graph)
-        margin = ASTAR_WINDOW_MARGIN
         paths: list[list[Tile]] = []
-        for src, dst in subnets:
-            window = (
-                max(0, min(src[0], dst[0]) - margin),
-                max(0, min(src[1], dst[1]) - margin),
-                min(graph.nx - 1, max(src[0], dst[0]) + margin),
-                min(graph.ny - 1, max(src[1], dst[1]) + margin),
-            )
+        for src, dst, window in self._searches[net.name]:
             path = self._astar_in_window(graph, src, dst, window, stats)
             if path is None:
-                for placed in paths:
-                    graph.apply_path(placed, -1)
-                return None
+                raise RuntimeError(
+                    f"global maze found no path for net {net.name!r} "
+                    f"from tile {src} to tile {dst}"
+                )
             graph.apply_path(path, +1)
             paths.append(path)
         return GlobalRoute(net=net, paths=paths)
@@ -335,16 +337,20 @@ class GlobalRouter:
     ) -> list[str]:
         """Nets crossing an overflowed edge or, in stitch-aware mode,
         holding a line end on a vertex-overflowed tile
-        (:meth:`GlobalGraph.overflowed`, once per negotiation round)."""
-        over_steps, over_tiles = graph.overflowed()
+        (:meth:`GlobalGraph.overflowed`, once per negotiation round,
+        against :meth:`GlobalGraph.path_codes` of every path)."""
+        over_h, over_v, over_tiles = graph.overflowed()
         if not self.stitch_aware:
             over_tiles = set()
+        path_codes = graph.path_codes
         victims: list[str] = []
         for name, route in routes.items():
             for path in route.paths:
-                if any(step in over_steps for step in zip(path, path[1:])) or (
-                    over_tiles
-                    and any(t in over_tiles for t in vertical_run_line_ends(path))
+                h_codes, v_codes, ends = path_codes(path)
+                if not (
+                    over_h.isdisjoint(h_codes)
+                    and over_v.isdisjoint(v_codes)
+                    and over_tiles.isdisjoint(ends)
                 ):
                     victims.append(name)
                     break

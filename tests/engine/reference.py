@@ -13,10 +13,11 @@ is not collected as a test, and no ``src`` module imports it):
   ``((i, j), direction)`` tuple states, pricing every step with
   :func:`~repro.globalroute.cost.edge_cost_if_used` and
   :func:`~repro.globalroute.cost.vertex_price` on the graph's state
-  lists, never from its cost caches.  It leaves out dominated states
-  as the production maze does, with the rule written out on tuple
-  states (:func:`_dominated`); ``dominance=False`` runs the plain
-  search, whose path the rule must not change.
+  lists, never from its cost caches.  It saves work by the production
+  maze's rules, written out on tuple states: the source is its tile's
+  ``h`` state, dominated states are left out (:func:`_dominated`), and
+  no entry is pushed above the cheapest target entry.  ``plain=True``
+  runs the textbook search, whose path the rules must not change.
 
 Both keep the production searches' observable contract: the same
 successor order, tie-breaking, relaxation slack and counters (heap
@@ -216,7 +217,7 @@ def astar_in_window(
     dst: Tile,
     window: tuple[int, int, int, int],
     stats: dict[str, float],
-    dominance: bool = True,
+    plain: bool = False,
 ) -> Optional[list[Tile]]:
     """Direction-aware A* between two tiles (the contract of
     ``GlobalRouter._astar_in_window``).
@@ -225,15 +226,24 @@ def astar_in_window(
     Eq. (2) is charged exactly where a vertical run starts, where it
     ends, and where it will terminate at ``dst``.
 
-    With ``dominance`` the search leaves out the states that cannot
-    win a relaxation: a ``(tile, "v")`` state pays the tile's line-end
-    price on its next move along x and a ``(tile, "h")`` state, like
-    the source, on its next move along y, so each loses to a sibling
-    whose best cost is lower by at least that price (see
-    :func:`_dominated`).  A dominated successor keeps its best cost
-    and parent but is not pushed, and a popped state that has become
-    dominated is not expanded.  Without ``dominance`` this is the
-    plain search, whose path the rule must not change.
+    The search follows the production maze's three rules, none of
+    which may move its path:
+
+    * The source prices its moves like an ``h`` arrival, so it starts
+      as ``(src, "h")`` at cost 0, and a path back to it along x never
+      relaxes that state.
+    * A ``(tile, "v")`` state pays the tile's line-end price on its
+      next move along x and a ``(tile, "h")`` state on its next move
+      along y, so each loses to a sibling whose best cost is lower by
+      at least that price (see :func:`_dominated`).  A dominated
+      successor keeps its best cost and parent but is not pushed, and
+      a popped state that has become dominated is not expanded.
+    * No entry is pushed whose ``f`` exceeds the smallest ``f`` of a
+      ``dst`` entry pushed so far; it too keeps its best cost and
+      parent.
+
+    With ``plain`` it is the textbook search instead: the source is a
+    state of its own, ``(src, "")``, and every relaxed state is pushed.
     """
     lo_x, lo_y, hi_x, hi_y = window
     if src == dst:
@@ -245,11 +255,14 @@ def astar_in_window(
     def line_end(t: Tile) -> float:
         return vertex_price(graph, t) if router.stitch_aware else 0.0
 
-    # State: (tile, direction); direction is "h", "v", or "" at src.
-    start = (src, "")
+    # State: (tile, direction); direction is "h" or "v", and "" at the
+    # source of the plain search.
+    inf = float("inf")
+    start = (src, "" if plain else "h")
     best: dict[tuple[Tile, str], float] = {start: 0.0}
     parent: dict[tuple[Tile, str], tuple[Tile, str]] = {}
     heap = [(heuristic(src), 0.0, start)]
+    bound = inf  # the smallest f of a dst entry pushed so far
     goal: Optional[tuple[Tile, str]] = None
     expansions = 0
     pushes = 1
@@ -257,9 +270,9 @@ def astar_in_window(
     while heap:
         _, g, state = heapq.heappop(heap)
         pops += 1
-        if g > best.get(state, float("inf")):
+        if g > best.get(state, inf):
             continue
-        if dominance and _dominated(state, g, best, line_end):
+        if not plain and _dominated(state, g, best, line_end):
             continue
         expansions += 1
         tile, direction = state
@@ -283,15 +296,18 @@ def astar_in_window(
                     step += vertex_price(graph, succ)
             candidate = g + step
             succ_state = (succ, step_dir)
-            if candidate < best.get(succ_state, float("inf")) - 1e-12:
+            if candidate < best.get(succ_state, inf) - 1e-12:
                 best[succ_state] = candidate
                 parent[succ_state] = state
-                if dominance and _dominated(succ_state, candidate, best, line_end):
+                f = candidate + heuristic(succ)
+                if not plain and (
+                    _dominated(succ_state, candidate, best, line_end) or f > bound
+                ):
                     continue
                 pushes += 1
-                heapq.heappush(
-                    heap, (candidate + heuristic(succ), candidate, succ_state)
-                )
+                heapq.heappush(heap, (f, candidate, succ_state))
+                if succ == dst:
+                    bound = min(bound, f)
     stats["maze_expansions"] = stats.get("maze_expansions", 0) + expansions
     if router.profile != "off":
         stats["perf_maze_heap_pushes"] = (
@@ -315,23 +331,17 @@ def _dominated(
     best: dict[tuple[Tile, str], float],
     line_end: Callable[[Tile], float],
 ) -> bool:
-    """Whether ``state`` at ``cost`` loses every move to a sibling.
+    """Whether ``state`` at ``cost`` loses every move to its sibling.
 
     A ``v`` state pays the tile's line-end price ``p`` on a move along
     x where an ``h`` state pays nothing, and the ``h`` state pays ``p``
-    on a move along y where the ``v`` state pays nothing; the source
-    prices its moves like an ``h`` state.  So the ``v`` state is
-    dominated when the best cost of the ``h`` state or of the source
-    plus ``p`` is at most its cost, and the ``h`` state when the ``v``
-    state's best cost plus ``p`` is below its cost; the source never
-    is.
+    on a move along y where the ``v`` state pays nothing.  So the ``v``
+    state is dominated when the best cost of the ``h`` state plus ``p``
+    is at most its cost, and the ``h`` state when the ``v`` state's
+    best cost plus ``p`` is below its cost; the source, the ``h`` state
+    of its tile at cost 0, never is.
     """
     tile, direction = state
-    inf = float("inf")
-    if direction == "":
-        return False
-    p = line_end(tile)
-    if direction == "v":
-        rival = min(best.get((tile, "h"), inf), best.get((tile, ""), inf))
-        return rival + p <= cost
-    return best.get((tile, "v"), inf) + p < cost
+    sibling = (tile, "h" if direction == "v" else "v")
+    rival = best.get(sibling, float("inf")) + line_end(tile)
+    return rival <= cost if direction == "v" else rival < cost

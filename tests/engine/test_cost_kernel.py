@@ -1,4 +1,4 @@
-"""The global graph's cost caches against the pricing of its state.
+"""The global graph's state and cost caches against the placed paths.
 
 The search reads cost caches that the demand mutators and the history
 bump keep fresh entry by entry.  The property drives a
@@ -6,7 +6,8 @@ bump keep fresh entry by entry.  The property drives a
 bumps and checks that every cache entry is a plain ``float``
 bit-equal to :func:`~repro.globalroute.cost.edge_cost_if_used` or
 :func:`~repro.globalroute.cost.vertex_price`, which price the graph's
-state lists directly.
+state lists directly, and that the demand lists equal a recount from
+the paths placed so far.
 """
 
 from hypothesis import given
@@ -55,6 +56,45 @@ operations = st.lists(
 )
 
 
+def recount(placed):
+    """Edge and line-end demand of the placed paths, by tile code.
+
+    Each step of a path puts one wire on the edge it crosses: the ``h``
+    edge of its left tile for a step along x, the ``v`` edge of its
+    lower tile for a step along y.  Each maximal vertical run (a
+    longest stretch of consecutive steps along y) puts one line end on
+    the tile where it starts and one on the tile where it ends, also
+    where a walk doubles back on itself.
+    """
+    h = [0] * ((NX - 1) * NY)
+    v = [0] * (NX * NY)
+    ends = [0] * (NX * NY)
+    for path in placed:
+        run_start = None
+        for (ia, ja), (ib, jb) in zip(path, path[1:]):
+            if ia == ib:
+                v[ia * NY + min(ja, jb)] += 1
+                if run_start is None:
+                    run_start = (ia, ja)
+            else:
+                h[min(ia, ib) * NY + ja] += 1
+                if run_start is not None:
+                    for i, j in (run_start, (ia, ja)):
+                        ends[i * NY + j] += 1
+                    run_start = None
+        if run_start is not None:
+            for i, j in (run_start, path[-1]):
+                ends[i * NY + j] += 1
+    return h, v, ends
+
+
+def assert_state_exact(graph, placed):
+    """The demand lists recount the placed paths, and every cache
+    entry prices them."""
+    assert (graph._h_dem, graph._v_dem, graph._t_dem) == recount(placed)
+    assert_cache_exact(graph)
+
+
 def assert_cache_exact(graph):
     """Every cache entry is a ``float`` bit-equal to the pricing of
     the state lists."""
@@ -82,7 +122,7 @@ def assert_cache_exact(graph):
 def test_cache_entries_are_floats_equal_to_reference(ops, probe):
     graph = GlobalGraph(TINY)
     placed = []
-    assert_cache_exact(graph)
+    assert_state_exact(graph, placed)
     for op in ops:
         if op[0] == "place":
             _, path, copies = op
@@ -95,7 +135,7 @@ def test_cache_entries_are_floats_equal_to_reference(ops, probe):
             graph.apply_path(placed.pop(op[1] % len(placed)), -1)
         else:
             graph.bump_history(line_ends=op[1])
-        assert_cache_exact(graph)
+        assert_state_exact(graph, placed)
 
     graph.apply_path(probe, +1)
-    assert_cache_exact(graph)
+    assert_state_exact(graph, placed + [probe])

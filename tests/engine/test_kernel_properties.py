@@ -29,10 +29,14 @@ target sets as well as large ones like the whole net components
 rip-up reconnects pass, both sides prepared by
 :func:`~repro.detailed.search.search_ends`; global windows as the
 ``ASTAR_WINDOW_MARGIN`` box around the two tiles or any window that
-holds the source.  The global maze leaves out dominated states (see
+holds the source.  The global maze keeps the source in its tile's
+``h`` state, leaves out dominated states and pushes no entry above the
+cheapest target entry (see
 :meth:`~repro.globalroute.graph.GlobalGraph.astar_in_window`), as the
-reference does by default; one more property runs the reference
-without that rule and checks that every path stays the same.
+reference does by default; one more property runs the plain reference
+and checks that every path stays the same, and another that no search
+pushes a second state at the source tile unless it undercuts the
+source by more than the tile's line-end price.
 The detailed kernel tests one window bound per planar move, so one
 more property records every finite best cost it writes: each must
 land on a node inside the window.
@@ -47,8 +51,10 @@ also after a call interrupted by an exception in mid-flood, and whose
 reached nodes must all lie inside the window.
 """
 
+import heapq
 import math
 import random
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -64,6 +70,7 @@ from repro.detailed import (
 )
 from repro.detailed.grid import BLOCKED_STEP
 from repro.geometry import Point
+import repro.globalroute.graph as global_graph
 from repro.globalroute import GlobalGraph, GlobalRouter
 from repro.globalroute.router import ASTAR_WINDOW_MARGIN
 from repro.layout import Design, Direction, Net, Netlist, Pin, Technology
@@ -537,9 +544,10 @@ def test_global_searches_in_a_row_match_reference(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_global_paths_do_not_depend_on_dominance(data):
-    # Leaving out dominated states saves work and must move no path:
-    # the production maze, which leaves them out, against the
-    # reference maze that expands every state.
+    # The source in its tile's h state, dominance and the push bound
+    # save work and must move no path: the production maze, which
+    # follows all three rules, against the plain reference maze, which
+    # keeps the source apart and pushes every relaxed state.
     design = data.draw(designs(max_width=40, max_height=30))
     graph = loaded_graph(data, design)
     for _ in range(data.draw(st.integers(1, 4))):
@@ -547,7 +555,44 @@ def test_global_paths_do_not_depend_on_dominance(data):
         router = GlobalRouter(stitch_aware=data.draw(st.booleans()))
         path = router._astar_in_window(graph, src, dst, window, {})
         assert path == reference.astar_in_window(
-            router, graph, src, dst, window, {}, dominance=False
+            router, graph, src, dst, window, {}, plain=True
         )
         if path is not None:
             graph.apply_path(path, +1)
+
+
+class RecordingHeap:
+    """A stand-in for the graph module's ``heapq`` that records every
+    pushed entry."""
+
+    heappop = staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.pushed = []
+
+    def heappush(self, heap, entry):
+        self.pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_no_search_pushes_a_loop_back_the_source_beats(data):
+    # The source is its tile's h state at cost 0 (state id 2 * tile
+    # code), so a path back to it along x never relaxes that state.  A
+    # v arrival there (id one above) is dominated unless it costs less
+    # than the tile's line-end price, which is 0.0 without the
+    # line-end term.  Only a pushed entry pops, so no other state at the
+    # source tile is ever expanded.
+    design = data.draw(designs(max_width=40, max_height=30))
+    graph = loaded_graph(data, design)
+    src, dst, window = data.draw(tile_searches(graph.nx, graph.ny))
+    stitch_aware = data.draw(st.booleans())
+    recorder = RecordingHeap()
+    with mock.patch.object(global_graph, "heapq", recorder):
+        graph.astar_in_window(src, dst, window, stitch_aware, {})
+    source = 2 * (src[0] * graph.ny + src[1])
+    price = graph._v_price[source // 2] if stitch_aware else 0.0
+    for _f, g, state in recorder.pushed:
+        if state // 2 == source // 2:
+            assert state == source + 1 and g < price, (state, g, price)

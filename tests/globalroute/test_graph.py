@@ -6,7 +6,6 @@ from repro.config import RouterConfig
 from repro.geometry import Point
 from repro.layout import Design, Net, Netlist, Pin, Technology
 from repro.globalroute import GlobalGraph
-from repro.globalroute.graph import vertical_run_line_ends
 
 
 def make_design(width=60, height=45, layers=3, spacing=15, tile=15):
@@ -115,7 +114,8 @@ class TestEdgeBookkeeping:
         inline.apply_path(path, +2)
         for a, b in zip(path, path[1:]):
             by_entry.add_edge_demand(by_entry.edge_between(a, b), +2)
-        for tile in vertical_run_line_ends(path):
+        # Vertical runs (1, 0)-(1, 2) and (2, 2)-(2, 1).
+        for tile in [(1, 0), (1, 2), (2, 2), (2, 1)]:
             by_entry.add_vertex_demand(tile, +2)
         assert inline.perf_cache_updates == by_entry.perf_cache_updates == 6 + 4
         for name in ("_h_dem", "_v_dem", "_t_dem", "_h_cost", "_v_cost", "_v_price"):

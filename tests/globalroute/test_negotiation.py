@@ -17,30 +17,30 @@ PINNED_ROUNDS = {
     "S15850-stitch-aware": (
         ("S15850", 0.15, True),
         [
-            (0, 4, 0, 8054),
-            (0, 4, 35, 821),
-            (0, 4, 34, 814),
-            (0, 4, 44, 1197),
-            (0, 4, 41, 1090),
-            (0, 4, 35, 895),
-            (0, 4, 32, 1200),
-            (0, 4, 24, 759),
-            (0, 4, 31, 1100),
+            (0, 4, 0, 7557),
+            (0, 4, 35, 765),
+            (0, 4, 34, 763),
+            (0, 4, 44, 1133),
+            (0, 4, 41, 1033),
+            (0, 4, 35, 843),
+            (0, 4, 32, 1149),
+            (0, 4, 24, 728),
+            (0, 4, 31, 1051),
         ],
         (4, 1, 0),
     ),
     "S13207-baseline": (
         ("S13207", 0.3, False),
         [
-            (11, 314, 0, 16506),
-            (10, 316, 83, 1933),
-            (11, 317, 76, 1826),
-            (12, 334, 96, 2563),
-            (12, 330, 109, 2909),
-            (5, 324, 95, 2744),
-            (5, 324, 52, 1380),
-            (6, 327, 58, 1659),
-            (8, 328, 68, 2238),
+            (11, 314, 0, 15703),
+            (10, 316, 83, 1807),
+            (11, 317, 76, 1718),
+            (12, 334, 96, 2421),
+            (12, 330, 109, 2753),
+            (5, 324, 95, 2601),
+            (5, 324, 52, 1305),
+            (6, 327, 58, 1573),
+            (8, 328, 68, 2136),
         ],
         (328, 9, 8),
     ),

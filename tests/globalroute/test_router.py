@@ -1,15 +1,12 @@
 """Tests for the global router."""
 
+import pytest
 
 from repro.benchmarks_gen import SyntheticSpec, generate_design
 from repro.config import RouterConfig
 from repro.geometry import Point
 from repro.layout import Design, Net, Netlist, Pin, Technology
-from repro.globalroute import (
-    GlobalGraph,
-    GlobalRouter,
-    vertical_run_line_ends,
-)
+from repro.globalroute import GlobalGraph, GlobalRouter
 
 
 def design_with_nets(nets, width=60, height=45, layers=3):
@@ -26,6 +23,12 @@ def design_with_nets(nets, width=60, height=45, layers=3):
 
 def two_pin(name, a, b):
     return Net(name, (Pin(f"{name}.0", Point(*a), 1), Pin(f"{name}.1", Point(*b), 1)))
+
+
+def vertical_run_line_ends(path):
+    """The line-end tiles of ``path`` by :meth:`GlobalGraph.path_codes`."""
+    graph = GlobalGraph(design_with_nets([two_pin("n", (1, 1), (3, 3))]))
+    return [graph._tiles[t] for t in graph.path_codes(path)[2]]
 
 
 class TestVerticalRunLineEnds:
@@ -125,6 +128,17 @@ class TestRouting:
         aware = GlobalRouter(stitch_aware=True).route(design)
         blind = GlobalRouter(stitch_aware=False).route(design)
         assert aware.total_vertex_overflow <= blind.total_vertex_overflow
+
+    def test_a_search_without_a_path_raises(self, monkeypatch):
+        # Every window holds both end tiles and every step has a finite
+        # price, so the maze always finds a path; a search that does not
+        # is a bug, reported with the net and both tiles.
+        monkeypatch.setattr(GlobalRouter, "_astar_in_window", lambda *args: None)
+        design = design_with_nets([two_pin("a", (1, 1), (55, 40))])
+        with pytest.raises(
+            RuntimeError, match=r"net 'a' from tile \(0, 0\) to tile \(3, 2\)"
+        ):
+            GlobalRouter().route(design)
 
     def test_deterministic(self):
         nets = [two_pin("a", (1, 1), (55, 40)), two_pin("b", (5, 40), (50, 2))]
